@@ -1,0 +1,82 @@
+"""Golden SHA-256 digests of the data CSVs of small `run` and `sweep` cells.
+
+Refactors of the engine must leave every output byte unchanged; these
+digests were recorded with the per-pair engine and must hold for any
+later implementation.  A change that moves a digest on purpose records
+new ones and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from specagg.cli import parse_config, run_single, run_sweep
+
+SHAPE = {
+    "users": "5",
+    "relays": "20",
+    "bands": "100",
+    "slots": "100",
+    "n_train": "20",
+    "es_n0_db": "10",
+}
+
+CASES = {
+    "default_shape": (
+        {**SHAPE, "episodes": "2", "seed": "3"},
+        None,
+        {
+            "metrics.csv": "04a224cf97d5af25a12540194e761207b18a4394022e05fe92f7a0652103606b",
+            "summary.csv": "431c64f7782e8015100e66e91a767bc0e30b30f8f0ece8d4182291e673dc7522",
+            "trace.csv": "6564da8abfc2fab06afeddcb6b77c132c110804ce6e657ad2e52361c0d3c3841",
+        },
+    ),
+    "noisy_unit_gain": (
+        {
+            **SHAPE,
+            "episodes": "2",
+            "seed": "11",
+            "sensing_error_rate": "0.1",
+            "gain_model": "unit",
+            "designated_band": "7",
+        },
+        None,
+        {
+            "metrics.csv": "3be88e4d3b079db80ecdad3a62e0056988beff4c9c522e6f3aeef65f09e6ea48",
+            "summary.csv": "894bbcadc77ff497810016d85c22f3f316573a05bdf819dfb9d1907356f3976b",
+            "trace.csv": "788782c70613c8f160aaa905ee98a2a03ee34752d8562da505ab87d5bfa91104",
+        },
+    ),
+    "min_hop_p0_sweep": (
+        {
+            **SHAPE,
+            "episodes": "2",
+            "seed": "29",
+            "snr_combining": "min_hop",
+            "es_n0_db_sweep": "0,10",
+        },
+        ("p0", ["0.2", "0.6"]),
+        {
+            "metrics.csv": "625ae4685973a7f8599eb187d84787c914cbcc49cdfa7c41e1a90e0827f9fc8e",
+            "summary.csv": "5f5dbd94c38af5e73d078c5ee73db2095c8d45f725277406f7b375b3762c4ef5",
+            "trace.csv": "54b0b700fe98a115131b8f7dae6fdd0d6b469ee4849c0ad90617d73ab5f7ac8f",
+            "sweep_p0.csv": "0535c851ad76932a5042ae0ad785c0630dccc696048185798d73bdff4c9d3cef",
+        },
+    ),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_digests_are_golden(case, tmp_path):
+    overrides, sweep, expected = CASES[case]
+    config = parse_config(None, {**overrides, "out": str(tmp_path)})
+    paths = run_single(config)
+    got = {f"{name}.csv": _sha256(paths[name]) for name in ("metrics", "summary", "trace")}
+    if sweep is not None:
+        axis, values = sweep
+        got[f"sweep_{axis}.csv"] = _sha256(run_sweep(config, axis, values))
+    assert got == expected
