@@ -9,7 +9,11 @@ views plus per-(band, relay) SNRs and produces a full allocation:
 4. group bands by winning relay and score the total throughput.
 
 Every step is a pure function with deterministic tie-breaking (lowest
-index wins), so identical inputs produce identical results.
+index wins), so identical inputs produce identical results.  Every step
+also takes any number of leading batch axes (one per slot pair, say) on
+its per-pair arrays and treats each batch entry independently, so one
+call can allocate a whole block of slot pairs; a single pair is the
+case with no batch axes.
 """
 
 from __future__ import annotations
@@ -91,17 +95,17 @@ def assign_relays(topology, pair_throughput: np.ndarray) -> RelayAssignment:
     destination throughput (ties to the lowest user index).  A relay
     covering nothing is dropped.
 
-    `pair_throughput[r, i]` must be defined wherever relay r covers
+    `pair_throughput[..., r, i]` must be defined wherever relay r covers
     pair i.
     """
     pair_throughput = np.asarray(pair_throughput, dtype=np.float64)
-    if pair_throughput.shape != (topology.relays, topology.users):
-        raise ValueError("pair_throughput must be (relays, users)")
+    if pair_throughput.shape[-2:] != (topology.relays, topology.users):
+        raise ValueError("pair_throughput must be (..., relays, users)")
     covered = topology.coverage
     n_covered = covered.sum(axis=1)
 
     scores = np.where(covered, pair_throughput, -np.inf)
-    best_pair = scores.argmax(axis=1)  # first max = lowest user index
+    best_pair = scores.argmax(axis=-1)  # first max = lowest user index
 
     owner = np.where(n_covered > 0, best_pair, UNASSIGNED)
     return RelayAssignment(users=topology.users, owner=owner)
@@ -146,38 +150,34 @@ def common_free_spectrum(
     dropped rather than reassigned.
 
     Args:
-        source_available: (users, bands) bool mask.
-        relay_available: (relays, bands) bool mask.
-        snr: (bands, relays) per-band received SNR of each relay.
+        source_available: (..., users, bands) bool mask.
+        relay_available: (..., relays, bands) bool mask.
+        snr: (..., bands, relays) per-band received SNR of each relay.
     """
     source_available = np.asarray(source_available, dtype=bool)
     relay_available = np.asarray(relay_available, dtype=bool)
     snr = np.asarray(snr, dtype=np.float64)
+    owner = np.broadcast_to(assignment.owner, snr.shape[:-2] + assignment.owner.shape[-1:])
     users = assignment.users
-    n_bands = source_available.shape[1]
 
-    ownership = assignment.owner[None, :] == np.arange(users)[:, None]  # (T, Rr)
-    user_relay_free = (ownership.astype(np.int8) @ relay_available.astype(np.int8)) > 0
-    candidates = source_available & user_relay_free  # (T, N)
-    n_candidates = candidates.sum(axis=0)
+    ownership = owner[..., None, :] == np.arange(users)[:, None]  # (..., T, Rr)
+    # free relays of each user per band, counted exactly in float64
+    relay_free = np.broadcast_to(relay_available, owner.shape + snr.shape[-2:-1])
+    user_relay_free = (ownership.astype(np.float64) @ relay_free.astype(np.float64)) > 0
+    candidates = source_available & user_relay_free  # (..., T, N)
+    n_candidates = candidates.sum(axis=-2)
+    # the user ids dotted with a one-candidate mask give that candidate
+    band_user = np.where(n_candidates == 1, np.arange(users) @ candidates, UNASSIGNED)
 
-    band_user = np.full(n_bands, UNASSIGNED, dtype=np.int64)
-
-    sole = n_candidates == 1
-    band_user[sole] = candidates[:, sole].argmax(axis=0)
-
-    contested = n_candidates >= 2
-    if contested.any():
-        free = relay_available.T  # (N, Rr)
-        scores = np.where(free, snr, -np.inf)
-        winner = scores.argmax(axis=1)
-        winner_owner = assignment.owner[winner]
-        owner_qualifies = (winner_owner >= 0) & candidates[
-            np.clip(winner_owner, 0, users - 1), np.arange(n_bands)
-        ]
-        band_user[contested & owner_qualifies] = winner_owner[
-            contested & owner_qualifies
-        ]
+    # (batch..., band) indices of the contested bands
+    contested = np.nonzero(n_candidates >= 2)
+    free = np.swapaxes(relay_free, -1, -2)[contested]  # (K, Rr)
+    winner = np.where(free, snr[contested], -np.inf).argmax(axis=-1)
+    winner_owner = owner[contested[:-1] + (winner,)]
+    owner_qualifies = (winner_owner >= 0) & candidates[
+        contested[:-1] + (np.clip(winner_owner, 0, None), contested[-1])
+    ]
+    band_user[contested] = np.where(owner_qualifies, winner_owner, UNASSIGNED)
     return CommonSpectrumSet(users=users, band_user=band_user)
 
 
@@ -189,15 +189,16 @@ class AllocationResult:
     is unallocated), ``band_snr[n]`` its received SNR (0 when
     unallocated) and ``band_user[n]`` the owning user from step 2.
     ``snr_total`` is the sum of winning SNRs; the throughput fields are
-    filled by `aggregate_and_score`.
+    filled by `aggregate_and_score`.  With leading batch axes on the
+    band arrays, the totals carry the same batch axes.
     """
 
     users: int
     band_user: np.ndarray
     band_relay: np.ndarray
     band_snr: np.ndarray
-    snr_total: float
-    total_throughput_bps: float | None = None
+    snr_total: float | np.ndarray
+    total_throughput_bps: float | np.ndarray | None = None
     user_throughput_bps: np.ndarray | None = None
 
     @property
@@ -227,27 +228,35 @@ def allocate_spectrum(
     nothing to the SNR total.
 
     Args:
-        bits: (relays, bands) prediction bits, 0 = free.
-        snr: (bands, relays) per-band received SNR of each relay.
+        bits: (..., relays, bands) prediction bits, 0 = free.
+        snr: (..., bands, relays) per-band received SNR of each relay.
     """
     bits = np.asarray(bits)
     snr = np.asarray(snr, dtype=np.float64)
-    n_bands = common.band_user.shape[0]
     band_user = common.band_user
+    owner = np.broadcast_to(assignment.owner, snr.shape[:-2] + assignment.owner.shape[-1:])
 
-    owned = assignment.owner[None, :] == band_user[:, None]  # (N, Rr)
-    eligible = owned & (bits.T == 0) & (band_user >= 0)[:, None]
-    scores = np.where(eligible, snr, -np.inf)
-    has_winner = eligible.any(axis=1)
-    band_relay = np.where(has_winner, scores.argmax(axis=1), UNASSIGNED)
-    band_snr = np.where(has_winner, snr[np.arange(n_bands), band_relay], 0.0)
+    # (batch..., band) indices of the bands step 2 gave to a user
+    assigned = np.nonzero(band_user >= 0)
+    eligible = (owner[assigned[:-1]] == band_user[assigned][:, None]) & (
+        np.broadcast_to(np.swapaxes(bits, -1, -2), snr.shape)[assigned] == 0
+    )  # (K, Rr)
+    scores = np.where(eligible, snr[assigned], -np.inf)
+    best = scores.argmax(axis=-1)
+    best_snr = scores[np.arange(best.size), best]
+    # SNRs are finite, so a best score of -inf means no eligible relay
+    has_winner = best_snr > -np.inf
+    band_relay = np.full(band_user.shape, UNASSIGNED)
+    band_relay[assigned] = np.where(has_winner, best, UNASSIGNED)
+    band_snr = np.zeros(band_user.shape)
+    band_snr[assigned] = np.where(has_winner, best_snr, 0.0)
 
     return AllocationResult(
         users=common.users,
         band_user=band_user,
         band_relay=band_relay,
         band_snr=band_snr,
-        snr_total=float(band_snr.sum()),
+        snr_total=band_snr.sum(axis=-1),
     )
 
 
@@ -257,17 +266,22 @@ def aggregate_and_score(
     """Step 4: total and per-user throughput of the allocation.
 
     Each allocated band contributes b*log2(1 + winning SNR); a user's
-    capacity is the same sum restricted to that user's bands.
+    capacity is the same sum restricted to that user's bands, added up
+    in band order.
     """
-    per_band = np.where(
-        allocation.allocated, link_throughput(params, allocation.band_snr), 0.0
-    )
-    user_throughput = np.zeros(allocation.users)
     alloc = allocation.allocated
-    np.add.at(user_throughput, allocation.band_user[alloc], per_band[alloc])
+    per_band = np.where(alloc, link_throughput(params, allocation.band_snr), 0.0)
+    users = allocation.users
+    batch = per_band.shape[:-1]
+    # bincount adds each (batch entry, user) cell's bands in band order
+    rows = np.arange(int(np.prod(batch)), dtype=np.int64).reshape(batch + (1,))
+    cells = (rows * users + allocation.band_user)[alloc]
+    user_throughput = np.bincount(
+        cells, weights=per_band[alloc], minlength=rows.size * users
+    ).reshape(batch + (users,))
     return replace(
         allocation,
-        total_throughput_bps=float(per_band.sum()),
+        total_throughput_bps=per_band.sum(axis=-1),
         user_throughput_bps=user_throughput,
     )
 

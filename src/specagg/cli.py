@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .radio import RadioParams
+from .seeds import SEED_LIMIT
 from .simulation import (
     EpisodeConfig,
     NetworkScenario,
@@ -133,6 +135,19 @@ def _require(key, value, ok: bool, interval: str):
     return value
 
 
+def _require_db(key, db):
+    """Accept a dB value only if its linear ratio 10^(dB/10) is finite and > 0."""
+    try:
+        linear = es_db_to_linear(db)
+    except OverflowError:
+        linear = math.inf
+    if not (math.isfinite(linear) and linear > 0.0):
+        raise ConfigParseError(
+            f"{key} must be a dB value with a finite, positive 10^(dB/10), got {db}"
+        )
+    return db
+
+
 def _parse_choice(key, raw, choices):
     if raw not in choices:
         raise ConfigParseError(f"{key} must be one of {', '.join(choices)}, got {raw!r}")
@@ -179,8 +194,8 @@ _FIELD_PARSERS = {
         lambda k, raw: _parse_choice(k, raw, ("second_hop", "min_hop")),
         lambda k, v: v,
     ),
-    "es_n0_db": (_parse_float, lambda k, v: v),
-    "es_n0_db_sweep": (_parse_float_list, lambda k, v: v),
+    "es_n0_db": (_parse_float, _require_db),
+    "es_n0_db_sweep": (_parse_float_list, lambda k, v: tuple(_require_db(k, db) for db in v)),
     "slots": (_parse_int, lambda k, v: _require(k, v, v >= 4, "[4, inf)")),
     "episodes": (_parse_int, lambda k, v: _require(k, v, v >= 1, "[1, inf)")),
     "n_train": (_parse_int, lambda k, v: _require(k, v, v >= 2, "[2, inf)")),
@@ -192,7 +207,7 @@ _FIELD_PARSERS = {
         _parse_int,
         lambda k, v: _require(k, v, v >= 0, "[0, bands)"),
     ),
-    "seed": (_parse_int, lambda k, v: _require(k, v, v >= 0, "[0, 2^64)")),
+    "seed": (_parse_int, lambda k, v: _require(k, v, 0 <= v < SEED_LIMIT, "[0, 2^32)")),
     "out": (lambda k, raw: str(raw), lambda k, v: v),
     "workers": (_parse_int, lambda k, v: _require(k, v, v >= 1, "[1, inf)")),
 }
@@ -356,7 +371,7 @@ _AXIS_VALUE_PARSER = {
     "p0": _FIELD_PARSERS["p0"],
     "band_count": _FIELD_PARSERS["bands"],
     "relay_count": _FIELD_PARSERS["relays"],
-    "es_over_n0": (_parse_float, lambda k, v: v),
+    "es_over_n0": (_parse_float, _require_db),
 }
 
 _AXIS_SCENARIO_KEY = {"p0": "p0", "band_count": "bands", "relay_count": "relays"}

@@ -223,14 +223,47 @@ def predict_next_state(matrix: TransitionMatrix, current: int) -> SpectrumState:
     return SpectrumState(int(np.argmax(matrix.row(current))))
 
 
+def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
+    """Transition counts of every sliding window of a state history at once.
+
+    `history` is (slots, bands).  Entry k of the (slots - window + 1,
+    bands, 3, 3) result holds, per band, the `count_transitions` of
+    ``history[k : k + window]``.  Counts come from differences of
+    cumulative pair-code counts, so the cost does not grow with the
+    window length.
+    """
+    history = np.asarray(history, dtype=np.int64)
+    slots, n_bands = history.shape
+    if not 2 <= window <= slots:
+        raise EstimationError(f"window must lie in [2, {slots}], got {window}")
+    pair_codes = history[:-1] * N_STATES + history[1:]
+    # cumulative[s]: per band, counts of the pair codes before slot s, in
+    # the narrowest integer type that holds a count of slots - 1
+    dtype = np.min_scalar_type(slots - 1)
+    cumulative = np.zeros((slots, n_bands, N_STATES * N_STATES), dtype=dtype)
+    np.cumsum(
+        pair_codes[:, :, None] == np.arange(N_STATES * N_STATES),
+        axis=0,
+        dtype=dtype,
+        out=cumulative[1:],
+    )
+    counts = cumulative[window - 1 :] - cumulative[: slots - window + 1]
+    return counts.reshape(-1, n_bands, N_STATES, N_STATES)
+
+
 def predict_next_states(prob_batch: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Vectorised prediction: argmax of each band's row for its current state.
 
-    `prob_batch` is (bands, 3, 3) and `current` is (bands,).  The same
-    Good > Bad > Busy tie priority applies (first argmax).
+    `prob_batch` is (..., bands, 3, 3) and `current` is (..., bands);
+    leading axes broadcast against each other.  The same Good > Bad >
+    Busy tie priority applies (first argmax).  Integer transition counts
+    predict exactly as the probabilities estimated from them, because
+    every row is one count vector over a positive total (an unseen row
+    is all zeros, as its uniform fallback is all equal).
     """
-    rows = prob_batch[np.arange(prob_batch.shape[0]), current]
-    return rows.argmax(axis=1).astype(np.int8)
+    best_next = np.asarray(prob_batch).argmax(axis=-1)  # (..., bands, 3)
+    current = np.asarray(current, dtype=np.intp)[..., None]
+    return np.take_along_axis(best_next, current, axis=-1)[..., 0].astype(np.int8)
 
 
 def parse_observations(text: str) -> list[np.ndarray]:

@@ -29,11 +29,21 @@ def _encode(token) -> bytes:
     raise TypeError(f"cannot derive a seed from token of type {type(token)!r}")
 
 
+# Master seeds enter the stream as one 32-bit word.
+SEED_LIMIT = 2**32
+
+
 def derive_seed_sequence(master_seed: int, *tokens) -> np.random.SeedSequence:
-    """SeedSequence for the substream named by `tokens` under `master_seed`."""
+    """SeedSequence for the substream named by `tokens` under `master_seed`.
+
+    `master_seed` must lie in [0, 2^32): a larger one would share its
+    stream with the seed of its low 32 bits.
+    """
+    if not 0 <= master_seed < SEED_LIMIT:
+        raise ValueError(f"master seed must lie in [0, 2^32), got {master_seed}")
     digest = hashlib.sha256(b"\x1f".join(_encode(t) for t in tokens)).digest()
     words = np.frombuffer(digest[:16], dtype=np.uint32)
-    return np.random.SeedSequence([int(master_seed) & 0xFFFFFFFF, *map(int, words)])
+    return np.random.SeedSequence([int(master_seed), *map(int, words)])
 
 
 def derive_rng(master_seed: int, *tokens) -> np.random.Generator:

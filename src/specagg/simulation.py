@@ -4,9 +4,15 @@ An episode walks a network through `slots` time slots.  After a training
 prefix, every slot t starts a transmission pair (t, t+1): nodes sense at
 slot t, a per-band transition matrix is refit on the most recent sensed
 window, slot t+1 states are predicted, the aggregation engine allocates
-bands under the idle-both-slots rule, and the ground truth then advances
-to t+1 to score the outcome.  An allocated band whose true t+1 state is
-Busy or Bad is an outage; throughput counts only non-outage bands.
+bands under the idle-both-slots rule, and the true t+1 states score the
+outcome.  An allocated band whose true t+1 state is Busy or Bad is an
+outage; throughput counts only non-outage bands.
+
+No slot pair depends on an earlier pair's allocation, so an episode runs
+as whole-episode array passes: the ground truth and the sensed states of
+every slot are realised first, the sliding-window transition counts of
+every pair come from one cumulative sum, and the four engine steps run
+over blocks of slot pairs at once.
 
 Four strategies share identical ground truth, topology, link budgets and
 fading draws per (seed, episode) -- comparisons between them are paired:
@@ -38,9 +44,9 @@ from .aggregation import (
     prediction_bits,
     two_slot_availability,
 )
-from .markov import SpectrumState, estimate_transition_matrices, predict_next_states
+from .markov import SpectrumState, predict_next_states, window_transition_counts
 from .radio import RadioParams, link_throughput, sample_hop_snrs
-from .seeds import derive_rng, derive_seed_sequence
+from .seeds import SEED_LIMIT, derive_rng, derive_seed_sequence
 from .topology import (
     BandProcessSet,
     SpectrumProcessConfig,
@@ -49,6 +55,14 @@ from .topology import (
     derive_ground_truth_matrix,
     sense,
 )
+
+
+# Slot pairs are allocated in blocks whose (pairs, bands, relays) arrays
+# hold at most this many elements.  A whole default episode (80 x 100 x
+# 20) is one block, while a 1000-band, 100-relay world takes two pairs
+# per block, so block temporaries stay a few MB next to the episode's
+# gains array.
+PAIR_BLOCK_ELEMENTS = 2**15
 
 
 class ConfigError(ValueError):
@@ -87,6 +101,8 @@ class EpisodeConfig:
             )
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2^32), got {self.seed}")
 
     @property
     def pairs(self) -> int:
@@ -154,17 +170,32 @@ def state_match_trace(metrics: EpisodeMetrics) -> tuple[int, int, np.ndarray]:
 def _band_relay_snr(
     hop_snr: np.ndarray, owner: np.ndarray, gains: np.ndarray, params: RadioParams
 ) -> np.ndarray:
-    """Per-(band, relay) received SNR for one slot pair.
+    """Per-(band, relay) received SNR for a block of slot pairs.
 
     A relay's SNR budget toward its own destination scales the per-band
-    fading gain, divided by the SNR gap: snr[n, r] = P_tx * hop[r] *
-    h[n, r] / gamma.  Unowned relays carry zero SNR on every band.
+    fading gain, divided by the SNR gap: snr[..., n, r] = P_tx *
+    hop[..., r, owner] * h[..., n, r] / gamma.  Unowned relays carry
+    zero SNR on every band.
     """
-    relays = hop_snr.shape[0]
-    hop_owned = np.where(
-        owner >= 0, hop_snr[np.arange(relays), np.clip(owner, 0, None)], 0.0
+    owned_hop = np.take_along_axis(hop_snr, np.clip(owner, 0, None)[..., None], axis=-1)
+    hop_owned = np.where(owner >= 0, owned_hop[..., 0], 0.0)
+    snr = params.tx_power_w * hop_owned[..., None, :] * gains
+    snr /= params.gamma
+    return snr
+
+
+def _keep_bands(allocation: AllocationResult, keep: np.ndarray) -> AllocationResult:
+    """`allocation` with every band outside `keep` released (throughputs unscored)."""
+    keep = keep & allocation.allocated
+    band_snr = np.where(keep, allocation.band_snr, 0.0)
+    return replace(
+        allocation,
+        band_relay=np.where(keep, allocation.band_relay, UNASSIGNED),
+        band_snr=band_snr,
+        snr_total=band_snr.sum(axis=-1),
+        total_throughput_bps=None,
+        user_throughput_bps=None,
     )
-    return params.tx_power_w * hop_owned[None, :] * gains / params.gamma
 
 
 def reduce_to_best_band(
@@ -174,24 +205,26 @@ def reduce_to_best_band(
 
     The kept band is the one with the highest winning SNR (ties to the
     lowest band id); every other band is released.  Throughput fields
-    are re-scored.
+    are re-scored.  Leading batch axes are reduced independently.
     """
-    band_relay = np.full_like(allocation.band_relay, UNASSIGNED)
-    band_snr = np.zeros_like(allocation.band_snr)
-    for user in range(allocation.users):
-        bands = np.flatnonzero((allocation.band_user == user) & allocation.allocated)
-        if bands.size == 0:
-            continue
-        best = bands[np.argmax(allocation.band_snr[bands])]
-        band_relay[best] = allocation.band_relay[best]
-        band_snr[best] = allocation.band_snr[best]
-    reduced = replace(
-        allocation,
-        band_relay=band_relay,
-        band_snr=band_snr,
-        snr_total=float(band_snr.sum()),
-    )
-    return aggregate_and_score(reduced, params)
+    users = np.arange(allocation.users)[:, None]
+    mine = allocation.allocated[..., None, :] & (
+        allocation.band_user[..., None, :] == users
+    )  # (..., users, bands)
+    best = np.where(mine, allocation.band_snr[..., None, :], -np.inf).argmax(axis=-1)
+    bands = np.arange(allocation.band_user.shape[-1])
+    keep = (mine.any(axis=-1)[..., None] & (bands == best[..., None])).any(axis=-2)
+    return aggregate_and_score(_keep_bands(allocation, keep), params)
+
+
+def _sense_slots(truth: np.ndarray, err: float, rngs: list) -> np.ndarray:
+    """(slots, nodes, bands) sensed states, one generator per node.
+
+    Each node senses slot after slot from its own stream, so its draws
+    are those of sensing every slot in turn.
+    """
+    per_node = [np.stack([sense(states, err, rng) for states in truth]) for rng in rngs]
+    return np.stack(per_node, axis=1)
 
 
 def run_episode(
@@ -204,6 +237,7 @@ def run_episode(
 ) -> EpisodeMetrics:
     """Run one episode and return its metrics.
 
+    The episode reads the band processes' trajectory from slot 0.
     `base_users` is the user count the link-budget draws are shaped for;
     leaving it at the topology's own user count is correct for
     standalone runs, while the single-user strategy passes the full
@@ -215,15 +249,20 @@ def run_episode(
     draw_users = base_users if base_users is not None else users
     if draw_users < users:
         raise ConfigError("base_users must cover the topology's user count")
+    if processes.max_slots < config.slots - 1:
+        raise ConfigError(
+            f"band processes cover {processes.max_slots + 1} slots, "
+            f"the episode needs {config.slots}"
+        )
     predicting = config.strategy != Strategy.NO_PREDICTION
 
     # Per-relay budget streams and per-band fading streams: adding a
     # relay or band never perturbs the draws of the existing ones.
-    hop1 = np.empty((relays, n_pairs, draw_users))
-    hop2 = np.empty((relays, n_pairs, draw_users))
+    hop1 = np.empty((n_pairs, relays, draw_users))
+    hop2 = np.empty((n_pairs, relays, draw_users))
     for r in range(relays):
         rng = derive_rng(seed, "budget", episode, r)
-        hop1[r], hop2[r] = sample_hop_snrs(params, rng, (n_pairs, draw_users))
+        hop1[:, r], hop2[:, r] = sample_hop_snrs(params, rng, (n_pairs, draw_users))
     if params.snr_combining == "min_hop":
         hop = np.minimum(hop1, hop2)
     elif params.snr_combining == "second_hop":
@@ -242,107 +281,65 @@ def run_episode(
     else:
         raise ValueError(f"unknown gain_model {params.gain_model!r}")
 
+    truth = processes.trajectory()[: config.slots]
     err = config.sensing_error_rate
-    if err > 0.0:
-        src_rngs = [derive_rng(seed, "sense", episode, "src", i) for i in range(users)]
-        rel_rngs = [derive_rng(seed, "sense", episode, "rel", r) for r in range(relays)]
-
-    def sense_all(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if err == 0.0:
-            sensed = np.asarray(truth, dtype=np.int8)
-            return (
-                np.broadcast_to(sensed, (users, bands)),
-                np.broadcast_to(sensed, (relays, bands)),
+    if err == 0.0:
+        # perfect sensing: sources and relays share one view, the truth
+        views = [truth[:, None, :]]
+    else:
+        views = [
+            _sense_slots(
+                truth, err, [derive_rng(seed, "sense", episode, kind, i) for i in range(n)]
             )
-        src = np.stack([sense(truth, err, rng) for rng in src_rngs])
-        rel = np.stack([sense(truth, err, rng) for rng in rel_rngs])
-        return src, rel
+            for kind, n in (("src", users), ("rel", relays))
+        ]
+    # the predictor trains on the first user's sensed history
+    history = views[0][:, 0]
+    pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
+    if predicting:
+        # window k ends at pair k's first slot
+        counts = window_transition_counts(history[:-1], config.n_train)
 
-    pair_slots = np.zeros(n_pairs, dtype=np.int64)
-    pair_allocated = np.zeros(n_pairs, dtype=np.int64)
-    pair_outages = np.zeros(n_pairs, dtype=np.int64)
-    pair_throughput = np.zeros(n_pairs)
-    user_capacity = np.zeros((n_pairs, users))
-    trace = np.zeros((n_pairs, 3), dtype=np.int8)
-    pred_matches = 0
-    default_matches = 0
-
+    pair_allocated = np.empty(n_pairs, dtype=np.int64)
+    pair_outages = np.empty(n_pairs, dtype=np.int64)
+    pair_throughput = np.empty(n_pairs)
+    user_capacity = np.empty((n_pairs, users))
+    predicted = np.empty(n_pairs, dtype=np.int8)
     designated = config.designated_band
-    training_history = np.zeros((config.slots, bands), dtype=np.int8)
 
-    truth = processes.states  # slot 0
-    sensed_src, sensed_rel = sense_all(truth)
-    training_history[0] = sensed_src[0]
+    block = max(1, PAIR_BLOCK_ELEMENTS // (bands * relays))
+    for start in range(0, n_pairs, block):
+        pairs = slice(start, start + block)
+        now = pair_slots[pairs]
+        # (pairs, nodes, bands) states at t and t + 1 of each view;
+        # sources are the first view and relays the last
+        states_now = [view[now] for view in views]
+        if predicting:
+            states_next = [predict_next_states(counts[pairs, None], s) for s in states_now]
+        else:
+            states_next = states_now
+        available = [two_slot_availability(*s) for s in zip(states_now, states_next)]
 
-    first_pair_slot = config.n_train - 1
-    for t in range(config.slots - 1):
-        pair_index = t - first_pair_slot
-        pending = None
-        if pair_index >= 0:
-            window = training_history[t - config.n_train + 1 : t + 1]  # ends at t
-            if predicting:
-                chains = estimate_transition_matrices(window.T)
-                if err == 0.0:
-                    # perfect sensing: every node sees the same states
-                    pred = predict_next_states(chains, sensed_src[0])
-                    pred_src = np.broadcast_to(pred, (users, bands))
-                    pred_rel = np.broadcast_to(pred, (relays, bands))
-                else:
-                    pred_src = np.stack(
-                        [predict_next_states(chains, sensed_src[i]) for i in range(users)]
-                    )
-                    pred_rel = np.stack(
-                        [predict_next_states(chains, sensed_rel[r]) for r in range(relays)]
-                    )
-            else:
-                pred_src, pred_rel = sensed_src, sensed_rel
+        hop_now = hop[pairs]
+        pair_rate = link_throughput(params, params.tx_power_w * hop_now / params.gamma)
+        assignment = assign_relays(topology, pair_rate)
+        snr = _band_relay_snr(hop_now, assignment.owner, gains[pairs], params)
+        common = common_free_spectrum(assignment, available[0], available[-1], snr)
+        alloc = allocate_spectrum(common, assignment, prediction_bits(states_next[-1]), snr)
+        if config.strategy == Strategy.NO_AGGREGATION:
+            alloc = reduce_to_best_band(alloc, params)
 
-            source_avail = two_slot_availability(sensed_src, pred_src)
-            relay_avail = two_slot_availability(sensed_rel, pred_rel)
-            bits = prediction_bits(pred_rel)
+        truth_next = truth[now + 1]
+        failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
+        delivered = aggregate_and_score(_keep_bands(alloc, ~failed), params)
+        pair_allocated[pairs] = alloc.allocated.sum(axis=-1)
+        pair_outages[pairs] = (alloc.allocated & failed).sum(axis=-1)
+        pair_throughput[pairs] = delivered.total_throughput_bps
+        user_capacity[pairs] = delivered.user_throughput_bps
+        predicted[pairs] = states_next[0][:, 0, designated]
 
-            pair_snr = params.tx_power_w * hop[:, pair_index, :] / params.gamma
-            pair_rate = link_throughput(params, pair_snr)
-            assignment = assign_relays(topology, pair_rate)
-
-            snr = _band_relay_snr(
-                hop[:, pair_index, :], assignment.owner, gains[pair_index], params
-            )
-            common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
-            alloc = allocate_spectrum(common, assignment, bits, snr)
-            alloc = aggregate_and_score(alloc, params)
-            if config.strategy == Strategy.NO_AGGREGATION:
-                alloc = reduce_to_best_band(alloc, params)
-            pending = (alloc, sensed_src[0].copy(), pred_src[0].copy())
-
-        truth = processes.advance()  # slot t + 1
-        sensed_src, sensed_rel = sense_all(truth)
-        training_history[t + 1] = sensed_src[0]
-
-        if pending is not None:
-            alloc, default_states, predicted_states = pending
-            failed = (truth == SpectrumState.BUSY) | (truth == SpectrumState.BAD)
-            outage = alloc.allocated & failed
-            good_bands = alloc.allocated & ~failed
-            realized = np.where(
-                good_bands, link_throughput(params, alloc.band_snr), 0.0
-            )
-            pair_slots[pair_index] = t
-            pair_allocated[pair_index] = int(alloc.allocated.sum())
-            pair_outages[pair_index] = int(outage.sum())
-            pair_throughput[pair_index] = float(realized.sum())
-            np.add.at(
-                user_capacity[pair_index],
-                alloc.band_user[good_bands],
-                realized[good_bands],
-            )
-            actual = int(truth[designated])
-            default = int(default_states[designated])
-            predicted = int(predicted_states[designated])
-            trace[pair_index] = (actual, default, predicted)
-            pred_matches += int(predicted == actual)
-            default_matches += int(default == actual)
-
+    actual = truth[pair_slots + 1, designated]
+    default = history[pair_slots, designated]
     return EpisodeMetrics(
         strategy=config.strategy,
         episode=episode,
@@ -351,9 +348,9 @@ def run_episode(
         pair_outages=pair_outages,
         pair_throughput_bps=pair_throughput,
         user_capacity_bps=user_capacity.mean(axis=0),
-        prediction_match_count=pred_matches,
-        default_match_count=default_matches,
-        trace=trace,
+        prediction_match_count=int((predicted == actual).sum()),
+        default_match_count=int((default == actual).sum()),
+        trace=np.stack([actual, default, predicted], axis=1).astype(np.int8),
     )
 
 

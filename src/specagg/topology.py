@@ -168,9 +168,10 @@ class BandProcessSet:
     trajectory is therefore fixed by the seed alone, regardless of how
     the set is advanced or how many *other* bands exist.
 
-    `max_slots` bounds how often `advance` may be called; each band
-    pre-draws its uniforms in one block so trajectories are stable
-    prefixes when `max_slots` grows.
+    The full `max_slots + 1` slot trajectory is realised at
+    construction from pre-drawn uniforms, so trajectories are stable
+    prefixes when `max_slots` grows.  `advance` walks a cursor along
+    it; `trajectory` hands all of it out at once.
     """
 
     def __init__(
@@ -184,9 +185,8 @@ class BandProcessSet:
         self.config = config
         self.max_slots = max_slots
         n = config.band_count
-        pi = stationary_distribution(config.ground_truth_matrix)
-        self._pi_cum = np.cumsum(pi)
-        self._row_cum = np.cumsum(config.ground_truth_matrix.probs, axis=1)
+        pi_cum = np.cumsum(stationary_distribution(config.ground_truth_matrix))
+        row_cum = np.cumsum(config.ground_truth_matrix.probs, axis=1)
 
         # one child stream per band: uniform 0 picks the initial state,
         # uniforms 1..max_slots drive the transitions
@@ -194,11 +194,21 @@ class BandProcessSet:
         draws = np.empty((n, max_slots + 1))
         for band, child in enumerate(children):
             draws[band] = np.random.default_rng(child).random(max_slots + 1)
-        self._draws = draws
 
-        initial = np.searchsorted(self._pi_cum, draws[:, 0], side="right")
-        initial = np.minimum(initial, N_STATES - 1).astype(np.int8)
-        self._history = [initial]
+        # step[t, n * 3 + s]: band n's state at slot t + 1 if it is in
+        # state s at slot t, the number of cumulative row entries <= u
+        u = draws.T[1:, :, None]
+        step = sum((u >= row_cum[:, j]).astype(np.int8) for j in range(N_STATES))
+        step = np.minimum(step, N_STATES - 1).reshape(max_slots, n * N_STATES)
+        states = np.empty((max_slots + 1, n), dtype=np.int8)
+        initial = np.searchsorted(pi_cum, draws[:, 0], side="right")
+        states[0] = np.minimum(initial, N_STATES - 1)
+        row_start = np.arange(n) * N_STATES
+        for t in range(max_slots):
+            states[t + 1] = step[t].take(row_start + states[t])
+        states.flags.writeable = False
+        self._trajectory = states
+        self._slot = 0
 
     @property
     def band_count(self) -> int:
@@ -207,28 +217,27 @@ class BandProcessSet:
     @property
     def slot(self) -> int:
         """Index of the latest realised slot (0-based)."""
-        return len(self._history) - 1
+        return self._slot
 
     @property
     def states(self) -> np.ndarray:
         """True states of every band at the latest slot."""
-        return self._history[-1]
+        return self._trajectory[self._slot]
 
     def advance(self) -> np.ndarray:
         """Advance every band one slot and return the new state vector."""
-        t = len(self._history)
-        if t > self.max_slots:
+        if self._slot >= self.max_slots:
             raise RuntimeError(f"band processes exhausted after {self.max_slots} slots")
-        u = self._draws[:, t]
-        cum = self._row_cum[self._history[-1]]
-        nxt = (u[:, None] >= cum).sum(axis=1)
-        nxt = np.minimum(nxt, N_STATES - 1).astype(np.int8)
-        self._history.append(nxt)
-        return nxt
+        self._slot += 1
+        return self._trajectory[self._slot]
+
+    def trajectory(self) -> np.ndarray:
+        """Read-only (max_slots + 1, bands) true states of every slot."""
+        return self._trajectory
 
     def history(self) -> np.ndarray:
-        """Full trajectory so far as a (slots, bands) array."""
-        return np.stack(self._history)
+        """Trajectory up to the latest realised slot as a (slots, bands) array."""
+        return self._trajectory[: self._slot + 1].copy()
 
     def band(self, band_id: int) -> BandProcess:
         return BandProcess(

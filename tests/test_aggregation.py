@@ -143,6 +143,18 @@ class TestCommonFreeSpectrum:
         common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
         assert common.band_user[0] == UNASSIGNED
 
+    def test_many_free_relays_of_one_user_keep_the_band(self):
+        # 256 free relays of one user must not wrap a narrow per-user count
+        relays = 256
+        assignment = RelayAssignment(users=1, owner=np.zeros(relays, dtype=np.int64))
+        source_avail = np.array([[True, True]])
+        relay_avail = np.zeros((relays, 2), dtype=bool)
+        relay_avail[:, 0] = True
+        relay_avail[0, 1] = True
+        snr = np.ones((2, relays))
+        common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
+        np.testing.assert_array_equal(common.band_user, [0, 0])
+
     def test_exhaustive_candidate_scan(self):
         # replicate the selection rule with plain loops over all
         # (user, relay) candidates and compare band by band

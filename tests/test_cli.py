@@ -243,6 +243,31 @@ class TestMainEntry:
         assert (tmp_path / "cli_out" / "figure9.csv").is_file()
 
 
+class TestInputValidation:
+    def test_seed_outside_32_bits_is_one_error_line(self, tmp_path, capsys):
+        # 2^32 + 1 would share the stream of seed 1
+        assert main(["run", "--seed", str(2**32 + 1), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must lie in [0, 2^32)")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--es-n0-db", "4000"],
+            ["run", "--es-n0-db=-4000"],
+            ["run", "--es-n0-db", "nan"],
+            ["run", "--es-n0-db-sweep", "0,inf"],
+            ["sweep", "--axis", "es_over_n0", "--values", "inf"],
+        ],
+    )
+    def test_unusable_db_value_is_one_error_line(self, args, tmp_path, capsys):
+        assert main(args + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "10^(dB/10)" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestTrendSmoke:
     """Direction checks at miniature scale; the acceptance suite runs
     the full-size versions."""

@@ -1,0 +1,156 @@
+"""Property tests of the batched engine steps and the sliding-window predictor.
+
+The engine runs every step over a leading slot-pair axis.  Stacking
+pairs must not change any pair's result: each entry of a batched call
+equals the same pair run alone, both as a batch of one and with no
+batch axis.  The invariants of a single allocation must hold for every
+pair of a stack.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from specagg.aggregation import (
+    UNASSIGNED,
+    aggregate_and_score,
+    allocate_spectrum,
+    assign_relays,
+    common_free_spectrum,
+)
+from specagg.markov import (
+    count_transitions,
+    estimate_transition_matrix,
+    predict_next_state,
+    predict_next_states,
+    window_transition_counts,
+)
+from specagg.radio import RadioParams
+from specagg.simulation import reduce_to_best_band
+from specagg.topology import Topology
+
+PARAMS = RadioParams()
+# few distinct values, so SNR and rate ties exercise the tie-breaking
+LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def pair_stacks(draw):
+    """A topology plus the per-pair inputs of steps 1-3 for a stack of pairs."""
+    pairs = draw(st.integers(1, 4))
+    users = draw(st.integers(1, 3))
+    relays = draw(st.integers(1, 5))
+    bands = draw(st.integers(1, 6))
+    coverage = draw(arrays(np.bool_, (relays, users)))
+    return (
+        Topology(users=users, relays=relays, coverage=coverage),
+        draw(arrays(np.float64, (pairs, relays, users), elements=LEVELS)),
+        draw(arrays(np.bool_, (pairs, users, bands))),
+        draw(arrays(np.bool_, (pairs, relays, bands))),
+        draw(arrays(np.int8, (pairs, relays, bands), elements=st.integers(0, 1))),
+        draw(arrays(np.float64, (pairs, bands, relays), elements=LEVELS)),
+    )
+
+
+def run_steps(topology, rate, source, relay, bits, snr):
+    assignment = assign_relays(topology, rate)
+    common = common_free_spectrum(assignment, source, relay, snr)
+    alloc = aggregate_and_score(allocate_spectrum(common, assignment, bits, snr), PARAMS)
+    return assignment, common, alloc, reduce_to_best_band(alloc, PARAMS)
+
+
+def outputs(steps):
+    assignment, common, alloc, reduced = steps
+    out = [assignment.owner, common.band_user]
+    for result in (alloc, reduced):
+        out += [
+            result.band_relay,
+            result.band_snr,
+            result.snr_total,
+            result.total_throughput_bps,
+            result.user_throughput_bps,
+        ]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_stacks())
+def test_stacked_pairs_equal_each_pair_alone(stack):
+    topology, *inputs = stack
+    batched = outputs(run_steps(topology, *inputs))
+    for k in range(inputs[0].shape[0]):
+        batch_of_one = outputs(run_steps(topology, *(x[k : k + 1] for x in inputs)))
+        unbatched = outputs(run_steps(topology, *(x[k] for x in inputs)))
+        for whole, one, alone in zip(batched, batch_of_one, unbatched):
+            np.testing.assert_array_equal(whole[k], one[0])
+            np.testing.assert_array_equal(whole[k], alone)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_stacks())
+def test_engine_invariants_hold_for_every_pair(stack):
+    topology, rate, source, relay, bits, snr = stack
+    assignment, common, alloc, reduced = run_steps(topology, rate, source, relay, bits, snr)
+    owner, band_user = assignment.owner, common.band_user
+    users = topology.users
+    pairs = np.arange(rate.shape[0])[:, None]
+
+    # each relay has one owner (or none), and it covers its owner
+    assert np.all((owner >= UNASSIGNED) & (owner < users))
+    owned = owner >= 0
+    assert np.all(topology.coverage[np.nonzero(owned)[1], owner[owned]])
+    assert np.all(owned == topology.coverage.any(axis=1))
+
+    # each band has at most one user, who qualifies for it
+    assert np.all((band_user >= UNASSIGNED) & (band_user < users))
+    assigned = band_user >= 0
+    user_of = np.where(assigned, band_user, 0)
+    assert np.all(source[pairs, user_of, np.arange(band_user.shape[1])][assigned])
+
+    # an allocated band has one relay, owned by the band's user and predicted free
+    for result in (alloc, reduced):
+        relay_of = np.where(result.allocated, result.band_relay, 0)
+        allocated = result.allocated
+        assert np.all(band_user[allocated] >= 0)
+        assert np.all(owner[pairs, relay_of][allocated] == band_user[allocated])
+        band_ids = np.arange(band_user.shape[1])
+        assert np.all(bits[pairs, relay_of, band_ids][allocated] == 0)
+        assert np.all(result.band_snr[~allocated] == 0.0)
+
+    # the no-aggregation policy keeps at most one of each user's bands
+    assert np.all(reduced.allocated <= alloc.allocated)
+    for user in range(users):
+        assert np.all((reduced.allocated & (band_user == user)).sum(axis=-1) <= 1)
+
+    # freeing every predicted-occupied bit never lowers a pair's SNR total
+    freed = allocate_spectrum(common, assignment, np.zeros_like(bits), snr)
+    assert np.all(freed.snr_total >= alloc.snr_total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda window: st.tuples(
+            st.just(window),
+            arrays(
+                np.int8,
+                st.tuples(st.integers(window, 14), st.integers(1, 4)),
+                elements=st.integers(0, 2),
+            ),
+        )
+    )
+)
+def test_window_counts_predict_as_refitted_matrices(case):
+    window, history = case
+    counts = window_transition_counts(history, window)
+    assert counts.shape == (history.shape[0] - window + 1, history.shape[1], 3, 3)
+    for k in range(counts.shape[0]):
+        segment = history[k : k + window]
+        predicted = predict_next_states(counts[k], segment[-1])
+        for band in range(history.shape[1]):
+            states = segment[:, band]
+            np.testing.assert_array_equal(counts[k, band], count_transitions(states))
+            # integer counts break ties exactly as the refitted probabilities do
+            refit = estimate_transition_matrix(states)
+            assert predicted[band] == predict_next_state(refit, int(states[-1]))

@@ -9,6 +9,7 @@ import pytest
 from specagg.aggregation import RelayAssignment, UNASSIGNED, allocate_spectrum
 from specagg.markov import SpectrumState, TransitionMatrix
 from specagg.radio import RadioParams
+from specagg.seeds import derive_rng
 from specagg.simulation import (
     ConfigError,
     EpisodeConfig,
@@ -68,6 +69,14 @@ class TestEpisodeConfig:
     def test_rejects_tiny_training_window(self):
         with pytest.raises(ConfigError):
             EpisodeConfig(slots=10, n_train=1)
+
+    def test_rejects_seed_outside_32_bits(self):
+        for seed in (-1, 2**32, 2**32 + 1):
+            with pytest.raises(ConfigError, match=r"\[0, 2\^32\)"):
+                EpisodeConfig(seed=seed)
+            with pytest.raises(ValueError):
+                derive_rng(seed, "truth", 0)
+        assert EpisodeConfig(seed=2**32 - 1).seed == 2**32 - 1
 
 
 class TestStaticGoodSpectrum:

@@ -130,6 +130,24 @@ class TestBandProcessSet:
             runs.append(procs.history())
         np.testing.assert_array_equal(runs[0], runs[1])
 
+    def test_trajectory_matches_slot_by_slot_stepping(self):
+        # reference: step each band slot by slot from its own child stream
+        tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
+        procs = _process_set(tm, bands=7, seed=5, max_slots=40)
+        pi_cum = np.cumsum(stationary_distribution(tm))
+        row_cum = np.cumsum(tm.probs, axis=1)
+        for band, child in enumerate(np.random.SeedSequence(5).spawn(7)):
+            u = np.random.default_rng(child).random(41)
+            state = min(int(np.searchsorted(pi_cum, u[0], side="right")), 2)
+            expected = [state]
+            for t in range(1, 41):
+                state = min(int((u[t] >= row_cum[state]).sum()), 2)
+                expected.append(state)
+            np.testing.assert_array_equal(procs.trajectory()[:, band], expected)
+        for _ in range(40):
+            procs.advance()
+        np.testing.assert_array_equal(procs.history(), procs.trajectory())
+
     def test_band_substreams_are_independent(self):
         # adding bands never perturbs the existing trajectories
         tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
