@@ -244,8 +244,7 @@ def allocate_spectrum(
     scores = np.where(eligible, snr[assigned], -np.inf)
     best = scores.argmax(axis=-1)
     best_snr = scores[np.arange(best.size), best]
-    # SNRs are finite, so a best score of -inf means no eligible relay
-    has_winner = best_snr > -np.inf
+    has_winner = eligible.any(axis=-1)
     band_relay = np.full(band_user.shape, UNASSIGNED)
     band_relay[assigned] = np.where(has_winner, best, UNASSIGNED)
     band_snr = np.zeros(band_user.shape)

@@ -58,10 +58,10 @@ from .topology import (
 
 
 # Slot pairs are allocated in blocks whose (pairs, bands, relays) arrays
-# hold at most this many elements.  A whole default episode (80 x 100 x
-# 20) is one block, while a 1000-band, 100-relay world takes two pairs
-# per block, so block temporaries stay a few MB next to the episode's
-# gains array.
+# hold at most this many elements: a default episode (80 x 100 x 20)
+# runs as five blocks of 16 pairs, a 1000-band, 100-relay world one pair
+# at a time.  Each block temporary then stays under a megabyte, so peak
+# memory stays that of a per-pair loop; larger blocks were no faster.
 PAIR_BLOCK_ELEMENTS = 2**15
 
 
