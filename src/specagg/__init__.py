@@ -11,7 +11,6 @@ byte for byte.
 from .aggregation import (
     AllocationResult,
     CommonSpectrumSet,
-    PredictionReport,
     RelayAssignment,
     aggregate_and_score,
     allocate_spectrum,
@@ -37,12 +36,9 @@ from .markov import (
 )
 from .radio import (
     GapError,
-    LinkBudget,
     RadioParams,
-    link_snr,
     link_throughput,
     sample_hop_snrs,
-    sample_link_budget,
     snr_gap,
 )
 from .seeds import derive_rng, derive_seed_sequence
@@ -55,24 +51,16 @@ from .simulation import (
     StrategySummary,
     build_episode_world,
     reduce_to_best_band,
-    run_baseline_no_aggregation,
-    run_baseline_no_prediction,
-    run_baseline_single_user,
     run_episode,
     run_strategy,
-    state_match_trace,
     summarize,
 )
 from .topology import (
-    BandProcess,
     BandProcessSet,
-    SensingReport,
     SpectrumProcessConfig,
     Topology,
     build_topology,
     derive_ground_truth_matrix,
-    make_sensing_report,
-    occupancy_bits,
     sense,
 )
 

@@ -43,25 +43,6 @@ def prediction_bits(predicted: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PredictionReport:
-    """Per-(relay, band) predicted availability bits (0 free, 1 occupied)."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8)
-        if bits.ndim != 2 or not np.isin(bits, (0, 1)).all():
-            raise ValueError("bits must be a 2-d array of 0/1")
-        bits = bits.copy()
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def from_states(cls, predicted_relay_states: np.ndarray) -> "PredictionReport":
-        return cls(prediction_bits(predicted_relay_states))
-
-
-@dataclass(frozen=True)
 class RelayAssignment:
     """Outcome of step 1: each relay's owning user pair, or dropped.
 
@@ -78,13 +59,6 @@ class RelayAssignment:
         owner = owner.copy()
         owner.flags.writeable = False
         object.__setattr__(self, "owner", owner)
-
-    def relays_of(self, user: int) -> np.ndarray:
-        return np.flatnonzero(self.owner == user)
-
-    @property
-    def dropped(self) -> np.ndarray:
-        return np.flatnonzero(self.owner == UNASSIGNED)
 
 
 def assign_relays(topology, pair_throughput: np.ndarray) -> RelayAssignment:
@@ -125,12 +99,6 @@ class CommonSpectrumSet:
         band_user = band_user.copy()
         band_user.flags.writeable = False
         object.__setattr__(self, "band_user", band_user)
-
-    def bands_of(self, user: int) -> np.ndarray:
-        return np.flatnonzero(self.band_user == user)
-
-    def sets(self) -> list[np.ndarray]:
-        return [self.bands_of(i) for i in range(self.users)]
 
 
 def common_free_spectrum(

@@ -23,11 +23,10 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .radio import RadioParams
-from .seeds import SEED_LIMIT
 from .simulation import (
     EpisodeConfig,
     NetworkScenario,
@@ -38,7 +37,14 @@ from .simulation import (
     write_trace_csv,
 )
 
-SWEEP_AXES = ("p0", "band_count", "relay_count", "es_over_n0")
+# sweep axis -> the RunConfig field each of its values sets
+_AXIS_FIELD = {
+    "p0": "p0",
+    "band_count": "bands",
+    "relay_count": "relays",
+    "es_over_n0": "es_n0_db",
+}
+SWEEP_AXES = tuple(_AXIS_FIELD)
 FIGURE_IDS = (8, 9, 10, 11, 12, 13)
 
 SWEEP_STRATEGIES = (
@@ -76,63 +82,75 @@ class ConfigParseError(CLIError):
     """Raised for unknown keys, bad syntax or out-of-range values."""
 
 
+def _param(default, interval: str | None = None, choices: tuple = (), db: bool = False):
+    """A `RunConfig` field: its default and the values it accepts.
+
+    `interval` is the range text of a number, e.g. ``"(0, 1]"``; its
+    bounds are numbers, ``inf``, ``2^32`` or ``bands`` (the bound checked
+    against the band count in `parse_config`).  `choices` lists the
+    accepted strings, and `db` marks an Es/N0 value in dB (see
+    `_require_db`).  A field with none of these takes any value of its
+    type.
+    """
+    metadata = {"interval": interval, "choices": choices, "db": db}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Full experiment configuration with documented defaults."""
+    """Full experiment configuration; each field declares its default and range."""
 
-    users: int = 5
-    relays: int = 20
-    bands: int = 100
-    coverage_probability: float = 0.4
-    p0: float = 0.4
-    persistence: float = 0.6
-    good_fraction: float = 0.75
-    band_width_hz: float = 2e6
-    noise_power_w: float = 1e-6
-    ber: float = 1e-3
-    tx_power_w: float = 1.0
-    gap_formula: str = "log2"
-    gain_model: str = "rayleigh"
-    snr_combining: str = "second_hop"
-    es_n0_db: float = 10.0
-    es_n0_db_sweep: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    slots: int = 100
-    episodes: int = 20
-    n_train: int = 20
-    sensing_error_rate: float = 0.0
-    designated_band: int = 0
-    seed: int = 1
-    out: str = "out"
-    workers: int = 1
-
-
-def _parse_int(key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigParseError(f"{key} must be an integer, got {raw!r}") from None
+    users: int = _param(5, "[1, inf)")
+    relays: int = _param(20, "[1, inf)")
+    bands: int = _param(100, "[1, inf)")
+    coverage_probability: float = _param(0.4, "(0, 1]")
+    p0: float = _param(0.4, "(0, 1)")
+    persistence: float = _param(0.6, "[0, 1)")
+    good_fraction: float = _param(0.75, "(0, 1)")
+    band_width_hz: float = _param(2e6, "(0, inf)")
+    noise_power_w: float = _param(1e-6, "(0, inf)")
+    ber: float = _param(1e-3, "(0, 0.2)")
+    tx_power_w: float = _param(1.0, "(0, inf)")
+    gap_formula: str = _param("log2", choices=("log2", "natural_log"))
+    gain_model: str = _param("rayleigh", choices=("rayleigh", "unit"))
+    snr_combining: str = _param("second_hop", choices=("second_hop", "min_hop"))
+    es_n0_db: float = _param(10.0, db=True)
+    es_n0_db_sweep: tuple = _param((0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0), db=True)
+    slots: int = _param(100, "[4, inf)")
+    episodes: int = _param(20, "[1, inf)")
+    n_train: int = _param(20, "[2, inf)")
+    sensing_error_rate: float = _param(0.0, "[0, 1]")
+    designated_band: int = _param(0, "[0, bands)")
+    seed: int = _param(1, "[0, 2^32)")
+    out: str = _param("out")
+    workers: int = _param(1, "[1, inf)")
 
 
-def _parse_float(key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigParseError(f"{key} must be a number, got {raw!r}") from None
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+# field type -> (converter of one raw value, what a bad value should be)
+_CONVERTERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "tuple": (lambda raw: tuple(float(v) for v in str(raw).split(",")),
+              "a comma-separated number list"),
+    "str": (str, "a string"),
+}
 
 
-def _parse_float_list(key, raw):
-    try:
-        return tuple(float(v) for v in str(raw).split(","))
-    except ValueError:
-        raise ConfigParseError(
-            f"{key} must be a comma-separated number list, got {raw!r}"
-        ) from None
+def _bound(text: str) -> float:
+    if text == "bands":
+        return math.inf  # the band count is checked in `parse_config`
+    base, _, power = text.partition("^")
+    return float(base) ** int(power) if power else float(text)
 
 
-def _require(key, value, ok: bool, interval: str):
-    if not ok:
-        raise ConfigParseError(f"{key} must lie in {interval}, got {value}")
-    return value
+def _in_interval(value, interval: str) -> bool:
+    """True when `value` lies in `interval`; nan never does, inf only at a closed bound."""
+    low, high = (_bound(t) for t in interval[1:-1].split(", "))
+    above = value >= low if interval[0] == "[" else value > low
+    below = value <= high if interval[-1] == "]" else value < high
+    return above and below
 
 
 def _require_db(key, db):
@@ -145,72 +163,25 @@ def _require_db(key, db):
         raise ConfigParseError(
             f"{key} must be a dB value with a finite, positive 10^(dB/10), got {db}"
         )
-    return db
 
 
-def _parse_choice(key, raw, choices):
-    if raw not in choices:
+def _parse_value(key: str, name: str, raw):
+    """Convert and check `raw` as a value of field `name`, naming `key` in errors."""
+    spec = _FIELDS[name]
+    convert, kind = _CONVERTERS[spec.type]
+    try:
+        value = convert(raw)
+    except ValueError:
+        raise ConfigParseError(f"{key} must be {kind}, got {raw!r}") from None
+    choices, interval = spec.metadata["choices"], spec.metadata["interval"]
+    if choices and value not in choices:
         raise ConfigParseError(f"{key} must be one of {', '.join(choices)}, got {raw!r}")
-    return raw
-
-
-# key -> (converter, validator); validators get the converted value
-_FIELD_PARSERS = {
-    "users": (_parse_int, lambda k, v: _require(k, v, v >= 1, "[1, inf)")),
-    "relays": (_parse_int, lambda k, v: _require(k, v, v >= 1, "[1, inf)")),
-    "bands": (_parse_int, lambda k, v: _require(k, v, v >= 1, "[1, inf)")),
-    "coverage_probability": (
-        _parse_float,
-        lambda k, v: _require(k, v, 0.0 < v <= 1.0, "(0, 1]"),
-    ),
-    "p0": (_parse_float, lambda k, v: _require(k, v, 0.0 < v < 1.0, "(0, 1)")),
-    "persistence": (
-        _parse_float,
-        lambda k, v: _require(k, v, 0.0 <= v < 1.0, "[0, 1)"),
-    ),
-    "good_fraction": (
-        _parse_float,
-        lambda k, v: _require(k, v, 0.0 < v < 1.0, "(0, 1)"),
-    ),
-    "band_width_hz": (
-        _parse_float,
-        lambda k, v: _require(k, v, v > 0.0, "(0, inf)"),
-    ),
-    "noise_power_w": (
-        _parse_float,
-        lambda k, v: _require(k, v, v > 0.0, "(0, inf)"),
-    ),
-    "ber": (_parse_float, lambda k, v: _require(k, v, 0.0 < v < 0.2, "(0, 0.2)")),
-    "tx_power_w": (_parse_float, lambda k, v: _require(k, v, v > 0.0, "(0, inf)")),
-    "gap_formula": (
-        lambda k, raw: _parse_choice(k, raw, ("log2", "natural_log")),
-        lambda k, v: v,
-    ),
-    "gain_model": (
-        lambda k, raw: _parse_choice(k, raw, ("rayleigh", "unit")),
-        lambda k, v: v,
-    ),
-    "snr_combining": (
-        lambda k, raw: _parse_choice(k, raw, ("second_hop", "min_hop")),
-        lambda k, v: v,
-    ),
-    "es_n0_db": (_parse_float, _require_db),
-    "es_n0_db_sweep": (_parse_float_list, lambda k, v: tuple(_require_db(k, db) for db in v)),
-    "slots": (_parse_int, lambda k, v: _require(k, v, v >= 4, "[4, inf)")),
-    "episodes": (_parse_int, lambda k, v: _require(k, v, v >= 1, "[1, inf)")),
-    "n_train": (_parse_int, lambda k, v: _require(k, v, v >= 2, "[2, inf)")),
-    "sensing_error_rate": (
-        _parse_float,
-        lambda k, v: _require(k, v, 0.0 <= v <= 1.0, "[0, 1]"),
-    ),
-    "designated_band": (
-        _parse_int,
-        lambda k, v: _require(k, v, v >= 0, "[0, bands)"),
-    ),
-    "seed": (_parse_int, lambda k, v: _require(k, v, 0 <= v < SEED_LIMIT, "[0, 2^32)")),
-    "out": (lambda k, raw: str(raw), lambda k, v: v),
-    "workers": (_parse_int, lambda k, v: _require(k, v, v >= 1, "[1, inf)")),
-}
+    if interval and not _in_interval(value, interval):
+        raise ConfigParseError(f"{key} must lie in {interval}, got {value}")
+    if spec.metadata["db"]:
+        for db in value if isinstance(value, tuple) else (value,):
+            _require_db(key, db)
+    return value
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -227,7 +198,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                 f"{path}:{line_no}: expected 'key = value', got {line!r}"
             )
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELDS:
             raise ConfigParseError(f"{path}:{line_no}: unknown config key '{key}'")
         raw[key] = value
     return raw
@@ -240,19 +211,18 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     out-of-range values raise `ConfigParseError` naming the offending
     key.
     """
-    values = {f.name: getattr(RunConfig, f.name) for f in fields(RunConfig)}
+    values = {name: spec.default for name, spec in _FIELDS.items()}
     raw: dict[str, str] = {}
     if path is not None:
         raw.update(_read_config_file(path))
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELDS:
             raise ConfigParseError(f"unknown config key '{key}'")
         raw[key] = value
     for key, raw_value in raw.items():
-        convert, validate = _FIELD_PARSERS[key]
-        values[key] = validate(key, convert(key, raw_value))
+        values[key] = _parse_value(key, key, raw_value)
 
     if values["slots"] < values["n_train"] + 2:
         raise ConfigParseError(
@@ -290,25 +260,24 @@ def es_db_to_linear(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def scenario_from(config: RunConfig, **axis_override) -> NetworkScenario:
+def scenario_from(config: RunConfig) -> NetworkScenario:
     return NetworkScenario(
-        users=axis_override.get("users", config.users),
-        relays=axis_override.get("relays", config.relays),
-        bands=axis_override.get("bands", config.bands),
+        users=config.users,
+        relays=config.relays,
+        bands=config.bands,
         coverage_probability=config.coverage_probability,
-        p0_idle=axis_override.get("p0", config.p0),
+        p0_idle=config.p0,
         persistence=config.persistence,
         good_fraction=config.good_fraction,
     )
 
 
-def params_from(config: RunConfig, es_n0_db: float | None = None) -> RadioParams:
-    db = config.es_n0_db if es_n0_db is None else es_n0_db
+def params_from(config: RunConfig) -> RadioParams:
     return RadioParams(
         band_width_hz=config.band_width_hz,
         noise_power_w=config.noise_power_w,
         ber=config.ber,
-        es_over_n0=es_db_to_linear(db),
+        es_over_n0=es_db_to_linear(config.es_n0_db),
         tx_power_w=config.tx_power_w,
         gap_formula=config.gap_formula,
         gain_model=config.gain_model,
@@ -367,41 +336,25 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     return paths
 
 
-_AXIS_VALUE_PARSER = {
-    "p0": _FIELD_PARSERS["p0"],
-    "band_count": _FIELD_PARSERS["bands"],
-    "relay_count": _FIELD_PARSERS["relays"],
-    "es_over_n0": (_parse_float, _require_db),
-}
-
-_AXIS_SCENARIO_KEY = {"p0": "p0", "band_count": "bands", "relay_count": "relays"}
-
-
 @dataclass(frozen=True)
 class _Cell:
-    config: RunConfig
+    config: RunConfig  # with the axis value and the Es/N0 point applied
     axis: str
     value: float
-    es_n0_db: float
     strategy: Strategy
 
 
 def _execute_cell(cell: _Cell) -> list:
     """Run one sweep cell; top-level so worker processes can receive it."""
-    override = {}
-    if cell.axis in _AXIS_SCENARIO_KEY:
-        override[_AXIS_SCENARIO_KEY[cell.axis]] = (
-            int(cell.value) if cell.axis != "p0" else cell.value
-        )
-    scenario = scenario_from(cell.config, **override)
-    params = params_from(cell.config, cell.es_n0_db)
     episode_config = episode_config_from(cell.config, cell.strategy)
-    summary = summarize(run_strategy(scenario, episode_config, params))
+    summary = summarize(
+        run_strategy(scenario_from(cell.config), episode_config, params_from(cell.config))
+    )
     return [
         cell.strategy.value,
         cell.axis,
         repr(float(cell.value)),
-        repr(float(cell.es_n0_db)),
+        repr(float(cell.config.es_n0_db)),
         repr(summary.mean_outage_rate),
         repr(summary.mean_throughput_bps),
         repr(summary.min_user_capacity_bps),
@@ -422,8 +375,8 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
         )
     if not values:
         raise CLIError("sweep needs at least one axis value")
-    convert, validate = _AXIS_VALUE_PARSER[axis]
-    parsed = [validate(axis, convert(axis, v)) for v in values]
+    name = _AXIS_FIELD[axis]
+    parsed = [_parse_value(axis, name, v) for v in values]
     if axis == "band_count":
         too_small = [v for v in parsed if v <= config.designated_band]
         if too_small:
@@ -432,19 +385,12 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
                 f"{config.designated_band}"
             )
 
-    if axis == "es_over_n0":
-        cells = [
-            _Cell(config, axis, float(v), float(v), strategy)
-            for v in parsed
-            for strategy in SWEEP_STRATEGIES
-        ]
-    else:
-        cells = [
-            _Cell(config, axis, float(v), float(db), strategy)
-            for v in parsed
-            for db in config.es_n0_db_sweep
-            for strategy in SWEEP_STRATEGIES
-        ]
+    cells = [
+        _Cell(replace(config, **{name: v, "es_n0_db": db}), axis, v, strategy)
+        for v in parsed
+        for db in ([v] if axis == "es_over_n0" else config.es_n0_db_sweep)
+        for strategy in SWEEP_STRATEGIES
+    ]
 
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -602,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(p):
         p.add_argument("--config", help="key = value configuration file")
-        for key in _FIELD_PARSERS:
+        for key in _FIELDS:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V")
 
     run_p = sub.add_parser("run", help="run one cell with all strategies")
@@ -623,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _FIELD_PARSERS}
+    overrides = {key: getattr(args, key) for key in _FIELDS}
     try:
         config = parse_config(args.config, overrides)
         if args.command == "run":
@@ -632,7 +578,9 @@ def main(argv: list[str] | None = None) -> int:
             run_sweep(config, args.axis, args.values.split(","))
         elif args.command == "figure":
             emit_figure_data(config, args.id)
-    except CLIError as exc:
+    except (CLIError, ValueError) as exc:
+        # ValueError: a value the library rejects that `parse_config` cannot
+        # foresee, e.g. a chain too sticky for a unique stationary solve
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -41,26 +41,6 @@ class SpectrumState(IntEnum):
     BUSY = 2
 
 
-def is_idle(state: int) -> bool:
-    """True when the licensed user is absent (Good or Bad)."""
-    return state != SpectrumState.BUSY
-
-
-def is_usable(state: int) -> bool:
-    """True when the band supports transmission (Good only)."""
-    return state == SpectrumState.GOOD
-
-
-def idle_mask(states: np.ndarray) -> np.ndarray:
-    """Vectorised `is_idle` over an integer state array."""
-    return states != SpectrumState.BUSY
-
-
-def usable_mask(states: np.ndarray) -> np.ndarray:
-    """Vectorised `is_usable` over an integer state array."""
-    return states == SpectrumState.GOOD
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic 3x3 matrix over (Good, Bad, Busy).
@@ -115,49 +95,46 @@ def count_transitions(states: np.ndarray) -> np.ndarray:
 def estimate_transition_matrix(
     states: np.ndarray, fallback_row: np.ndarray | None = None
 ) -> TransitionMatrix:
-    """Estimate a transition matrix from an observed state sequence.
+    """Estimate a transition matrix from one observed state sequence.
 
-    Each entry is the exact count ratio count(i -> j) / count(i -> *).
-    States with no outgoing observations get ``fallback_row`` (uniform
-    1/3 each when not given), which keeps the matrix row-stochastic
-    without injecting prior structure.
+    Each entry is the exact count ratio count(i -> j) / count(i -> *),
+    as `estimate_transition_matrices` computes it.  States with no
+    outgoing observations get ``fallback_row`` (uniform 1/3 each when
+    not given), which keeps the matrix row-stochastic without injecting
+    prior structure.
 
     Raises:
         EstimationError: if the sequence holds fewer than two states
             (no transition to count).
     """
     states = np.asarray(states, dtype=np.int64)
-    if states.size < 2:
+    if states.ndim != 1 or states.size < 2:
         raise EstimationError(
-            f"need at least 2 observed states to estimate transitions, got {states.size}"
+            f"need a sequence of at least 2 observed states to estimate "
+            f"transitions, got shape {states.shape}"
         )
-    if fallback_row is None:
-        fallback_row = np.full(N_STATES, 1.0 / N_STATES)
-    else:
+    probs = estimate_transition_matrices(states[None])[0]
+    if fallback_row is not None:
         fallback_row = np.asarray(fallback_row, dtype=np.float64)
         if fallback_row.shape != (N_STATES,) or abs(fallback_row.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError("fallback_row must be a probability 3-vector")
-
-    counts = count_transitions(states).astype(np.float64)
-    totals = counts.sum(axis=1, keepdims=True)
-    unseen = totals[:, 0] == 0
-    totals[unseen] = 1.0  # avoid 0/0; rows overwritten below
-    probs = counts / totals
-    probs[unseen] = fallback_row
+        # a state has outgoing observations iff it occurs before the last slot
+        probs[~np.isin(np.arange(N_STATES), states[:-1])] = fallback_row
     return TransitionMatrix(probs)
 
 
 def estimate_transition_matrices(windows: np.ndarray) -> np.ndarray:
     """Batch transition-matrix estimation, one row of `windows` per band.
 
-    Applies the same counting rule as `estimate_transition_matrix` to
-    every row of a (bands, window_length) array at once and returns raw
-    (bands, 3, 3) probabilities with the uniform fallback for unseen
-    rows.  This is the hot path of the per-slot predictor retraining.
+    Counts every (bands, window_length) row's one-step transitions and
+    returns raw (bands, 3, 3) probabilities count(i -> j) / count(i -> *),
+    with the uniform fallback for rows of states never left.
     """
     windows = np.asarray(windows, dtype=np.int64)
     if windows.ndim != 2 or windows.shape[1] < 2:
         raise EstimationError("windows must be (bands, length>=2)")
+    if np.any((windows < 0) | (windows >= N_STATES)):
+        raise ValueError("state codes must be 0, 1 or 2")
     n_bands = windows.shape[0]
     pair_codes = windows[:, :-1] * N_STATES + windows[:, 1:]
     offsets = np.arange(n_bands)[:, None] * (N_STATES * N_STATES)

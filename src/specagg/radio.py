@@ -1,4 +1,4 @@
-"""Link-level arithmetic: SNR gap, per-band SNR, throughput, two-hop budgets.
+"""Link-level arithmetic: SNR gap, throughput, two-hop budgets.
 
 Links are abstracted at SNR level.  The achievable rate on a band is the
 Shannon capacity with an SNR gap that accounts for practical coding and
@@ -9,6 +9,7 @@ twice the end-to-end budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,29 +75,15 @@ class RadioParams:
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        if self.band_width_hz <= 0:
-            raise ValueError("band_width_hz must be > 0")
-        if self.noise_power_w <= 0:
-            raise ValueError("noise_power_w must be > 0")
-        if self.es_over_n0 <= 0:
-            raise ValueError("es_over_n0 must be > 0")
-        if self.tx_power_w <= 0:
-            raise ValueError("tx_power_w must be > 0")
+        for name in ("band_width_hz", "noise_power_w", "es_over_n0", "tx_power_w"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.gain_model not in ("rayleigh", "unit"):
             raise ValueError("gain_model must be 'rayleigh' or 'unit'")
         if self.snr_combining not in ("second_hop", "min_hop"):
             raise ValueError("snr_combining must be 'second_hop' or 'min_hop'")
         object.__setattr__(self, "gamma", snr_gap(self.ber, self.gap_formula))
-
-
-def link_snr(power_w: float, gain: float, params: RadioParams) -> float:
-    """Received SNR of one band: P * h / (gamma * N0W).
-
-    `power_w` and `gain` may be numpy arrays; the result broadcasts.
-    """
-    if np.any(np.asarray(power_w) < 0) or np.any(np.asarray(gain) < 0):
-        raise ValueError("power and gain must be >= 0")
-    return power_w * gain / (params.gamma * params.noise_power_w)
 
 
 def link_throughput(params: RadioParams, snr) -> float:
@@ -112,46 +99,20 @@ def link_throughput(params: RadioParams, snr) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Linear SNRs of the two hops of one relayed link."""
+def sample_hop_snrs(
+    params: RadioParams, rng: np.random.Generator, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (snr1, snr2) arrays of `shape`: the two hops of relayed links.
 
-    snr1: float  # source -> relay
-    snr2: float  # relay -> destination
-
-    def __post_init__(self):
-        if self.snr1 <= 0 or self.snr2 <= 0:
-            raise ValueError("both hop SNRs must be > 0")
-
-
-def sample_link_budget(params: RadioParams, rng: np.random.Generator) -> LinkBudget:
-    """Draw a two-hop SNR split for a relay sitting between the endpoints.
-
-    The position split alpha ~ U(0.25, 0.75) keeps both hops
-    non-degenerate; the attenuation beta ~ U(0.5, 1.0) keeps the hop sum
-    strictly below 2 * Es/N0 because beta < 1:
+    For a relay sitting between the endpoints, the position split
+    alpha ~ U(0.25, 0.75) keeps both hops non-degenerate; the
+    attenuation beta ~ U(0.5, 1.0) keeps the hop sum strictly below
+    2 * Es/N0 because beta < 1:
 
         snr1 = alpha * beta * 2 * Es/N0
         snr2 = (1 - alpha) * beta * 2 * Es/N0
 
-    Draw order is alpha then beta, which tests rely on when stubbing the
-    generator.
-    """
-    alpha = rng.uniform(0.25, 0.75)
-    beta = rng.uniform(0.5, 1.0)
-    total = beta * 2.0 * params.es_over_n0
-    return LinkBudget(snr1=alpha * total, snr2=(1.0 - alpha) * total)
-
-
-def sample_hop_snrs(
-    params: RadioParams, rng: np.random.Generator, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array variant of `sample_link_budget` for bulk sampling.
-
-    Returns (snr1, snr2) arrays of the given shape.  All position splits
-    are drawn first, then all attenuations, so a bulk draw is its own
-    deterministic stream (not element-wise equal to repeated scalar
-    calls).
+    All position splits are drawn first, then all attenuations.
     """
     alpha = rng.uniform(0.25, 0.75, size=shape)
     beta = rng.uniform(0.5, 1.0, size=shape)

@@ -103,6 +103,8 @@ class EpisodeConfig:
             raise ConfigError("episodes must be >= 1")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must lie in [0, 2^32), got {self.seed}")
+        if self.designated_band < 0:
+            raise ConfigError(f"designated_band must be >= 0, got {self.designated_band}")
 
     @property
     def pairs(self) -> int:
@@ -160,11 +162,6 @@ class EpisodeMetrics:
     @property
     def mean_throughput_bps(self) -> float:
         return float(self.pair_throughput_bps.mean())
-
-
-def state_match_trace(metrics: EpisodeMetrics) -> tuple[int, int, np.ndarray]:
-    """(prediction matches, default matches, per-slot state triples)."""
-    return metrics.prediction_match_count, metrics.default_match_count, metrics.trace
 
 
 def _band_relay_snr(
@@ -249,6 +246,11 @@ def run_episode(
     draw_users = base_users if base_users is not None else users
     if draw_users < users:
         raise ConfigError("base_users must cover the topology's user count")
+    if config.designated_band >= bands:
+        raise ConfigError(
+            f"designated_band must lie in [0, bands), got {config.designated_band} "
+            f"with bands={bands}"
+        )
     if processes.max_slots < config.slots - 1:
         raise ConfigError(
             f"band processes cover {processes.max_slots + 1} slots, "
@@ -354,31 +356,6 @@ def run_episode(
     )
 
 
-def run_baseline_no_prediction(config, topology, processes, params, episode=0, base_users=None):
-    """`run_episode` with prediction replaced by last-state persistence."""
-    cfg = replace(config, strategy=Strategy.NO_PREDICTION)
-    return run_episode(cfg, topology, processes, params, episode, base_users)
-
-
-def run_baseline_no_aggregation(config, topology, processes, params, episode=0, base_users=None):
-    """`run_episode` where each user keeps only its best allocated band."""
-    cfg = replace(config, strategy=Strategy.NO_AGGREGATION)
-    return run_episode(cfg, topology, processes, params, episode, base_users)
-
-
-def run_baseline_single_user(config, topology, processes, params, episode=0, base_users=None):
-    """`run_episode` with only the first user pair present.
-
-    Takes the full multi-user topology and restricts it, so the run
-    shares its world with the multi-user strategies.
-    """
-    cfg = replace(config, strategy=Strategy.SINGLE_USER)
-    restricted = topology.restrict_to_user(0)
-    return run_episode(
-        cfg, restricted, processes, params, episode, base_users or topology.users
-    )
-
-
 def build_episode_world(
     scenario: NetworkScenario, config: EpisodeConfig, episode: int
 ) -> tuple[Topology, BandProcessSet]:
@@ -417,14 +394,12 @@ def run_strategy(
     for episode in range(config.episodes):
         topology, processes = build_episode_world(scenario, config, episode)
         if config.strategy == Strategy.SINGLE_USER:
-            metrics = run_baseline_single_user(
-                config, topology, processes, params, episode
-            )
-        else:
-            metrics = run_episode(
-                config, topology, processes, params, episode, scenario.users
-            )
-        out.append(metrics)
+            # the first pair alone keeps every relay covering it, and its
+            # draws stay shaped for (so paired with) the full population
+            topology = topology.restrict_to_user(0)
+        out.append(
+            run_episode(config, topology, processes, params, episode, scenario.users)
+        )
     return out
 
 

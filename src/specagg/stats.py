@@ -1,4 +1,4 @@
-"""Paired comparison helpers for seed-matched experiment results."""
+"""Paired comparison test for seed-matched experiment results."""
 
 from __future__ import annotations
 
@@ -22,18 +22,3 @@ def paired_one_sided_pvalue(x, y) -> float:
         return 0.0 if mean > 0 else 1.0
     t = mean / (sd / np.sqrt(d.size))
     return float(_scipy_stats.t.sf(t, d.size - 1))
-
-
-def significantly_greater(x, y, alpha: float = 0.05) -> bool:
-    """True when mean(x) exceeds mean(y) at the given one-sided level."""
-    return paired_one_sided_pvalue(x, y) < alpha
-
-
-def not_significantly_less(x, y, alpha: float = 0.05) -> bool:
-    """True unless mean(x) is significantly below mean(y) (one-sided).
-
-    This is the 'within statistical noise of, or above' reading: the
-    check only fails when the paired test shows x < y at the given
-    level.
-    """
-    return paired_one_sided_pvalue(y, x) >= alpha

@@ -53,10 +53,6 @@ class Topology:
         cov.flags.writeable = False
         object.__setattr__(self, "coverage", cov)
 
-    def covered_pairs(self, relay: int) -> np.ndarray:
-        """Indices of user pairs relay `relay` can serve."""
-        return np.flatnonzero(self.coverage[relay])
-
     def restrict_to_user(self, user: int = 0) -> "Topology":
         """Single-pair view of this topology (same relays, one column)."""
         return Topology(users=1, relays=self.relays, coverage=self.coverage[:, [user]])
@@ -142,23 +138,6 @@ class SpectrumProcessConfig:
             )
 
 
-@dataclass
-class BandProcess:
-    """Read-only snapshot of one band's trajectory so far."""
-
-    band_id: int
-    true_state_history: np.ndarray
-
-
-@dataclass(frozen=True)
-class SensingReport:
-    """One node's view of every band at one slot."""
-
-    node_id: str
-    slot: int
-    states: np.ndarray
-
-
 class BandProcessSet:
     """Ground-truth Markov trajectories for every band.
 
@@ -239,11 +218,6 @@ class BandProcessSet:
         """Trajectory up to the latest realised slot as a (slots, bands) array."""
         return self._trajectory[: self._slot + 1].copy()
 
-    def band(self, band_id: int) -> BandProcess:
-        return BandProcess(
-            band_id=band_id, true_state_history=self.history()[:, band_id]
-        )
-
     def write_trajectory_csv(self, path: str | Path) -> None:
         """Dump the realised trajectories as ``band,slot,state`` rows."""
         hist = self.history()
@@ -279,23 +253,3 @@ def sense(
     sensed = true_states.copy()
     sensed[flip] = (true_states[flip] + offset[flip]) % N_STATES
     return sensed
-
-
-def make_sensing_report(
-    node_id: str,
-    slot: int,
-    true_states: np.ndarray,
-    sensing_error_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> SensingReport:
-    """Package one node's sensing outcome for one slot."""
-    return SensingReport(
-        node_id=node_id,
-        slot=slot,
-        states=sense(true_states, sensing_error_rate, rng),
-    )
-
-
-def occupancy_bits(states: np.ndarray) -> np.ndarray:
-    """Binary occupancy projection of a state array: 1 = Busy, 0 = idle."""
-    return (np.asarray(states) == SpectrumState.BUSY).astype(np.int8)

@@ -267,6 +267,20 @@ class TestInputValidation:
         assert err.startswith("error:") and "10^(dB/10)" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # passes parse_config; the library finds no unique stationary law
+            ["--persistence", "0.99999999999"],
+            ["--band-width-hz", "inf"],
+        ],
+    )
+    def test_value_the_library_rejects_is_one_error_line(self, args, tmp_path, capsys):
+        argv = ["run", "--episodes", "1", "--slots", "24", "--out", str(tmp_path / "x")]
+        assert main(argv + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
 
 class TestTrendSmoke:
     """Direction checks at miniature scale; the acceptance suite runs

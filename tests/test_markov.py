@@ -65,14 +65,6 @@ class TestSpectrumState:
         assert SpectrumState.BUSY == 2
         assert len(SpectrumState) == 3
 
-    def test_idle_and_usable(self):
-        from specagg.markov import is_idle, is_usable
-
-        assert is_idle(SpectrumState.GOOD) and is_idle(SpectrumState.BAD)
-        assert not is_idle(SpectrumState.BUSY)
-        assert is_usable(SpectrumState.GOOD)
-        assert not is_usable(SpectrumState.BAD)
-
 
 class TestTransitionMatrix:
     def test_rejects_bad_rows(self):

@@ -1,4 +1,4 @@
-"""Tests for the two-slot episode harness and its baselines."""
+"""Tests for the two-slot episode harness and its baseline strategies."""
 
 import pickle
 from dataclasses import replace
@@ -17,12 +17,8 @@ from specagg.simulation import (
     Strategy,
     build_episode_world,
     reduce_to_best_band,
-    run_baseline_no_aggregation,
-    run_baseline_no_prediction,
-    run_baseline_single_user,
     run_episode,
     run_strategy,
-    state_match_trace,
     summarize,
 )
 from specagg.topology import BandProcessSet, SpectrumProcessConfig, Topology
@@ -78,6 +74,16 @@ class TestEpisodeConfig:
                 derive_rng(seed, "truth", 0)
         assert EpisodeConfig(seed=2**32 - 1).seed == 2**32 - 1
 
+    @pytest.mark.parametrize("designated_band", [-1, 10, 50])
+    def test_rejects_designated_band_outside_the_bands(self, designated_band):
+        # -1 used to trace the last band silently, 50 to end in an IndexError
+        with pytest.raises(ConfigError, match="designated_band"):
+            run_strategy(
+                NetworkScenario(bands=10),
+                EpisodeConfig(slots=24, episodes=1, designated_band=designated_band),
+                RadioParams(),
+            )
+
 
 class TestStaticGoodSpectrum:
     """A spectrum frozen at Good: no outages, every common band allocated."""
@@ -113,9 +119,9 @@ class TestStaticGoodSpectrum:
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
         metrics = run_episode(config, topology, processes, RadioParams())
-        pred, default, trace = state_match_trace(metrics)
-        assert pred == default == config.pairs
-        assert trace.shape == (config.pairs, 3)
+        assert metrics.prediction_match_count == config.pairs
+        assert metrics.default_match_count == config.pairs
+        assert metrics.trace.shape == (config.pairs, 3)
 
 
 class TestPeriodTwoChain:
@@ -170,9 +176,8 @@ class TestPeriodTwoChain:
 
     def test_state_match_trace_prediction_wins(self):
         metrics = self._run(Strategy.PREDICT_AGGREGATE)
-        pred, default, _ = state_match_trace(metrics)
-        assert pred == metrics.trace.shape[0]
-        assert default == 0
+        assert metrics.prediction_match_count == metrics.trace.shape[0]
+        assert metrics.default_match_count == 0
 
 
 class TestNoAggregationBaseline:
@@ -232,26 +237,25 @@ class TestNoAggregationBaseline:
 
 class TestSingleUserBaseline:
     def test_definitional_equivalence(self):
-        # the wrapper equals running the restricted topology directly
-        config = EpisodeConfig(slots=24, episodes=1, n_train=20, seed=9)
-        scenario = NetworkScenario(users=4, relays=10, bands=15)
-        topology, processes = build_episode_world(scenario, config, episode=0)
-        params = RadioParams()
-        via_wrapper = run_baseline_single_user(
-            config, topology, processes, params, episode=0
+        # the strategy equals running the restricted topology directly
+        config = EpisodeConfig(
+            slots=24, episodes=1, n_train=20, seed=9, strategy=Strategy.SINGLE_USER
         )
-        _, processes2 = build_episode_world(scenario, config, episode=0)
+        scenario = NetworkScenario(users=4, relays=10, bands=15)
+        params = RadioParams()
+        (via_strategy,) = run_strategy(scenario, config, params)
+        topology, processes = build_episode_world(scenario, config, episode=0)
         direct = run_episode(
-            replace(config, strategy=Strategy.SINGLE_USER),
+            config,
             topology.restrict_to_user(0),
-            processes2,
+            processes,
             params,
             episode=0,
             base_users=4,
         )
-        assert via_wrapper.user_capacity_bps.shape == (1,)
+        assert via_strategy.user_capacity_bps.shape == (1,)
         np.testing.assert_array_equal(
-            via_wrapper.pair_throughput_bps, direct.pair_throughput_bps
+            via_strategy.pair_throughput_bps, direct.pair_throughput_bps
         )
 
     def test_disconnected_pair_has_zero_capacity(self):
@@ -344,12 +348,13 @@ class TestSummaries:
         assert summary.min_user_capacity_bps <= summary.max_user_capacity_bps
 
     def test_baseline_wrappers_set_strategy(self):
+        # each baseline's metrics record the strategy that produced them
         scenario = NetworkScenario(users=2, relays=5, bands=10)
         config = EpisodeConfig(slots=26, episodes=1, n_train=20, seed=4)
-        topology, processes = build_episode_world(scenario, config, 0)
         params = RadioParams()
-        no_pred = run_baseline_no_prediction(config, topology, processes, params)
-        assert no_pred.strategy == Strategy.NO_PREDICTION
-        topology, processes = build_episode_world(scenario, config, 0)
-        no_agg = run_baseline_no_aggregation(config, topology, processes, params)
-        assert no_agg.strategy == Strategy.NO_AGGREGATION
+        for strategy in (Strategy.NO_PREDICTION, Strategy.NO_AGGREGATION):
+            topology, processes = build_episode_world(scenario, config, 0)
+            metrics = run_episode(
+                replace(config, strategy=strategy), topology, processes, params
+            )
+            assert metrics.strategy == strategy

@@ -10,8 +10,6 @@ from specagg.topology import (
     Topology,
     build_topology,
     derive_ground_truth_matrix,
-    make_sensing_report,
-    occupancy_bits,
     sense,
 )
 
@@ -220,29 +218,19 @@ class TestSensing:
         sensed = sense(truth, 0.1, np.random.default_rng(3))
         assert int((sensed != truth).sum()) == 8
 
-    def test_report_wrapper(self):
-        truth = np.array([0, 2, 1], dtype=np.int8)
-        report = make_sensing_report("src-0", 7, truth)
-        assert report.node_id == "src-0" and report.slot == 7
-        np.testing.assert_array_equal(report.states, truth)
-
     def test_requires_rng_when_noisy(self):
         with pytest.raises(ValueError):
             sense(np.zeros(3, dtype=np.int8), 0.5)
 
 
 class TestOccupancyProjection:
-    def test_busy_maps_to_one(self):
-        states = np.array([0, 1, 2, 2, 0], dtype=np.int8)
-        np.testing.assert_array_equal(occupancy_bits(states), [0, 0, 1, 1, 0])
-
     def test_projection_matches_truth_under_perfect_sensing(self):
         tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
         procs = _process_set(tm, bands=50, seed=23)
         for _ in range(10):
             truth = procs.advance()
-            bits = occupancy_bits(sense(truth))
-            np.testing.assert_array_equal(bits == 1, truth == SpectrumState.BUSY)
+            busy = sense(truth) == SpectrumState.BUSY
+            np.testing.assert_array_equal(busy, truth == SpectrumState.BUSY)
 
 
 def test_topology_validation():
