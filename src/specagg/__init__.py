@@ -27,7 +27,6 @@ from .markov import (
     count_transitions,
     estimate_transition_matrix,
     estimate_transition_matrices,
-    load_observations,
     n_step_distribution,
     parse_observations,
     predict_next_state,

@@ -18,9 +18,7 @@ case with no batch axes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -251,32 +249,3 @@ def aggregate_and_score(
         total_throughput_bps=per_band.sum(axis=-1),
         user_throughput_bps=user_throughput,
     )
-
-
-def allocation_rows(slot: int, allocation: AllocationResult) -> list[list]:
-    """Flatten an allocation into ``slot,band,user,relay,snr,allocated`` rows."""
-    rows = []
-    for band in range(allocation.band_user.shape[0]):
-        relay = int(allocation.band_relay[band])
-        rows.append(
-            [
-                slot,
-                band,
-                int(allocation.band_user[band]),
-                relay,
-                float(allocation.band_snr[band]),
-                int(relay >= 0),
-            ]
-        )
-    return rows
-
-
-def write_allocation_csv(
-    path: str | Path, allocations: list[tuple[int, AllocationResult]]
-) -> None:
-    """Write ``(slot, allocation)`` pairs as one CSV row per band."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "band", "user", "relay", "snr", "allocated"])
-        for slot, allocation in allocations:
-            writer.writerows(allocation_rows(slot, allocation))

@@ -181,7 +181,15 @@ def _parse_value(key: str, name: str, raw):
     if spec.metadata["db"]:
         for db in value if isinstance(value, tuple) else (value,):
             _require_db(key, db)
+    if isinstance(value, tuple):
+        _require_distinct(key, value)
     return value
+
+
+def _require_distinct(key: str, values) -> None:
+    """Reject a value list that repeats a value (its cells would run twice)."""
+    if len(set(values)) < len(values):
+        raise ConfigParseError(f"{key} values must be distinct, got {list(values)}")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -377,6 +385,7 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
         raise CLIError("sweep needs at least one axis value")
     name = _AXIS_FIELD[axis]
     parsed = [_parse_value(axis, name, v) for v in values]
+    _require_distinct(axis, parsed)
     if axis == "band_count":
         too_small = [v for v in parsed if v <= config.designated_band]
         if too_small:
@@ -385,6 +394,8 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
                 f"{config.designated_band}"
             )
 
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cells = [
         _Cell(replace(config, **{name: v, "es_n0_db": db}), axis, v, strategy)
         for v in parsed
@@ -399,8 +410,6 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
         rows = [_execute_cell(cell) for cell in cells]
     rows.sort(key=lambda r: (r[0], float(r[2]), float(r[3])))
 
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_effective_config(config, out_dir)
     path = out_dir / f"sweep_{axis}.csv"
     with open(path, "w", newline="") as fh:
@@ -578,9 +587,10 @@ def main(argv: list[str] | None = None) -> int:
             run_sweep(config, args.axis, args.values.split(","))
         elif args.command == "figure":
             emit_figure_data(config, args.id)
-    except (CLIError, ValueError) as exc:
+    except (CLIError, ValueError, OSError) as exc:
         # ValueError: a value the library rejects that `parse_config` cannot
-        # foresee, e.g. a chain too sticky for a unique stationary solve
+        # foresee, e.g. a chain too sticky for a unique stationary solve;
+        # OSError: an output or config path the system refuses
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -92,16 +91,13 @@ def count_transitions(states: np.ndarray) -> np.ndarray:
     )
 
 
-def estimate_transition_matrix(
-    states: np.ndarray, fallback_row: np.ndarray | None = None
-) -> TransitionMatrix:
+def estimate_transition_matrix(states: np.ndarray) -> TransitionMatrix:
     """Estimate a transition matrix from one observed state sequence.
 
     Each entry is the exact count ratio count(i -> j) / count(i -> *),
     as `estimate_transition_matrices` computes it.  States with no
-    outgoing observations get ``fallback_row`` (uniform 1/3 each when
-    not given), which keeps the matrix row-stochastic without injecting
-    prior structure.
+    outgoing observations get the uniform row (1/3 each), which keeps
+    the matrix row-stochastic without injecting prior structure.
 
     Raises:
         EstimationError: if the sequence holds fewer than two states
@@ -113,14 +109,7 @@ def estimate_transition_matrix(
             f"need a sequence of at least 2 observed states to estimate "
             f"transitions, got shape {states.shape}"
         )
-    probs = estimate_transition_matrices(states[None])[0]
-    if fallback_row is not None:
-        fallback_row = np.asarray(fallback_row, dtype=np.float64)
-        if fallback_row.shape != (N_STATES,) or abs(fallback_row.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError("fallback_row must be a probability 3-vector")
-        # a state has outgoing observations iff it occurs before the last slot
-        probs[~np.isin(np.arange(N_STATES), states[:-1])] = fallback_row
-    return TransitionMatrix(probs)
+    return TransitionMatrix(estimate_transition_matrices(states[None])[0])
 
 
 def estimate_transition_matrices(windows: np.ndarray) -> np.ndarray:
@@ -259,8 +248,3 @@ def parse_observations(text: str) -> list[np.ndarray]:
             raise ValueError(f"line {line_no}: expected only digits 0/1/2, got {line!r}")
         sequences.append(np.array([int(c) for c in line], dtype=np.int8))
     return sequences
-
-
-def load_observations(path: str | Path) -> list[np.ndarray]:
-    """Read observation sequences from a plain text file (see `parse_observations`)."""
-    return parse_observations(Path(path).read_text())

@@ -155,11 +155,6 @@ class EpisodeMetrics:
         return self.outage_count / allocated if allocated > 0 else 0.0
 
     @property
-    def slot_outage_rate(self) -> float:
-        """Fraction of slot pairs that saw at least one outage."""
-        return float((self.pair_outages > 0).mean())
-
-    @property
     def mean_throughput_bps(self) -> float:
         return float(self.pair_throughput_bps.mean())
 
@@ -410,7 +405,6 @@ class StrategySummary:
     strategy: Strategy
     episodes: int
     outage_rates: np.ndarray
-    slot_outage_rates: np.ndarray
     throughputs_bps: np.ndarray
     min_user_capacities_bps: np.ndarray
     max_user_capacities_bps: np.ndarray
@@ -437,7 +431,6 @@ def summarize(metrics_list: list[EpisodeMetrics]) -> StrategySummary:
         strategy=metrics_list[0].strategy,
         episodes=len(metrics_list),
         outage_rates=np.array([m.outage_rate for m in metrics_list]),
-        slot_outage_rates=np.array([m.slot_outage_rate for m in metrics_list]),
         throughputs_bps=np.array([m.mean_throughput_bps for m in metrics_list]),
         min_user_capacities_bps=np.array(
             [m.user_capacity_bps.min() for m in metrics_list]

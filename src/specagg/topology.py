@@ -13,9 +13,7 @@ another band's trajectory and trajectories replay bit-exactly per seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -56,15 +54,6 @@ class Topology:
     def restrict_to_user(self, user: int = 0) -> "Topology":
         """Single-pair view of this topology (same relays, one column)."""
         return Topology(users=1, relays=self.relays, coverage=self.coverage[:, [user]])
-
-    def write_coverage_csv(self, path: str | Path) -> None:
-        """Dump the incidence relation as ``relay,user,covered`` rows."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["relay", "user", "covered"])
-            for relay in range(self.relays):
-                for user in range(self.users):
-                    writer.writerow([relay, user, int(self.coverage[relay, user])])
 
 
 def build_topology(
@@ -194,11 +183,6 @@ class BandProcessSet:
         return self.config.band_count
 
     @property
-    def slot(self) -> int:
-        """Index of the latest realised slot (0-based)."""
-        return self._slot
-
-    @property
     def states(self) -> np.ndarray:
         """True states of every band at the latest slot."""
         return self._trajectory[self._slot]
@@ -213,20 +197,6 @@ class BandProcessSet:
     def trajectory(self) -> np.ndarray:
         """Read-only (max_slots + 1, bands) true states of every slot."""
         return self._trajectory
-
-    def history(self) -> np.ndarray:
-        """Trajectory up to the latest realised slot as a (slots, bands) array."""
-        return self._trajectory[: self._slot + 1].copy()
-
-    def write_trajectory_csv(self, path: str | Path) -> None:
-        """Dump the realised trajectories as ``band,slot,state`` rows."""
-        hist = self.history()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["band", "slot", "state"])
-            for band in range(hist.shape[1]):
-                for slot in range(hist.shape[0]):
-                    writer.writerow([band, slot, int(hist[slot, band])])
 
 
 def sense(

@@ -12,12 +12,10 @@ from specagg.aggregation import (
     RelayAssignment,
     aggregate_and_score,
     allocate_spectrum,
-    allocation_rows,
     assign_relays,
     common_free_spectrum,
     prediction_bits,
     two_slot_availability,
-    write_allocation_csv,
 )
 from specagg.markov import SpectrumState
 from specagg.radio import RadioParams
@@ -327,28 +325,6 @@ class TestEngineInvariants:
             )
             results.append(pickle.dumps(alloc))
         assert results[0] == results[1]
-
-
-class TestAllocationCsv:
-    def test_rows_and_file(self, tmp_path):
-        assignment = RelayAssignment(users=1, owner=np.array([0]))
-        alloc = aggregate_and_score(
-            allocate_spectrum(
-                _common(1, np.array([0, UNASSIGNED])),
-                assignment,
-                np.zeros((1, 2), dtype=np.int8),
-                np.array([[2.0], [3.0]]),
-            ),
-            RadioParams(),
-        )
-        rows = allocation_rows(5, alloc)
-        assert rows[0] == [5, 0, 0, 0, 2.0, 1]
-        assert rows[1][:4] == [5, 1, -1, -1] and rows[1][5] == 0
-        path = tmp_path / "alloc.csv"
-        write_allocation_csv(path, [(5, alloc)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "slot,band,user,relay,snr,allocated"
-        assert len(lines) == 3
 
 
 def _common(users, band_user):

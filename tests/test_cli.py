@@ -1,10 +1,14 @@
 """Tests for configuration parsing, sweeps, figure CSVs and the CLI."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from specagg.cli import (
     CLIError,
     ConfigParseError,
+    RunConfig,
     emit_figure_data,
     es_db_to_linear,
     main,
@@ -34,12 +38,21 @@ def fast_config(tmp_path, **extra):
 
 class TestParseConfig:
     def test_defaults_match_documented_values(self):
-        config = parse_config()
-        assert (config.users, config.relays, config.bands) == (5, 20, 100)
-        assert config.band_width_hz == 2e6
-        assert config.p0 == 0.4
-        assert config.es_n0_db_sweep == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-        assert (config.slots, config.episodes, config.n_train) == (100, 20, 20)
+        # the README key table: rows `key`, `key` | default, default | meaning
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | default | meaning |\n|---|---|---|\n")[1]
+        documented = {}
+        for row in table.split("\n\n")[0].splitlines():
+            keys, defaults = (cell.split(", ") for cell in row.split(" | ")[:2])
+            assert len(keys) == len(defaults), row
+            for key, default in zip(keys, defaults):
+                key = key.strip("|` ")
+                assert key not in documented, f"{key} documented twice"
+                documented[key] = default.strip("` ")
+        assert sorted(documented) == sorted(f.name for f in fields(RunConfig))
+        config = parse_config(None, documented)
+        for f in fields(RunConfig):
+            assert getattr(config, f.name) == f.default, f.name
 
     def test_range_error_names_key_and_interval(self):
         with pytest.raises(ConfigParseError, match=r"p0 must lie in \(0, 1\)"):
@@ -280,6 +293,34 @@ class TestInputValidation:
         assert main(argv + args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--axis", "p0", "--values", "0.2"]]
+    )
+    def test_output_path_under_a_file_is_one_error_line(self, command, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        argv = command + ["--episodes", "1", "--slots", "24", "--es-n0-db-sweep", "10"]
+        assert main(argv + ["--out", str(tmp_path / "file" / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["--axis", "p0", "--values", "0.2,0.2"], "p0"),
+            (["--axis", "p0", "--values", "0.2,0.20"], "p0"),
+            (["--axis", "band_count", "--values", "4,04"], "band_count"),
+            (["--axis", "es_over_n0", "--values", "10,10.0"], "es_over_n0"),
+            (["--axis", "p0", "--values", "0.2", "--es-n0-db-sweep", "10,10"],
+             "es_n0_db_sweep"),
+        ],
+    )
+    def test_repeated_sweep_value_is_one_error_line(self, args, key, tmp_path, capsys):
+        argv = ["sweep", "--episodes", "1", "--slots", "22", "--bands", "4"]
+        assert main(argv + args + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} values must be distinct")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestTrendSmoke:

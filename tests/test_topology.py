@@ -57,16 +57,6 @@ class TestBuildTopology:
         assert single.users == 1 and single.relays == 20
         np.testing.assert_array_equal(single.coverage[:, 0], topo.coverage[:, 0])
 
-    def test_coverage_csv(self, tmp_path):
-        topo = build_topology(2, 3, 0.5, np.random.default_rng(4))
-        path = tmp_path / "coverage.csv"
-        topo.write_coverage_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "relay,user,covered"
-        assert len(lines) == 1 + 3 * 2
-        relay, user, covered = lines[1].split(",")
-        assert (relay, user) == ("0", "0") and covered in "01"
-
 
 class TestDeriveGroundTruthMatrix:
     def test_memoryless_limit(self):
@@ -120,12 +110,7 @@ def _process_set(matrix, bands=8, p0=None, seed=0, max_slots=50):
 class TestBandProcessSet:
     def test_replay_is_bitwise_identical(self):
         tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
-        runs = []
-        for _ in range(2):
-            procs = _process_set(tm, seed=42)
-            for _ in range(50):
-                procs.advance()
-            runs.append(procs.history())
+        runs = [_process_set(tm, seed=42).trajectory() for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_trajectory_matches_slot_by_slot_stepping(self):
@@ -142,19 +127,15 @@ class TestBandProcessSet:
                 state = min(int((u[t] >= row_cum[state]).sum()), 2)
                 expected.append(state)
             np.testing.assert_array_equal(procs.trajectory()[:, band], expected)
-        for _ in range(40):
-            procs.advance()
-        np.testing.assert_array_equal(procs.history(), procs.trajectory())
+        stepped = np.stack([procs.advance() for _ in range(40)])
+        np.testing.assert_array_equal(stepped, procs.trajectory()[1:])
 
     def test_band_substreams_are_independent(self):
         # adding bands never perturbs the existing trajectories
         tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
         small = _process_set(tm, bands=5, seed=9)
         large = _process_set(tm, bands=12, seed=9)
-        for _ in range(30):
-            small.advance()
-            large.advance()
-        np.testing.assert_array_equal(large.history()[:, :5], small.history())
+        np.testing.assert_array_equal(large.trajectory()[:, :5], small.trajectory())
 
     def test_deterministic_row_forces_transition(self):
         probs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
@@ -175,9 +156,7 @@ class TestBandProcessSet:
     def test_long_run_idle_frequency(self):
         tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
         procs = _process_set(tm, bands=100, seed=17, max_slots=1000)
-        for _ in range(1000):
-            procs.advance()
-        idle = (procs.history() != SpectrumState.BUSY).mean()
+        idle = (procs.trajectory() != SpectrumState.BUSY).mean()
         assert abs(idle - 0.4) < 0.01
 
     def test_exhausts_after_max_slots(self):
@@ -187,19 +166,6 @@ class TestBandProcessSet:
             procs.advance()
         with pytest.raises(RuntimeError):
             procs.advance()
-
-    def test_trajectory_csv(self, tmp_path):
-        tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
-        procs = _process_set(tm, bands=2, seed=1, max_slots=3)
-        for _ in range(3):
-            procs.advance()
-        path = tmp_path / "bands.csv"
-        procs.write_trajectory_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "band,slot,state"
-        assert len(lines) == 1 + 2 * 4
-        band, slot, state = lines[1].split(",")
-        assert (band, slot) == ("0", "0") and state in "012"
 
 
 class TestSensing:
