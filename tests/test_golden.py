@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of the data CSVs of small `run` and `sweep` cells.
+"""Golden SHA-256 digests of the data CSVs of small `run` and `sweep` cells,
+and of the six figure CSVs assembled from them.
 
 Refactors of the engine must leave every output byte unchanged; these
 digests were recorded with the per-pair engine and must hold for any
@@ -10,7 +11,13 @@ import hashlib
 
 import pytest
 
-from specagg.cli import parse_config, run_single, run_sweep
+from specagg.cli import (
+    FIGURE_IDS,
+    emit_figure_data,
+    parse_config,
+    run_single,
+    run_sweep,
+)
 
 SHAPE = {
     "users": "5",
@@ -80,3 +87,39 @@ def test_csv_digests_are_golden(case, tmp_path):
         axis, values = sweep
         got[f"sweep_{axis}.csv"] = _sha256(run_sweep(config, axis, values))
     assert got == expected
+
+
+# one run plus a sweep of every axis, at a tiny size, feed all six figures
+FIGURE_CASE = {
+    "users": "3",
+    "relays": "6",
+    "bands": "12",
+    "slots": "26",
+    "n_train": "20",
+    "episodes": "2",
+    "seed": "17",
+    "es_n0_db_sweep": "5,15",
+}
+FIGURE_SWEEPS = {
+    "p0": ["0.3", "0.5"],
+    "band_count": ["8", "16"],
+    "relay_count": ["4", "8"],
+    "es_over_n0": ["0", "10", "20"],
+}
+FIGURE_DIGESTS = {
+    8: "0867694b6af05d8af46800251c228d5a18b33d4e54c7f325c2e2350628c8e569",
+    9: "e0b4e7c155e6b7b24b25cfbab5a81842c843ebc7d825838175c88c50cbf76761",
+    10: "56d72ce8ca84c52924f564be9a9062ae407d18f3b692dd9fdb74d473197fb640",
+    11: "489976beb38f59138e2448711f54926a732b4a221e6c8c02bd290f6c505bcf66",
+    12: "0c4a9edf8483815ab88394091e584ddf58041548c5e5a1e8281b792c266b70c4",
+    13: "30915073eb61bb5f41655c2eda6135aec7819485edcfb3b1edb9b2e70a4b58cb",
+}
+
+
+def test_figure_digests_are_golden(tmp_path):
+    config = parse_config(None, {**FIGURE_CASE, "out": str(tmp_path)})
+    run_single(config)
+    for axis, values in FIGURE_SWEEPS.items():
+        run_sweep(config, axis, values)
+    got = {i: _sha256(emit_figure_data(config, i)) for i in FIGURE_IDS}
+    assert got == FIGURE_DIGESTS
