@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -33,6 +34,7 @@ from .simulation import (
     Strategy,
     run_strategy,
     summarize,
+    write_csv,
     write_metrics_csv,
     write_trace_csv,
 )
@@ -52,6 +54,25 @@ SWEEP_STRATEGIES = (
     Strategy.NO_AGGREGATION,
     Strategy.SINGLE_USER,
 )
+
+_TREND = [
+    ("throughput_aggregate_bps", Strategy.PREDICT_AGGREGATE, "mean_throughput_bps"),
+    ("throughput_no_aggregation_bps", Strategy.NO_AGGREGATION, "mean_throughput_bps"),
+]
+# figure id -> (sweep axis, [(column header, strategy, sweep CSV column)])
+_SWEEP_FIGURES = {
+    10: ("p0", _TREND),
+    11: ("band_count", _TREND),
+    12: ("relay_count", _TREND),
+    13: (
+        "es_over_n0",
+        [
+            ("multiuser_min_capacity", Strategy.PREDICT_AGGREGATE, "min_user_capacity_bps"),
+            ("singleuser_capacity", Strategy.SINGLE_USER, "min_user_capacity_bps"),
+            ("no_aggregation_max_capacity", Strategy.NO_AGGREGATION, "max_user_capacity_bps"),
+        ],
+    ),
+}
 
 RUN_SUMMARY_HEADER = [
     "strategy",
@@ -268,41 +289,22 @@ def es_db_to_linear(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
+def _from_fields(cls, config: RunConfig, **special):
+    """A `cls` whose init fields not in `special` copy the same-named `config` fields."""
+    names = [f.name for f in fields(cls) if f.init and f.name not in special]
+    return cls(**{name: getattr(config, name) for name in names}, **special)
+
+
 def scenario_from(config: RunConfig) -> NetworkScenario:
-    return NetworkScenario(
-        users=config.users,
-        relays=config.relays,
-        bands=config.bands,
-        coverage_probability=config.coverage_probability,
-        p0_idle=config.p0,
-        persistence=config.persistence,
-        good_fraction=config.good_fraction,
-    )
+    return _from_fields(NetworkScenario, config, p0_idle=config.p0)
 
 
 def params_from(config: RunConfig) -> RadioParams:
-    return RadioParams(
-        band_width_hz=config.band_width_hz,
-        noise_power_w=config.noise_power_w,
-        ber=config.ber,
-        es_over_n0=es_db_to_linear(config.es_n0_db),
-        tx_power_w=config.tx_power_w,
-        gap_formula=config.gap_formula,
-        gain_model=config.gain_model,
-        snr_combining=config.snr_combining,
-    )
+    return _from_fields(RadioParams, config, es_over_n0=es_db_to_linear(config.es_n0_db))
 
 
 def episode_config_from(config: RunConfig, strategy: Strategy) -> EpisodeConfig:
-    return EpisodeConfig(
-        slots=config.slots,
-        episodes=config.episodes,
-        n_train=config.n_train,
-        strategy=strategy,
-        seed=config.seed,
-        sensing_error_rate=config.sensing_error_rate,
-        designated_band=config.designated_band,
-    )
+    return _from_fields(EpisodeConfig, config, strategy=strategy)
 
 
 def run_single(config: RunConfig) -> dict[str, Path]:
@@ -326,21 +328,20 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     write_metrics_csv(paths["metrics"], metrics_by_strategy)
     write_trace_csv(paths["trace"], metrics_by_strategy[Strategy.PREDICT_AGGREGATE])
 
-    with open(paths["summary"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_SUMMARY_HEADER)
-        for strategy in sorted(Strategy, key=lambda s: s.value):
-            summary = summarize(metrics_by_strategy[strategy])
-            writer.writerow(
-                [
-                    strategy.value,
-                    "es_n0_db",
-                    repr(float(config.es_n0_db)),
-                    repr(summary.mean_outage_rate),
-                    repr(summary.mean_throughput_bps),
-                    repr(summary.min_user_capacity_bps),
-                ]
-            )
+    rows = []
+    for strategy in sorted(Strategy, key=lambda s: s.value):
+        summary = summarize(metrics_by_strategy[strategy])
+        rows.append(
+            [
+                strategy.value,
+                "es_n0_db",
+                repr(float(config.es_n0_db)),
+                repr(summary.mean_outage_rate),
+                repr(summary.mean_throughput_bps),
+                repr(summary.min_user_capacity_bps),
+            ]
+        )
+    write_csv(paths["summary"], RUN_SUMMARY_HEADER, rows)
     return paths
 
 
@@ -403,20 +404,17 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
         for strategy in SWEEP_STRATEGIES
     ]
 
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # a pool forks all its workers at once, so it gets no more than can be busy
+    workers = min(config.workers, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_execute_cell, cells))
     else:
         rows = [_execute_cell(cell) for cell in cells]
     rows.sort(key=lambda r: (r[0], float(r[2]), float(r[3])))
 
     write_effective_config(config, out_dir)
-    path = out_dir / f"sweep_{axis}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        writer.writerows(rows)
-    return path
+    return write_csv(out_dir / f"sweep_{axis}.csv", SWEEP_HEADER, rows)
 
 
 def _read_csv(path: Path, missing_hint: str) -> list[dict]:
@@ -426,42 +424,37 @@ def _read_csv(path: Path, missing_hint: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _sweep_series(rows: list[dict], axis: str, strategy: Strategy, column: str) -> dict:
-    """(value, es) -> column for one strategy, erroring on absent cells."""
-    out = {}
-    for row in rows:
-        if row["strategy"] == strategy.value and row["param"] == axis:
-            out[(float(row["value"]), float(row["es_n0_db"]))] = float(row[column])
-    return out
-
-
-def _figure_trend(config: RunConfig, axis: str, figure_path: Path) -> Path:
+def _sweep_figure(config: RunConfig, figure_id: int, figure_path: Path) -> Path:
+    """Pivot `sweep_<axis>.csv`: a row per sweep point, a column per series."""
+    axis, series = _SWEEP_FIGURES[figure_id]
+    # on the Es/N0 axis the value is the Es/N0 point, so it alone keys a row
+    width = 1 if axis == "es_over_n0" else 2
+    key_columns, key_headers = ["value", "es_n0_db"][:width], [axis, "es_n0_db"][:width]
     sweep_path = Path(config.out) / f"sweep_{axis}.csv"
-    rows = _read_csv(sweep_path, f"figure needs `specagg sweep --axis {axis}`")
-    aggregate = _sweep_series(rows, axis, Strategy.PREDICT_AGGREGATE, "mean_throughput_bps")
-    no_agg = _sweep_series(rows, axis, Strategy.NO_AGGREGATION, "mean_throughput_bps")
-    if not aggregate:
-        raise CLIError(f"missing cell: strategy=predict_aggregate in {sweep_path}")
-    with open(figure_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [axis, "es_n0_db", "throughput_aggregate_bps", "throughput_no_aggregation_bps"]
-        )
-        for value, db in sorted(aggregate):
-            if (value, db) not in no_agg:
+    figure = "figure 13" if width == 1 else "figure"
+    rows = _read_csv(sweep_path, f"{figure} needs `specagg sweep --axis {axis}`")
+    cells = {
+        (row["strategy"], tuple(float(row[c]) for c in key_columns)): row
+        for row in rows
+        if row["param"] == axis
+    }
+    first = series[0][1].value
+    keys = sorted(key for strategy, key in cells if strategy == first)
+    if not keys:
+        raise CLIError(f"missing cell: strategy={first} in {sweep_path}")
+    table = []
+    for key in keys:
+        line = [repr(v) for v in key]
+        for _, strategy, column in series:
+            cell = cells.get((strategy.value, key))
+            if cell is None:
+                where = " ".join(f"{h}={v}" for h, v in zip(key_headers, key))
                 raise CLIError(
-                    f"missing cell: strategy=no_aggregation {axis}={value} "
-                    f"es_n0_db={db} in {sweep_path}"
+                    f"missing cell: strategy={strategy.value} {where} in {sweep_path}"
                 )
-            writer.writerow(
-                [
-                    repr(value),
-                    repr(db),
-                    repr(aggregate[(value, db)]),
-                    repr(no_agg[(value, db)]),
-                ]
-            )
-    return figure_path
+            line.append(repr(float(cell[column])))
+        table.append(line)
+    return write_csv(figure_path, key_headers + [h for h, _, _ in series], table)
 
 
 def emit_figure_data(config: RunConfig, figure_id: int) -> Path:
@@ -480,14 +473,10 @@ def emit_figure_data(config: RunConfig, figure_id: int) -> Path:
         first_episode = [r for r in rows if r["episode"] == "0"]
         if not first_episode:
             raise CLIError(f"missing cell: episode=0 trace in {out_dir / 'trace.csv'}")
-        with open(figure_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "actual", "default", "predicted"])
-            for row in first_episode:
-                writer.writerow(
-                    [row["slot"], row["actual"], row["default"], row["predicted"]]
-                )
-        return figure_path
+        header = ["slot", "actual", "default", "predicted"]
+        return write_csv(
+            figure_path, header, ([row[h] for h in header] for row in first_episode)
+        )
 
     if figure_id == 9:
         rows = _read_csv(out_dir / "metrics.csv", "figure 9 needs `specagg run`")
@@ -496,60 +485,35 @@ def emit_figure_data(config: RunConfig, figure_id: int) -> Path:
             per_slot.setdefault(int(row["slot"]), {}).setdefault(
                 row["strategy"], []
             ).append((int(row["outages"]), int(row["allocated"])))
-        with open(figure_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "outage_with_prediction", "outage_without"])
-            for slot in sorted(per_slot):
-                cells = per_slot[slot]
-                for name in (Strategy.PREDICT_AGGREGATE.value, Strategy.NO_PREDICTION.value):
-                    if name not in cells:
-                        raise CLIError(
-                            f"missing cell: strategy={name} slot={slot} in metrics.csv"
-                        )
-                rates = []
-                for name in (Strategy.PREDICT_AGGREGATE.value, Strategy.NO_PREDICTION.value):
-                    outages = sum(o for o, _ in cells[name])
-                    allocated = sum(a for _, a in cells[name])
-                    rates.append(outages / allocated if allocated else 0.0)
-                writer.writerow([slot, repr(rates[0]), repr(rates[1])])
-        return figure_path
-
-    if figure_id in (10, 11, 12):
-        axis = {10: "p0", 11: "band_count", 12: "relay_count"}[figure_id]
-        return _figure_trend(config, axis, figure_path)
-
-    # figure 13: per-user capacity comparison along the Es/N0 axis
-    sweep_path = out_dir / "sweep_es_over_n0.csv"
-    rows = _read_csv(sweep_path, "figure 13 needs `specagg sweep --axis es_over_n0`")
-    multi = _sweep_series(rows, "es_over_n0", Strategy.PREDICT_AGGREGATE, "min_user_capacity_bps")
-    single = _sweep_series(rows, "es_over_n0", Strategy.SINGLE_USER, "min_user_capacity_bps")
-    no_agg = _sweep_series(rows, "es_over_n0", Strategy.NO_AGGREGATION, "max_user_capacity_bps")
-    if not multi:
-        raise CLIError(f"missing cell: strategy=predict_aggregate in {sweep_path}")
-    with open(figure_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "es_over_n0",
-                "multiuser_min_capacity",
-                "singleuser_capacity",
-                "no_aggregation_max_capacity",
-            ]
-        )
-        for key in sorted(multi):
-            for name, series in (("single_user", single), ("no_aggregation", no_agg)):
-                if key not in series:
+        table = []
+        for slot in sorted(per_slot):
+            cells = per_slot[slot]
+            for name in (Strategy.PREDICT_AGGREGATE.value, Strategy.NO_PREDICTION.value):
+                if name not in cells:
                     raise CLIError(
-                        f"missing cell: strategy={name} es_over_n0={key[0]} in {sweep_path}"
+                        f"missing cell: strategy={name} slot={slot} in metrics.csv"
                     )
-            writer.writerow(
-                [repr(key[0]), repr(multi[key]), repr(single[key]), repr(no_agg[key])]
-            )
-    return figure_path
+            rates = []
+            for name in (Strategy.PREDICT_AGGREGATE.value, Strategy.NO_PREDICTION.value):
+                outages = sum(o for o, _ in cells[name])
+                allocated = sum(a for _, a in cells[name])
+                rates.append(outages / allocated if allocated else 0.0)
+            table.append([slot, repr(rates[0]), repr(rates[1])])
+        header = ["slot", "outage_with_prediction", "outage_without"]
+        return write_csv(figure_path, header, table)
+
+    return _sweep_figure(config, figure_id, figure_path)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors reach `main` as `CLIError`; subparsers inherit it."""
+
+    def error(self, message):
+        raise CLIError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specagg",
         description="Relay-assisted dynamic spectrum aggregation simulator",
     )
@@ -577,9 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _FIELDS}
     try:
+        args = _build_parser().parse_args(argv)
+        overrides = {key: getattr(args, key) for key in _FIELDS}
         config = parse_config(args.config, overrides)
         if args.command == "run":
             run_single(config)

@@ -124,13 +124,7 @@ def estimate_transition_matrices(windows: np.ndarray) -> np.ndarray:
         raise EstimationError("windows must be (bands, length>=2)")
     if np.any((windows < 0) | (windows >= N_STATES)):
         raise ValueError("state codes must be 0, 1 or 2")
-    n_bands = windows.shape[0]
-    pair_codes = windows[:, :-1] * N_STATES + windows[:, 1:]
-    offsets = np.arange(n_bands)[:, None] * (N_STATES * N_STATES)
-    flat = (pair_codes + offsets).ravel()
-    counts = np.bincount(flat, minlength=n_bands * N_STATES * N_STATES).reshape(
-        n_bands, N_STATES, N_STATES
-    ).astype(np.float64)
+    counts = window_transition_counts(windows.T, windows.shape[1])[0].astype(np.float64)
     totals = counts.sum(axis=2, keepdims=True)
     unseen = totals[:, :, 0] == 0
     totals[totals == 0.0] = 1.0

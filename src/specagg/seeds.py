@@ -1,29 +1,21 @@
 """Deterministic random-substream derivation.
 
 Every random draw in a run descends from the master seed plus a tuple of
-string/int/float tokens naming the consumer (episode, band, relay, ...).
+string/int tokens naming the consumer (episode, band, relay, ...).
 Tokens hash through SHA-256, so the same (seed, tokens) pair yields the
 same stream in any process, on any platform, in any execution order.
-
-Floats are encoded by their IEEE-754 bits, so e.g. a sweep value of 0.4
-derives the same stream no matter where it sits in the sweep list.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
 
 
 def _encode(token) -> bytes:
-    if isinstance(token, bool):
-        return b"b" + (b"1" if token else b"0")
     if isinstance(token, (int, np.integer)):
         return b"i" + str(int(token)).encode()
-    if isinstance(token, (float, np.floating)):
-        return b"f" + struct.pack("<d", float(token))
     if isinstance(token, str):
         return b"s" + token.encode()
     raise TypeError(f"cannot derive a seed from token of type {type(token)!r}")

@@ -260,12 +260,7 @@ def run_episode(
     for r in range(relays):
         rng = derive_rng(seed, "budget", episode, r)
         hop1[:, r], hop2[:, r] = sample_hop_snrs(params, rng, (n_pairs, draw_users))
-    if params.snr_combining == "min_hop":
-        hop = np.minimum(hop1, hop2)
-    elif params.snr_combining == "second_hop":
-        hop = hop2
-    else:
-        raise ValueError(f"unknown snr_combining {params.snr_combining!r}")
+    hop = np.minimum(hop1, hop2) if params.snr_combining == "min_hop" else hop2
     hop = hop[:, :, :users]
 
     if params.gain_model == "rayleigh":
@@ -273,10 +268,8 @@ def run_episode(
         for n in range(bands):
             rng = derive_rng(seed, "gain", episode, n)
             gains[:, n, :] = rng.exponential(1.0, size=(n_pairs, relays))
-    elif params.gain_model == "unit":
-        gains = np.ones((n_pairs, bands, relays))
     else:
-        raise ValueError(f"unknown gain_model {params.gain_model!r}")
+        gains = np.ones((n_pairs, bands, relays))
 
     truth = processes.trajectory()[: config.slots]
     err = config.sensing_error_rate
@@ -441,43 +434,40 @@ def summarize(metrics_list: list[EpisodeMetrics]) -> StrategySummary:
     )
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write `header` and then each of `rows` as one CSV file; returns its path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return Path(path)
+
+
 def write_metrics_csv(
     path: str | Path, metrics_by_strategy: dict[Strategy, list[EpisodeMetrics]]
 ) -> None:
     """Per-slot-pair CSV: ``episode,slot,strategy,allocated,outages,throughput_bps``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["episode", "slot", "strategy", "allocated", "outages", "throughput_bps"]
+    rows = (
+        [m.episode, slot, strategy.value, allocated, outages, repr(throughput)]
+        for strategy in sorted(metrics_by_strategy, key=lambda s: s.value)
+        for m in metrics_by_strategy[strategy]
+        for slot, allocated, outages, throughput in zip(
+            m.pair_slots.tolist(),
+            m.pair_allocated.tolist(),
+            m.pair_outages.tolist(),
+            m.pair_throughput_bps.tolist(),
         )
-        for strategy in sorted(metrics_by_strategy, key=lambda s: s.value):
-            for m in metrics_by_strategy[strategy]:
-                for k in range(m.pair_slots.shape[0]):
-                    writer.writerow(
-                        [
-                            m.episode,
-                            int(m.pair_slots[k]),
-                            strategy.value,
-                            int(m.pair_allocated[k]),
-                            int(m.pair_outages[k]),
-                            repr(float(m.pair_throughput_bps[k])),
-                        ]
-                    )
+    )
+    header = ["episode", "slot", "strategy", "allocated", "outages", "throughput_bps"]
+    write_csv(path, header, rows)
 
 
 def write_trace_csv(path: str | Path, metrics_list: list[EpisodeMetrics]) -> None:
     """Designated-band state trace CSV: ``episode,slot,actual,default,predicted``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "slot", "actual", "default", "predicted"])
-        for m in metrics_list:
-            for k in range(m.pair_slots.shape[0]):
-                writer.writerow(
-                    [
-                        m.episode,
-                        int(m.pair_slots[k]) + 1,  # the predicted/actual slot
-                        int(m.trace[k, 0]),
-                        int(m.trace[k, 1]),
-                        int(m.trace[k, 2]),
-                    ]
-                )
+    rows = (
+        # the slot is the predicted/actual one, a pair's second
+        [m.episode, slot + 1, *states]
+        for m in metrics_list
+        for slot, states in zip(m.pair_slots.tolist(), m.trace.tolist())
+    )
+    write_csv(path, ["episode", "slot", "actual", "default", "predicted"], rows)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from specagg import cli
 from specagg.cli import (
     CLIError,
     ConfigParseError,
@@ -165,6 +166,45 @@ class TestSweepCommand:
         path_parallel = run_sweep(parallel, "p0", ["0.3", "0.5"])
         assert path_parallel.read_bytes() == data_serial
 
+    @pytest.mark.parametrize(
+        "workers, cpus, pool_size",
+        [("100000", 8, 3), ("100000", 2, 2), ("2", 8, 2), ("100000", 1, None)],
+    )
+    def test_pool_is_sized_by_its_work(
+        self, workers, cpus, pool_size, tmp_path, monkeypatch
+    ):
+        # a fake pool records its size and maps in-process: no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        config = fast_config(tmp_path, es_n0_db_sweep="10", workers=workers)
+        path = run_sweep(config, "p0", ["0.3"])  # 3 cells, one per strategy
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(path.read_text().splitlines()) == 1 + 3
+
+    def test_rows_do_not_depend_on_the_other_sweep_values(self, tmp_path):
+        # sweep values enter no stream derivation, so a cell's row is the
+        # same whichever other values share its sweep
+        config = fast_config(tmp_path, es_n0_db_sweep="5,15")
+        both = run_sweep(config, "p0", ["0.3", "0.5"]).read_text().splitlines()
+        alone = run_sweep(config, "p0", ["0.5"]).read_text().splitlines()
+        assert alone[1:] == [row for row in both[1:] if row.split(",")[2] == "0.5"]
+        assert len(alone) == 1 + 2 * 3
+
     def test_es_over_n0_axis_uses_values_as_grid(self, tmp_path):
         config = fast_config(tmp_path)
         path = run_sweep(config, "es_over_n0", ["0", "10"])
@@ -245,6 +285,21 @@ class TestMainEntry:
         assert main(["run", "--p0", "1.5", "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "--bogus", "1"], ["figure", "--id", "x"], [], ["sweep"]]
+    )
+    def test_usage_error_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: specagg" in capsys.readouterr().out
 
     def test_figure_flow_through_main(self, tmp_path):
         out = str(tmp_path / "cli_out")

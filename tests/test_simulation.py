@@ -74,6 +74,10 @@ class TestEpisodeConfig:
                 derive_rng(seed, "truth", 0)
         assert EpisodeConfig(seed=2**32 - 1).seed == 2**32 - 1
 
+    def test_stream_tokens_are_strings_or_integers(self):
+        with pytest.raises(TypeError, match="token of type"):
+            derive_rng(1, "truth", 0.5)
+
     @pytest.mark.parametrize("designated_band", [-1, 10, 50])
     def test_rejects_designated_band_outside_the_bands(self, designated_band):
         # -1 used to trace the last band silently, 50 to end in an IndexError
