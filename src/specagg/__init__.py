@@ -51,6 +51,7 @@ from .simulation import (
     build_episode_world,
     reduce_to_best_band,
     run_episode,
+    run_strategies,
     run_strategy,
     summarize,
 )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -32,7 +33,7 @@ from .simulation import (
     EpisodeConfig,
     NetworkScenario,
     Strategy,
-    run_strategy,
+    run_strategies,
     summarize,
     write_csv,
     write_metrics_csv,
@@ -314,10 +315,8 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     scenario = scenario_from(config)
     params = params_from(config)
 
-    metrics_by_strategy = {}
-    for strategy in Strategy:
-        episode_config = episode_config_from(config, strategy)
-        metrics_by_strategy[strategy] = run_strategy(scenario, episode_config, params)
+    arms = [(episode_config_from(config, strategy), params) for strategy in Strategy]
+    metrics_by_strategy = dict(zip(Strategy, run_strategies(scenario, arms)))
 
     paths = {
         "config": write_effective_config(config, out_dir),
@@ -345,38 +344,47 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     return paths
 
 
-@dataclass(frozen=True)
-class _Cell:
-    config: RunConfig  # with the axis value and the Es/N0 point applied
-    axis: str
-    value: float
-    strategy: Strategy
+def _sweep_value(config: RunConfig, axis: str, value) -> list[list]:
+    """Rows of one axis value: its Es/N0 points crossed with the strategies.
 
-
-def _execute_cell(cell: _Cell) -> list:
-    """Run one sweep cell; top-level so worker processes can receive it."""
-    episode_config = episode_config_from(cell.config, cell.strategy)
-    summary = summarize(
-        run_strategy(scenario_from(cell.config), episode_config, params_from(cell.config))
-    )
-    return [
-        cell.strategy.value,
-        cell.axis,
-        repr(float(cell.value)),
-        repr(float(cell.config.es_n0_db)),
-        repr(summary.mean_outage_rate),
-        repr(summary.mean_throughput_bps),
-        repr(summary.min_user_capacity_bps),
-        repr(summary.max_user_capacity_bps),
+    The value's cells run as the arms of one `run_strategies` call, so
+    they share each episode's draws.  Top-level so worker processes can
+    receive it.
+    """
+    config = replace(config, **{_AXIS_FIELD[axis]: value})
+    grid = [value] if axis == "es_over_n0" else config.es_n0_db_sweep
+    cells = [
+        (replace(config, es_n0_db=db), strategy)
+        for db in grid
+        for strategy in SWEEP_STRATEGIES
     ]
+    arms = [(episode_config_from(c, strategy), params_from(c)) for c, strategy in cells]
+    runs = run_strategies(scenario_from(config), arms)
+    rows = []
+    for (cell, strategy), metrics in zip(cells, runs):
+        summary = summarize(metrics)
+        rows.append(
+            [
+                strategy.value,
+                axis,
+                repr(float(value)),
+                repr(float(cell.es_n0_db)),
+                repr(summary.mean_outage_rate),
+                repr(summary.mean_throughput_bps),
+                repr(summary.min_user_capacity_bps),
+                repr(summary.max_user_capacity_bps),
+            ]
+        )
+    return rows
 
 
 def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
     """Cross `values` on `axis` with the Es/N0 grid and write the summary.
 
-    Cells may execute concurrently (config.workers); rows are collected
-    and written sorted by (strategy, axis value, Es/N0), so reruns and
-    any worker count produce identical files.
+    Axis values may execute concurrently (config.workers), one process
+    per axis value and per CPU; rows are collected and written sorted by
+    (strategy, axis value, Es/N0), so reruns and any worker count produce
+    identical files.
     """
     if axis not in SWEEP_AXES:
         raise CLIError(
@@ -397,21 +405,19 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [
-        _Cell(replace(config, **{name: v, "es_n0_db": db}), axis, v, strategy)
-        for v in parsed
-        for db in ([v] if axis == "es_over_n0" else config.es_n0_db_sweep)
-        for strategy in SWEEP_STRATEGIES
-    ]
+    run_value = functools.partial(_sweep_value, config, axis)
 
     # a pool forks all its workers at once, so it gets no more than can be busy
-    workers = min(config.workers, len(cells), os.cpu_count() or 1)
+    workers = min(config.workers, len(parsed), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_execute_cell, cells))
+            groups = list(pool.map(run_value, parsed))
     else:
-        rows = [_execute_cell(cell) for cell in cells]
-    rows.sort(key=lambda r: (r[0], float(r[2]), float(r[3])))
+        groups = [run_value(v) for v in parsed]
+    rows = sorted(
+        (row for group in groups for row in group),
+        key=lambda r: (r[0], float(r[2]), float(r[3])),
+    )
 
     write_effective_config(config, out_dir)
     return write_csv(out_dir / f"sweep_{axis}.csv", SWEEP_HEADER, rows)

@@ -99,22 +99,39 @@ def link_throughput(params: RadioParams, snr) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+def sample_hop_splits(
+    rng: np.random.Generator, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the (alpha, beta) arrays of `shape` that place relays on their links.
+
+    The position split alpha ~ U(0.25, 0.75) keeps both hops
+    non-degenerate; the attenuation beta ~ U(0.5, 1.0) keeps the hop sum
+    strictly below 2 * Es/N0 because beta < 1.  All position splits are
+    drawn first, then all attenuations.  The draws do not depend on
+    Es/N0, so one draw serves every Es/N0 point.
+    """
+    alpha = rng.uniform(0.25, 0.75, size=shape)
+    beta = rng.uniform(0.5, 1.0, size=shape)
+    return alpha, beta
+
+
+def hop_snrs(
+    params: RadioParams, alpha: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (snr1, snr2) hops of relayed links with splits `alpha`, `beta`:
+
+        snr1 = alpha * beta * 2 * Es/N0
+        snr2 = (1 - alpha) * beta * 2 * Es/N0
+    """
+    total = beta * 2.0 * params.es_over_n0
+    return alpha * total, (1.0 - alpha) * total
+
+
 def sample_hop_snrs(
     params: RadioParams, rng: np.random.Generator, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (snr1, snr2) arrays of `shape`: the two hops of relayed links.
 
-    For a relay sitting between the endpoints, the position split
-    alpha ~ U(0.25, 0.75) keeps both hops non-degenerate; the
-    attenuation beta ~ U(0.5, 1.0) keeps the hop sum strictly below
-    2 * Es/N0 because beta < 1:
-
-        snr1 = alpha * beta * 2 * Es/N0
-        snr2 = (1 - alpha) * beta * 2 * Es/N0
-
-    All position splits are drawn first, then all attenuations.
+    `sample_hop_splits` followed by `hop_snrs`.
     """
-    alpha = rng.uniform(0.25, 0.75, size=shape)
-    beta = rng.uniform(0.5, 1.0, size=shape)
-    total = beta * 2.0 * params.es_over_n0
-    return alpha * total, (1.0 - alpha) * total
+    return hop_snrs(params, *sample_hop_splits(rng, shape))

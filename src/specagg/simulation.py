@@ -15,7 +15,9 @@ every pair come from one cumulative sum, and the four engine steps run
 over blocks of slot pairs at once.
 
 Four strategies share identical ground truth, topology, link budgets and
-fading draws per (seed, episode) -- comparisons between them are paired:
+fading draws per (seed, episode) -- comparisons between them are paired.
+The budget and fading draws are realised once per (seed, episode) and
+reused by every strategy and Es/N0 point that `run_strategies` runs:
 
 * ``PREDICT_AGGREGATE``: Markov prediction + full aggregation.
 * ``NO_PREDICTION``: assumes slot t+1 equals the sensed slot t state.
@@ -28,6 +30,7 @@ fading draws per (seed, episode) -- comparisons between them are paired:
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -45,7 +48,7 @@ from .aggregation import (
     two_slot_availability,
 )
 from .markov import SpectrumState, predict_next_states, window_transition_counts
-from .radio import RadioParams, link_throughput, sample_hop_snrs
+from .radio import RadioParams, hop_snrs, link_throughput, sample_hop_splits
 from .seeds import SEED_LIMIT, derive_rng, derive_seed_sequence
 from .topology import (
     BandProcessSet,
@@ -209,6 +212,43 @@ def reduce_to_best_band(
     return aggregate_and_score(_keep_bands(allocation, keep), params)
 
 
+@functools.lru_cache(maxsize=1)
+def episode_draws(
+    seed: int,
+    episode: int,
+    n_pairs: int,
+    relays: int,
+    draw_users: int,
+    bands: int,
+    gain_model: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (alpha, beta, gains): an episode's link-budget and fading draws.
+
+    alpha and beta are the (n_pairs, relays, draw_users) position splits
+    and attenuations of `radio.sample_hop_splits`, one budget stream per
+    relay; gains are the (n_pairs, bands, relays) power gains, one fading
+    stream per band.  Adding a relay or band never perturbs the draws of
+    the existing ones.  Nothing here depends on the strategy or Es/N0,
+    so the one-entry cache serves every arm of the episode that
+    `run_strategies` is running.
+    """
+    alpha = np.empty((n_pairs, relays, draw_users))
+    beta = np.empty_like(alpha)
+    for r in range(relays):
+        rng = derive_rng(seed, "budget", episode, r)
+        alpha[:, r], beta[:, r] = sample_hop_splits(rng, (n_pairs, draw_users))
+    if gain_model == "rayleigh":
+        gains = np.empty((n_pairs, bands, relays))
+        for n in range(bands):
+            rng = derive_rng(seed, "gain", episode, n)
+            gains[:, n, :] = rng.exponential(1.0, size=(n_pairs, relays))
+    else:
+        gains = np.broadcast_to(1.0, (n_pairs, bands, relays))
+    for draws in (alpha, beta, gains):
+        draws.flags.writeable = False
+    return alpha, beta, gains
+
+
 def _sense_slots(truth: np.ndarray, err: float, rngs: list) -> np.ndarray:
     """(slots, nodes, bands) sensed states, one generator per node.
 
@@ -253,23 +293,11 @@ def run_episode(
         )
     predicting = config.strategy != Strategy.NO_PREDICTION
 
-    # Per-relay budget streams and per-band fading streams: adding a
-    # relay or band never perturbs the draws of the existing ones.
-    hop1 = np.empty((n_pairs, relays, draw_users))
-    hop2 = np.empty((n_pairs, relays, draw_users))
-    for r in range(relays):
-        rng = derive_rng(seed, "budget", episode, r)
-        hop1[:, r], hop2[:, r] = sample_hop_snrs(params, rng, (n_pairs, draw_users))
+    alpha, beta, gains = episode_draws(
+        seed, episode, n_pairs, relays, draw_users, bands, params.gain_model
+    )
+    hop1, hop2 = hop_snrs(params, alpha[..., :users], beta[..., :users])
     hop = np.minimum(hop1, hop2) if params.snr_combining == "min_hop" else hop2
-    hop = hop[:, :, :users]
-
-    if params.gain_model == "rayleigh":
-        gains = np.empty((n_pairs, bands, relays))
-        for n in range(bands):
-            rng = derive_rng(seed, "gain", episode, n)
-            gains[:, n, :] = rng.exponential(1.0, size=(n_pairs, relays))
-    else:
-        gains = np.ones((n_pairs, bands, relays))
 
     truth = processes.trajectory()[: config.slots]
     err = config.sensing_error_rate
@@ -374,21 +402,43 @@ def build_episode_world(
     return topology, processes
 
 
+def run_strategies(
+    scenario: NetworkScenario, arms: list[tuple[EpisodeConfig, RadioParams]]
+) -> list[list[EpisodeMetrics]]:
+    """Run every episode of each (config, params) arm on seed-paired worlds.
+
+    Episodes run outer and arms inner, so the arms of one episode share
+    its budget and fading draws (`episode_draws`), drawn once.  Returns
+    each arm's per-episode metrics, in arm order.  Every arm must run
+    the same number of episodes.
+    """
+    episodes = {config.episodes for config, _ in arms}
+    if len(episodes) > 1:
+        raise ConfigError(
+            f"all arms must run the same number of episodes, got {sorted(episodes)}"
+        )
+    out = [[] for _ in arms]
+    for episode in range(max(episodes, default=0)):
+        if episode:
+            # the last episode's draws are spent: free them before drawing
+            episode_draws.cache_clear()
+        for (config, params), metrics in zip(arms, out):
+            topology, processes = build_episode_world(scenario, config, episode)
+            if config.strategy == Strategy.SINGLE_USER:
+                # the first pair alone keeps every relay covering it, and its
+                # draws stay shaped for (so paired with) the full population
+                topology = topology.restrict_to_user(0)
+            metrics.append(
+                run_episode(config, topology, processes, params, episode, scenario.users)
+            )
+    return out
+
+
 def run_strategy(
     scenario: NetworkScenario, config: EpisodeConfig, params: RadioParams
 ) -> list[EpisodeMetrics]:
     """Run every episode of one strategy on freshly built, seed-paired worlds."""
-    out = []
-    for episode in range(config.episodes):
-        topology, processes = build_episode_world(scenario, config, episode)
-        if config.strategy == Strategy.SINGLE_USER:
-            # the first pair alone keeps every relay covering it, and its
-            # draws stay shaped for (so paired with) the full population
-            topology = topology.restrict_to_user(0)
-        out.append(
-            run_episode(config, topology, processes, params, episode, scenario.users)
-        )
-    return out
+    return run_strategies(scenario, [(config, params)])[0]
 
 
 @dataclass(frozen=True)

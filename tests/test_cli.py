@@ -192,9 +192,10 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         config = fast_config(tmp_path, es_n0_db_sweep="10", workers=workers)
-        path = run_sweep(config, "p0", ["0.3"])  # 3 cells, one per strategy
+        # a pool job is one axis value: 3 jobs of 3 cells, one per strategy
+        path = run_sweep(config, "p0", ["0.3", "0.4", "0.5"])
         assert sizes == ([] if pool_size is None else [pool_size])
-        assert len(path.read_text().splitlines()) == 1 + 3
+        assert len(path.read_text().splitlines()) == 1 + 9
 
     def test_rows_do_not_depend_on_the_other_sweep_values(self, tmp_path):
         # sweep values enter no stream derivation, so a cell's row is the

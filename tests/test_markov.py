@@ -122,6 +122,27 @@ class TestEstimation:
                 batch[i], estimate_transition_matrix(row).probs
             )
 
+    def test_batch_rows_are_count_ratios_of_each_band(self):
+        # count_transitions is the oracle, band by band; states never left
+        # fall back to the uniform row
+        rng = np.random.default_rng(4)
+        windows = rng.integers(0, 3, size=(40, 6))
+        windows[0] = [0, 0, 0, 0, 0, 1]
+        batch = estimate_transition_matrices(windows)
+        for band, row in enumerate(windows):
+            counts = count_transitions(row).astype(np.float64)
+            totals = counts.sum(axis=1, keepdims=True)
+            expected = np.where(totals > 0, counts / np.maximum(totals, 1.0), 1 / 3)
+            np.testing.assert_array_equal(batch[band], expected)
+        np.testing.assert_array_equal(batch[0, 1:], np.full((2, 3), 1 / 3))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_batch_rejects_unknown_state_codes(self, bad):
+        windows = np.zeros((4, 5), dtype=np.int64)
+        windows[2, 3] = bad
+        with pytest.raises(ValueError, match="state codes"):
+            estimate_transition_matrices(windows)
+
     def test_estimation_consistency(self):
         # entries converge on long sequences from a known chain
         rng = np.random.default_rng(11)

@@ -9,6 +9,7 @@ import pytest
 from specagg.aggregation import RelayAssignment, UNASSIGNED, allocate_spectrum
 from specagg.markov import SpectrumState, TransitionMatrix
 from specagg.radio import RadioParams
+from specagg import simulation
 from specagg.seeds import derive_rng
 from specagg.simulation import (
     ConfigError,
@@ -16,8 +17,10 @@ from specagg.simulation import (
     NetworkScenario,
     Strategy,
     build_episode_world,
+    episode_draws,
     reduce_to_best_band,
     run_episode,
+    run_strategies,
     run_strategy,
     summarize,
 )
@@ -312,6 +315,65 @@ class TestDeterminismAndPairing:
         a = run_strategy(scenario, EpisodeConfig(slots=28, episodes=1, seed=1), params)
         b = run_strategy(scenario, EpisodeConfig(slots=28, episodes=1, seed=2), params)
         assert not np.array_equal(a[0].trace, b[0].trace)
+
+
+class TestSharedDraws:
+    def test_arms_run_together_equal_each_arm_alone(self, monkeypatch):
+        # all four strategies at two Es/N0 points, a weaker-hop and a
+        # unit-gain arm: run together they draw once per (episode, gain
+        # model), and each arm's metrics are those of its own run
+        streams = []
+
+        def counting_derive_rng(seed, *tokens):
+            streams.append(tokens)
+            return derive_rng(seed, *tokens)
+
+        monkeypatch.setattr(simulation, "derive_rng", counting_derive_rng)
+        scenario = NetworkScenario(users=3, relays=6, bands=12)
+        config = EpisodeConfig(slots=26, episodes=2, n_train=20, seed=13)
+        arms = [
+            (replace(config, strategy=strategy), RadioParams(es_over_n0=es))
+            for es in (1.0, 100.0)
+            for strategy in Strategy
+        ]
+        arms += [
+            (config, RadioParams(snr_combining="min_hop")),
+            (replace(config, strategy=Strategy.NO_AGGREGATION), RadioParams(gain_model="unit")),
+        ]
+        episode_draws.cache_clear()
+        together = run_strategies(scenario, arms)
+        # one budget stream per relay for each gain model, one fading
+        # stream per band for the Rayleigh arms, in each episode
+        draws = [tokens for tokens in streams if tokens[0] in ("budget", "gain")]
+        assert len(draws) == config.episodes * (2 * 6 + 12)
+        assert len(together) == len(arms)
+        for (arm_config, params), metrics in zip(arms, together):
+            episode_draws.cache_clear()
+            alone = run_strategy(scenario, arm_config, params)
+            assert pickle.dumps(metrics) == pickle.dumps(alone)
+
+    @pytest.mark.parametrize("gain_model", ["rayleigh", "unit"])
+    def test_cached_draws_are_read_only_and_match_a_cold_draw(self, gain_model):
+        key = (13, 1, 6, 6, 3, 12, gain_model)
+        episode_draws.cache_clear()
+        episode_draws(*key)
+        hit = episode_draws(*key)
+        assert episode_draws.cache_info().hits == 1
+        episode_draws.cache_clear()
+        cold = episode_draws(*key)
+        for cached, fresh in zip(hit, cold):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+            assert cached.shape == fresh.shape
+            assert cached.tobytes() == fresh.tobytes()
+
+    def test_arms_with_different_episodes_are_one_config_error(self):
+        scenario = NetworkScenario(users=2, relays=4, bands=8)
+        config = EpisodeConfig(slots=24, episodes=2)
+        arms = [(config, RadioParams()), (replace(config, episodes=3), RadioParams())]
+        with pytest.raises(ConfigError, match="same number of episodes, got \\[2, 3\\]"):
+            run_strategies(scenario, arms)
 
 
 class TestRadioSwitches:
