@@ -25,14 +25,18 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, make_dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
+from .params import ConfigError, param, violation
 from .radio import RadioParams
 from .simulation import (
     EpisodeConfig,
     NetworkScenario,
     Strategy,
+    designated_band_error,
     run_strategies,
     summarize,
     write_csv,
@@ -104,49 +108,28 @@ class ConfigParseError(CLIError):
     """Raised for unknown keys, bad syntax or out-of-range values."""
 
 
-def _param(default, interval: str | None = None, choices: tuple = (), db: bool = False):
-    """A `RunConfig` field: its default and the values it accepts.
+# library field -> its config key where the two differ; None leaves the
+# field out (the linear es_over_n0 is set from the dB key `es_n0_db`)
+_KEYS = {"p0_idle": "p0", "es_over_n0": None}
 
-    `interval` is the range text of a number, e.g. ``"(0, 1]"``; its
-    bounds are numbers, ``inf``, ``2^32`` or ``bands`` (the bound checked
-    against the band count in `parse_config`).  `choices` lists the
-    accepted strings, and `db` marks an Es/N0 value in dB (see
-    `_require_db`).  A field with none of these takes any value of its
-    type.
-    """
-    metadata = {"interval": interval, "choices": choices, "db": db}
-    return field(default=default, metadata=metadata)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Full experiment configuration; each field declares its default and range."""
-
-    users: int = _param(5, "[1, inf)")
-    relays: int = _param(20, "[1, inf)")
-    bands: int = _param(100, "[1, inf)")
-    coverage_probability: float = _param(0.4, "(0, 1]")
-    p0: float = _param(0.4, "(0, 1)")
-    persistence: float = _param(0.6, "[0, 1)")
-    good_fraction: float = _param(0.75, "(0, 1)")
-    band_width_hz: float = _param(2e6, "(0, inf)")
-    noise_power_w: float = _param(1e-6, "(0, inf)")
-    ber: float = _param(1e-3, "(0, 0.2)")
-    tx_power_w: float = _param(1.0, "(0, inf)")
-    gap_formula: str = _param("log2", choices=("log2", "natural_log"))
-    gain_model: str = _param("rayleigh", choices=("rayleigh", "unit"))
-    snr_combining: str = _param("second_hop", choices=("second_hop", "min_hop"))
-    es_n0_db: float = _param(10.0, db=True)
-    es_n0_db_sweep: tuple = _param((0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0), db=True)
-    slots: int = _param(100, "[4, inf)")
-    episodes: int = _param(20, "[1, inf)")
-    n_train: int = _param(20, "[2, inf)")
-    sensing_error_rate: float = _param(0.0, "[0, 1]")
-    designated_band: int = _param(0, "[0, bands)")
-    seed: int = _param(1, "[0, 2^32)")
-    out: str = _param("out")
-    workers: int = _param(1, "[1, inf)")
-
+# Every config key: the declared library fields, then the command line's own.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (_KEYS.get(f.name, f.name), f.type, field(default=f.default, metadata=f.metadata))
+        for cls in (NetworkScenario, RadioParams, EpisodeConfig)
+        for f in fields(cls)
+        if "interval" in f.metadata and _KEYS.get(f.name, f.name)
+    ]
+    + [
+        ("es_n0_db", "float", param(10.0, db=True)),
+        ("es_n0_db_sweep", "tuple", param((0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0), db=True)),
+        ("out", "str", param("out")),
+        ("workers", "int", param(1, "[1, inf)")),
+    ],
+    frozen=True,
+)
+RunConfig.__module__ = __name__  # so sweep workers can unpickle it
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
@@ -158,21 +141,6 @@ _CONVERTERS = {
               "a comma-separated number list"),
     "str": (str, "a string"),
 }
-
-
-def _bound(text: str) -> float:
-    if text == "bands":
-        return math.inf  # the band count is checked in `parse_config`
-    base, _, power = text.partition("^")
-    return float(base) ** int(power) if power else float(text)
-
-
-def _in_interval(value, interval: str) -> bool:
-    """True when `value` lies in `interval`; nan never does, inf only at a closed bound."""
-    low, high = (_bound(t) for t in interval[1:-1].split(", "))
-    above = value >= low if interval[0] == "[" else value > low
-    below = value <= high if interval[-1] == "]" else value < high
-    return above and below
 
 
 def _require_db(key, db):
@@ -195,11 +163,8 @@ def _parse_value(key: str, name: str, raw):
         value = convert(raw)
     except ValueError:
         raise ConfigParseError(f"{key} must be {kind}, got {raw!r}") from None
-    choices, interval = spec.metadata["choices"], spec.metadata["interval"]
-    if choices and value not in choices:
-        raise ConfigParseError(f"{key} must be one of {', '.join(choices)}, got {raw!r}")
-    if interval and not _in_interval(value, interval):
-        raise ConfigParseError(f"{key} must lie in {interval}, got {value}")
+    if message := violation(key, value, spec):
+        raise ConfigParseError(message)
     if spec.metadata["db"]:
         for db in value if isinstance(value, tuple) else (value,):
             _require_db(key, db)
@@ -219,6 +184,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     if not file_path.is_file():
         raise ConfigParseError(f"config file not found: {path}")
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, line in enumerate(file_path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -230,6 +196,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ConfigParseError(f"{path}:{line_no}: unknown config key '{key}'")
+        if key in line_of:
+            raise ConfigParseError(
+                f"{path}:{line_no}: config key '{key}' already set on line {line_of[key]}"
+            )
+        line_of[key] = line_no
         raw[key] = value
     return raw
 
@@ -241,7 +212,6 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     out-of-range values raise `ConfigParseError` naming the offending
     key.
     """
-    values = {name: spec.default for name, spec in _FIELDS.items()}
     raw: dict[str, str] = {}
     if path is not None:
         raw.update(_read_config_file(path))
@@ -251,20 +221,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         if key not in _FIELDS:
             raise ConfigParseError(f"unknown config key '{key}'")
         raw[key] = value
-    for key, raw_value in raw.items():
-        values[key] = _parse_value(key, key, raw_value)
-
-    if values["slots"] < values["n_train"] + 2:
-        raise ConfigParseError(
-            f"slots must be >= n_train + 2, got slots={values['slots']} "
-            f"n_train={values['n_train']}"
-        )
-    if values["designated_band"] >= values["bands"]:
-        raise ConfigParseError(
-            f"designated_band must lie in [0, bands), got "
-            f"{values['designated_band']} with bands={values['bands']}"
-        )
-    return RunConfig(**values)
+    config = RunConfig(**{key: _parse_value(key, key, value) for key, value in raw.items()})
+    try:
+        episode_config_from(config, Strategy.PREDICT_AGGREGATE)
+    except ConfigError as exc:
+        raise ConfigParseError(str(exc)) from None
+    if message := designated_band_error(config.designated_band, config.bands):
+        raise ConfigParseError(message)
+    return config
 
 
 def _format_value(value) -> str:
@@ -291,13 +255,13 @@ def es_db_to_linear(db: float) -> float:
 
 
 def _from_fields(cls, config: RunConfig, **special):
-    """A `cls` whose init fields not in `special` copy the same-named `config` fields."""
+    """A `cls` whose init fields not in `special` copy their `config` keys."""
     names = [f.name for f in fields(cls) if f.init and f.name not in special]
-    return cls(**{name: getattr(config, name) for name in names}, **special)
+    return cls(**{name: getattr(config, _KEYS.get(name, name)) for name in names}, **special)
 
 
 def scenario_from(config: RunConfig) -> NetworkScenario:
-    return _from_fields(NetworkScenario, config, p0_idle=config.p0)
+    return _from_fields(NetworkScenario, config)
 
 
 def params_from(config: RunConfig) -> RadioParams:
@@ -308,6 +272,11 @@ def episode_config_from(config: RunConfig, strategy: Strategy) -> EpisodeConfig:
     return _from_fields(EpisodeConfig, config, strategy=strategy)
 
 
+# an overflow or invalid operation ends the run in an error, not in inf or nan CSVs
+_RAISE_ON_BAD_ARITHMETIC = np.errstate(over="raise", invalid="raise", divide="raise")
+
+
+@_RAISE_ON_BAD_ARITHMETIC
 def run_single(config: RunConfig) -> dict[str, Path]:
     """Run one cell with all four strategies and write the run CSVs."""
     out_dir = Path(config.out)
@@ -344,6 +313,7 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     return paths
 
 
+@_RAISE_ON_BAD_ARITHMETIC
 def _sweep_value(config: RunConfig, axis: str, value) -> list[list]:
     """Rows of one axis value: its Es/N0 points crossed with the strategies.
 
@@ -396,7 +366,7 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
     parsed = [_parse_value(axis, name, v) for v in values]
     _require_distinct(axis, parsed)
     if axis == "band_count":
-        too_small = [v for v in parsed if v <= config.designated_band]
+        too_small = [v for v in parsed if designated_band_error(config.designated_band, v)]
         if too_small:
             raise ConfigParseError(
                 f"band_count values {too_small} do not cover designated_band="
@@ -557,10 +527,11 @@ def main(argv: list[str] | None = None) -> int:
             run_sweep(config, args.axis, args.values.split(","))
         elif args.command == "figure":
             emit_figure_data(config, args.id)
-    except (CLIError, ValueError, OSError) as exc:
+    except (CLIError, ValueError, OSError, FloatingPointError) as exc:
         # ValueError: a value the library rejects that `parse_config` cannot
         # foresee, e.g. a chain too sticky for a unique stationary solve;
-        # OSError: an output or config path the system refuses
+        # OSError: an output or config path the system refuses;
+        # FloatingPointError: an overflow, e.g. from a huge tx_power_w
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -9,10 +9,11 @@ twice the end-to-end budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .params import check_fields, param
 
 BER_MAX = 0.2  # 5 * ber reaches 1 here and the gap formula degenerates
 
@@ -40,7 +41,7 @@ def snr_gap(ber: float, formula: str = "log2") -> float:
         return -1.5 / np.log2(5.0 * ber)
     if formula == "natural_log":
         return -np.log(5.0 * ber) / 1.5
-    raise ValueError(f"unknown gap formula {formula!r}; use 'log2' or 'natural_log'")
+    raise ValueError(f"gap_formula must be one of log2, natural_log, got {formula!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class RadioParams:
 
     Attributes:
         band_width_hz: bandwidth of one spectrum band (b).
-        noise_power_w: system noise power over one band.
         ber: target bit error rate, in (0, 0.2).
         es_over_n0: end-to-end SNR budget of a direct source-destination
             link (linear ratio); the sweep variable.
@@ -64,26 +64,19 @@ class RadioParams:
         gamma: derived SNR gap; computed once at construction.
     """
 
-    band_width_hz: float = 2e6
-    noise_power_w: float = 1e-6
-    ber: float = 1e-3
-    es_over_n0: float = 10.0
-    tx_power_w: float = 1.0
-    gap_formula: str = "log2"
-    gain_model: str = "rayleigh"
-    snr_combining: str = "second_hop"
+    band_width_hz: float = param(2e6, "(0, inf)")
+    ber: float = param(1e-3, f"(0, {BER_MAX})")
+    es_over_n0: float = param(10.0, "(0, inf)")
+    tx_power_w: float = param(1.0, "(0, inf)")
+    gap_formula: str = param("log2", choices=("log2", "natural_log"))
+    gain_model: str = param("rayleigh", choices=("rayleigh", "unit"))
+    snr_combining: str = param("second_hop", choices=("second_hop", "min_hop"))
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("band_width_hz", "noise_power_w", "es_over_n0", "tx_power_w"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.gain_model not in ("rayleigh", "unit"):
-            raise ValueError("gain_model must be 'rayleigh' or 'unit'")
-        if self.snr_combining not in ("second_hop", "min_hop"):
-            raise ValueError("snr_combining must be 'second_hop' or 'min_hop'")
+        # the gap checks ber and gap_formula first, so a bad ber raises GapError
         object.__setattr__(self, "gamma", snr_gap(self.ber, self.gap_formula))
+        check_fields(self)
 
 
 def link_throughput(params: RadioParams, snr) -> float:

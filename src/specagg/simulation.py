@@ -48,8 +48,9 @@ from .aggregation import (
     two_slot_availability,
 )
 from .markov import SpectrumState, predict_next_states, window_transition_counts
+from .params import ConfigError, check_fields, param
 from .radio import RadioParams, hop_snrs, link_throughput, sample_hop_splits
-from .seeds import SEED_LIMIT, derive_rng, derive_seed_sequence
+from .seeds import derive_rng, derive_seed_sequence
 from .topology import (
     BandProcessSet,
     SpectrumProcessConfig,
@@ -68,10 +69,6 @@ from .topology import (
 PAIR_BLOCK_ELEMENTS = 2**15
 
 
-class ConfigError(ValueError):
-    """Raised for episode configurations that cannot run."""
-
-
 class Strategy(Enum):
     PREDICT_AGGREGATE = "predict_aggregate"
     NO_PREDICTION = "no_prediction"
@@ -86,28 +83,21 @@ class EpisodeConfig:
     `slots` must cover the training prefix plus at least one slot pair.
     """
 
-    slots: int = 100
-    episodes: int = 20
-    n_train: int = 20
+    slots: int = param(100, "[4, inf)")
+    episodes: int = param(20, "[1, inf)")
+    n_train: int = param(20, "[2, inf)")
+    sensing_error_rate: float = param(0.0, "[0, 1]")
+    designated_band: int = param(0, "[0, bands)")
+    seed: int = param(1, "[0, 2^32)")
     strategy: Strategy = Strategy.PREDICT_AGGREGATE
-    seed: int = 1
-    sensing_error_rate: float = 0.0
-    designated_band: int = 0
 
     def __post_init__(self):
-        if self.n_train < 2:
-            raise ConfigError("n_train must be >= 2 (need one observed transition)")
+        check_fields(self)
         if self.slots < self.n_train + 2:
             raise ConfigError(
                 f"slots must be >= n_train + 2, got slots={self.slots} "
                 f"n_train={self.n_train}"
             )
-        if self.episodes < 1:
-            raise ConfigError("episodes must be >= 1")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError(f"seed must lie in [0, 2^32), got {self.seed}")
-        if self.designated_band < 0:
-            raise ConfigError(f"designated_band must be >= 0, got {self.designated_band}")
 
     @property
     def pairs(self) -> int:
@@ -119,13 +109,23 @@ class EpisodeConfig:
 class NetworkScenario:
     """Population and band-dynamics parameters of one experiment cell."""
 
-    users: int = 5
-    relays: int = 20
-    bands: int = 100
-    coverage_probability: float = 0.4
-    p0_idle: float = 0.4
-    persistence: float = 0.6
-    good_fraction: float = 0.75
+    users: int = param(5, "[1, inf)")
+    relays: int = param(20, "[1, inf)")
+    bands: int = param(100, "[1, inf)")
+    coverage_probability: float = param(0.4, "(0, 1]")
+    p0_idle: float = param(0.4, "(0, 1)")
+    persistence: float = param(0.6, "[0, 1)")
+    good_fraction: float = param(0.75, "(0, 1)")
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def designated_band_error(designated_band: int, bands: int) -> str | None:
+    """Why the traced `designated_band` is not one of `bands` bands; None when it is."""
+    if designated_band >= bands:
+        return f"designated_band must lie in [0, bands), got {designated_band} with bands={bands}"
+    return None
 
 
 @dataclass
@@ -281,11 +281,8 @@ def run_episode(
     draw_users = base_users if base_users is not None else users
     if draw_users < users:
         raise ConfigError("base_users must cover the topology's user count")
-    if config.designated_band >= bands:
-        raise ConfigError(
-            f"designated_band must lie in [0, bands), got {config.designated_band} "
-            f"with bands={bands}"
-        )
+    if message := designated_band_error(config.designated_band, bands):
+        raise ConfigError(message)
     if processes.max_slots < config.slots - 1:
         raise ConfigError(
             f"band processes cover {processes.max_slots + 1} slots, "

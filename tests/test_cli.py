@@ -11,12 +11,17 @@ from specagg.cli import (
     ConfigParseError,
     RunConfig,
     emit_figure_data,
+    episode_config_from,
     es_db_to_linear,
     main,
+    params_from,
     parse_config,
     run_single,
     run_sweep,
+    scenario_from,
 )
+from specagg.radio import RadioParams
+from specagg.simulation import EpisodeConfig, NetworkScenario, Strategy
 
 # small-but-meaningful run shape used across CLI tests
 FAST = {
@@ -54,6 +59,28 @@ class TestParseConfig:
         config = parse_config(None, documented)
         for f in fields(RunConfig):
             assert getattr(config, f.name) == f.default, f.name
+
+    def test_library_defaults_are_the_config_defaults(self):
+        config = parse_config()
+        assert scenario_from(config) == NetworkScenario()
+        assert params_from(config) == RadioParams()
+        assert episode_config_from(config, Strategy.PREDICT_AGGREGATE) == EpisodeConfig()
+
+    def test_noise_power_is_an_unknown_key(self, tmp_path, capsys):
+        assert main(["run", "--noise-power-w", "1e-6", "--out", str(tmp_path / "x")]) == 1
+        assert "unrecognized arguments: --noise-power-w" in capsys.readouterr().err
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("noise_power_w = 1e-6\n")
+        with pytest.raises(ConfigParseError, match="unknown config key 'noise_power_w'"):
+            parse_config(str(config_file))
+
+    def test_key_set_twice_in_file_names_both_lines(self, tmp_path):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("p0 = 0.2\nrelays = 8\np0 = 0.3\n")
+        with pytest.raises(
+            ConfigParseError, match=r"run\.cfg:3: config key 'p0' already set on line 1"
+        ):
+            parse_config(str(config_file))
 
     def test_range_error_names_key_and_interval(self):
         with pytest.raises(ConfigParseError, match=r"p0 must lie in \(0, 1\)"):
@@ -349,6 +376,24 @@ class TestInputValidation:
         assert main(argv + args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--tx-power-w", "1e308"],
+            ["run", "--band-width-hz", "1e308"],
+            ["sweep", "--axis", "p0", "--values", "0.4", "--tx-power-w", "1e308"],
+        ],
+    )
+    def test_arithmetic_overflow_is_one_error_line(self, args, tmp_path, capsys, recwarn):
+        out = tmp_path / "x"
+        argv = ["--episodes", "1", "--slots", "24", "--users", "2", "--relays", "4",
+                "--bands", "8", "--es-n0-db-sweep", "10", "--out", str(out)]
+        assert main(args + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow") and len(err.strip().splitlines()) == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not any("inf" in path.read_text() for path in out.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "command", [["run"], ["sweep", "--axis", "p0", "--values", "0.2"]]
