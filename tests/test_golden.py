@@ -70,6 +70,26 @@ CASES = {
             "sweep_p0.csv": "0535c851ad76932a5042ae0ad785c0630dccc696048185798d73bdff4c9d3cef",
         },
     ),
+    # noisy sensing over an odd band count, at two p0 values that share
+    # every sensing stream but not the truth
+    "noisy_p0_sweep": (
+        {
+            **SHAPE,
+            "bands": "99",
+            "episodes": "2",
+            "seed": "37",
+            "sensing_error_rate": "0.1",
+            "gain_model": "rayleigh",
+            "es_n0_db_sweep": "0,10",
+        },
+        ("p0", ["0.2", "0.6"]),
+        {
+            "metrics.csv": "69cb65c3313ae04e69d754e06544f22a1a5458dc2cd1143bbbce98f26673d012",
+            "summary.csv": "e78cba6f9ec48b072682e220349084391c273a83f94b0779a672e49aeb0afba0",
+            "trace.csv": "931e0067b3a2a300475ad774530e4c0ef5e5222d2252d9d3c80f4f082326dd80",
+            "sweep_p0.csv": "5dc9b596bf17f986a739e9b260bfd069cda7b1bd2cc91c8d1c34536fc73369f7",
+        },
+    ),
 }
 
 
