@@ -133,9 +133,18 @@ RunConfig.__module__ = __name__  # so sweep workers can unpickle it
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
+
+def _to_int(raw) -> int:
+    """int(raw), refusing to truncate a number that is not integral."""
+    value = int(raw)
+    if not isinstance(raw, str) and value != raw:
+        raise ValueError(raw)
+    return value
+
+
 # field type -> (converter of one raw value, what a bad value should be)
 _CONVERTERS = {
-    "int": (int, "an integer"),
+    "int": (_to_int, "an integer"),
     "float": (float, "a number"),
     "tuple": (lambda raw: tuple(float(v) for v in str(raw).split(",")),
               "a comma-separated number list"),
@@ -161,7 +170,7 @@ def _parse_value(key: str, name: str, raw):
     convert, kind = _CONVERTERS[spec.type]
     try:
         value = convert(raw)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigParseError(f"{key} must be {kind}, got {raw!r}") from None
     if message := violation(key, value, spec):
         raise ConfigParseError(message)

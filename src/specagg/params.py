@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import field, fields
 
 
@@ -39,6 +40,8 @@ def _in_interval(value, interval: str) -> bool:
 def violation(name: str, value, spec) -> str | None:
     """Why `value`, named `name`, breaks the declaration of field `spec`; None if it does not."""
     choices, interval = spec.metadata["choices"], spec.metadata["interval"]
+    if spec.type == "int" and not isinstance(value, numbers.Integral):
+        return f"{name} must be an integer, got {value!r}"
     if choices and value not in choices:
         return f"{name} must be one of {', '.join(choices)}, got {value!r}"
     if interval and not _in_interval(value, interval):

@@ -14,10 +14,11 @@ every slot are realised first, the sliding-window transition counts of
 every pair come from one cumulative sum, and the four engine steps run
 over blocks of slot pairs at once.
 
-Four strategies share identical ground truth, topology, link budgets and
-fading draws per (seed, episode) -- comparisons between them are paired.
-The budget and fading draws are realised once per (seed, episode) and
-reused by every strategy and Es/N0 point that `run_strategies` runs:
+Four strategies share identical ground truth, topology, sensing errors,
+link budgets and fading draws per (seed, episode) -- comparisons between
+them are paired.  The sensing, budget and fading draws are realised once
+per (seed, episode) and reused by every strategy and Es/N0 point that
+`run_strategies` runs:
 
 * ``PREDICT_AGGREGATE``: Markov prediction + full aggregation.
 * ``NO_PREDICTION``: assumes slot t+1 equals the sensed slot t state.
@@ -47,7 +48,7 @@ from .aggregation import (
     prediction_bits,
     two_slot_availability,
 )
-from .markov import SpectrumState, predict_next_states, window_transition_counts
+from .markov import N_STATES, SpectrumState, predict_next_states, window_transition_counts
 from .params import ConfigError, check_fields, param
 from .radio import RadioParams, hop_snrs, link_throughput, sample_hop_splits
 from .seeds import derive_rng, derive_seed_sequence
@@ -249,14 +250,34 @@ def episode_draws(
     return alpha, beta, gains
 
 
-def _sense_slots(truth: np.ndarray, err: float, rngs: list) -> np.ndarray:
-    """(slots, nodes, bands) sensed states, one generator per node.
+@functools.lru_cache(maxsize=1)
+def sensing_offsets(
+    seed: int,
+    episode: int,
+    slots: int,
+    bands: int,
+    users: int,
+    relays: int,
+    err: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int8 (sources, relays): an episode's sensing errors.
 
-    Each node senses slot after slot from its own stream, so its draws
-    are those of sensing every slot in turn.
+    Each is (slots, nodes, bands), one sensing stream per node: 0 where
+    the node senses a band correctly, 1 or 2 where its report is that
+    many states past the truth.  A node's offsets are `sense` of an
+    all-Good (code 0) trajectory, so it senses any truth as
+    ``(truth + offsets) % N_STATES``.  They hold no truth, so the
+    one-entry cache serves every arm, Es/N0 point and p0 value of the
+    episode.
     """
-    per_node = [np.stack([sense(states, err, rng) for states in truth]) for rng in rngs]
-    return np.stack(per_node, axis=1)
+    good = np.zeros((slots, bands), dtype=np.int8)
+    offsets = []
+    for kind, n in (("src", users), ("rel", relays)):
+        rngs = [derive_rng(seed, "sense", episode, kind, i) for i in range(n)]
+        node_offsets = np.stack([sense(good, err, rng) for rng in rngs], axis=1)
+        node_offsets.flags.writeable = False
+        offsets.append(node_offsets)
+    return tuple(offsets)
 
 
 def run_episode(
@@ -302,11 +323,10 @@ def run_episode(
         # perfect sensing: sources and relays share one view, the truth
         views = [truth[:, None, :]]
     else:
+        offsets = sensing_offsets(seed, episode, config.slots, bands, draw_users, relays, err)
         views = [
-            _sense_slots(
-                truth, err, [derive_rng(seed, "sense", episode, kind, i) for i in range(n)]
-            )
-            for kind, n in (("src", users), ("rel", relays))
+            (truth[:, None] + node_offsets[:, :n]) % N_STATES
+            for node_offsets, n in zip(offsets, (users, relays))
         ]
     # the predictor trains on the first user's sensed history
     history = views[0][:, 0]
@@ -419,6 +439,7 @@ def run_strategies(
         if episode:
             # the last episode's draws are spent: free them before drawing
             episode_draws.cache_clear()
+            sensing_offsets.cache_clear()
         for (config, params), metrics in zip(arms, out):
             topology, processes = build_episode_world(scenario, config, episode)
             if config.strategy == Strategy.SINGLE_USER:

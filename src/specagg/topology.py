@@ -207,6 +207,11 @@ def sense(
     """Observe band states, flipping each to a uniformly random other
     state with probability `sensing_error_rate`.
 
+    `true_states` is one slot's band states, or a (slots, bands) array
+    whose leading axis is time.  Slots are sensed in turn from `rng`,
+    each drawing its flip uniforms and then its offsets, so one call
+    over many slots draws exactly what one call per slot draws.
+
     The default is perfect sensing (the report equals the truth) and
     consumes no randomness.
     """
@@ -217,9 +222,11 @@ def sense(
         return true_states.copy()
     if rng is None:
         raise ValueError("an rng is required when sensing_error_rate > 0")
-    flip = rng.random(true_states.shape) < sensing_error_rate
-    # offset 1 or 2 sends a state to one of the two other states
-    offset = rng.integers(1, N_STATES, size=true_states.shape)
-    sensed = true_states.copy()
-    sensed[flip] = (true_states[flip] + offset[flip]) % N_STATES
-    return sensed
+    slots = true_states if true_states.ndim > 1 else true_states[None]
+    flip = np.empty(slots.shape, dtype=bool)
+    offset = np.empty(slots.shape, dtype=np.int8)
+    for t in range(len(slots)):
+        flip[t] = rng.random(slots.shape[1:]) < sensing_error_rate
+        # offset 1 or 2 sends a state to one of the two other states
+        offset[t] = rng.integers(1, N_STATES, size=slots.shape[1:])
+    return np.where(flip, (slots + offset) % N_STATES, slots).reshape(true_states.shape)

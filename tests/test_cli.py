@@ -1,5 +1,6 @@
 """Tests for configuration parsing, sweeps, figure CSVs and the CLI."""
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -85,6 +86,13 @@ class TestParseConfig:
     def test_range_error_names_key_and_interval(self):
         with pytest.raises(ConfigParseError, match=r"p0 must lie in \(0, 1\)"):
             parse_config(None, {"p0": "1.5"})
+
+    @pytest.mark.parametrize("raw", [2.7, math.inf])
+    def test_integer_key_refuses_a_number_it_would_truncate(self, raw):
+        # int(2.7) used to return users=2 silently
+        with pytest.raises(ConfigParseError, match=rf"users must be an integer, got {raw}"):
+            parse_config(None, {"users": raw})
+        assert parse_config(None, {"users": 3.0}).users == 3
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigParseError, match="unknown config key 'p1'"):

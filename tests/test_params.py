@@ -54,3 +54,20 @@ def test_every_parameter_is_declared():
 def test_declared_field_rejects_value_outside_its_declaration(cls, name, value):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         cls(**{name: value})
+
+
+INT_FIELDS = [
+    (cls, f.name)
+    for cls in DECLARING_CLASSES
+    for f in fields(cls)
+    if "interval" in f.metadata and f.type == "int"
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS]
+)
+def test_integer_field_rejects_a_number_that_is_not_an_integer(cls, name):
+    # 4.5 lies inside every declared integer interval, so only its type is wrong
+    with pytest.raises(ValueError, match=rf"{name} must be an integer, got 4\.5"):
+        cls(**{name: 4.5})

@@ -22,9 +22,10 @@ from specagg.simulation import (
     run_episode,
     run_strategies,
     run_strategy,
+    sensing_offsets,
     summarize,
 )
-from specagg.topology import BandProcessSet, SpectrumProcessConfig, Topology
+from specagg.topology import BandProcessSet, SpectrumProcessConfig, Topology, sense
 
 # chain that never leaves Good in any realisable run
 ALMOST_FROZEN_GOOD = TransitionMatrix(
@@ -367,6 +368,66 @@ class TestSharedDraws:
                 cached[0] = 0.0
             assert cached.shape == fresh.shape
             assert cached.tobytes() == fresh.tobytes()
+
+    def test_noisy_arms_sense_each_node_once_per_episode(self, monkeypatch):
+        streams = []
+
+        def counting_derive_rng(seed, *tokens):
+            streams.append(tokens)
+            return derive_rng(seed, *tokens)
+
+        monkeypatch.setattr(simulation, "derive_rng", counting_derive_rng)
+        scenario = NetworkScenario(users=3, relays=6, bands=11)
+        config = EpisodeConfig(
+            slots=26, episodes=2, n_train=20, seed=19, sensing_error_rate=0.2
+        )
+        arms = [
+            (replace(config, strategy=strategy), RadioParams(es_over_n0=es))
+            for es in (1.0, 100.0)
+            for strategy in Strategy
+        ]
+        sensing_offsets.cache_clear()
+        together = run_strategies(scenario, arms)
+        sensed = [tokens for tokens in streams if tokens[0] == "sense"]
+        expected = [
+            ("sense", episode, kind, i)
+            for episode in range(config.episodes)
+            for kind, n in (("src", 3), ("rel", 6))
+            for i in range(n)
+        ]
+        assert sensed == expected
+        for (arm_config, params), metrics in zip(arms, together):
+            sensing_offsets.cache_clear()
+            alone = run_strategy(scenario, arm_config, params)
+            assert pickle.dumps(metrics) == pickle.dumps(alone)
+
+    def test_cached_sensing_serves_a_second_truth(self):
+        # one-episode runs at two p0 values hit the same cache entry, as
+        # the values of a p0 sweep do; each must sense its own truth
+        config = EpisodeConfig(slots=26, episodes=1, n_train=20, seed=23, sensing_error_rate=0.3)
+        scenarios = [NetworkScenario(users=2, relays=5, bands=9, p0_idle=p0) for p0 in (0.2, 0.6)]
+        sensing_offsets.cache_clear()
+        warm = [run_strategy(scenario, config, RadioParams()) for scenario in scenarios]
+        assert sensing_offsets.cache_info().hits == 1
+        for scenario, metrics in zip(scenarios, warm):
+            sensing_offsets.cache_clear()
+            alone = run_strategy(scenario, config, RadioParams())
+            assert pickle.dumps(metrics) == pickle.dumps(alone)
+
+    def test_cached_sensing_offsets_are_read_only_and_hold_no_truth(self):
+        key = (19, 1, 26, 11, 3, 6, 0.2)
+        sensing_offsets.cache_clear()
+        sources, relays = sensing_offsets(*key)
+        assert sources.shape == (26, 3, 11) and relays.shape == (26, 6, 11)
+        for offsets in (sources, relays):
+            assert offsets.dtype == np.int8 and not offsets.flags.writeable
+            with pytest.raises(ValueError):
+                offsets[0, 0, 0] = 1
+            assert set(np.unique(offsets)) <= {0, 1, 2}
+        # sensing an all-Good trajectory from a node's stream is its offsets
+        good = np.zeros((26, 11), dtype=np.int8)
+        first_relay = sense(good, 0.2, derive_rng(19, "sense", 1, "rel", 0))
+        np.testing.assert_array_equal(relays[:, 0], first_relay)
 
     def test_arms_with_different_episodes_are_one_config_error(self):
         scenario = NetworkScenario(users=2, relays=4, bands=8)

@@ -189,6 +189,20 @@ class TestSensing:
             sense(np.zeros(3, dtype=np.int8), 0.5)
 
 
+class TestSensingSlotAxis:
+    @pytest.mark.parametrize("bands", [8, 9])
+    @pytest.mark.parametrize("err", [0.1, 1.0])
+    def test_slots_sensed_at_once_equal_one_call_per_slot(self, bands, err):
+        # an odd band count leaves half a 64-bit word of offset draws
+        # over after each slot, which the next slot must pick up
+        truth = np.random.default_rng(5).integers(0, 3, size=(12, bands)).astype(np.int8)
+        at_once = sense(truth, err, np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        per_slot = np.stack([sense(states, err, rng) for states in truth])
+        assert at_once.dtype == np.int8
+        np.testing.assert_array_equal(at_once, per_slot)
+
+
 class TestOccupancyProjection:
     def test_projection_matches_truth_under_perfect_sensing(self):
         tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
