@@ -404,8 +404,12 @@ class TestSharedDraws:
     def test_cached_sensing_serves_a_second_truth(self):
         # one-episode runs at two p0 values hit the same cache entry, as
         # the values of a p0 sweep do; each must sense its own truth
-        config = EpisodeConfig(slots=26, episodes=1, n_train=20, seed=23, sensing_error_rate=0.3)
-        scenarios = [NetworkScenario(users=2, relays=5, bands=9, p0_idle=p0) for p0 in (0.2, 0.6)]
+        config = EpisodeConfig(
+            slots=26, episodes=1, n_train=20, seed=23, sensing_error_rate=0.3
+        )
+        scenarios = [
+            NetworkScenario(users=2, relays=5, bands=9, p0_idle=p0) for p0 in (0.2, 0.6)
+        ]
         sensing_offsets.cache_clear()
         warm = [run_strategy(scenario, config, RadioParams()) for scenario in scenarios]
         assert sensing_offsets.cache_info().hits == 1
