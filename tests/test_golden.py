@@ -90,6 +90,29 @@ CASES = {
             "sweep_p0.csv": "5dc9b596bf17f986a739e9b260bfd069cda7b1bd2cc91c8d1c34536fc73369f7",
         },
     ),
+    # odd slot and band counts: slot after slot, the sensing offsets
+    # start on the spare half-word the previous slot left behind
+    "noisy_odd_slots": (
+        {
+            **SHAPE,
+            "users": "3",
+            "relays": "5",
+            "bands": "7",
+            "slots": "31",
+            "n_train": "10",
+            "episodes": "2",
+            "seed": "41",
+            "sensing_error_rate": "0.5",
+            "es_n0_db_sweep": "0,10",
+        },
+        ("p0", ["0.2", "0.6"]),
+        {
+            "metrics.csv": "72c8ce11951f29516a520ad554a20aca34a95723cf9ca6acfbad847a8e190807",
+            "summary.csv": "c20bcc43afa7409f2812c7407fad9ba2ceefada0e5384e2ab328198289c3666b",
+            "trace.csv": "f1aa01cca78cb1e553d8265d0ca0d407a228bcca73be27af8284d85a02a8766b",
+            "sweep_p0.csv": "b95231e2e190cddfd3bbb294b52afe3e16ed9532f5c14b9e2b6f0d537ed53a2c",
+        },
+    ),
 }
 
 
