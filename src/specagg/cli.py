@@ -23,6 +23,7 @@ import csv
 import functools
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import field, fields, make_dataclass, replace
@@ -491,7 +492,16 @@ def emit_figure_data(config: RunConfig, figure_id: int) -> Path:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose errors reach `main` as `CLIError`; subparsers inherit it."""
+    """Argument parser whose errors reach `main` as `CLIError`; subparsers inherit it.
+
+    A token that starts with `-` and a digit or `.` is a value, e.g. the
+    `-5,0` of `--values -5,0` or the `-1e1` of `--es-n0-db -1e1`, where
+    argparse alone takes only `-5`- or `-.5`-shaped tokens for numbers.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         raise CLIError(message)

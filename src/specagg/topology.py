@@ -13,6 +13,7 @@ another band's trajectory and trajectories replay bit-exactly per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,26 @@ def sense(
 
     The default is perfect sensing (the report equals the truth) and
     consumes no randomness.
+
+    Noisy sensing reproduces, byte for byte, the stream of drawing
+    ``rng.random(bands)`` then ``rng.integers(1, 3, size=bands)`` slot
+    after slot, from one ``bit_generator.random_raw`` call decoded with
+    array operations.  It relies on three numpy internals:
+
+    * each uniform is ``next_double``, one 64-bit word ``w`` giving
+      ``(w >> 11) * 2**-53``; the band flips when that is below the rate;
+    * each offset takes one 32-bit half-word, low half first, and PCG64
+      keeps the unused high half as a spare (``has_uint32``/``uinteger``
+      in its state) for the next 32-bit draw, even across calls;
+    * Lemire's bounded draw over a range of 2 never rejects, so the
+      offset is ``1 + (half >> 31)``.
+
+    The spare the generator enters with feeds the first offset, and the
+    spare the draws leave is written back to its state.  The decoding is
+    valid for PCG64 only, so any other bit generator is refused before a
+    draw.  `tests/oracles.py` keeps the slot-by-slot calls as
+    `slotwise_sense`, against which the output and the generator state
+    after the call are tested.
     """
     if not 0.0 <= sensing_error_rate <= 1.0:
         raise ValueError("sensing_error_rate must lie in [0, 1]")
@@ -222,11 +243,36 @@ def sense(
         return true_states.copy()
     if rng is None:
         raise ValueError("an rng is required when sensing_error_rate > 0")
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        raise ValueError(
+            f"noisy sensing decodes PCG64 draws, got {type(bitgen).__name__}"
+        )
     slots = true_states if true_states.ndim > 1 else true_states[None]
-    flip = np.empty(slots.shape, dtype=bool)
-    offset = np.empty(slots.shape, dtype=np.int8)
-    for t in range(len(slots)):
-        flip[t] = rng.random(slots.shape[1:]) < sensing_error_rate
-        # offset 1 or 2 sends a state to one of the two other states
-        offset[t] = rng.integers(1, N_STATES, size=slots.shape[1:])
+    n, bands = slots.size, math.prod(slots.shape[1:])
+    entry = bitgen.state
+    spare = entry["has_uint32"]
+    # the n offsets take the spare half, if any, then halves of fresh
+    # words; slot 2k draws `even` offset words and slot 2k + 1 the other
+    # `bands - even`, so a pair of slots spans 3 * bands words: uniforms,
+    # offsets, uniforms, offsets
+    n_words = (n + 1 - spare) // 2
+    even = (bands + 1 - spare) // 2
+    pairs = np.zeros(((len(slots) + 1) // 2, 3 * bands), dtype=np.uint64)
+    pairs.ravel()[: n + n_words] = bitgen.random_raw(n + n_words)
+    uniform = np.hstack([pairs[:, :bands], pairs[:, bands + even : 2 * bands + even]])
+    # (w >> 11) * 2**-53 < rate, with both sides scaled by 2**53 exactly
+    flip = uniform.ravel()[:n] >> 11 < sensing_error_rate * 2.0**53
+    words = np.hstack([pairs[:, bands : bands + even], pairs[:, 2 * bands + even :]])
+    halves = words.astype("<u8", copy=False).view("<u4").ravel()[: 2 * n_words]
+    if spare:
+        halves = np.concatenate([[entry["uinteger"]], halves])
+    # offset 1 or 2 sends a state to one of the two other states
+    offset = (1 + (halves[:n] >> 31)).astype(np.int8)
+    state = bitgen.state
+    state["has_uint32"] = spare + 2 * n_words - n
+    if n_words:
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    flip, offset = flip.reshape(slots.shape), offset.reshape(slots.shape)
     return np.where(flip, (slots + offset) % N_STATES, slots).reshape(true_states.shape)

@@ -2,12 +2,16 @@
 
 These deliberately avoid the library's own code paths: counting uses a
 dict-style loop, and the allocation oracle materialises the full
-cartesian product of per-band choices instead of taking per-band maxima.
+cartesian product of per-band choices instead of taking per-band maxima,
+and noisy sensing draws through the public Generator calls slot by slot
+instead of decoding one raw-word draw.
 """
 
 import functools
 
 import numpy as np
+
+from specagg.markov import N_STATES
 
 UNALLOCATED = -1
 
@@ -43,3 +47,17 @@ def exhaustive_best_assignment(common_user, owner, bits, snr):
     idx = np.unravel_index(int(totals.argmax()), totals.shape)
     chosen = [options[band][i][0] for band, i in enumerate(idx)]
     return best, chosen
+
+
+def slotwise_sense(true_states, sensing_error_rate, rng):
+    """Noisy `topology.sense` through the public Generator calls: slot
+    after slot, the flip uniforms, then the offsets."""
+    true_states = np.asarray(true_states, dtype=np.int8)
+    slots = true_states if true_states.ndim > 1 else true_states[None]
+    flip = np.empty(slots.shape, dtype=bool)
+    offset = np.empty(slots.shape, dtype=np.int8)
+    for t in range(len(slots)):
+        flip[t] = rng.random(slots.shape[1:]) < sensing_error_rate
+        # offset 1 or 2 sends a state to one of the two other states
+        offset[t] = rng.integers(1, N_STATES, size=slots.shape[1:])
+    return np.where(flip, (slots + offset) % N_STATES, slots).reshape(true_states.shape)

@@ -347,6 +347,32 @@ class TestMainEntry:
         assert (tmp_path / "cli_out" / "figure9.csv").is_file()
 
 
+class TestNegativeValues:
+    """A value that starts with `-` and a digit or `.` may follow its flag
+    as a separate argument, as any other value does."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["sweep", "--axis", "es_over_n0"], "--values", "-5,0"),
+            (["run"], "--es-n0-db-sweep", "-5,0"),
+            (["run"], "--es-n0-db", "-1e1"),
+        ],
+    )
+    def test_separate_value_equals_the_joined_form(self, command, flag, value, tmp_path):
+        base = command + ["--episodes", "1"]
+        for key, fast in FAST.items():
+            if key != "episodes":
+                base += [f"--{key.replace('_', '-')}", fast]
+        separate, joined = tmp_path / "separate", tmp_path / "joined"
+        assert main(base + [flag, value, "--out", str(separate)]) == 0
+        assert main(base + [f"{flag}={value}", "--out", str(joined)]) == 0
+        names = sorted(path.name for path in joined.glob("*.csv"))
+        assert names and names == sorted(path.name for path in separate.glob("*.csv"))
+        for name in names:
+            assert (separate / name).read_bytes() == (joined / name).read_bytes()
+
+
 class TestInputValidation:
     def test_seed_outside_32_bits_is_one_error_line(self, tmp_path, capsys):
         # 2^32 + 1 would share the stream of seed 1

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import slotwise_sense
+
 from specagg.aggregation import RelayAssignment, UNASSIGNED, allocate_spectrum
 from specagg.markov import SpectrumState, TransitionMatrix
 from specagg.radio import RadioParams
@@ -25,7 +27,7 @@ from specagg.simulation import (
     sensing_offsets,
     summarize,
 )
-from specagg.topology import BandProcessSet, SpectrumProcessConfig, Topology, sense
+from specagg.topology import BandProcessSet, SpectrumProcessConfig, Topology
 
 # chain that never leaves Good in any realisable run
 ALMOST_FROZEN_GOOD = TransitionMatrix(
@@ -430,7 +432,7 @@ class TestSharedDraws:
             assert set(np.unique(offsets)) <= {0, 1, 2}
         # sensing an all-Good trajectory from a node's stream is its offsets
         good = np.zeros((26, 11), dtype=np.int8)
-        first_relay = sense(good, 0.2, derive_rng(19, "sense", 1, "rel", 0))
+        first_relay = slotwise_sense(good, 0.2, derive_rng(19, "sense", 1, "rel", 0))
         np.testing.assert_array_equal(relays[:, 0], first_relay)
 
     def test_arms_with_different_episodes_are_one_config_error(self):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import slotwise_sense
+
 from specagg.markov import SpectrumState, TransitionMatrix, stationary_distribution
 from specagg.topology import (
     BandProcessSet,
@@ -201,6 +203,51 @@ class TestSensingSlotAxis:
         per_slot = np.stack([sense(states, err, rng) for states in truth])
         assert at_once.dtype == np.int8
         np.testing.assert_array_equal(at_once, per_slot)
+
+
+class TestSensingDecoding:
+    """`sense` decodes one raw-word draw; the oracle makes the public
+    Generator calls slot by slot.  Both must leave equal states and an
+    equal generator, spare 32-bit half included."""
+
+    @staticmethod
+    def _assert_same(truth, err, rng, oracle_rng):
+        sensed = sense(truth, err, rng)
+        expected = slotwise_sense(truth, err, oracle_rng)
+        assert sensed.dtype == np.int8 and sensed.shape == truth.shape
+        np.testing.assert_array_equal(sensed, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bands", [1, 2, 3, 7, 8, 99, 100, 101])
+    @pytest.mark.parametrize("slots", [1, 2, 3, 100])
+    def test_matches_slotwise_draws(self, bands, slots):
+        truth = np.random.default_rng(bands).integers(0, 3, size=(slots, bands))
+        truth = truth.astype(np.int8)
+        for err in (0.1, 0.5, 1.0):
+            for seed in range(5):
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                self._assert_same(truth, err, rng, oracle_rng)
+
+    @pytest.mark.parametrize("bands", [1, 2, 7, 8])
+    @pytest.mark.parametrize("shape", ["one_slot", "slots"])
+    def test_generator_entering_with_a_spare_half(self, bands, shape):
+        size = (bands,) if shape == "one_slot" else (5, bands)
+        truth = np.random.default_rng(bands).integers(0, 3, size=size).astype(np.int8)
+        rng, oracle_rng = np.random.default_rng(13), np.random.default_rng(13)
+        for generator in (rng, oracle_rng):
+            generator.integers(1, 3, size=1)
+            assert generator.bit_generator.state["has_uint32"] == 1
+        self._assert_same(truth, 0.5, rng, oracle_rng)
+
+    def test_one_dimensional_input(self):
+        truth = np.tile(np.array([0, 1, 2], dtype=np.int8), 11)
+        self._assert_same(truth, 0.5, np.random.default_rng(2), np.random.default_rng(2))
+
+    def test_other_bit_generators_are_refused_before_a_draw(self):
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(ValueError, match="Philox"):
+            sense(np.zeros((4, 3), dtype=np.int8), 0.5, rng)
+        assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
 
 
 class TestOccupancyProjection:
