@@ -501,6 +501,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # argparse reads a token this matches as a value, not as a flag
         self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):

@@ -255,7 +255,8 @@ def sense(
     # the n offsets take the spare half, if any, then halves of fresh
     # words; slot 2k draws `even` offset words and slot 2k + 1 the other
     # `bands - even`, so a pair of slots spans 3 * bands words: uniforms,
-    # offsets, uniforms, offsets
+    # offsets, uniforms, offsets (an odd slot count leaves the last pair's
+    # second half zero, cut off below)
     n_words = (n + 1 - spare) // 2
     even = (bands + 1 - spare) // 2
     pairs = np.zeros(((len(slots) + 1) // 2, 3 * bands), dtype=np.uint64)
