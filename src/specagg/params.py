@@ -1,10 +1,15 @@
-"""Parameter declarations, made once on the library field that uses each parameter."""
+"""Parameter declarations, made once on the library field that uses each parameter.
+
+Every layer that takes a declared parameter checks it with `require`.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import field, fields
+from dataclasses import dataclass, field, fields
+from enum import Enum
 
 
 class ConfigError(ValueError):
@@ -22,6 +27,7 @@ def param(default, interval: str | None = None, choices: tuple = (), db: bool = 
     return field(default=default, metadata={"interval": interval, "choices": choices, "db": db})
 
 
+@functools.cache
 def _bound(text: str) -> float:
     if text == "bands":
         return math.inf
@@ -31,7 +37,7 @@ def _bound(text: str) -> float:
 
 def _in_interval(value, interval: str) -> bool:
     """True when `value` lies in `interval`; nan never does, inf only at a closed bound."""
-    low, high = (_bound(t) for t in interval[1:-1].split(", "))
+    low, high = map(_bound, interval[1:-1].split(", "))
     above = value >= low if interval[0] == "[" else value > low
     below = value <= high if interval[-1] == "]" else value < high
     return above and below
@@ -52,5 +58,63 @@ def violation(name: str, value, spec) -> str | None:
 def check_fields(obj) -> None:
     """Raise `ConfigError` naming the first declared field of `obj` outside its declaration."""
     for f in fields(obj):
-        if "interval" in f.metadata and (message := violation(f.name, getattr(obj, f.name), f)):
-            raise ConfigError(message)
+        if "interval" in f.metadata:
+            require(type(obj), f.name, getattr(obj, f.name))
+
+
+def require(cls, name: str, value, error: type[ValueError] = ConfigError) -> None:
+    """Raise `error` naming `name` if `value` breaks the declaration of `cls`'s field `name`."""
+    if message := violation(name, value, cls.__dataclass_fields__[name]):
+        raise error(message)
+
+
+class Strategy(Enum):
+    PREDICT_AGGREGATE = "predict_aggregate"
+    NO_PREDICTION = "no_prediction"
+    NO_AGGREGATION = "no_aggregation"
+    SINGLE_USER = "single_user"
+
+
+@dataclass(frozen=True)
+class EpisodeConfig:
+    """Episode shape: slot count, training window and strategy.
+
+    `slots` must cover the training prefix plus at least one slot pair.
+    """
+
+    slots: int = param(100, "[4, inf)")
+    episodes: int = param(20, "[1, inf)")
+    n_train: int = param(20, "[2, inf)")
+    sensing_error_rate: float = param(0.0, "[0, 1]")
+    designated_band: int = param(0, "[0, bands)")
+    seed: int = param(1, "[0, 2^32)")
+    strategy: Strategy = Strategy.PREDICT_AGGREGATE
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.slots < self.n_train + 2:
+            raise ConfigError(
+                f"slots must be >= n_train + 2, got slots={self.slots} "
+                f"n_train={self.n_train}"
+            )
+
+    @property
+    def pairs(self) -> int:
+        """Number of scored slot pairs per episode."""
+        return self.slots - self.n_train
+
+
+@dataclass(frozen=True)
+class NetworkScenario:
+    """Population and band-dynamics parameters of one experiment cell."""
+
+    users: int = param(5, "[1, inf)")
+    relays: int = param(20, "[1, inf)")
+    bands: int = param(100, "[1, inf)")
+    coverage_probability: float = param(0.4, "(0, 1]")
+    p0_idle: float = param(0.4, "(0, 1)")
+    persistence: float = param(0.6, "[0, 1)")
+    good_fraction: float = param(0.75, "(0, 1)")
+
+    def __post_init__(self):
+        check_fields(self)

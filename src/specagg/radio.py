@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import check_fields, param
-
-BER_MAX = 0.2  # 5 * ber reaches 1 here and the gap formula degenerates
+from .params import check_fields, param, require
 
 
 class GapError(ValueError):
@@ -30,18 +28,14 @@ def snr_gap(ber: float, formula: str = "log2") -> float:
     * ``log2``        -- gap = -1.5 / log2(5 * ber)
     * ``natural_log`` -- gap = -ln(5 * ber) / 1.5, the conventional form
 
-    Both are positive only for ber < 0.2; the whole interval
-    [0.2, 1) is rejected.
+    Both are positive only for ber < 0.2; a ber outside the declared
+    (0, 0.2) raises `GapError`.
     """
-    if not 0.0 < ber < BER_MAX:
-        raise GapError(
-            f"ber must lie in (0, {BER_MAX}) for a finite positive gap, got {ber}"
-        )
+    require(RadioParams, "ber", ber, GapError)
+    require(RadioParams, "gap_formula", formula)
     if formula == "log2":
         return -1.5 / np.log2(5.0 * ber)
-    if formula == "natural_log":
-        return -np.log(5.0 * ber) / 1.5
-    raise ValueError(f"gap_formula must be one of log2, natural_log, got {formula!r}")
+    return -np.log(5.0 * ber) / 1.5
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class RadioParams:
     """
 
     band_width_hz: float = param(2e6, "(0, inf)")
-    ber: float = param(1e-3, f"(0, {BER_MAX})")
+    ber: float = param(1e-3, "(0, 0.2)")  # 5 * ber reaches 1 at 0.2
     es_over_n0: float = param(10.0, "(0, inf)")
     tx_power_w: float = param(1.0, "(0, inf)")
     gap_formula: str = param("log2", choices=("log2", "natural_log"))

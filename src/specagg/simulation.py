@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,7 @@ from .aggregation import (
     two_slot_availability,
 )
 from .markov import N_STATES, SpectrumState, predict_next_states, window_transition_counts
-from .params import ConfigError, check_fields, param
+from .params import ConfigError, EpisodeConfig, NetworkScenario, Strategy
 from .radio import RadioParams, hop_snrs, link_throughput, sample_hop_splits
 from .seeds import derive_rng, derive_seed_sequence
 from .topology import (
@@ -68,58 +67,6 @@ from .topology import (
 # at a time.  Each block temporary then stays under a megabyte, so peak
 # memory stays that of a per-pair loop; larger blocks were no faster.
 PAIR_BLOCK_ELEMENTS = 2**15
-
-
-class Strategy(Enum):
-    PREDICT_AGGREGATE = "predict_aggregate"
-    NO_PREDICTION = "no_prediction"
-    NO_AGGREGATION = "no_aggregation"
-    SINGLE_USER = "single_user"
-
-
-@dataclass(frozen=True)
-class EpisodeConfig:
-    """Episode shape: slot count, training window and strategy.
-
-    `slots` must cover the training prefix plus at least one slot pair.
-    """
-
-    slots: int = param(100, "[4, inf)")
-    episodes: int = param(20, "[1, inf)")
-    n_train: int = param(20, "[2, inf)")
-    sensing_error_rate: float = param(0.0, "[0, 1]")
-    designated_band: int = param(0, "[0, bands)")
-    seed: int = param(1, "[0, 2^32)")
-    strategy: Strategy = Strategy.PREDICT_AGGREGATE
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.slots < self.n_train + 2:
-            raise ConfigError(
-                f"slots must be >= n_train + 2, got slots={self.slots} "
-                f"n_train={self.n_train}"
-            )
-
-    @property
-    def pairs(self) -> int:
-        """Number of scored slot pairs per episode."""
-        return self.slots - self.n_train
-
-
-@dataclass(frozen=True)
-class NetworkScenario:
-    """Population and band-dynamics parameters of one experiment cell."""
-
-    users: int = param(5, "[1, inf)")
-    relays: int = param(20, "[1, inf)")
-    bands: int = param(100, "[1, inf)")
-    coverage_probability: float = param(0.4, "(0, 1]")
-    p0_idle: float = param(0.4, "(0, 1)")
-    persistence: float = param(0.6, "[0, 1)")
-    good_fraction: float = param(0.75, "(0, 1)")
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def designated_band_error(designated_band: int, bands: int) -> str | None:

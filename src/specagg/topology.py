@@ -24,6 +24,7 @@ from .markov import (
     TransitionMatrix,
     stationary_distribution,
 )
+from .params import EpisodeConfig, NetworkScenario, require
 
 IDLE_MASS_TOL = 1e-6
 
@@ -41,8 +42,8 @@ class Topology:
     coverage: np.ndarray
 
     def __post_init__(self):
-        if self.users < 1 or self.relays < 1:
-            raise ValueError("need at least one user pair and one relay")
+        require(NetworkScenario, "users", self.users)
+        require(NetworkScenario, "relays", self.relays)
         cov = np.asarray(self.coverage, dtype=bool)
         if cov.shape != (self.relays, self.users):
             raise ValueError(
@@ -67,8 +68,7 @@ def build_topology(
     relay population extends, rather than reshuffles, a smaller one
     drawn from the same stream.
     """
-    if not 0.0 < coverage_probability <= 1.0:
-        raise ValueError("coverage_probability must lie in (0, 1]")
+    require(NetworkScenario, "coverage_probability", coverage_probability)
     rows = [rng.random(users) < coverage_probability for _ in range(relays)]
     return Topology(users=users, relays=relays, coverage=np.array(rows))
 
@@ -87,12 +87,9 @@ def derive_ground_truth_matrix(
     p0_idle by construction.  `persistence` is the probability of
     freezing in place for one slot; 0 gives i.i.d. slots.
     """
-    if not 0.0 < p0_idle < 1.0:
-        raise ValueError("p0_idle must lie in (0, 1)")
-    if not 0.0 <= persistence < 1.0:
-        raise ValueError("persistence must lie in [0, 1)")
-    if not 0.0 < good_fraction < 1.0:
-        raise ValueError("good_fraction must lie in (0, 1)")
+    require(NetworkScenario, "p0_idle", p0_idle)
+    require(NetworkScenario, "persistence", persistence)
+    require(NetworkScenario, "good_fraction", good_fraction)
     pi = np.array(
         [p0_idle * good_fraction, p0_idle * (1.0 - good_fraction), 1.0 - p0_idle]
     )
@@ -106,8 +103,9 @@ def derive_ground_truth_matrix(
 class SpectrumProcessConfig:
     """Shape of the per-band ground-truth process.
 
-    Validates that the chain's stationary idle mass (Good + Bad) matches
-    the declared idle probability within 1e-6.
+    `band_count` and `p0_idle` are checked as `NetworkScenario.bands`
+    and `.p0_idle`, and the chain's stationary idle mass (Good + Bad)
+    must match `p0_idle` within 1e-6.
     """
 
     band_count: int
@@ -115,10 +113,8 @@ class SpectrumProcessConfig:
     ground_truth_matrix: TransitionMatrix
 
     def __post_init__(self):
-        if self.band_count < 1:
-            raise ValueError("band_count must be >= 1")
-        if not 0.0 < self.p0_idle < 1.0:
-            raise ValueError("p0_idle must lie in (0, 1)")
+        require(NetworkScenario, "bands", self.band_count)
+        require(NetworkScenario, "p0_idle", self.p0_idle)
         pi = stationary_distribution(self.ground_truth_matrix)
         idle_mass = pi[SpectrumState.GOOD] + pi[SpectrumState.BAD]
         if abs(idle_mass - self.p0_idle) > IDLE_MASS_TOL:
@@ -236,8 +232,7 @@ def sense(
     `slotwise_sense`, against which the output and the generator state
     after the call are tested.
     """
-    if not 0.0 <= sensing_error_rate <= 1.0:
-        raise ValueError("sensing_error_rate must lie in [0, 1]")
+    require(EpisodeConfig, "sensing_error_rate", sensing_error_rate)
     true_states = np.asarray(true_states, dtype=np.int8)
     if sensing_error_rate == 0.0:
         return true_states.copy()

@@ -3,10 +3,20 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from specagg.radio import RadioParams
+from specagg.params import ConfigError, violation
+from specagg.radio import GapError, RadioParams, snr_gap
+from specagg.seeds import derive_rng, derive_seed_sequence
 from specagg.simulation import EpisodeConfig, NetworkScenario
+from specagg.topology import (
+    SpectrumProcessConfig,
+    Topology,
+    build_topology,
+    derive_ground_truth_matrix,
+    sense,
+)
 
 DECLARING_CLASSES = (NetworkScenario, RadioParams, EpisodeConfig)
 
@@ -71,3 +81,68 @@ def test_integer_field_rejects_a_number_that_is_not_an_integer(cls, name):
     # 4.5 lies inside every declared integer interval, so only its type is wrong
     with pytest.raises(ValueError, match=rf"{name} must be an integer, got 4\.5"):
         cls(**{name: 4.5})
+
+
+MATRIX = derive_ground_truth_matrix(0.4, 0.6, 0.75)
+
+# (site, call with one value, declaring class, field): the library
+# functions below the dataclasses check each value against its declaration
+LOWER_LAYERS = [
+    ("Topology", lambda v: Topology(users=v, relays=1, coverage=np.ones((1, 1))),
+     NetworkScenario, "users"),
+    ("Topology", lambda v: Topology(users=1, relays=v, coverage=np.ones((1, 1))),
+     NetworkScenario, "relays"),
+    ("build_topology", lambda v: build_topology(2, 2, v, np.random.default_rng(0)),
+     NetworkScenario, "coverage_probability"),
+    ("derive_ground_truth_matrix", lambda v: derive_ground_truth_matrix(v, 0.6, 0.75),
+     NetworkScenario, "p0_idle"),
+    ("derive_ground_truth_matrix", lambda v: derive_ground_truth_matrix(0.4, v, 0.75),
+     NetworkScenario, "persistence"),
+    ("derive_ground_truth_matrix", lambda v: derive_ground_truth_matrix(0.4, 0.6, v),
+     NetworkScenario, "good_fraction"),
+    ("SpectrumProcessConfig",
+     lambda v: SpectrumProcessConfig(band_count=v, p0_idle=0.4, ground_truth_matrix=MATRIX),
+     NetworkScenario, "bands"),
+    ("SpectrumProcessConfig",
+     lambda v: SpectrumProcessConfig(band_count=1, p0_idle=v, ground_truth_matrix=MATRIX),
+     NetworkScenario, "p0_idle"),
+    ("sense", lambda v: sense(np.zeros(3, dtype=np.int8), v, np.random.default_rng(0)),
+     EpisodeConfig, "sensing_error_rate"),
+    ("snr_gap", lambda v: snr_gap(v), RadioParams, "ber"),
+    ("snr_gap", lambda v: snr_gap(1e-3, v), RadioParams, "gap_formula"),
+    ("derive_seed_sequence", lambda v: derive_seed_sequence(v, "x"), EpisodeConfig, "seed"),
+]
+
+
+def _lower_layer_bad_values(spec):
+    # 4.5 lies inside every declared integer interval, so only its type is wrong
+    return _bad_values(spec) + ([4.5] if spec.type == "int" else [])
+
+
+LOWER_CASES = [
+    pytest.param(call, spec, value, id=f"{site}.{name}={value}")
+    for site, call, cls, name in LOWER_LAYERS
+    for spec in [cls.__dataclass_fields__[name]]
+    for value in _lower_layer_bad_values(spec)
+]
+
+
+@pytest.mark.parametrize("call, spec, value", LOWER_CASES)
+def test_lower_layer_rejects_with_the_declared_text(call, spec, value):
+    error = GapError if spec.name == "ber" else ConfigError
+    with pytest.raises(error) as raised:
+        call(value)
+    assert str(raised.value) == violation(spec.name, value, spec)
+
+
+@pytest.mark.parametrize("derive, seed", [(derive_seed_sequence, 2.5), (derive_rng, np.float64(7.9))])
+def test_fractional_master_seed_is_refused(derive, seed):
+    # each used to return the stream of the integer seed it truncates to
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        derive(seed, "x")
+
+
+def test_fractional_band_count_is_refused_at_construction():
+    # it used to build, and BandProcessSet then failed with a TypeError
+    with pytest.raises(ValueError, match=r"^bands must be an integer, got 2\.5$"):
+        SpectrumProcessConfig(band_count=2.5, p0_idle=0.4, ground_truth_matrix=MATRIX)
