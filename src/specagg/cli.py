@@ -288,7 +288,12 @@ _RAISE_ON_BAD_ARITHMETIC = np.errstate(over="raise", invalid="raise", divide="ra
 
 @_RAISE_ON_BAD_ARITHMETIC
 def run_single(config: RunConfig) -> dict[str, Path]:
-    """Run one cell with all four strategies and write the run CSVs."""
+    """Run one cell with all four strategies and write the run CSVs.
+
+    The strategies run as the arms of one `run_strategies` call: per
+    episode one world and three decision passes, with no-aggregation a
+    view over the prediction pass.
+    """
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = scenario_from(config)
@@ -327,9 +332,10 @@ def run_single(config: RunConfig) -> dict[str, Path]:
 def _sweep_value(config: RunConfig, axis: str, value) -> list[list]:
     """Rows of one axis value: its Es/N0 points crossed with the strategies.
 
-    The value's cells run as the arms of one `run_strategies` call, so
-    they share each episode's draws.  Top-level so worker processes can
-    receive it.
+    The value's cells run as the arms of one `run_strategies` call: per
+    episode one world and one decision pass per strategy rule at the
+    first Es/N0 point, which every further point rescores.  Top-level so
+    worker processes can receive it.
     """
     config = replace(config, **{_AXIS_FIELD[axis]: value})
     grid = [value] if axis == "es_over_n0" else config.es_n0_db_sweep

@@ -232,6 +232,17 @@ def predict_next_states(prob_batch: np.ndarray, current: np.ndarray) -> np.ndarr
     return np.take_along_axis(best_next, current, axis=-1)[..., 0].astype(np.int8)
 
 
+def wrap_states(codes: np.ndarray) -> np.ndarray:
+    """``codes % N_STATES`` in place, for int8 `codes` in [0, 2 * N_STATES).
+
+    A state plus a sensing offset stays below 2 * N_STATES, so one int8
+    subtraction where a code reaches N_STATES wraps it, at a fraction of
+    the cost of the int8 modulo.  Returns `codes`.
+    """
+    codes -= (codes >= N_STATES).view(np.int8) * N_STATES
+    return codes
+
+
 def parse_observations(text: str) -> list[np.ndarray]:
     """Parse observation sequences from digit-string lines.
 

@@ -16,9 +16,7 @@ over blocks of slot pairs at once.
 
 Four strategies share identical ground truth, topology, sensing errors,
 link budgets and fading draws per (seed, episode) -- comparisons between
-them are paired.  The sensing, budget and fading draws are realised once
-per (seed, episode) and reused by every strategy and Es/N0 point that
-`run_strategies` runs:
+them are paired:
 
 * ``PREDICT_AGGREGATE``: Markov prediction + full aggregation.
 * ``NO_PREDICTION``: assumes slot t+1 equals the sensed slot t state.
@@ -26,13 +24,23 @@ per (seed, episode) and reused by every strategy and Es/N0 point that
   best allocated band.
 * ``SINGLE_USER``: the same pipeline with only the first user pair
   present (it keeps every relay that covers it).
+
+`run_strategies` builds each episode's world once and runs one decision
+pass (`run_episode`) per distinct decision rule -- predict, persist and
+single-user -- at the first Es/N0 point of arms that differ only in
+strategy and Es/N0.  No allocation depends on Es/N0, which only scales
+the hop budgets, so every other arm is a view that rescores a kept
+allocation (`_rescore`): a further Es/N0 point rebuilds the winning
+bands' SNRs from the episode's draws, and ``NO_AGGREGATION`` is
+`reduce_to_best_band` of the prediction pass at each point.  The views
+are byte for byte the passes they replace.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +55,7 @@ from .aggregation import (
     prediction_bits,
     two_slot_availability,
 )
-from .markov import N_STATES, SpectrumState, predict_next_states, window_transition_counts
+from .markov import SpectrumState, predict_next_states, window_transition_counts, wrap_states
 from .params import ConfigError, EpisodeConfig, NetworkScenario, Strategy
 from .radio import RadioParams, hop_snrs, link_throughput, sample_hop_splits
 from .seeds import derive_rng, derive_seed_sequence
@@ -90,6 +98,12 @@ class EpisodeMetrics:
     prediction_match_count: int
     default_match_count: int
     trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
+    # a decision pass's kept allocation, which `run_strategies` rescores:
+    # (pairs, bands) winning relays and (pairs, relays) owners, -1 for
+    # none; None on the metrics `run_strategies` returns
+    decisions: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def allocation_count(self) -> int:
@@ -110,6 +124,25 @@ class EpisodeMetrics:
         return float(self.pair_throughput_bps.mean())
 
 
+def _pair_blocks(n_pairs: int, width: int) -> list[slice]:
+    """Slices of consecutive slot pairs, each with at most PAIR_BLOCK_ELEMENTS
+    elements of `width` per pair (at least one pair)."""
+    block = max(1, PAIR_BLOCK_ELEMENTS // width)
+    return [slice(start, start + block) for start in range(0, n_pairs, block)]
+
+
+def _hop(params: RadioParams, alpha: np.ndarray, beta: np.ndarray, users: int) -> np.ndarray:
+    """(..., relays, users) SNR budget of each relay toward each of the first `users` pairs."""
+    hop1, hop2 = hop_snrs(params, alpha[..., :users], beta[..., :users])
+    return np.minimum(hop1, hop2) if params.snr_combining == "min_hop" else hop2
+
+
+def _owned_hop(hop: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """(..., relays) hop of each relay toward its owner; 0 for unowned relays."""
+    owned_hop = np.take_along_axis(hop, np.clip(owner, 0, None)[..., None], axis=-1)
+    return np.where(owner >= 0, owned_hop[..., 0], 0.0)
+
+
 def _band_relay_snr(
     hop_snr: np.ndarray, owner: np.ndarray, gains: np.ndarray, params: RadioParams
 ) -> np.ndarray:
@@ -120,9 +153,7 @@ def _band_relay_snr(
     hop[..., r, owner] * h[..., n, r] / gamma.  Unowned relays carry
     zero SNR on every band.
     """
-    owned_hop = np.take_along_axis(hop_snr, np.clip(owner, 0, None)[..., None], axis=-1)
-    hop_owned = np.where(owner >= 0, owned_hop[..., 0], 0.0)
-    snr = params.tx_power_w * hop_owned[..., None, :] * gains
+    snr = params.tx_power_w * _owned_hop(hop_snr, owner)[..., None, :] * gains
     snr /= params.gamma
     return snr
 
@@ -213,7 +244,7 @@ def sensing_offsets(
     the node senses a band correctly, 1 or 2 where its report is that
     many states past the truth.  A node's offsets are `sense` of an
     all-Good (code 0) trajectory, so it senses any truth as
-    ``(truth + offsets) % N_STATES``.  They hold no truth, so the
+    ``wrap_states(truth + offsets)``.  They hold no truth, so the
     one-entry cache serves every arm, Es/N0 point and p0 value of the
     episode.
     """
@@ -225,6 +256,31 @@ def sensing_offsets(
         node_offsets.flags.writeable = False
         offsets.append(node_offsets)
     return tuple(offsets)
+
+
+def _score(alloc: AllocationResult, truth_next: np.ndarray, params: RadioParams) -> tuple:
+    """(allocated, outages, delivered throughput, per-user delivered) of each
+    slot pair of `alloc`, whose bands are an outage where `truth_next`, the
+    true states at t + 1, is Busy or Bad; an outage band delivers nothing."""
+    failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
+    delivered = aggregate_and_score(_keep_bands(alloc, ~failed), params)
+    return (
+        alloc.allocated.sum(axis=-1),
+        (alloc.allocated & failed).sum(axis=-1),
+        delivered.total_throughput_bps,
+        delivered.user_throughput_bps,
+    )
+
+
+def _pair_fields(blocks: list[tuple]) -> dict:
+    """The per-pair `EpisodeMetrics` fields from `_score` of consecutive pair blocks."""
+    allocated, outages, throughput, capacity = map(np.concatenate, zip(*blocks))
+    return dict(
+        pair_allocated=allocated,
+        pair_outages=outages,
+        pair_throughput_bps=throughput,
+        user_capacity_bps=capacity.mean(axis=0),
+    )
 
 
 def run_episode(
@@ -261,8 +317,7 @@ def run_episode(
     alpha, beta, gains = episode_draws(
         seed, episode, n_pairs, relays, draw_users, bands, params.gain_model
     )
-    hop1, hop2 = hop_snrs(params, alpha[..., :users], beta[..., :users])
-    hop = np.minimum(hop1, hop2) if params.snr_combining == "min_hop" else hop2
+    hop = _hop(params, alpha, beta, users)
 
     truth = processes.trajectory()[: config.slots]
     err = config.sensing_error_rate
@@ -272,7 +327,7 @@ def run_episode(
     else:
         offsets = sensing_offsets(seed, episode, config.slots, bands, draw_users, relays, err)
         views = [
-            (truth[:, None] + node_offsets[:, :n]) % N_STATES
+            wrap_states(truth[:, None] + node_offsets[:, :n])
             for node_offsets, n in zip(offsets, (users, relays))
         ]
     # the predictor trains on the first user's sensed history
@@ -282,16 +337,13 @@ def run_episode(
         # window k ends at pair k's first slot
         counts = window_transition_counts(history[:-1], config.n_train)
 
-    pair_allocated = np.empty(n_pairs, dtype=np.int64)
-    pair_outages = np.empty(n_pairs, dtype=np.int64)
-    pair_throughput = np.empty(n_pairs)
-    user_capacity = np.empty((n_pairs, users))
+    # relay indices in the narrowest integer type that also holds -1
+    band_relay = np.empty((n_pairs, bands), dtype=np.min_scalar_type(-relays))
+    owner = np.empty((n_pairs, relays), dtype=band_relay.dtype)
     predicted = np.empty(n_pairs, dtype=np.int8)
     designated = config.designated_band
-
-    block = max(1, PAIR_BLOCK_ELEMENTS // (bands * relays))
-    for start in range(0, n_pairs, block):
-        pairs = slice(start, start + block)
+    blocks = []
+    for pairs in _pair_blocks(n_pairs, bands * relays):
         now = pair_slots[pairs]
         # (pairs, nodes, bands) states at t and t + 1 of each view;
         # sources are the first view and relays the last
@@ -308,16 +360,11 @@ def run_episode(
         snr = _band_relay_snr(hop_now, assignment.owner, gains[pairs], params)
         common = common_free_spectrum(assignment, available[0], available[-1], snr)
         alloc = allocate_spectrum(common, assignment, prediction_bits(states_next[-1]), snr)
+        band_relay[pairs] = alloc.band_relay
+        owner[pairs] = assignment.owner
         if config.strategy == Strategy.NO_AGGREGATION:
             alloc = reduce_to_best_band(alloc, params)
-
-        truth_next = truth[now + 1]
-        failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
-        delivered = aggregate_and_score(_keep_bands(alloc, ~failed), params)
-        pair_allocated[pairs] = alloc.allocated.sum(axis=-1)
-        pair_outages[pairs] = (alloc.allocated & failed).sum(axis=-1)
-        pair_throughput[pairs] = delivered.total_throughput_bps
-        user_capacity[pairs] = delivered.user_throughput_bps
+        blocks.append(_score(alloc, truth[now + 1], params))
         predicted[pairs] = states_next[0][:, 0, designated]
 
     actual = truth[pair_slots + 1, designated]
@@ -326,14 +373,62 @@ def run_episode(
         strategy=config.strategy,
         episode=episode,
         pair_slots=pair_slots,
-        pair_allocated=pair_allocated,
-        pair_outages=pair_outages,
-        pair_throughput_bps=pair_throughput,
-        user_capacity_bps=user_capacity.mean(axis=0),
+        **_pair_fields(blocks),
         prediction_match_count=int((predicted == actual).sum()),
         default_match_count=int((default == actual).sum()),
         trace=np.stack([actual, default, predicted], axis=1).astype(np.int8),
+        decisions=(band_relay, owner),
     )
+
+
+def _rescore(
+    decided: EpisodeMetrics,
+    config: EpisodeConfig,
+    topology: Topology,
+    processes: BandProcessSet,
+    params: RadioParams,
+    base_users: int,
+) -> EpisodeMetrics:
+    """`config.strategy`'s metrics at `params`' Es/N0, from a decision pass.
+
+    `decided` is `run_episode` of (topology, processes) at another Es/N0
+    point, or of the prediction pass when the strategy is NO_AGGREGATION.
+    Each winning band's SNR is rebuilt from the episode's draws in
+    `run_episode`'s operation order, (P_tx * hop) * h / gamma with hop =
+    alpha * (beta * 2 * Es/N0), and scored over the full (pairs, bands)
+    layout, whose sums round as the pass's do.  Outages, allocation
+    counts, the trace and the match counts do not depend on Es/N0.
+    """
+    band_relay, owner = decided.decisions
+    n_pairs, bands = band_relay.shape
+    users = topology.users
+    alpha, beta, gains = episode_draws(
+        config.seed, decided.episode, n_pairs, topology.relays, base_users, bands,
+        params.gain_model,
+    )
+    truth = processes.trajectory()
+    blocks = []
+    for pairs in _pair_blocks(n_pairs, bands * users):
+        relay = band_relay[pairs]
+        allocated = relay >= 0
+        winner = np.clip(relay, 0, None)
+        hop = _owned_hop(_hop(params, alpha[pairs], beta[pairs], users), owner[pairs])
+        gain = np.take_along_axis(gains[pairs], winner[..., None], axis=-1)[..., 0]
+        snr = params.tx_power_w * np.take_along_axis(hop, winner, axis=-1) * gain
+        snr /= params.gamma
+        band_snr = np.where(allocated, snr, 0.0)
+        band_user = np.take_along_axis(owner[pairs], winner, axis=-1)
+        alloc = AllocationResult(
+            users=users,
+            band_user=np.where(allocated, band_user, UNASSIGNED),
+            band_relay=relay,
+            band_snr=band_snr,
+            snr_total=band_snr.sum(axis=-1),
+        )
+        if config.strategy == Strategy.NO_AGGREGATION:
+            alloc = reduce_to_best_band(alloc, params)
+        blocks.append(_score(alloc, truth[decided.pair_slots[pairs] + 1], params))
+    return replace(decided, strategy=config.strategy, decisions=None, **_pair_fields(blocks))
 
 
 def build_episode_world(
@@ -371,31 +466,57 @@ def run_strategies(
 ) -> list[list[EpisodeMetrics]]:
     """Run every episode of each (config, params) arm on seed-paired worlds.
 
-    Episodes run outer and arms inner, so the arms of one episode share
-    its budget and fading draws (`episode_draws`), drawn once.  Returns
-    each arm's per-episode metrics, in arm order.  Every arm must run
-    the same number of episodes.
+    Episodes run outer.  Arms that differ only in strategy and Es/N0
+    share each episode's world, built once, and one decision pass per
+    decision rule -- predict (also NO_AGGREGATION's), persist and
+    single-user -- run at the first of them that needs it; every other
+    arm rescores that pass (`_rescore`).  Returns each arm's per-episode
+    metrics, in arm order.  Every arm must run the same number of
+    episodes.
     """
     episodes = {config.episodes for config, _ in arms}
     if len(episodes) > 1:
         raise ConfigError(
             f"all arms must run the same number of episodes, got {sorted(episodes)}"
         )
+    groups: dict[tuple, list[int]] = {}
+    for index, (config, params) in enumerate(arms):
+        shared = (
+            replace(config, strategy=Strategy.PREDICT_AGGREGATE),
+            replace(params, es_over_n0=1.0),
+        )
+        groups.setdefault(shared, []).append(index)
     out = [[] for _ in arms]
     for episode in range(max(episodes, default=0)):
         if episode:
             # the last episode's draws are spent: free them before drawing
             episode_draws.cache_clear()
             sensing_offsets.cache_clear()
-        for (config, params), metrics in zip(arms, out):
-            topology, processes = build_episode_world(scenario, config, episode)
-            if config.strategy == Strategy.SINGLE_USER:
-                # the first pair alone keeps every relay covering it, and its
-                # draws stay shaped for (so paired with) the full population
-                topology = topology.restrict_to_user(0)
-            metrics.append(
-                run_episode(config, topology, processes, params, episode, scenario.users)
-            )
+        for members in groups.values():
+            topology, processes = build_episode_world(scenario, arms[members[0]][0], episode)
+            passes = {}
+            for index in members:
+                config, params = arms[index]
+                rule = config.strategy
+                if rule == Strategy.NO_AGGREGATION:
+                    rule = Strategy.PREDICT_AGGREGATE
+                if rule not in passes:
+                    # the first pair alone keeps every relay covering it, and its
+                    # draws stay shaped for (so paired with) the full population
+                    world = topology
+                    if rule == Strategy.SINGLE_USER:
+                        world = topology.restrict_to_user(0)
+                    decided = run_episode(
+                        replace(config, strategy=rule), world, processes, params,
+                        episode, scenario.users,
+                    )
+                    passes[rule] = (world, decided, params)
+                world, decided, decided_params = passes[rule]
+                if config.strategy == rule and params == decided_params:
+                    metrics = replace(decided, decisions=None)
+                else:
+                    metrics = _rescore(decided, config, world, processes, params, scenario.users)
+                out[index].append(metrics)
     return out
 
 

@@ -14,6 +14,7 @@ another band's trajectory and trajectories replay bit-exactly per seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .markov import (
     SpectrumState,
     TransitionMatrix,
     stationary_distribution,
+    wrap_states,
 )
 from .params import EpisodeConfig, NetworkScenario, require
 
@@ -145,8 +147,9 @@ class BandProcessSet:
         seed_seq: np.random.SeedSequence,
         max_slots: int,
     ):
-        if max_slots < 1:
-            raise ValueError("max_slots must be >= 1")
+        integral = isinstance(max_slots, numbers.Integral) and not isinstance(max_slots, bool)
+        if not (integral and max_slots >= 1):
+            raise ValueError(f"max_slots must be an integer >= 1, got {max_slots!r}")
         self.config = config
         self.max_slots = max_slots
         n = config.band_count
@@ -271,4 +274,4 @@ def sense(
         state["uinteger"] = int(halves[-1])
     bitgen.state = state
     flip, offset = flip.reshape(slots.shape), offset.reshape(slots.shape)
-    return np.where(flip, (slots + offset) % N_STATES, slots).reshape(true_states.shape)
+    return np.where(flip, wrap_states(slots + offset), slots).reshape(true_states.shape)

@@ -18,6 +18,7 @@ from specagg.markov import (
     predict_next_state,
     predict_next_states,
     stationary_distribution,
+    wrap_states,
 )
 
 # The worked 20-slot observation example and its exact estimate.
@@ -297,3 +298,12 @@ def test_estimation_preserves_row_stochasticity():
         seq = rng.integers(0, 3, size=rng.integers(2, 40))
         tm = estimate_transition_matrix(seq)
         np.testing.assert_allclose(tm.probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_wrap_states_is_the_int8_modulo_in_place():
+    # every state plus every sensing offset, over an odd-shaped block
+    codes = np.add.outer(np.arange(3), np.arange(3)).astype(np.int8).repeat(7, axis=0)
+    expected = codes % 3
+    wrapped = wrap_states(codes)
+    assert wrapped is codes and wrapped.dtype == np.int8
+    np.testing.assert_array_equal(wrapped, expected)

@@ -146,3 +146,15 @@ def test_fractional_band_count_is_refused_at_construction():
     # it used to build, and BandProcessSet then failed with a TypeError
     with pytest.raises(ValueError, match=r"^bands must be an integer, got 2\.5$"):
         SpectrumProcessConfig(band_count=2.5, p0_idle=0.4, ground_truth_matrix=MATRIX)
+
+
+def test_bool_is_not_an_integer_parameter():
+    # True used to pass as 1: the config built with seed True
+    with pytest.raises(ConfigError, match=r"^seed must be an integer, got True$"):
+        EpisodeConfig(seed=True)
+
+
+def test_bool_master_seed_is_refused():
+    # derive_rng(True, ...) used to return seed 1's stream
+    with pytest.raises(ConfigError, match=r"^seed must be an integer, got True$"):
+        derive_rng(True, "x")

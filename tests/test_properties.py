@@ -5,7 +5,13 @@ pairs must not change any pair's result: each entry of a batched call
 equals the same pair run alone, both as a batch of one and with no
 batch axis.  The invariants of a single allocation must hold for every
 pair of a stack.
+
+`run_strategies` runs one decision pass per decision rule and rescores
+it at every further Es/N0 point; each arm's metrics must be byte for
+byte those of the arm run alone and of a decision pass at its own point.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,7 +33,16 @@ from specagg.markov import (
     window_transition_counts,
 )
 from specagg.radio import RadioParams
-from specagg.simulation import reduce_to_best_band
+from specagg.simulation import (
+    EpisodeConfig,
+    NetworkScenario,
+    Strategy,
+    build_episode_world,
+    reduce_to_best_band,
+    run_episode,
+    run_strategies,
+    run_strategy,
+)
 from specagg.topology import Topology
 
 PARAMS = RadioParams()
@@ -154,3 +169,72 @@ def test_window_counts_predict_as_refitted_matrices(case):
             # integer counts break ties exactly as the refitted probabilities do
             refit = estimate_transition_matrix(states)
             assert predicted[band] == predict_next_state(refit, int(states[-1]))
+
+
+@st.composite
+def grid_cells(draw):
+    """A small cell, its radio switches, an Es/N0 grid and some strategies."""
+    scenario = NetworkScenario(
+        users=draw(st.integers(1, 3)),
+        relays=draw(st.integers(1, 5)),
+        bands=draw(st.integers(1, 7)),
+        coverage_probability=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        p0_idle=draw(st.sampled_from([0.3, 0.6])),
+    )
+    n_train = draw(st.integers(2, 4))
+    config = EpisodeConfig(
+        slots=n_train + draw(st.integers(2, 8)),
+        n_train=n_train,
+        episodes=draw(st.integers(1, 2)),
+        sensing_error_rate=draw(st.sampled_from([0.0, 0.2])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    params = RadioParams(
+        tx_power_w=draw(st.sampled_from([1.0, 0.3, 7.0])),
+        gain_model=draw(st.sampled_from(["rayleigh", "unit"])),
+        snr_combining=draw(st.sampled_from(["second_hop", "min_hop"])),
+    )
+    # linear Es/N0 from -10 to 30 dB
+    grid = draw(st.lists(st.sampled_from([0.1, 1.0, 10**0.5, 10.0, 1000.0]),
+                         min_size=1, max_size=3, unique=True))
+    strategies = draw(st.lists(st.sampled_from(list(Strategy)), min_size=1, unique=True))
+    return scenario, config, params, grid, strategies
+
+
+METRIC_ARRAYS = ("pair_allocated", "pair_outages", "pair_throughput_bps",
+                 "user_capacity_bps", "trace")
+
+
+def assert_same_metrics(a, b):
+    assert (a.strategy, a.episode) == (b.strategy, b.episode)
+    assert (a.prediction_match_count, a.default_match_count) == (
+        b.prediction_match_count, b.default_match_count)
+    for name in METRIC_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_cells())
+def test_es_grid_views_equal_separate_runs(cell):
+    scenario, config, params, grid, strategies = cell
+    arms = [
+        (replace(config, strategy=strategy), replace(params, es_over_n0=es))
+        for es in grid
+        for strategy in strategies
+    ]
+    together = run_strategies(scenario, arms)
+    for (arm_config, arm_params), metrics in zip(arms, together):
+        alone = run_strategy(scenario, arm_config, arm_params)
+        assert len(metrics) == len(alone) == config.episodes
+        for episode, (view, run) in enumerate(zip(metrics, alone)):
+            assert_same_metrics(view, run)
+            # a decision pass at this arm's own point, NO_AGGREGATION reduced inline
+            topology, processes = build_episode_world(scenario, arm_config, episode)
+            if arm_config.strategy == Strategy.SINGLE_USER:
+                topology = topology.restrict_to_user(0)
+            decided = run_episode(
+                arm_config, topology, processes, arm_params, episode, scenario.users
+            )
+            assert_same_metrics(view, decided)

@@ -170,6 +170,15 @@ class TestBandProcessSet:
             procs.advance()
 
 
+    @pytest.mark.parametrize("max_slots", [2.5, True, 0])
+    def test_rejects_a_max_slots_that_is_not_a_positive_integer(self, max_slots):
+        # 2.5 used to end in a numpy TypeError, True to build two slots
+        tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
+        message = rf"^max_slots must be an integer >= 1, got {max_slots}$"
+        with pytest.raises(ValueError, match=message):
+            _process_set(tm, max_slots=max_slots)
+
+
 class TestSensing:
     def test_perfect_sensing_is_identity(self):
         truth = np.array([0, 1, 2, 1, 0], dtype=np.int8)
