@@ -503,19 +503,19 @@ def run_strategies(
                 if rule not in passes:
                     # the first pair alone keeps every relay covering it, and its
                     # draws stay shaped for (so paired with) the full population
-                    world = topology
+                    seen = topology
                     if rule == Strategy.SINGLE_USER:
-                        world = topology.restrict_to_user(0)
+                        seen = topology.restrict_to_user(0)
                     decided = run_episode(
-                        replace(config, strategy=rule), world, processes, params,
+                        replace(config, strategy=rule), seen, processes, params,
                         episode, scenario.users,
                     )
-                    passes[rule] = (world, decided, params)
-                world, decided, decided_params = passes[rule]
+                    passes[rule] = (seen, decided, params)
+                seen, decided, decided_params = passes[rule]
                 if config.strategy == rule and params == decided_params:
                     metrics = replace(decided, decisions=None)
                 else:
-                    metrics = _rescore(decided, config, world, processes, params, scenario.users)
+                    metrics = _rescore(decided, config, seen, processes, params, scenario.users)
                 out[index].append(metrics)
     return out
 
