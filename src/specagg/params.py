@@ -43,13 +43,18 @@ def _in_interval(value, interval: str) -> bool:
     return above and below
 
 
+def is_integer(value) -> bool:
+    """True for an integral `value` that is not a bool.
+
+    bool is an Integral, but True would pass as 1 (seed True is seed 1's stream).
+    """
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def violation(name: str, value, spec) -> str | None:
     """Why `value`, named `name`, breaks the declaration of field `spec`; None if it does not."""
     choices, interval = spec.metadata["choices"], spec.metadata["interval"]
-    # bool is an Integral, but True would pass as 1 (seed True is seed 1's stream)
-    if spec.type == "int" and (
-        isinstance(value, bool) or not isinstance(value, numbers.Integral)
-    ):
+    if spec.type == "int" and not is_integer(value):
         return f"{name} must be an integer, got {value!r}"
     if choices and value not in choices:
         return f"{name} must be one of {', '.join(choices)}, got {value!r}"

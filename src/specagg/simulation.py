@@ -33,7 +33,12 @@ the hop budgets, so every other arm is a view that rescores a kept
 allocation (`_rescore`): a further Es/N0 point rebuilds the winning
 bands' SNRs from the episode's draws, and ``NO_AGGREGATION`` is
 `reduce_to_best_band` of the prediction pass at each point.  The views
-are byte for byte the passes they replace.
+are byte for byte the passes they replace while no SNR or link rate
+saturates.  A transmit power or Es/N0 so large that SNRs overflow to
+inf, or so small that SNRs or their rates round to 0, ties relays that
+another point ranks: a pass breaks such ties to the lowest index, a
+view keeps the first point's winners.  (`cli` ends a run that
+overflows in an error.)
 """
 
 from __future__ import annotations
@@ -317,7 +322,6 @@ def run_episode(
     alpha, beta, gains = episode_draws(
         seed, episode, n_pairs, relays, draw_users, bands, params.gain_model
     )
-    hop = _hop(params, alpha, beta, users)
 
     truth = processes.trajectory()[: config.slots]
     err = config.sensing_error_rate
@@ -337,9 +341,9 @@ def run_episode(
         # window k ends at pair k's first slot
         counts = window_transition_counts(history[:-1], config.n_train)
 
-    # relay indices in the narrowest integer type that also holds -1
+    # relay and user indices in the narrowest integer types that also hold -1
     band_relay = np.empty((n_pairs, bands), dtype=np.min_scalar_type(-relays))
-    owner = np.empty((n_pairs, relays), dtype=band_relay.dtype)
+    owner = np.empty((n_pairs, relays), dtype=np.min_scalar_type(-users))
     predicted = np.empty(n_pairs, dtype=np.int8)
     designated = config.designated_band
     blocks = []
@@ -354,7 +358,7 @@ def run_episode(
             states_next = states_now
         available = [two_slot_availability(*s) for s in zip(states_now, states_next)]
 
-        hop_now = hop[pairs]
+        hop_now = _hop(params, alpha[pairs], beta[pairs], users)
         pair_rate = link_throughput(params, params.tx_power_w * hop_now / params.gamma)
         assignment = assign_relays(topology, pair_rate)
         snr = _band_relay_snr(hop_now, assignment.owner, gains[pairs], params)
@@ -401,14 +405,14 @@ def _rescore(
     """
     band_relay, owner = decided.decisions
     n_pairs, bands = band_relay.shape
-    users = topology.users
+    users, relays = topology.users, topology.relays
     alpha, beta, gains = episode_draws(
-        config.seed, decided.episode, n_pairs, topology.relays, base_users, bands,
-        params.gain_model,
+        config.seed, decided.episode, n_pairs, relays, base_users, bands, params.gain_model
     )
     truth = processes.trajectory()
     blocks = []
-    for pairs in _pair_blocks(n_pairs, bands * users):
+    # the widest per-pair temporaries are (bands, users) and (relays, users)
+    for pairs in _pair_blocks(n_pairs, max(bands, relays) * users):
         relay = band_relay[pairs]
         allocated = relay >= 0
         winner = np.clip(relay, 0, None)

@@ -14,7 +14,6 @@ another band's trajectory and trajectories replay bit-exactly per seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .markov import (
     stationary_distribution,
     wrap_states,
 )
-from .params import EpisodeConfig, NetworkScenario, require
+from .params import EpisodeConfig, NetworkScenario, is_integer, require
 
 IDLE_MASS_TOL = 1e-6
 
@@ -147,8 +146,7 @@ class BandProcessSet:
         seed_seq: np.random.SeedSequence,
         max_slots: int,
     ):
-        integral = isinstance(max_slots, numbers.Integral) and not isinstance(max_slots, bool)
-        if not (integral and max_slots >= 1):
+        if not (is_integer(max_slots) and max_slots >= 1):
             raise ValueError(f"max_slots must be an integer >= 1, got {max_slots!r}")
         self.config = config
         self.max_slots = max_slots

@@ -14,6 +14,7 @@ byte those of the arm run alone and of a decision pass at its own point.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -215,10 +216,7 @@ def assert_same_metrics(a, b):
         assert x.tobytes() == y.tobytes(), name
 
 
-@settings(max_examples=40, deadline=None)
-@given(grid_cells())
-def test_es_grid_views_equal_separate_runs(cell):
-    scenario, config, params, grid, strategies = cell
+def assert_views_equal_separate_runs(scenario, config, params, grid, strategies):
     arms = [
         (replace(config, strategy=strategy), replace(params, es_over_n0=es))
         for es in grid
@@ -238,3 +236,19 @@ def test_es_grid_views_equal_separate_runs(cell):
                 arm_config, topology, processes, arm_params, episode, scenario.users
             )
             assert_same_metrics(view, decided)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_cells())
+def test_es_grid_views_equal_separate_runs(cell):
+    assert_views_equal_separate_runs(*cell)
+
+
+@pytest.mark.parametrize("users, relays", [(200, 20), (3, 130)])
+def test_es_grid_views_keep_user_and_relay_indices_past_int8(users, relays):
+    # the kept owners hold user indices up to 199, the winners relay indices up to 129
+    scenario = NetworkScenario(users=users, relays=relays, bands=6, coverage_probability=0.7)
+    config = EpisodeConfig(slots=8, n_train=2, episodes=1, seed=5)
+    assert_views_equal_separate_runs(
+        scenario, config, RadioParams(), [0.1, 10.0, 1000.0], list(Strategy)
+    )
