@@ -25,7 +25,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import field, fields, make_dataclass, replace
 from pathlib import Path
 
@@ -334,27 +333,25 @@ def _sweep_value(config: RunConfig, axis: str, value) -> list[list]:
 
     The value's cells run as the arms of one `run_strategies` call: per
     episode one world and one decision pass per strategy rule at the
-    first Es/N0 point, which every further point rescores.  Top-level so
-    worker processes can receive it.
+    first Es/N0 point, whose views at every further point are rescored
+    in one batch.  Top-level so worker processes can receive it.
     """
     config = replace(config, **{_AXIS_FIELD[axis]: value})
     grid = [value] if axis == "es_over_n0" else config.es_n0_db_sweep
-    cells = [
-        (replace(config, es_n0_db=db), strategy)
-        for db in grid
-        for strategy in SWEEP_STRATEGIES
-    ]
-    arms = [(episode_config_from(c, strategy), params_from(c)) for c, strategy in cells]
-    runs = run_strategies(scenario_from(config), arms)
+    # one checked config per strategy and one per Es/N0 point, then crossed
+    strategies = [episode_config_from(config, strategy) for strategy in SWEEP_STRATEGIES]
+    points = [(db, params_from(replace(config, es_n0_db=db))) for db in grid]
+    cells = [(db, c, params) for db, params in points for c in strategies]
+    runs = run_strategies(scenario_from(config), [(c, params) for _, c, params in cells])
     rows = []
-    for (cell, strategy), metrics in zip(cells, runs):
+    for (db, episode_config, _), metrics in zip(cells, runs):
         summary = summarize(metrics)
         rows.append(
             [
-                strategy.value,
+                episode_config.strategy.value,
                 axis,
                 repr(float(value)),
-                repr(float(cell.es_n0_db)),
+                repr(float(db)),
                 repr(summary.mean_outage_rate),
                 repr(summary.mean_throughput_bps),
                 repr(summary.min_user_capacity_bps),
@@ -396,6 +393,10 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
     # a pool forks all its workers at once, so it gets no more than can be busy
     workers = min(config.workers, len(parsed), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's modules (multiprocessing, socket, ...) are
+        # a start-up cost of every command that never forks
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(run_value, parsed))
     else:

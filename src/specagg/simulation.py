@@ -29,23 +29,25 @@ them are paired:
 pass (`run_episode`) per distinct decision rule -- predict, persist and
 single-user -- at the first Es/N0 point of arms that differ only in
 strategy and Es/N0.  No allocation depends on Es/N0, which only scales
-the hop budgets, so every other arm is a view that rescores a kept
-allocation (`_rescore`): a further Es/N0 point rebuilds the winning
-bands' SNRs from the episode's draws, and ``NO_AGGREGATION`` is
-`reduce_to_best_band` of the prediction pass at each point.  The views
-are byte for byte the passes they replace while no SNR or link rate
-saturates.  A transmit power or Es/N0 so large that SNRs overflow to
-inf, or so small that SNRs or their rates round to 0, ties relays that
-another point ranks: a pass breaks such ties to the lowest index, a
-view keeps the first point's winners.  (`cli` ends a run that
-overflows in an error.)
+the hop budgets, so every other arm is a view of a pass's kept
+allocation: a further Es/N0 point, or ``NO_AGGREGATION`` at any point
+as `reduce_to_best_band` of the prediction pass.  One `_rescore` call
+per pass serves all of its views: it gathers the winning bands' draws
+once, rebuilds their SNRs at every Es/N0 point as one (points, pairs,
+bands) batch, and scores that batch once as allocated and once
+reduced to each user's best band.  The views are byte for byte the
+passes they replace while no SNR or link rate saturates.  A transmit
+power or Es/N0 so large that SNRs overflow to inf, or so small that
+SNRs or their rates round to 0, ties relays that another point ranks:
+a pass breaks such ties to the lowest index, a view keeps the first
+point's winners.  (`cli` ends a run that overflows in an error.)
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -385,54 +387,98 @@ def run_episode(
     )
 
 
+def _view_snr(
+    params: RadioParams, es: np.ndarray, alpha: np.ndarray, beta2: np.ndarray, gain: np.ndarray
+) -> np.ndarray:
+    """(points, pairs, bands) SNRs of winning bands at each Es/N0 point of `es`.
+
+    `alpha`, `beta2` (twice beta) and `gain` are the (pairs, bands)
+    draws of each band's winner.  Every element takes the operations of
+    `_hop`, `_owned_hop` and `_band_relay_snr`: (P_tx * hop) * h / gamma
+    with hop = (1 - alpha) * (beta * 2 * Es/N0), or the lesser hop.
+    """
+    total = beta2 * es
+    hop = (1.0 - alpha) * total
+    if params.snr_combining == "min_hop":
+        hop = np.minimum(alpha * total, hop)
+    snr = params.tx_power_w * hop * gain
+    snr /= params.gamma
+    return snr
+
+
 def _rescore(
     decided: EpisodeMetrics,
-    config: EpisodeConfig,
+    seed: int,
     topology: Topology,
     processes: BandProcessSet,
-    params: RadioParams,
+    views: list[tuple[Strategy, RadioParams]],
     base_users: int,
-) -> EpisodeMetrics:
-    """`config.strategy`'s metrics at `params`' Es/N0, from a decision pass.
+) -> list[EpisodeMetrics]:
+    """The metrics of each (strategy, params) view of a decision pass.
 
-    `decided` is `run_episode` of (topology, processes) at another Es/N0
-    point, or of the prediction pass when the strategy is NO_AGGREGATION.
-    Each winning band's SNR is rebuilt from the episode's draws in
-    `run_episode`'s operation order, (P_tx * hop) * h / gamma with hop =
-    alpha * (beta * 2 * Es/N0), and scored over the full (pairs, bands)
-    layout, whose sums round as the pass's do.  Outages, allocation
-    counts, the trace and the match counts do not depend on Es/N0.
+    `decided` is `run_episode` of (topology, processes); a view is its
+    own rule at another Es/N0 point, or NO_AGGREGATION at any point of
+    the prediction pass.  The views' params differ only in Es/N0.  Each
+    winning band's draws are gathered once, its SNR is rebuilt at every
+    distinct point (`_view_snr`), and all points are scored as one
+    (points, pairs, bands) batch, whose sums round as the pass's do.
+    Outages, allocation counts, the trace and the match counts do not
+    depend on Es/N0.
     """
     band_relay, owner = decided.decisions
     n_pairs, bands = band_relay.shape
-    users, relays = topology.users, topology.relays
+    users = topology.users
+    params = views[0][1]
     alpha, beta, gains = episode_draws(
-        config.seed, decided.episode, n_pairs, relays, base_users, bands, params.gain_model
+        seed, decided.episode, n_pairs, topology.relays, base_users, bands, params.gain_model
     )
+    # (pairs, bands): each band's winner, its user, and their draws
+    pair = np.arange(n_pairs)[:, None]
+    allocated = band_relay >= 0
+    winner = np.clip(band_relay, 0, None)
+    band_user = np.where(allocated, owner[pair, winner], UNASSIGNED)
+    user = np.clip(band_user, 0, None)
+    alpha = alpha[pair, winner, user]
+    # an unallocated band gets a zero budget, so its SNR is 0 at every point
+    beta2 = np.where(allocated, beta[pair, winner, user] * 2.0, 0.0)
+    gain = gains[pair, np.arange(bands), winner]
+
+    point_of = {es: k for k, es in enumerate(dict.fromkeys(p.es_over_n0 for _, p in views))}
+    es = np.array(list(point_of))[:, None, None]
+    reducing = {strategy == Strategy.NO_AGGREGATION for strategy, _ in views}
     truth = processes.trajectory()
-    blocks = []
-    # the widest per-pair temporaries are (bands, users) and (relays, users)
-    for pairs in _pair_blocks(n_pairs, max(bands, relays) * users):
-        relay = band_relay[pairs]
-        allocated = relay >= 0
-        winner = np.clip(relay, 0, None)
-        hop = _owned_hop(_hop(params, alpha[pairs], beta[pairs], users), owner[pairs])
-        gain = np.take_along_axis(gains[pairs], winner[..., None], axis=-1)[..., 0]
-        snr = params.tx_power_w * np.take_along_axis(hop, winner, axis=-1) * gain
-        snr /= params.gamma
-        band_snr = np.where(allocated, snr, 0.0)
-        band_user = np.take_along_axis(owner[pairs], winner, axis=-1)
+    blocks = {False: [], True: []}
+    # the widest temporaries are reduce_to_best_band's (points, pairs, users,
+    # bands) mask and `_score`'s (points, pairs, bands) arrays, several of them
+    # alive at once; counting at least three users keeps a single-user view's
+    # blocks within the memory of the prediction pass's
+    for pairs in _pair_blocks(n_pairs, len(point_of) * bands * max(users, 3)):
+        snr = _view_snr(params, es, alpha[pairs], beta2[pairs], gain[pairs])
+        shape = snr.shape
         alloc = AllocationResult(
             users=users,
-            band_user=np.where(allocated, band_user, UNASSIGNED),
-            band_relay=relay,
-            band_snr=band_snr,
-            snr_total=band_snr.sum(axis=-1),
+            band_user=np.broadcast_to(band_user[pairs], shape),
+            band_relay=np.broadcast_to(band_relay[pairs], shape),
+            band_snr=snr,
+            snr_total=snr.sum(axis=-1),
         )
-        if config.strategy == Strategy.NO_AGGREGATION:
-            alloc = reduce_to_best_band(alloc, params)
-        blocks.append(_score(alloc, truth[decided.pair_slots[pairs] + 1], params))
-    return replace(decided, strategy=config.strategy, decisions=None, **_pair_fields(blocks))
+        truth_next = truth[decided.pair_slots[pairs] + 1]
+        for reduce in reducing:
+            scored = reduce_to_best_band(alloc, params) if reduce else alloc
+            blocks[reduce].append(_score(scored, truth_next, params))
+    return [
+        replace(
+            decided,
+            strategy=strategy,
+            decisions=None,
+            # one point's pair blocks, so its pairs-axis mean is a pass's
+            **_pair_fields([
+                [column[point_of[view_params.es_over_n0]] for column in block]
+                for block in blocks[strategy == Strategy.NO_AGGREGATION]
+            ]),
+        )
+        for strategy, view_params in views
+    ]
 
 
 def build_episode_world(
@@ -474,9 +520,9 @@ def run_strategies(
     share each episode's world, built once, and one decision pass per
     decision rule -- predict (also NO_AGGREGATION's), persist and
     single-user -- run at the first of them that needs it; every other
-    arm rescores that pass (`_rescore`).  Returns each arm's per-episode
-    metrics, in arm order.  Every arm must run the same number of
-    episodes.
+    arm is a view of that pass, and each pass's views are rescored
+    together (`_rescore`).  Returns each arm's per-episode metrics, in
+    arm order.  Every arm must run the same number of episodes.
     """
     episodes = {config.episodes for config, _ in arms}
     if len(episodes) > 1:
@@ -485,9 +531,10 @@ def run_strategies(
         )
     groups: dict[tuple, list[int]] = {}
     for index, (config, params) in enumerate(arms):
+        # every field but the strategy and Es/N0, read without re-validating
         shared = (
-            replace(config, strategy=Strategy.PREDICT_AGGREGATE),
-            replace(params, es_over_n0=1.0),
+            tuple(getattr(config, f.name) for f in fields(config) if f.name != "strategy"),
+            tuple(getattr(params, f.name) for f in fields(params) if f.name != "es_over_n0"),
         )
         groups.setdefault(shared, []).append(index)
     out = [[] for _ in arms]
@@ -497,7 +544,9 @@ def run_strategies(
             episode_draws.cache_clear()
             sensing_offsets.cache_clear()
         for members in groups.values():
-            topology, processes = build_episode_world(scenario, arms[members[0]][0], episode)
+            first = arms[members[0]][0]
+            topology, processes = build_episode_world(scenario, first, episode)
+            # rule -> (topology seen, pass, its Es/N0, view arms, their (strategy, params))
             passes = {}
             for index in members:
                 config, params = arms[index]
@@ -511,16 +560,23 @@ def run_strategies(
                     if rule == Strategy.SINGLE_USER:
                         seen = topology.restrict_to_user(0)
                     decided = run_episode(
-                        replace(config, strategy=rule), seen, processes, params,
-                        episode, scenario.users,
+                        config if config.strategy == rule else replace(config, strategy=rule),
+                        seen, processes, params, episode, scenario.users,
                     )
-                    passes[rule] = (seen, decided, params)
-                seen, decided, decided_params = passes[rule]
-                if config.strategy == rule and params == decided_params:
-                    metrics = replace(decided, decisions=None)
+                    passes[rule] = (seen, decided, params.es_over_n0, [], [])
+                seen, decided, es_over_n0, indices, views = passes[rule]
+                if config.strategy == rule and params.es_over_n0 == es_over_n0:
+                    out[index].append(replace(decided, decisions=None))
                 else:
-                    metrics = _rescore(decided, config, seen, processes, params, scenario.users)
-                out[index].append(metrics)
+                    indices.append(index)
+                    views.append((config.strategy, params))
+            for seen, decided, _, indices, views in passes.values():
+                if views:
+                    rescored = _rescore(
+                        decided, first.seed, seen, processes, views, scenario.users
+                    )
+                    for index, metrics in zip(indices, rescored):
+                        out[index].append(metrics)
     return out
 
 

@@ -1,6 +1,10 @@
 """Tests for configuration parsing, sweeps, figure CSVs and the CLI."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -224,13 +228,47 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         config = fast_config(tmp_path, es_n0_db_sweep="10", workers=workers)
         # a pool job is one axis value: 3 jobs of 3 cells, one per strategy
         path = run_sweep(config, "p0", ["0.3", "0.4", "0.5"])
         assert sizes == ([] if pool_size is None else [pool_size])
         assert len(path.read_text().splitlines()) == 1 + 9
+
+    def test_importing_the_cli_leaves_the_pool_unloaded(self):
+        # the pool's modules load only in a sweep that forks
+        probe = (
+            "import sys, specagg.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("axis, values", [("p0", ["0.3"]), ("es_over_n0", ["10"])])
+    def test_a_sweep_value_checks_each_strategy_and_point_once(
+        self, axis, values, tmp_path, monkeypatch
+    ):
+        # S configs and G radio params, crossed without re-validating: each
+        # further check may come only from a decision pass
+        config = fast_config(tmp_path, es_n0_db_sweep="0,10,20,30", episodes="1")
+        checks = []
+        for cls in (EpisodeConfig, RadioParams):
+            def counted(self, check=cls.__post_init__):
+                checks.append(type(self))
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        run_sweep(config, axis, values)
+        points = 1 if axis == "es_over_n0" else len(config.es_n0_db_sweep)
+        strategies = len(cli.SWEEP_STRATEGIES)
+        passes = 2  # predict (with no-aggregation's views) and single-user
+        assert checks.count(RadioParams) == points
+        assert len(checks) <= strategies + points + passes
 
     def test_rows_do_not_depend_on_the_other_sweep_values(self, tmp_path):
         # sweep values enter no stream derivation, so a cell's row is the

@@ -7,8 +7,10 @@ batch axis.  The invariants of a single allocation must hold for every
 pair of a stack.
 
 `run_strategies` runs one decision pass per decision rule and rescores
-it at every further Es/N0 point; each arm's metrics must be byte for
-byte those of the arm run alone and of a decision pass at its own point.
+all of its views, every further Es/N0 point and no-aggregation, in one
+batch; each arm's metrics must be byte for byte those of the arm run
+alone and of a decision pass at its own point, whatever the arms' order,
+repeats and groups and however the views split into pair blocks.
 """
 
 from dataclasses import replace
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from specagg import simulation
 from specagg.aggregation import (
     UNASSIGNED,
     aggregate_and_score,
@@ -222,10 +225,14 @@ def assert_views_equal_separate_runs(scenario, config, params, grid, strategies)
         for es in grid
         for strategy in strategies
     ]
+    assert_arms_equal_separate_runs(scenario, arms)
+
+
+def assert_arms_equal_separate_runs(scenario, arms):
     together = run_strategies(scenario, arms)
     for (arm_config, arm_params), metrics in zip(arms, together):
         alone = run_strategy(scenario, arm_config, arm_params)
-        assert len(metrics) == len(alone) == config.episodes
+        assert len(metrics) == len(alone) == arm_config.episodes
         for episode, (view, run) in enumerate(zip(metrics, alone)):
             assert_same_metrics(view, run)
             # a decision pass at this arm's own point, NO_AGGREGATION reduced inline
@@ -252,3 +259,42 @@ def test_es_grid_views_keep_user_and_relay_indices_past_int8(users, relays):
     assert_views_equal_separate_runs(
         scenario, config, RadioParams(), [0.1, 10.0, 1000.0], list(Strategy)
     )
+
+
+# one small noisy cell whose views a pass rescores in one batch
+CELL = NetworkScenario(users=3, relays=5, bands=7, coverage_probability=0.7)
+CELL_CONFIG = EpisodeConfig(slots=12, n_train=3, episodes=2, sensing_error_rate=0.2, seed=11)
+CELL_PARAMS = RadioParams(snr_combining="min_hop")
+
+
+def es_major(grid, strategies, params=CELL_PARAMS):
+    return [
+        (replace(CELL_CONFIG, strategy=strategy), replace(params, es_over_n0=es))
+        for es in grid
+        for strategy in strategies
+    ]
+
+
+@pytest.mark.parametrize(
+    "arms",
+    [
+        # unsorted points, one repeated: one batch point serves both arms
+        es_major([10.0, 0.1, 1000.0, 0.1], list(Strategy)),
+        # every no-aggregation arm is a view, the pass's own point included
+        es_major([10.0, 0.1, 1000.0], [Strategy.NO_AGGREGATION, Strategy.SINGLE_USER]),
+        # strategy-major: a pass's views arrive interleaved with other rules'
+        [arm for strategy in Strategy for arm in es_major([0.1, 10.0, 1000.0], [strategy])],
+        # two groups, each with its own world passes and views
+        es_major([0.1, 10.0], list(Strategy))
+        + es_major([1000.0, 0.1], list(Strategy), replace(CELL_PARAMS, tx_power_w=7.0)),
+    ],
+    ids=["unsorted-repeated-points", "no-aggregation-alone", "strategy-major", "two-groups"],
+)
+def test_batched_views_equal_separate_runs(arms):
+    assert_arms_equal_separate_runs(CELL, arms)
+
+
+def test_batched_views_span_pair_blocks(monkeypatch):
+    # 3 points x 7 bands x 3 users leave one pair per view block of 64 elements
+    monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 64)
+    assert_arms_equal_separate_runs(CELL, es_major([0.1, 10.0, 1000.0], list(Strategy)))
