@@ -290,8 +290,8 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     """Run one cell with all four strategies and write the run CSVs.
 
     The strategies run as the arms of one `run_strategies` call: per
-    episode one world and three decision passes, with no-aggregation a
-    view over the prediction pass.
+    episode one world and three decision passes, with no-aggregation
+    scored from the prediction pass's allocation.
     """
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,9 +332,9 @@ def _sweep_value(config: RunConfig, axis: str, value) -> list[list]:
     """Rows of one axis value: its Es/N0 points crossed with the strategies.
 
     The value's cells run as the arms of one `run_strategies` call: per
-    episode one world and one decision pass per strategy rule at the
-    first Es/N0 point, whose views at every further point are rescored
-    in one batch.  Top-level so worker processes can receive it.
+    episode one world and one Es/N0-free decision pass per strategy
+    rule, whose allocation is scored at every point in one batch.
+    Top-level so worker processes can receive it.
     """
     config = replace(config, **{_AXIS_FIELD[axis]: value})
     grid = [value] if axis == "es_over_n0" else config.es_n0_db_sweep

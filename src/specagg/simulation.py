@@ -25,22 +25,19 @@ them are paired:
 * ``SINGLE_USER``: the same pipeline with only the first user pair
   present (it keeps every relay that covers it).
 
-`run_strategies` builds each episode's world once and runs one decision
-pass (`run_episode`) per distinct decision rule -- predict, persist and
-single-user -- at the first Es/N0 point of arms that differ only in
-strategy and Es/N0.  No allocation depends on Es/N0, which only scales
-the hop budgets, so every other arm is a view of a pass's kept
-allocation: a further Es/N0 point, or ``NO_AGGREGATION`` at any point
-as `reduce_to_best_band` of the prediction pass.  One `_rescore` call
-per pass serves all of its views: it gathers the winning bands' draws
-once, rebuilds their SNRs at every Es/N0 point as one (points, pairs,
-bands) batch, and scores that batch once as allocated and once
-reduced to each user's best band.  The views are byte for byte the
-passes they replace while no SNR or link rate saturates.  A transmit
-power or Es/N0 so large that SNRs overflow to inf, or so small that
-SNRs or their rates round to 0, ties relays that another point ranks:
-a pass breaks such ties to the lowest index, a view keeps the first
-point's winners.  (`cli` ends a run that overflows in an error.)
+A decision pass (`run_episode`) needs no Es/N0: it ranks users and
+relays on draw-only scores, the hop at Es/N0 = 1 and that times each
+band's fading gain.  An SNR is its score times P_tx * Es/N0 / gamma, so
+both rank alike, and no Es/N0 point or transmit power can move a
+decision.  `NO_AGGREGATION` keeps each user's band with the highest
+winner score (`reduce_to_best_band`).  One function, `_score`, turns a
+pass's kept allocation into metrics at any list of Es/N0 points: it
+gathers the winning bands' draws and rebuilds their SNRs at every
+point as one (points, pairs, bands) batch.  A pass scores its own
+point through it.  `run_strategies` builds each episode's world once,
+runs one pass per decision rule -- predict (also NO_AGGREGATION's),
+persist and single-user -- of arms that differ only in strategy and
+Es/N0, and scores every other arm through the same function.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ from .aggregation import (
 )
 from .markov import SpectrumState, predict_next_states, window_transition_counts, wrap_states
 from .params import ConfigError, EpisodeConfig, NetworkScenario, Strategy
-from .radio import RadioParams, hop_snrs, link_throughput, sample_hop_splits
+from .radio import RadioParams, sample_hop_splits
 from .seeds import derive_rng, derive_seed_sequence
 from .topology import (
     BandProcessSet,
@@ -105,7 +102,7 @@ class EpisodeMetrics:
     prediction_match_count: int
     default_match_count: int
     trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
-    # a decision pass's kept allocation, which `run_strategies` rescores:
+    # a decision pass's kept allocation, which `run_strategies` scores:
     # (pairs, bands) winning relays and (pairs, relays) owners, -1 for
     # none; None on the metrics `run_strategies` returns
     decisions: tuple[np.ndarray, np.ndarray] | None = field(
@@ -138,10 +135,16 @@ def _pair_blocks(n_pairs: int, width: int) -> list[slice]:
     return [slice(start, start + block) for start in range(0, n_pairs, block)]
 
 
-def _hop(params: RadioParams, alpha: np.ndarray, beta: np.ndarray, users: int) -> np.ndarray:
-    """(..., relays, users) SNR budget of each relay toward each of the first `users` pairs."""
-    hop1, hop2 = hop_snrs(params, alpha[..., :users], beta[..., :users])
-    return np.minimum(hop1, hop2) if params.snr_combining == "min_hop" else hop2
+def _hop(alpha: np.ndarray, total: np.ndarray, snr_combining: str) -> np.ndarray:
+    """Relayed-link SNR budget of position splits `alpha` and hop sums `total`.
+
+    `total` is beta * 2 * Es/N0; the budget is the second hop, (1 - alpha)
+    * total, or the lesser of both hops for 'min_hop'.
+    """
+    hop = (1.0 - alpha) * total
+    if snr_combining == "min_hop":
+        hop = np.minimum(alpha * total, hop)
+    return hop
 
 
 def _owned_hop(hop: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -150,43 +153,13 @@ def _owned_hop(hop: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return np.where(owner >= 0, owned_hop[..., 0], 0.0)
 
 
-def _band_relay_snr(
-    hop_snr: np.ndarray, owner: np.ndarray, gains: np.ndarray, params: RadioParams
-) -> np.ndarray:
-    """Per-(band, relay) received SNR for a block of slot pairs.
-
-    A relay's SNR budget toward its own destination scales the per-band
-    fading gain, divided by the SNR gap: snr[..., n, r] = P_tx *
-    hop[..., r, owner] * h[..., n, r] / gamma.  Unowned relays carry
-    zero SNR on every band.
-    """
-    snr = params.tx_power_w * _owned_hop(hop_snr, owner)[..., None, :] * gains
-    snr /= params.gamma
-    return snr
-
-
-def _keep_bands(allocation: AllocationResult, keep: np.ndarray) -> AllocationResult:
-    """`allocation` with every band outside `keep` released (throughputs unscored)."""
-    keep = keep & allocation.allocated
-    band_snr = np.where(keep, allocation.band_snr, 0.0)
-    return replace(
-        allocation,
-        band_relay=np.where(keep, allocation.band_relay, UNASSIGNED),
-        band_snr=band_snr,
-        snr_total=band_snr.sum(axis=-1),
-        total_throughput_bps=None,
-        user_throughput_bps=None,
-    )
-
-
-def reduce_to_best_band(
-    allocation: AllocationResult, params: RadioParams
-) -> AllocationResult:
+def reduce_to_best_band(allocation: AllocationResult) -> AllocationResult:
     """No-aggregation policy: keep each user's best allocated band only.
 
-    The kept band is the one with the highest winning SNR (ties to the
-    lowest band id); every other band is released.  Throughput fields
-    are re-scored.  Leading batch axes are reduced independently.
+    The kept band is the one whose winner has the highest `band_snr`
+    (ties to the lowest band id); every other band is released.  Nothing
+    is scored: the throughput fields are None.  Leading batch axes are
+    reduced independently.
     """
     users = np.arange(allocation.users)[:, None]
     mine = allocation.allocated[..., None, :] & (
@@ -195,7 +168,14 @@ def reduce_to_best_band(
     best = np.where(mine, allocation.band_snr[..., None, :], -np.inf).argmax(axis=-1)
     bands = np.arange(allocation.band_user.shape[-1])
     keep = (mine.any(axis=-1)[..., None] & (bands == best[..., None])).any(axis=-2)
-    return aggregate_and_score(_keep_bands(allocation, keep), params)
+    band_snr = np.where(keep, allocation.band_snr, 0.0)
+    return AllocationResult(
+        users=allocation.users,
+        band_user=allocation.band_user,
+        band_relay=np.where(keep, allocation.band_relay, UNASSIGNED),
+        band_snr=band_snr,
+        snr_total=band_snr.sum(axis=-1),
+    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -265,29 +245,88 @@ def sensing_offsets(
     return tuple(offsets)
 
 
-def _score(alloc: AllocationResult, truth_next: np.ndarray, params: RadioParams) -> tuple:
-    """(allocated, outages, delivered throughput, per-user delivered) of each
-    slot pair of `alloc`, whose bands are an outage where `truth_next`, the
-    true states at t + 1, is Busy or Bad; an outage band delivers nothing."""
+def _score(
+    decisions: tuple[np.ndarray, np.ndarray],
+    users: int,
+    reduce: bool,
+    draws: tuple[np.ndarray, np.ndarray, np.ndarray],
+    truth_next: np.ndarray,
+    points: list[float],
+    params: RadioParams,
+) -> list[dict]:
+    """The per-pair `EpisodeMetrics` fields of a decision pass at each Es/N0 point of `points`.
+
+    `decisions` are the pass's kept (pairs, bands) winning relays and
+    (pairs, relays) owners, `draws` the episode's (alpha, beta, gains)
+    and `truth_next` the true (pairs, bands) states at t + 1.  With
+    `reduce`, each user keeps only its best band (`reduce_to_best_band`
+    of the winners' draw-only scores).  A kept band is an outage where
+    its truth is Busy or Bad, and an outage delivers nothing.  Each pair
+    block gathers every band's winner and its draws once and rebuilds
+    their SNRs at every point as one (points, pairs, bands) batch, in
+    the order (1 - alpha) * (beta * 2 * es), then tx * hop * gain /
+    gamma, over the full band layout, so every sum rounds as it does for
+    one point alone.  Only the throughputs depend on Es/N0.
+    """
+    band_relay, owner = decisions
+    alpha, beta, gains = draws
+    n_pairs, bands = band_relay.shape
+    es = np.array(points)[:, None, None]
     failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
-    delivered = aggregate_and_score(_keep_bands(alloc, ~failed), params)
-    return (
-        alloc.allocated.sum(axis=-1),
-        (alloc.allocated & failed).sum(axis=-1),
-        delivered.total_throughput_bps,
-        delivered.user_throughput_bps,
-    )
-
-
-def _pair_fields(blocks: list[tuple]) -> dict:
-    """The per-pair `EpisodeMetrics` fields from `_score` of consecutive pair blocks."""
-    allocated, outages, throughput, capacity = map(np.concatenate, zip(*blocks))
-    return dict(
-        pair_allocated=allocated,
-        pair_outages=outages,
-        pair_throughput_bps=throughput,
-        user_capacity_bps=capacity.mean(axis=0),
-    )
+    blocks = []
+    # the widest temporaries are reduce_to_best_band's (pairs, users, bands)
+    # mask and the (points, pairs, bands) batch, several of them alive at
+    # once; counting at least three users keeps a single-user pass's blocks
+    # within the memory of a multi-user pass's
+    for pairs in _pair_blocks(n_pairs, len(points) * bands * max(users, 3)):
+        # (pairs, bands): each band's winner, its user, and their draws
+        relay = band_relay[pairs]
+        pair = np.arange(n_pairs)[pairs, None]
+        kept = relay >= 0
+        winner = np.clip(relay, 0, None)
+        band_user = np.where(kept, owner[pair, winner], UNASSIGNED)
+        user = np.clip(band_user, 0, None)
+        hop_split = alpha[pair, winner, user]
+        # an unallocated band gets a zero budget, so its SNR is 0 at every point
+        beta2 = np.where(kept, beta[pair, winner, user] * 2.0, 0.0)
+        gain = gains[pair, np.arange(bands), winner]
+        if reduce:
+            score = _hop(hop_split, beta2, params.snr_combining) * gain
+            kept = reduce_to_best_band(
+                AllocationResult(users, band_user, relay, score, score.sum(axis=-1))
+            ).allocated
+        delivered = kept & ~failed[pairs]
+        snr = params.tx_power_w * _hop(hop_split, beta2 * es, params.snr_combining) * gain
+        snr /= params.gamma
+        band_snr = np.where(delivered, snr, 0.0)
+        scored = aggregate_and_score(
+            AllocationResult(
+                users=users,
+                band_user=np.broadcast_to(band_user, snr.shape),
+                band_relay=np.broadcast_to(np.where(delivered, relay, UNASSIGNED), snr.shape),
+                band_snr=band_snr,
+                snr_total=band_snr.sum(axis=-1),
+            ),
+            params,
+        )
+        blocks.append((
+            kept.sum(axis=-1),
+            (kept & failed[pairs]).sum(axis=-1),
+            scored.total_throughput_bps,
+            scored.user_throughput_bps,
+        ))
+    allocated, outages, throughput, capacity = zip(*blocks)
+    allocated, outages = np.concatenate(allocated), np.concatenate(outages)
+    throughput, capacity = np.concatenate(throughput, axis=1), np.concatenate(capacity, axis=1)
+    return [
+        dict(
+            pair_allocated=allocated,
+            pair_outages=outages,
+            pair_throughput_bps=throughput[k],
+            user_capacity_bps=capacity[k].mean(axis=0),
+        )
+        for k in range(len(points))
+    ]
 
 
 def run_episode(
@@ -321,9 +360,8 @@ def run_episode(
         )
     predicting = config.strategy != Strategy.NO_PREDICTION
 
-    alpha, beta, gains = episode_draws(
-        seed, episode, n_pairs, relays, draw_users, bands, params.gain_model
-    )
+    draws = episode_draws(seed, episode, n_pairs, relays, draw_users, bands, params.gain_model)
+    alpha, beta, gains = draws
 
     truth = processes.trajectory()[: config.slots]
     err = config.sensing_error_rate
@@ -348,7 +386,6 @@ def run_episode(
     owner = np.empty((n_pairs, relays), dtype=np.min_scalar_type(-users))
     predicted = np.empty(n_pairs, dtype=np.int8)
     designated = config.designated_band
-    blocks = []
     for pairs in _pair_blocks(n_pairs, bands * relays):
         now = pair_slots[pairs]
         # (pairs, nodes, bands) states at t and t + 1 of each view;
@@ -360,125 +397,38 @@ def run_episode(
             states_next = states_now
         available = [two_slot_availability(*s) for s in zip(states_now, states_next)]
 
-        hop_now = _hop(params, alpha[pairs], beta[pairs], users)
-        pair_rate = link_throughput(params, params.tx_power_w * hop_now / params.gamma)
-        assignment = assign_relays(topology, pair_rate)
-        snr = _band_relay_snr(hop_now, assignment.owner, gains[pairs], params)
-        common = common_free_spectrum(assignment, available[0], available[-1], snr)
-        alloc = allocate_spectrum(common, assignment, prediction_bits(states_next[-1]), snr)
+        # draw-only scores: the hop at Es/N0 = 1, and that times each band's
+        # gain; an SNR is its score times tx * Es/N0 / gamma, so both rank alike
+        hop = _hop(alpha[pairs, :, :users], beta[pairs, :, :users] * 2.0, params.snr_combining)
+        assignment = assign_relays(topology, hop)
+        score = _owned_hop(hop, assignment.owner)[..., None, :] * gains[pairs]
+        common = common_free_spectrum(assignment, available[0], available[-1], score)
+        alloc = allocate_spectrum(common, assignment, prediction_bits(states_next[-1]), score)
         band_relay[pairs] = alloc.band_relay
         owner[pairs] = assignment.owner
-        if config.strategy == Strategy.NO_AGGREGATION:
-            alloc = reduce_to_best_band(alloc, params)
-        blocks.append(_score(alloc, truth[now + 1], params))
         predicted[pairs] = states_next[0][:, 0, designated]
 
+    (pair_fields,) = _score(
+        (band_relay, owner),
+        users,
+        config.strategy == Strategy.NO_AGGREGATION,
+        draws,
+        truth[pair_slots + 1],
+        [params.es_over_n0],
+        params,
+    )
     actual = truth[pair_slots + 1, designated]
     default = history[pair_slots, designated]
     return EpisodeMetrics(
         strategy=config.strategy,
         episode=episode,
         pair_slots=pair_slots,
-        **_pair_fields(blocks),
+        **pair_fields,
         prediction_match_count=int((predicted == actual).sum()),
         default_match_count=int((default == actual).sum()),
         trace=np.stack([actual, default, predicted], axis=1).astype(np.int8),
         decisions=(band_relay, owner),
     )
-
-
-def _view_snr(
-    params: RadioParams, es: np.ndarray, alpha: np.ndarray, beta2: np.ndarray, gain: np.ndarray
-) -> np.ndarray:
-    """(points, pairs, bands) SNRs of winning bands at each Es/N0 point of `es`.
-
-    `alpha`, `beta2` (twice beta) and `gain` are the (pairs, bands)
-    draws of each band's winner.  Every element takes the operations of
-    `_hop`, `_owned_hop` and `_band_relay_snr`: (P_tx * hop) * h / gamma
-    with hop = (1 - alpha) * (beta * 2 * Es/N0), or the lesser hop.
-    """
-    total = beta2 * es
-    hop = (1.0 - alpha) * total
-    if params.snr_combining == "min_hop":
-        hop = np.minimum(alpha * total, hop)
-    snr = params.tx_power_w * hop * gain
-    snr /= params.gamma
-    return snr
-
-
-def _rescore(
-    decided: EpisodeMetrics,
-    seed: int,
-    topology: Topology,
-    processes: BandProcessSet,
-    views: list[tuple[Strategy, RadioParams]],
-    base_users: int,
-) -> list[EpisodeMetrics]:
-    """The metrics of each (strategy, params) view of a decision pass.
-
-    `decided` is `run_episode` of (topology, processes); a view is its
-    own rule at another Es/N0 point, or NO_AGGREGATION at any point of
-    the prediction pass.  The views' params differ only in Es/N0.  Each
-    winning band's draws are gathered once, its SNR is rebuilt at every
-    distinct point (`_view_snr`), and all points are scored as one
-    (points, pairs, bands) batch, whose sums round as the pass's do.
-    Outages, allocation counts, the trace and the match counts do not
-    depend on Es/N0.
-    """
-    band_relay, owner = decided.decisions
-    n_pairs, bands = band_relay.shape
-    users = topology.users
-    params = views[0][1]
-    alpha, beta, gains = episode_draws(
-        seed, decided.episode, n_pairs, topology.relays, base_users, bands, params.gain_model
-    )
-    # (pairs, bands): each band's winner, its user, and their draws
-    pair = np.arange(n_pairs)[:, None]
-    allocated = band_relay >= 0
-    winner = np.clip(band_relay, 0, None)
-    band_user = np.where(allocated, owner[pair, winner], UNASSIGNED)
-    user = np.clip(band_user, 0, None)
-    alpha = alpha[pair, winner, user]
-    # an unallocated band gets a zero budget, so its SNR is 0 at every point
-    beta2 = np.where(allocated, beta[pair, winner, user] * 2.0, 0.0)
-    gain = gains[pair, np.arange(bands), winner]
-
-    point_of = {es: k for k, es in enumerate(dict.fromkeys(p.es_over_n0 for _, p in views))}
-    es = np.array(list(point_of))[:, None, None]
-    reducing = {strategy == Strategy.NO_AGGREGATION for strategy, _ in views}
-    truth = processes.trajectory()
-    blocks = {False: [], True: []}
-    # the widest temporaries are reduce_to_best_band's (points, pairs, users,
-    # bands) mask and `_score`'s (points, pairs, bands) arrays, several of them
-    # alive at once; counting at least three users keeps a single-user view's
-    # blocks within the memory of the prediction pass's
-    for pairs in _pair_blocks(n_pairs, len(point_of) * bands * max(users, 3)):
-        snr = _view_snr(params, es, alpha[pairs], beta2[pairs], gain[pairs])
-        shape = snr.shape
-        alloc = AllocationResult(
-            users=users,
-            band_user=np.broadcast_to(band_user[pairs], shape),
-            band_relay=np.broadcast_to(band_relay[pairs], shape),
-            band_snr=snr,
-            snr_total=snr.sum(axis=-1),
-        )
-        truth_next = truth[decided.pair_slots[pairs] + 1]
-        for reduce in reducing:
-            scored = reduce_to_best_band(alloc, params) if reduce else alloc
-            blocks[reduce].append(_score(scored, truth_next, params))
-    return [
-        replace(
-            decided,
-            strategy=strategy,
-            decisions=None,
-            # one point's pair blocks, so its pairs-axis mean is a pass's
-            **_pair_fields([
-                [column[point_of[view_params.es_over_n0]] for column in block]
-                for block in blocks[strategy == Strategy.NO_AGGREGATION]
-            ]),
-        )
-        for strategy, view_params in views
-    ]
 
 
 def build_episode_world(
@@ -519,10 +469,11 @@ def run_strategies(
     Episodes run outer.  Arms that differ only in strategy and Es/N0
     share each episode's world, built once, and one decision pass per
     decision rule -- predict (also NO_AGGREGATION's), persist and
-    single-user -- run at the first of them that needs it; every other
-    arm is a view of that pass, and each pass's views are rescored
-    together (`_rescore`).  Returns each arm's per-episode metrics, in
-    arm order.  Every arm must run the same number of episodes.
+    single-user -- run with the first of them that needs it.  Every
+    other arm of a rule, another Es/N0 point or NO_AGGREGATION, is
+    scored from that pass's kept allocation (`_score`, once per pass
+    and kind).  Returns each arm's per-episode metrics, in arm order.
+    Every arm must run the same number of episodes.
     """
     episodes = {config.episodes for config, _ in arms}
     if len(episodes) > 1:
@@ -544,39 +495,49 @@ def run_strategies(
             episode_draws.cache_clear()
             sensing_offsets.cache_clear()
         for members in groups.values():
-            first = arms[members[0]][0]
-            topology, processes = build_episode_world(scenario, first, episode)
-            # rule -> (topology seen, pass, its Es/N0, view arms, their (strategy, params))
-            passes = {}
+            topology, processes = build_episode_world(scenario, arms[members[0]][0], episode)
+            truth = processes.trajectory()
+            # decision rule -> the arms it decides; prediction decides NO_AGGREGATION's
+            rules: dict[Strategy, list[int]] = {}
             for index in members:
-                config, params = arms[index]
-                rule = config.strategy
+                rule = arms[index][0].strategy
                 if rule == Strategy.NO_AGGREGATION:
                     rule = Strategy.PREDICT_AGGREGATE
-                if rule not in passes:
-                    # the first pair alone keeps every relay covering it, and its
-                    # draws stay shaped for (so paired with) the full population
-                    seen = topology
-                    if rule == Strategy.SINGLE_USER:
-                        seen = topology.restrict_to_user(0)
-                    decided = run_episode(
-                        config if config.strategy == rule else replace(config, strategy=rule),
-                        seen, processes, params, episode, scenario.users,
-                    )
-                    passes[rule] = (seen, decided, params.es_over_n0, [], [])
-                seen, decided, es_over_n0, indices, views = passes[rule]
-                if config.strategy == rule and params.es_over_n0 == es_over_n0:
-                    out[index].append(replace(decided, decisions=None))
-                else:
-                    indices.append(index)
-                    views.append((config.strategy, params))
-            for seen, decided, _, indices, views in passes.values():
-                if views:
-                    rescored = _rescore(
-                        decided, first.seed, seen, processes, views, scenario.users
-                    )
-                    for index, metrics in zip(indices, rescored):
-                        out[index].append(metrics)
+                rules.setdefault(rule, []).append(index)
+            for rule, indices in rules.items():
+                config, params = arms[indices[0]]
+                # the first pair alone keeps every relay covering it, and its
+                # draws stay shaped for (so paired with) the full population
+                seen = topology.restrict_to_user(0) if rule == Strategy.SINGLE_USER else topology
+                decided = run_episode(
+                    config if config.strategy == rule else replace(config, strategy=rule),
+                    seen, processes, params, episode, scenario.users,
+                )
+                decisions, decided.decisions = decided.decisions, None
+                draws = (config.seed, episode, config.pairs, seen.relays, scenario.users,
+                         processes.band_count, params.gain_model)
+                truth_next = truth[decided.pair_slots + 1]
+                # (reduced, Es/N0) -> pair fields; the pass has scored its own point
+                keys = [
+                    (arms[i][0].strategy == Strategy.NO_AGGREGATION, arms[i][1].es_over_n0)
+                    for i in indices
+                ]
+                scored = {(False, params.es_over_n0): {}}
+                missing = [key for key in dict.fromkeys(keys) if key not in scored]
+                for reduce in (False, True):
+                    points = [es for r, es in missing if r == reduce]
+                    if points:
+                        scored.update(zip(
+                            [(reduce, es) for es in points],
+                            # the cached draws, held only while scoring: the
+                            # next episode frees them before drawing its own
+                            _score(decisions, seen.users, reduce, episode_draws(*draws),
+                                   truth_next, points, params),
+                        ))
+                for index, key in zip(indices, keys):
+                    out[index].append(EpisodeMetrics(
+                        **{**vars(decided), "strategy": arms[index][0].strategy, **scored[key]}
+                    ))
     return out
 
 

@@ -76,7 +76,7 @@ def run_steps(topology, rate, source, relay, bits, snr):
     assignment = assign_relays(topology, rate)
     common = common_free_spectrum(assignment, source, relay, snr)
     alloc = aggregate_and_score(allocate_spectrum(common, assignment, bits, snr), PARAMS)
-    return assignment, common, alloc, reduce_to_best_band(alloc, PARAMS)
+    return assignment, common, alloc, aggregate_and_score(reduce_to_best_band(alloc), PARAMS)
 
 
 def outputs(steps):
@@ -194,7 +194,8 @@ def grid_cells(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     params = RadioParams(
-        tx_power_w=draw(st.sampled_from([1.0, 0.3, 7.0])),
+        # SNRs that round to 0, and SNRs near overflow at 30 dB
+        tx_power_w=draw(st.sampled_from([1.0, 0.3, 7.0, 1e-320, 1e300])),
         gain_model=draw(st.sampled_from(["rayleigh", "unit"])),
         snr_combining=draw(st.sampled_from(["second_hop", "min_hop"])),
     )
@@ -287,8 +288,12 @@ def es_major(grid, strategies, params=CELL_PARAMS):
         # two groups, each with its own world passes and views
         es_major([0.1, 10.0], list(Strategy))
         + es_major([1000.0, 0.1], list(Strategy), replace(CELL_PARAMS, tx_power_w=7.0)),
+        # SNRs that round to 0 in one group, near overflow in the other
+        es_major([0.1, 1000.0], list(Strategy), replace(CELL_PARAMS, tx_power_w=1e-320))
+        + es_major([1000.0, 0.1], list(Strategy), replace(CELL_PARAMS, tx_power_w=1e300)),
     ],
-    ids=["unsorted-repeated-points", "no-aggregation-alone", "strategy-major", "two-groups"],
+    ids=["unsorted-repeated-points", "no-aggregation-alone", "strategy-major", "two-groups",
+         "extreme-powers"],
 )
 def test_batched_views_equal_separate_runs(arms):
     assert_arms_equal_separate_runs(CELL, arms)

@@ -206,7 +206,7 @@ class TestNoAggregationBaseline:
         from specagg.aggregation import aggregate_and_score
 
         full = aggregate_and_score(alloc, params)
-        reduced = reduce_to_best_band(alloc, params)
+        reduced = aggregate_and_score(reduce_to_best_band(alloc), params)
         assert full.total_throughput_bps == pytest.approx(6e6)
         assert reduced.total_throughput_bps == pytest.approx(4e6)
         assert int(reduced.allocated.sum()) == 1
@@ -318,6 +318,22 @@ class TestDeterminismAndPairing:
         a = run_strategy(scenario, EpisodeConfig(slots=28, episodes=1, seed=1), params)
         b = run_strategy(scenario, EpisodeConfig(slots=28, episodes=1, seed=2), params)
         assert not np.array_equal(a[0].trace, b[0].trace)
+
+    @pytest.mark.parametrize("strategy", [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION])
+    def test_decisions_depend_on_neither_es_over_n0_nor_transmit_power(self, strategy):
+        # a pass ranks on draw-only scores, so its kept winners and owners
+        # stay put where SNRs round to 0 (1e-320 W) or overflow to inf (1e306 W)
+        scenario = NetworkScenario(users=3, relays=8, bands=20)
+        config = EpisodeConfig(slots=30, episodes=1, n_train=20, seed=4, strategy=strategy)
+        topology, processes = build_episode_world(scenario, config, 0)
+        expected = run_episode(config, topology, processes, RadioParams()).decisions
+        for es_over_n0 in (0.1, 10.0, 1000.0):
+            for tx_power_w in (1.0, 1e-320, 1e306):
+                params = RadioParams(es_over_n0=es_over_n0, tx_power_w=tx_power_w)
+                with np.errstate(over="ignore"):
+                    decisions = run_episode(config, topology, processes, params).decisions
+                for kept, want in zip(decisions, expected):
+                    np.testing.assert_array_equal(kept, want)
 
 
 class TestSharedDraws:

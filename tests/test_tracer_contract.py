@@ -6,7 +6,9 @@ no longer resolves, when a keyed layer (`build_episode_world`,
 the tracer's key function; a benchmark run then ends without a numeric
 result.  This runs the unmodified tracer over a tiny `run_single` and a
 tiny p0 `run_sweep` and checks that every layer resolves, every keyed
-call fits its key, and that each world and decision pass runs once.
+call fits its key, that each world and decision pass runs once, and
+that the decision pass, the no-aggregation keep and the scoring step
+each still run: a layer with no calls reports nothing per pair.
 """
 
 import json
@@ -19,7 +21,7 @@ import pytest
 from specagg import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from tracer import Tracer  # noqa: E402
+from tracer import Tracer, layer_stats  # noqa: E402
 
 TINY = {"users": "2", "relays": "4", "bands": "8", "slots": "26", "n_train": "20",
         "episodes": "1", "es_n0_db_sweep": "0,10,20"}
@@ -41,3 +43,8 @@ def test_every_layer_resolves_and_each_world_and_pass_runs_once(command, tmp_pat
         assert isinstance(ratio, float) and math.isfinite(ratio)
         assert ratio == 1.0
     json.dumps(ratios, allow_nan=False)
+    stats = layer_stats(**tracer.spans())
+    for layer in ("simulation.run_episode", "simulation.reduce_to_best_band",
+                  "aggregation.aggregate_and_score"):
+        calls, _ = stats[layer]
+        assert calls >= 1, layer
