@@ -62,7 +62,7 @@ from .aggregation import (
 from .markov import SpectrumState, predict_next_states, window_transition_counts, wrap_states
 from .params import ConfigError, EpisodeConfig, NetworkScenario, Strategy
 from .radio import RadioParams, sample_hop_splits
-from .seeds import derive_rng, derive_seed_sequence
+from .seeds import derive_rng, derive_rngs, derive_seed_sequence
 from .topology import (
     BandProcessSet,
     SpectrumProcessConfig,
@@ -200,13 +200,11 @@ def episode_draws(
     """
     alpha = np.empty((n_pairs, relays, draw_users))
     beta = np.empty_like(alpha)
-    for r in range(relays):
-        rng = derive_rng(seed, "budget", episode, r)
+    for r, rng in enumerate(derive_rngs(seed, "budget", episode, count=relays)):
         alpha[:, r], beta[:, r] = sample_hop_splits(rng, (n_pairs, draw_users))
     if gain_model == "rayleigh":
         gains = np.empty((n_pairs, bands, relays))
-        for n in range(bands):
-            rng = derive_rng(seed, "gain", episode, n)
+        for n, rng in enumerate(derive_rngs(seed, "gain", episode, count=bands)):
             gains[:, n, :] = rng.exponential(1.0, size=(n_pairs, relays))
     else:
         gains = np.broadcast_to(1.0, (n_pairs, bands, relays))
@@ -238,7 +236,7 @@ def sensing_offsets(
     good = np.zeros((slots, bands), dtype=np.int8)
     offsets = []
     for kind, n in (("src", users), ("rel", relays)):
-        rngs = [derive_rng(seed, "sense", episode, kind, i) for i in range(n)]
+        rngs = derive_rngs(seed, "sense", episode, kind, count=n)
         node_offsets = np.stack([sense(good, err, rng) for rng in rngs], axis=1)
         node_offsets.flags.writeable = False
         offsets.append(node_offsets)

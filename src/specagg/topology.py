@@ -26,6 +26,7 @@ from .markov import (
     wrap_states,
 )
 from .params import EpisodeConfig, NetworkScenario, is_integer, require
+from .seeds import spawn_rngs
 
 IDLE_MASS_TOL = 1e-6
 
@@ -65,13 +66,13 @@ def build_topology(
     """Draw a Bernoulli coverage incidence, one row per relay.
 
     Each relay is in range of each pair independently with
-    `coverage_probability`; rows are drawn relay by relay so a larger
-    relay population extends, rather than reshuffles, a smaller one
-    drawn from the same stream.
+    `coverage_probability`; rows are drawn relay after relay, in one
+    call, so a larger relay population extends, rather than reshuffles,
+    a smaller one drawn from the same stream.
     """
     require(NetworkScenario, "coverage_probability", coverage_probability)
-    rows = [rng.random(users) < coverage_probability for _ in range(relays)]
-    return Topology(users=users, relays=relays, coverage=np.array(rows))
+    coverage = rng.random((relays, users)) < coverage_probability
+    return Topology(users=users, relays=relays, coverage=coverage)
 
 
 def derive_ground_truth_matrix(
@@ -156,10 +157,9 @@ class BandProcessSet:
 
         # one child stream per band: uniform 0 picks the initial state,
         # uniforms 1..max_slots drive the transitions
-        children = seed_seq.spawn(n)
         draws = np.empty((n, max_slots + 1))
-        for band, child in enumerate(children):
-            draws[band] = np.random.default_rng(child).random(max_slots + 1)
+        for band, rng in enumerate(spawn_rngs(seed_seq, n)):
+            draws[band] = rng.random(max_slots + 1)
 
         # step[t, n * 3 + s]: band n's state at slot t + 1 if it is in
         # state s at slot t, the number of cumulative row entries <= u

@@ -1,13 +1,15 @@
 """Brute-force reference implementations used to cross-check the library.
 
 These deliberately avoid the library's own code paths: counting uses a
-dict-style loop, and the allocation oracle materialises the full
+dict-style loop, the allocation oracle materialises the full
 cartesian product of per-band choices instead of taking per-band maxima,
-and noisy sensing draws through the public Generator calls slot by slot
-instead of decoding one raw-word draw.
+noisy sensing draws through the public Generator calls slot by slot
+instead of decoding one raw-word draw, and substreams are seeded through
+numpy's own SeedSequence instead of one array pass per family.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 
@@ -61,3 +63,19 @@ def slotwise_sense(true_states, sensing_error_rate, rng):
         # offset 1 or 2 sends a state to one of the two other states
         offset[t] = rng.integers(1, N_STATES, size=slots.shape[1:])
     return np.where(flip, (slots + offset) % N_STATES, slots).reshape(true_states.shape)
+
+
+def seed_sequence_rng(master_seed, *tokens):
+    """`seeds.derive_rng` through numpy's SeedSequence: the seed, then the
+    first 16 bytes of the tokens' SHA-256 digest as four uint32 words."""
+    key = b"\x1f".join(
+        b"s" + token.encode() if isinstance(token, str) else b"i%d" % int(token)
+        for token in tokens
+    )
+    words = np.frombuffer(hashlib.sha256(key).digest()[:16], dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, words)]))
+
+
+def spawned_rngs(seed_seq, count):
+    """`seeds.spawn_rngs` through `SeedSequence.spawn`, which advances the parent."""
+    return [np.random.default_rng(child) for child in seed_seq.spawn(count)]

@@ -236,18 +236,25 @@ class TestSweepCommand:
         assert sizes == ([] if pool_size is None else [pool_size])
         assert len(path.read_text().splitlines()) == 1 + 9
 
-    def test_importing_the_cli_leaves_the_pool_unloaded(self):
-        # the pool's modules load only in a sweep that forks
-        probe = (
-            "import sys, specagg.cli; "
-            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-        )
+    @staticmethod
+    def loaded_after_importing_the_cli(modules: set[str]) -> str:
+        """Which of `modules` a fresh `import specagg.cli` loads, printed sorted."""
+        probe = f"import sys, specagg.cli; print(sorted({modules!r} & set(sys.modules)))"
         src = str(Path(cli.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_importing_the_cli_leaves_the_pool_unloaded(self):
+        # the pool's modules load only in a sweep that forks
+        modules = {"concurrent.futures.process", "multiprocessing"}
+        assert self.loaded_after_importing_the_cli(modules) == "[]"
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # numpy.random loads with the first derived stream, not at start-up
+        assert self.loaded_after_importing_the_cli({"numpy.random"}) == "[]"
 
     @pytest.mark.parametrize("axis, values", [("p0", ["0.3"]), ("es_over_n0", ["10"])])
     def test_a_sweep_value_checks_each_strategy_and_point_once(

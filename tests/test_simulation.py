@@ -12,7 +12,7 @@ from specagg.aggregation import RelayAssignment, UNASSIGNED, allocate_spectrum
 from specagg.markov import SpectrumState, TransitionMatrix
 from specagg.radio import RadioParams
 from specagg import simulation
-from specagg.seeds import derive_rng
+from specagg.seeds import derive_rng, derive_rngs
 from specagg.simulation import (
     ConfigError,
     EpisodeConfig,
@@ -336,18 +336,30 @@ class TestDeterminismAndPairing:
                     np.testing.assert_array_equal(kept, want)
 
 
+def count_derived_streams(monkeypatch) -> list[tuple]:
+    """Record the tokens of every stream the engine derives, in order:
+    one `derive_rng` call, or each member of a `derive_rngs` family."""
+    streams = []
+
+    def counting_derive_rng(seed, *tokens):
+        streams.append(tokens)
+        return derive_rng(seed, *tokens)
+
+    def counting_derive_rngs(seed, *prefix, count):
+        streams.extend((*prefix, i) for i in range(count))
+        return derive_rngs(seed, *prefix, count=count)
+
+    monkeypatch.setattr(simulation, "derive_rng", counting_derive_rng)
+    monkeypatch.setattr(simulation, "derive_rngs", counting_derive_rngs)
+    return streams
+
+
 class TestSharedDraws:
     def test_arms_run_together_equal_each_arm_alone(self, monkeypatch):
         # all four strategies at two Es/N0 points, a weaker-hop and a
         # unit-gain arm: run together they draw once per (episode, gain
         # model), and each arm's metrics are those of its own run
-        streams = []
-
-        def counting_derive_rng(seed, *tokens):
-            streams.append(tokens)
-            return derive_rng(seed, *tokens)
-
-        monkeypatch.setattr(simulation, "derive_rng", counting_derive_rng)
+        streams = count_derived_streams(monkeypatch)
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(slots=26, episodes=2, n_train=20, seed=13)
         arms = [
@@ -388,13 +400,7 @@ class TestSharedDraws:
             assert cached.tobytes() == fresh.tobytes()
 
     def test_noisy_arms_sense_each_node_once_per_episode(self, monkeypatch):
-        streams = []
-
-        def counting_derive_rng(seed, *tokens):
-            streams.append(tokens)
-            return derive_rng(seed, *tokens)
-
-        monkeypatch.setattr(simulation, "derive_rng", counting_derive_rng)
+        streams = count_derived_streams(monkeypatch)
         scenario = NetworkScenario(users=3, relays=6, bands=11)
         config = EpisodeConfig(
             slots=26, episodes=2, n_train=20, seed=19, sensing_error_rate=0.2
