@@ -117,28 +117,34 @@ def common_free_spectrum(
 
     Args:
         source_available: (..., users, bands) bool mask.
-        relay_available: (..., relays, bands) bool mask.
+        relay_available: (..., relays or 1, bands) bool mask; 1 broadcasts.
         snr: (..., bands, relays) per-band received SNR of each relay.
     """
     source_available = np.asarray(source_available, dtype=bool)
-    relay_available = np.asarray(relay_available, dtype=bool)
     snr = np.asarray(snr, dtype=np.float64)
-    owner = np.broadcast_to(assignment.owner, snr.shape[:-2] + assignment.owner.shape[-1:])
+    batch = snr.shape[:-2]
+    owner = np.broadcast_to(assignment.owner, batch + assignment.owner.shape[-1:])
+    relay_free = np.asarray(relay_available, dtype=bool)
+    relay_free = np.broadcast_to(relay_free, batch + relay_free.shape[-2:])
     users = assignment.users
 
     ownership = owner[..., None, :] == np.arange(users)[:, None]  # (..., T, Rr)
+    if relay_free.shape[-2] == 1:
+        # one mask for all relays: a user with a relay has a free one where it is free
+        ownership = ownership.any(axis=-1, keepdims=True)
     # free relays of each user per band, counted exactly in float64
-    relay_free = np.broadcast_to(relay_available, owner.shape + snr.shape[-2:-1])
     user_relay_free = (ownership.astype(np.float64) @ relay_free.astype(np.float64)) > 0
     candidates = source_available & user_relay_free  # (..., T, N)
     n_candidates = candidates.sum(axis=-2)
     # the user ids dotted with a one-candidate mask give that candidate
     band_user = np.where(n_candidates == 1, np.arange(users) @ candidates, UNASSIGNED)
 
-    # (batch..., band) indices of the contested bands
+    # (batch..., band) indices of the contested bands; each one's SNR row,
+    # busy relays masked out in place
     contested = np.nonzero(n_candidates >= 2)
-    free = np.swapaxes(relay_free, -1, -2)[contested]  # (K, Rr)
-    winner = np.where(free, snr[contested], -np.inf).argmax(axis=-1)
+    rows = snr[contested]  # (K, Rr)
+    np.copyto(rows, -np.inf, where=~np.swapaxes(relay_free, -1, -2)[contested])
+    winner = rows.argmax(axis=-1)
     winner_owner = owner[contested[:-1] + (winner,)]
     owner_qualifies = (winner_owner >= 0) & candidates[
         contested[:-1] + (np.clip(winner_owner, 0, None), contested[-1])
@@ -194,20 +200,24 @@ def allocate_spectrum(
     nothing to the SNR total.
 
     Args:
-        bits: (..., relays, bands) prediction bits, 0 = free.
+        bits: (..., relays or 1, bands) prediction bits, 0 = free; 1 broadcasts.
         snr: (..., bands, relays) per-band received SNR of each relay.
     """
-    bits = np.asarray(bits)
     snr = np.asarray(snr, dtype=np.float64)
     band_user = common.band_user
-    owner = np.broadcast_to(assignment.owner, snr.shape[:-2] + assignment.owner.shape[-1:])
+    batch = snr.shape[:-2]
+    owner = np.broadcast_to(assignment.owner, batch + assignment.owner.shape[-1:])
+    ownership = owner[..., None, :] == np.arange(common.users)[:, None]  # (..., T, Rr)
+    bits = np.broadcast_to(bits, batch + np.shape(bits)[-2:])
 
-    # (batch..., band) indices of the bands step 2 gave to a user
+    # (batch..., band) indices of the bands step 2 gave to a user; each
+    # one's SNR row, relays of other users or predicted busy masked out
     assigned = np.nonzero(band_user >= 0)
-    eligible = (owner[assigned[:-1]] == band_user[assigned][:, None]) & (
-        np.broadcast_to(np.swapaxes(bits, -1, -2), snr.shape)[assigned] == 0
+    eligible = ownership[assigned[:-1] + (band_user[assigned],)] & (
+        np.swapaxes(bits, -1, -2)[assigned] == 0
     )  # (K, Rr)
-    scores = np.where(eligible, snr[assigned], -np.inf)
+    scores = snr[assigned]
+    np.copyto(scores, -np.inf, where=~eligible)
     best = scores.argmax(axis=-1)
     best_snr = scores[np.arange(best.size), best]
     has_winner = eligible.any(axis=-1)

@@ -11,8 +11,9 @@ outage; throughput counts only non-outage bands.
 No slot pair depends on an earlier pair's allocation, so an episode runs
 as whole-episode array passes: the ground truth and the sensed states of
 every slot are realised first, the sliding-window transition counts of
-every pair come from one cumulative sum, and the four engine steps run
-over blocks of slot pairs at once.
+every pair come from one cumulative sum, step 1 assigns every pair's
+relays in one call, and each block of slot pairs gets its nodes' views,
+predictions and band scores and runs steps 2-3 at once.
 
 Four strategies share identical ground truth, topology, sensing errors,
 link budgets and fading draws per (seed, episode) -- comparisons between
@@ -52,6 +53,7 @@ import numpy as np
 from .aggregation import (
     UNASSIGNED,
     AllocationResult,
+    RelayAssignment,
     aggregate_and_score,
     allocate_spectrum,
     assign_relays,
@@ -73,11 +75,11 @@ from .topology import (
 )
 
 
-# Slot pairs are allocated in blocks whose (pairs, bands, relays) arrays
-# hold at most this many elements: a default episode (80 x 100 x 20)
-# runs as five blocks of 16 pairs, a 1000-band, 100-relay world one pair
-# at a time.  Each block temporary then stays under a megabyte, so peak
-# memory stays that of a per-pair loop; larger blocks were no faster.
+# Steps 2-3 run over blocks of slot pairs whose (pairs, bands, relays)
+# scores hold at most this many elements: a default episode (80 x 100 x
+# 20) runs as five blocks of 16 pairs, a 1000-band, 100-relay world one
+# pair at a time.  Each block temporary then stays under a megabyte, so
+# peak memory stays that of a per-pair loop; larger blocks were no faster.
 PAIR_BLOCK_ELEMENTS = 2**15
 
 
@@ -203,14 +205,15 @@ def episode_draws(
     for r, rng in enumerate(derive_rngs(seed, "budget", episode, count=relays)):
         alpha[:, r], beta[:, r] = sample_hop_splits(rng, (n_pairs, draw_users))
     if gain_model == "rayleigh":
-        gains = np.empty((n_pairs, bands, relays))
+        # band-major, so each band's stream fills its own contiguous block
+        gains = np.empty((bands, n_pairs, relays))
         for n, rng in enumerate(derive_rngs(seed, "gain", episode, count=bands)):
-            gains[:, n, :] = rng.exponential(1.0, size=(n_pairs, relays))
+            rng.standard_exponential(out=gains[n])
     else:
-        gains = np.broadcast_to(1.0, (n_pairs, bands, relays))
+        gains = np.broadcast_to(1.0, (bands, n_pairs, relays))
     for draws in (alpha, beta, gains):
         draws.flags.writeable = False
-    return alpha, beta, gains
+    return alpha, beta, gains.transpose(1, 0, 2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -379,9 +382,16 @@ def run_episode(
         # window k ends at pair k's first slot
         counts = window_transition_counts(history[:-1], config.n_train)
 
+    # step 1 for all pairs at once, on draw-only scores (the hop at Es/N0 = 1, then
+    # times band gains): an SNR is a score times tx * Es/N0 / gamma, so both rank alike
+    hop = _hop(alpha[:, :, :users], beta[:, :, :users] * 2.0, params.snr_combining)
+    assignment = assign_relays(topology, hop)
+    owned_hop = _owned_hop(hop, assignment.owner)
+    # freed before the pair blocks' temporaries, which would otherwise grow the heap
+    del hop
     # relay and user indices in the narrowest integer types that also hold -1
     band_relay = np.empty((n_pairs, bands), dtype=np.min_scalar_type(-relays))
-    owner = np.empty((n_pairs, relays), dtype=np.min_scalar_type(-users))
+    owner = assignment.owner.astype(np.min_scalar_type(-users))
     predicted = np.empty(n_pairs, dtype=np.int8)
     designated = config.designated_band
     for pairs in _pair_blocks(n_pairs, bands * relays):
@@ -394,16 +404,11 @@ def run_episode(
         else:
             states_next = states_now
         available = [two_slot_availability(*s) for s in zip(states_now, states_next)]
-
-        # draw-only scores: the hop at Es/N0 = 1, and that times each band's
-        # gain; an SNR is its score times tx * Es/N0 / gamma, so both rank alike
-        hop = _hop(alpha[pairs, :, :users], beta[pairs, :, :users] * 2.0, params.snr_combining)
-        assignment = assign_relays(topology, hop)
-        score = _owned_hop(hop, assignment.owner)[..., None, :] * gains[pairs]
-        common = common_free_spectrum(assignment, available[0], available[-1], score)
-        alloc = allocate_spectrum(common, assignment, prediction_bits(states_next[-1]), score)
+        block = RelayAssignment(users, assignment.owner[pairs])
+        score = owned_hop[pairs, None, :] * gains[pairs]
+        common = common_free_spectrum(block, available[0], available[-1], score)
+        alloc = allocate_spectrum(common, block, prediction_bits(states_next[-1]), score)
         band_relay[pairs] = alloc.band_relay
-        owner[pairs] = assignment.owner
         predicted[pairs] = states_next[0][:, 0, designated]
 
     (pair_fields,) = _score(

@@ -4,8 +4,10 @@ These deliberately avoid the library's own code paths: counting uses a
 dict-style loop, the allocation oracle materialises the full
 cartesian product of per-band choices instead of taking per-band maxima,
 noisy sensing draws through the public Generator calls slot by slot
-instead of decoding one raw-word draw, and substreams are seeded through
-numpy's own SeedSequence instead of one array pass per family.
+instead of decoding one raw-word draw, substreams are seeded through
+numpy's own SeedSequence instead of one array pass per family, and
+fading gains are drawn one band's (pairs, relays) array at a time into a
+pair-major array instead of filling a band-major buffer in place.
 """
 
 import functools
@@ -79,3 +81,14 @@ def seed_sequence_rng(master_seed, *tokens):
 def spawned_rngs(seed_seq, count):
     """`seeds.spawn_rngs` through `SeedSequence.spawn`, which advances the parent."""
     return [np.random.default_rng(child) for child in seed_seq.spawn(count)]
+
+
+def bandwise_gains(seed, episode, n_pairs, relays, bands):
+    """`simulation.episode_draws`'s Rayleigh gains: each band's stream draws
+    a fresh (pairs, relays) `exponential` array, copied into a
+    (pairs, bands, relays) one."""
+    gains = np.empty((n_pairs, bands, relays))
+    for n in range(bands):
+        rng = seed_sequence_rng(seed, "gain", episode, n)
+        gains[:, n, :] = rng.exponential(1.0, size=(n_pairs, relays))
+    return gains

@@ -147,6 +147,59 @@ def test_engine_invariants_hold_for_every_pair(stack):
     assert np.all(freed.snr_total >= alloc.snr_total)
 
 
+@st.composite
+def shared_mask_stacks(draw):
+    """A topology, step-1 rates and steps 2-3 inputs whose relay masks and
+    prediction bits hold one row for every relay, under 0-2 batch axes.
+
+    In the first batch entry band 0 is contested (free at every source and
+    relay, and relays 0 and 1 serve users 0 and 1 alone) and the last band
+    is busy at every relay; the last relay covers nobody, so it is unowned.
+    """
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    users = draw(st.integers(2, 3))
+    relays = draw(st.integers(3, 5))
+    bands = draw(st.integers(2, 6))
+    coverage = draw(arrays(np.bool_, (relays, users)))
+    coverage[:2] = np.eye(2, users, dtype=bool)
+    coverage[-1] = False
+    source = draw(arrays(np.bool_, batch + (users, bands)))
+    relay = draw(arrays(np.bool_, batch + (1, bands)))
+    first = (0,) * len(batch)
+    source[first + (slice(None), 0)] = True
+    relay[first + (0, 0)] = True
+    relay[first + (0, -1)] = False
+    return (
+        Topology(users=users, relays=relays, coverage=coverage),
+        draw(arrays(np.float64, batch + (relays, users), elements=LEVELS)),
+        source,
+        relay,
+        draw(arrays(np.int8, batch + (1, bands), elements=st.integers(0, 1))),
+        draw(arrays(np.float64, batch + (bands, relays), elements=LEVELS)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_mask_stacks())
+def test_steps_two_and_three_take_one_mask_row_for_every_relay(stack):
+    topology, rate, source, relay, bits, snr = stack
+    assignment = assign_relays(topology, rate)
+    assert assignment.owner[..., -1].max() == UNASSIGNED
+
+    def steps(relay, bits):
+        common = common_free_spectrum(assignment, source, relay, snr)
+        alloc = allocate_spectrum(common, assignment, bits, snr)
+        return common.band_user, alloc.band_relay, alloc.band_snr, alloc.snr_total
+
+    def every_relay(mask):
+        shape = mask.shape[:-2] + (topology.relays, mask.shape[-1])
+        return np.broadcast_to(mask, shape).copy()
+
+    for row, copied in zip(steps(relay, bits), steps(every_relay(relay), every_relay(bits))):
+        assert row.dtype == copied.dtype
+        np.testing.assert_array_equal(row, copied)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(2, 8).flatmap(

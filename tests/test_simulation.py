@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import slotwise_sense
+from oracles import bandwise_gains, slotwise_sense
 
 from specagg.aggregation import RelayAssignment, UNASSIGNED, allocate_spectrum
 from specagg.markov import SpectrumState, TransitionMatrix
@@ -336,6 +336,31 @@ class TestDeterminismAndPairing:
                     np.testing.assert_array_equal(kept, want)
 
 
+class TestPairBlocks:
+    @pytest.mark.parametrize("sensing_error_rate", [0.0, 0.2])
+    def test_step_one_runs_once_per_pass_over_every_pair_block(
+        self, monkeypatch, sensing_error_rate
+    ):
+        scenario = NetworkScenario(users=3, relays=6, bands=12)
+        config = EpisodeConfig(
+            slots=30, episodes=1, n_train=20, seed=29, sensing_error_rate=sensing_error_rate
+        )
+        topology, processes = build_episode_world(scenario, config, 0)
+        one_block = run_episode(config, topology, processes, RadioParams())
+        calls = {"assign_relays": 0, "common_free_spectrum": 0}
+        for name in calls:
+            def counting(*args, _step=getattr(simulation, name), _name=name):
+                calls[_name] += 1
+                return _step(*args)
+
+            monkeypatch.setattr(simulation, name, counting)
+        # three of the 10 pairs per block of (pairs, 12 bands, 6 relays) scores
+        monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 3 * 12 * 6)
+        blocked = run_episode(config, topology, processes, RadioParams())
+        assert calls == {"assign_relays": 1, "common_free_spectrum": 4}
+        assert pickle.dumps(blocked) == pickle.dumps(one_block)
+
+
 def count_derived_streams(monkeypatch) -> list[tuple]:
     """Record the tokens of every stream the engine derives, in order:
     one `derive_rng` call, or each member of a `derive_rngs` family."""
@@ -398,6 +423,18 @@ class TestSharedDraws:
                 cached[0] = 0.0
             assert cached.shape == fresh.shape
             assert cached.tobytes() == fresh.tobytes()
+
+    def test_gains_fill_band_major_as_per_band_draws_and_refuse_writes(self):
+        episode_draws.cache_clear()
+        _, _, gains = episode_draws(13, 1, 6, 5, 3, 12, "rayleigh")
+        assert gains.shape == (6, 12, 5)
+        assert gains.tobytes() == bandwise_gains(13, 1, 6, 5, 12).tobytes()
+        # the band-major buffer behind the (pairs, bands, relays) view is
+        # read-only too
+        for array in (gains, gains.base):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 0.0
 
     def test_noisy_arms_sense_each_node_once_per_episode(self, monkeypatch):
         streams = count_derived_streams(monkeypatch)
