@@ -44,8 +44,8 @@ def main():
 
     # step 1: relay assignment by relay->destination throughput
     pair_rate = link_throughput(params, rng.uniform(1.0, 30.0, size=(4, 2)))
-    assignment = assign_relays(topology, pair_rate)
-    print("step 1 - relay owners (-1 = dropped):", assignment.owner)
+    owner = assign_relays(topology, pair_rate)
+    print("step 1 - relay owners (-1 = dropped):", owner)
 
     # sensing at slot t and prediction for slot t+1, per band
     sensed = np.array([GOOD, GOOD, BAD, BUSY, GOOD, GOOD])
@@ -56,24 +56,24 @@ def main():
     print("step 2 - availability (idle both slots):", source_avail[0])
 
     snr = rng.uniform(0.5, 40.0, size=(6, 4))
-    common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
-    print("step 2 - owning user per band (-1 = dropped):", common.band_user)
+    band_user = common_free_spectrum(owner, topology.users, source_avail, relay_avail, snr)
+    print("step 2 - owning user per band (-1 = dropped):", band_user)
 
-    allocation = allocate_spectrum(common, assignment, bits, snr)
-    print("step 3 - winning relay per band:", allocation.band_relay)
+    band_relay, band_snr = allocate_spectrum(band_user, owner, bits, snr)
+    print("step 3 - winning relay per band:", band_relay)
     with np.printoptions(precision=2, suppress=True):
-        print("step 3 - winning SNR per band: ", allocation.band_snr)
-    print(f"step 3 - SNR total: {allocation.snr_total:.2f}")
+        print("step 3 - winning SNR per band: ", band_snr)
+    print(f"step 3 - SNR total: {band_snr.sum():.2f}")
 
-    scored = aggregate_and_score(allocation, params)
-    print("step 4 - bands aggregated per relay:", scored.relay_bands())
-    print(f"step 4 - network throughput: {scored.total_throughput_bps / 1e6:.2f} Mb/s")
+    total_bps, user_bps = aggregate_and_score(band_user, band_snr, topology.users, params)
+    bands_of_relay = {
+        int(relay): np.flatnonzero(band_relay == relay)
+        for relay in np.unique(band_relay[band_relay >= 0])
+    }
+    print("step 4 - bands aggregated per relay:", bands_of_relay)
+    print(f"step 4 - network throughput: {total_bps / 1e6:.2f} Mb/s")
     for user in range(2):
-        print(
-            f"         user {user} capacity: "
-            f"{scored.user_throughput_bps[user] / 1e6:.2f} Mb/s"
-        )
-
+        print(f"         user {user} capacity: {user_bps[user] / 1e6:.2f} Mb/s")
 
 if __name__ == "__main__":
     main()

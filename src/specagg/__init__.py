@@ -9,9 +9,6 @@ byte for byte.
 """
 
 from .aggregation import (
-    AllocationResult,
-    CommonSpectrumSet,
-    RelayAssignment,
     aggregate_and_score,
     allocate_spectrum,
     assign_relays,

@@ -3,22 +3,26 @@
 Per slot pair the engine takes the network's sensing and prediction
 views plus per-(band, relay) SNRs and produces a full allocation:
 
-1. assign each relay to one user pair (or drop it),
-2. collect each user's common free bands,
-3. give every common band to the best predicted-free relay of its user,
-4. group bands by winning relay and score the total throughput.
+1. assign each relay to one user pair or drop it (`assign_relays`
+   returns each relay's owner),
+2. give each band to at most one user's common free set
+   (`common_free_spectrum` returns each band's user),
+3. give every such band to the best predicted-free relay of its user
+   (`allocate_spectrum` returns each band's relay and its SNR),
+4. aggregate each user's bands and score the throughput
+   (`aggregate_and_score`).
 
-Every step is a pure function with deterministic tie-breaking (lowest
-index wins), so identical inputs produce identical results.  Every step
-also takes any number of leading batch axes (one per slot pair, say) on
-its per-pair arrays and treats each batch entry independently, so one
-call can allocate a whole block of slot pairs; a single pair is the
-case with no batch axes.
+The steps pass plain integer arrays, with -1 (`UNASSIGNED`) for a
+dropped relay or a band without a user or relay.  Every step is a pure
+function with deterministic tie-breaking (lowest index wins), so
+identical inputs produce identical results.  Every step also takes any
+number of leading batch axes (one per slot pair, say) on its per-pair
+arrays and treats each batch entry independently, so one call can
+allocate a whole block of slot pairs; a single pair is the case with
+no batch axes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,35 +44,16 @@ def prediction_bits(predicted: np.ndarray) -> np.ndarray:
     return (np.asarray(predicted) != SpectrumState.GOOD).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class RelayAssignment:
-    """Outcome of step 1: each relay's owning user pair, or dropped.
-
-    ``owner[r]`` is the user index the relay serves, or -1 when dropped.
-    """
-
-    users: int
-    owner: np.ndarray
-
-    def __post_init__(self):
-        owner = np.asarray(self.owner, dtype=np.int64)
-        if np.any(owner < UNASSIGNED) or np.any(owner >= self.users):
-            raise ValueError("owner entries must be -1 or a valid user index")
-        owner = owner.copy()
-        owner.flags.writeable = False
-        object.__setattr__(self, "owner", owner)
-
-
-def assign_relays(topology, pair_throughput: np.ndarray) -> RelayAssignment:
-    """Step 1: distribute relays to user pairs.
+def assign_relays(topology, pair_throughput: np.ndarray) -> np.ndarray:
+    """Step 1: distribute relays to user pairs; returns each relay's owner.
 
     A relay covering exactly one pair joins that pair.  A relay covering
     several pairs joins the covered pair with the highest relay-to-
     destination throughput (ties to the lowest user index).  A relay
-    covering nothing is dropped.
+    covering nothing is dropped: its owner is -1.
 
     `pair_throughput[..., r, i]` must be defined wherever relay r covers
-    pair i.
+    pair i; the (..., relays) owners keep its batch axes.
     """
     pair_throughput = np.asarray(pair_throughput, dtype=np.float64)
     if pair_throughput.shape[-2:] != (topology.relays, topology.users):
@@ -79,32 +64,16 @@ def assign_relays(topology, pair_throughput: np.ndarray) -> RelayAssignment:
     scores = np.where(covered, pair_throughput, -np.inf)
     best_pair = scores.argmax(axis=-1)  # first max = lowest user index
 
-    owner = np.where(n_covered > 0, best_pair, UNASSIGNED)
-    return RelayAssignment(users=topology.users, owner=owner)
-
-
-@dataclass(frozen=True)
-class CommonSpectrumSet:
-    """Outcome of step 2: the owning user of every band, or -1 if dropped."""
-
-    users: int
-    band_user: np.ndarray
-
-    def __post_init__(self):
-        band_user = np.asarray(self.band_user, dtype=np.int64)
-        if np.any(band_user < UNASSIGNED) or np.any(band_user >= self.users):
-            raise ValueError("band_user entries must be -1 or a valid user index")
-        band_user = band_user.copy()
-        band_user.flags.writeable = False
-        object.__setattr__(self, "band_user", band_user)
+    return np.where(n_covered > 0, best_pair, UNASSIGNED)
 
 
 def common_free_spectrum(
-    assignment: RelayAssignment,
+    owner: np.ndarray,
+    users: int,
     source_available: np.ndarray,
     relay_available: np.ndarray,
     snr: np.ndarray,
-) -> CommonSpectrumSet:
+) -> np.ndarray:
     """Step 2: resolve every band to at most one user's common free set.
 
     A band qualifies for user i when it is available (idle both slots)
@@ -116,17 +85,21 @@ def common_free_spectrum(
     dropped rather than reassigned.
 
     Args:
-        source_available: (..., users, bands) bool mask.
+        owner: (..., relays) step-1 owners, -1 for a dropped relay.
+        users: the number of user pairs.
+        source_available: (..., users or 1, bands) bool mask; 1 broadcasts.
         relay_available: (..., relays or 1, bands) bool mask; 1 broadcasts.
         snr: (..., bands, relays) per-band received SNR of each relay.
+
+    Returns:
+        (..., bands) int64 user of each band, -1 where it is dropped.
     """
     source_available = np.asarray(source_available, dtype=bool)
     snr = np.asarray(snr, dtype=np.float64)
     batch = snr.shape[:-2]
-    owner = np.broadcast_to(assignment.owner, batch + assignment.owner.shape[-1:])
+    owner = np.broadcast_to(owner, batch + np.shape(owner)[-1:])
     relay_free = np.asarray(relay_available, dtype=bool)
     relay_free = np.broadcast_to(relay_free, batch + relay_free.shape[-2:])
-    users = assignment.users
 
     ownership = owner[..., None, :] == np.arange(users)[:, None]  # (..., T, Rr)
     if relay_free.shape[-2] == 1:
@@ -150,70 +123,42 @@ def common_free_spectrum(
         contested[:-1] + (np.clip(winner_owner, 0, None), contested[-1])
     ]
     band_user[contested] = np.where(owner_qualifies, winner_owner, UNASSIGNED)
-    return CommonSpectrumSet(users=users, band_user=band_user)
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    """Outcome of steps 3-4 for one slot pair.
-
-    ``band_relay[n]`` is the winning relay of band n (-1 when the band
-    is unallocated), ``band_snr[n]`` its received SNR (0 when
-    unallocated) and ``band_user[n]`` the owning user from step 2.
-    ``snr_total`` is the sum of winning SNRs; the throughput fields are
-    filled by `aggregate_and_score`.  With leading batch axes on the
-    band arrays, the totals carry the same batch axes.
-    """
-
-    users: int
-    band_user: np.ndarray
-    band_relay: np.ndarray
-    band_snr: np.ndarray
-    snr_total: float | np.ndarray
-    total_throughput_bps: float | np.ndarray | None = None
-    user_throughput_bps: np.ndarray | None = None
-
-    @property
-    def allocated(self) -> np.ndarray:
-        """Boolean mask of bands that got a relay."""
-        return self.band_relay >= 0
-
-    def relay_bands(self) -> dict[int, np.ndarray]:
-        """Step-4 grouping: bands aggregated per winning relay."""
-        out: dict[int, np.ndarray] = {}
-        for relay in np.unique(self.band_relay[self.allocated]):
-            out[int(relay)] = np.flatnonzero(self.band_relay == relay)
-        return out
+    return band_user
 
 
 def allocate_spectrum(
-    common: CommonSpectrumSet,
-    assignment: RelayAssignment,
+    band_user: np.ndarray,
+    owner: np.ndarray,
     bits: np.ndarray,
     snr: np.ndarray,
-) -> AllocationResult:
-    """Step 3: per band, pick the owner's best predicted-free relay.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step 3: per band, pick its user's best predicted-free relay.
 
-    Only relays whose prediction bit for the band is 0 are eligible;
-    among those the highest SNR wins (ties to the lowest relay index).
-    A band with no eligible relay stays unallocated and contributes
-    nothing to the SNR total.
+    Only relays owned by the band's user whose prediction bit for the
+    band is 0 are eligible; among those the highest SNR wins (ties to
+    the lowest relay index).  A band with no user or no eligible relay
+    stays unallocated.
 
     Args:
+        band_user: (..., bands) step-2 users, -1 for a dropped band.
+        owner: (..., relays) step-1 owners, -1 for a dropped relay.
         bits: (..., relays or 1, bands) prediction bits, 0 = free; 1 broadcasts.
         snr: (..., bands, relays) per-band received SNR of each relay.
+
+    Returns:
+        (band_relay, band_snr): the (..., bands) winning relay of each
+        band, -1 when unallocated, and its SNR, 0 when unallocated.
     """
     snr = np.asarray(snr, dtype=np.float64)
-    band_user = common.band_user
+    band_user = np.asarray(band_user)
     batch = snr.shape[:-2]
-    owner = np.broadcast_to(assignment.owner, batch + assignment.owner.shape[-1:])
-    ownership = owner[..., None, :] == np.arange(common.users)[:, None]  # (..., T, Rr)
+    owner = np.broadcast_to(owner, batch + np.shape(owner)[-1:])
     bits = np.broadcast_to(bits, batch + np.shape(bits)[-2:])
 
     # (batch..., band) indices of the bands step 2 gave to a user; each
     # one's SNR row, relays of other users or predicted busy masked out
     assigned = np.nonzero(band_user >= 0)
-    eligible = ownership[assigned[:-1] + (band_user[assigned],)] & (
+    eligible = (owner[assigned[:-1]] == band_user[assigned][:, None]) & (
         np.swapaxes(bits, -1, -2)[assigned] == 0
     )  # (K, Rr)
     scores = snr[assigned]
@@ -225,37 +170,29 @@ def allocate_spectrum(
     band_relay[assigned] = np.where(has_winner, best, UNASSIGNED)
     band_snr = np.zeros(band_user.shape)
     band_snr[assigned] = np.where(has_winner, best_snr, 0.0)
-
-    return AllocationResult(
-        users=common.users,
-        band_user=band_user,
-        band_relay=band_relay,
-        band_snr=band_snr,
-        snr_total=band_snr.sum(axis=-1),
-    )
+    return band_relay, band_snr
 
 
 def aggregate_and_score(
-    allocation: AllocationResult, params: RadioParams
-) -> AllocationResult:
-    """Step 4: total and per-user throughput of the allocation.
+    band_user: np.ndarray, band_snr: np.ndarray, users: int, params: RadioParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step 4: total and per-user throughput of an allocation.
 
-    Each allocated band contributes b*log2(1 + winning SNR); a user's
-    capacity is the same sum restricted to that user's bands, added up
-    in band order.
+    Each band contributes b*log2(1 + its SNR), so a band without a relay
+    (SNR 0) contributes nothing; a user's capacity is the same sum
+    restricted to that user's bands, added up in band order.
+
+    Returns:
+        (total_bps, user_bps): the (...) network throughput and the
+        (..., users) throughput of each user.
     """
-    alloc = allocation.allocated
-    per_band = np.where(alloc, link_throughput(params, allocation.band_snr), 0.0)
-    users = allocation.users
+    per_band = link_throughput(params, band_snr)
     batch = per_band.shape[:-1]
     # bincount adds each (batch entry, user) cell's bands in band order
+    mine = band_user >= 0
     rows = np.arange(int(np.prod(batch)), dtype=np.int64).reshape(batch + (1,))
-    cells = (rows * users + allocation.band_user)[alloc]
+    cells = (rows * users + band_user)[mine]
     user_throughput = np.bincount(
-        cells, weights=per_band[alloc], minlength=rows.size * users
+        cells, weights=per_band[mine], minlength=rows.size * users
     ).reshape(batch + (users,))
-    return replace(
-        allocation,
-        total_throughput_bps=per_band.sum(axis=-1),
-        user_throughput_bps=user_throughput,
-    )
+    return per_band.sum(axis=-1), user_throughput

@@ -169,6 +169,9 @@ def _parse_value(key: str, name: str, raw):
     spec = _FIELDS[name]
     convert, kind = _CONVERTERS[spec.type]
     try:
+        if isinstance(raw, bool):
+            # int(True) is 1: a flag is not a count, a seed or a probability
+            raise ValueError(raw)
         value = convert(raw)
     except (ValueError, OverflowError):
         raise ConfigParseError(f"{key} must be {kind}, got {raw!r}") from None

@@ -198,7 +198,8 @@ def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
     cumulative pair-code counts, so the cost does not grow with the
     window length.
     """
-    history = np.asarray(history, dtype=np.int64)
+    # pair codes 0-8 fit in int8
+    history = np.asarray(history, dtype=np.int8)
     slots, n_bands = history.shape
     if not 2 <= window <= slots:
         raise EstimationError(f"window must lie in [2, {slots}], got {window}")

@@ -52,8 +52,6 @@ import numpy as np
 
 from .aggregation import (
     UNASSIGNED,
-    AllocationResult,
-    RelayAssignment,
     aggregate_and_score,
     allocate_spectrum,
     assign_relays,
@@ -155,29 +153,18 @@ def _owned_hop(hop: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return np.where(owner >= 0, owned_hop[..., 0], 0.0)
 
 
-def reduce_to_best_band(allocation: AllocationResult) -> AllocationResult:
-    """No-aggregation policy: keep each user's best allocated band only.
+def reduce_to_best_band(band_user: np.ndarray, score: np.ndarray, users: int) -> np.ndarray:
+    """No-aggregation policy: the mask of each user's best allocated band.
 
-    The kept band is the one whose winner has the highest `band_snr`
-    (ties to the lowest band id); every other band is released.  Nothing
-    is scored: the throughput fields are None.  Leading batch axes are
-    reduced independently.
+    `band_user` is the (..., bands) user of each allocated band, -1 for
+    an unallocated one.  Of each user's bands the one with the highest
+    `score` is kept (ties to the lowest band id); every other band is
+    released.  Leading batch axes are reduced independently.
     """
-    users = np.arange(allocation.users)[:, None]
-    mine = allocation.allocated[..., None, :] & (
-        allocation.band_user[..., None, :] == users
-    )  # (..., users, bands)
-    best = np.where(mine, allocation.band_snr[..., None, :], -np.inf).argmax(axis=-1)
-    bands = np.arange(allocation.band_user.shape[-1])
-    keep = (mine.any(axis=-1)[..., None] & (bands == best[..., None])).any(axis=-2)
-    band_snr = np.where(keep, allocation.band_snr, 0.0)
-    return AllocationResult(
-        users=allocation.users,
-        band_user=allocation.band_user,
-        band_relay=np.where(keep, allocation.band_relay, UNASSIGNED),
-        band_snr=band_snr,
-        snr_total=band_snr.sum(axis=-1),
-    )
+    mine = band_user[..., None, :] == np.arange(users)[:, None]  # (..., users, bands)
+    best = np.where(mine, score[..., None, :], -np.inf).argmax(axis=-1)
+    bands = np.arange(band_user.shape[-1])
+    return (mine.any(axis=-1)[..., None] & (bands == best[..., None])).any(axis=-2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -293,28 +280,16 @@ def _score(
         gain = gains[pair, np.arange(bands), winner]
         if reduce:
             score = _hop(hop_split, beta2, params.snr_combining) * gain
-            kept = reduce_to_best_band(
-                AllocationResult(users, band_user, relay, score, score.sum(axis=-1))
-            ).allocated
+            kept = reduce_to_best_band(band_user, score, users)
         delivered = kept & ~failed[pairs]
         snr = params.tx_power_w * _hop(hop_split, beta2 * es, params.snr_combining) * gain
         snr /= params.gamma
+        # a band that delivers nothing gets SNR 0, so it scores nothing for its user
         band_snr = np.where(delivered, snr, 0.0)
-        scored = aggregate_and_score(
-            AllocationResult(
-                users=users,
-                band_user=np.broadcast_to(band_user, snr.shape),
-                band_relay=np.broadcast_to(np.where(delivered, relay, UNASSIGNED), snr.shape),
-                band_snr=band_snr,
-                snr_total=band_snr.sum(axis=-1),
-            ),
-            params,
-        )
         blocks.append((
             kept.sum(axis=-1),
             (kept & failed[pairs]).sum(axis=-1),
-            scored.total_throughput_bps,
-            scored.user_throughput_bps,
+            *aggregate_and_score(np.broadcast_to(band_user, snr.shape), band_snr, users, params),
         ))
     allocated, outages, throughput, capacity = zip(*blocks)
     allocated, outages = np.concatenate(allocated), np.concatenate(outages)
@@ -385,13 +360,12 @@ def run_episode(
     # step 1 for all pairs at once, on draw-only scores (the hop at Es/N0 = 1, then
     # times band gains): an SNR is a score times tx * Es/N0 / gamma, so both rank alike
     hop = _hop(alpha[:, :, :users], beta[:, :, :users] * 2.0, params.snr_combining)
-    assignment = assign_relays(topology, hop)
-    owned_hop = _owned_hop(hop, assignment.owner)
+    # relay and user indices in the narrowest integer types that also hold -1
+    owner = assign_relays(topology, hop).astype(np.min_scalar_type(-users))
+    band_relay = np.empty((n_pairs, bands), dtype=np.min_scalar_type(-relays))
+    owned_hop = _owned_hop(hop, owner)
     # freed before the pair blocks' temporaries, which would otherwise grow the heap
     del hop
-    # relay and user indices in the narrowest integer types that also hold -1
-    band_relay = np.empty((n_pairs, bands), dtype=np.min_scalar_type(-relays))
-    owner = assignment.owner.astype(np.min_scalar_type(-users))
     predicted = np.empty(n_pairs, dtype=np.int8)
     designated = config.designated_band
     for pairs in _pair_blocks(n_pairs, bands * relays):
@@ -404,11 +378,11 @@ def run_episode(
         else:
             states_next = states_now
         available = [two_slot_availability(*s) for s in zip(states_now, states_next)]
-        block = RelayAssignment(users, assignment.owner[pairs])
         score = owned_hop[pairs, None, :] * gains[pairs]
-        common = common_free_spectrum(block, available[0], available[-1], score)
-        alloc = allocate_spectrum(common, block, prediction_bits(states_next[-1]), score)
-        band_relay[pairs] = alloc.band_relay
+        band_user = common_free_spectrum(owner[pairs], users, available[0], available[-1], score)
+        band_relay[pairs], _ = allocate_spectrum(
+            band_user, owner[pairs], prediction_bits(states_next[-1]), score
+        )
         predicted[pairs] = states_next[0][:, 0, designated]
 
     (pair_fields,) = _score(

@@ -9,7 +9,6 @@ from oracles import exhaustive_best_assignment
 
 from specagg.aggregation import (
     UNASSIGNED,
-    RelayAssignment,
     aggregate_and_score,
     allocate_spectrum,
     assign_relays,
@@ -56,32 +55,32 @@ class TestAvailabilityHelpers:
 class TestAssignRelays:
     def test_single_pair_relay_joins_it(self):
         topology = topo([[False, False, True]])
-        assignment = assign_relays(topology, np.array([[1.0, 1.0, 1.0]]))
-        assert assignment.owner[0] == 2
+        owner = assign_relays(topology, np.array([[1.0, 1.0, 1.0]]))
+        assert owner[0] == 2
 
     def test_uncovered_relay_dropped(self):
         topology = topo([[False, False]])
-        assignment = assign_relays(topology, np.zeros((1, 2)))
-        assert assignment.owner[0] == UNASSIGNED
+        owner = assign_relays(topology, np.zeros((1, 2)))
+        assert owner[0] == UNASSIGNED
 
     def test_multi_coverage_takes_best_throughput(self):
         topology = topo([[True, True]])
-        assignment = assign_relays(topology, np.array([[5e6, 7e6]]))
-        assert assignment.owner[0] == 1
+        owner = assign_relays(topology, np.array([[5e6, 7e6]]))
+        assert owner[0] == 1
 
     def test_two_way_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             rates = rng.uniform(1.0, 10.0, size=(1, 2))
             topology = topo([[True, True]])
-            assignment = assign_relays(topology, rates)
+            owner = assign_relays(topology, rates)
             best = 0 if rates[0, 0] >= rates[0, 1] else 1
-            assert assignment.owner[0] == best
+            assert owner[0] == best
 
     def test_tie_breaks_to_lowest_user(self):
         topology = topo([[True, True, True]])
-        assignment = assign_relays(topology, np.array([[3.0, 3.0, 3.0]]))
-        assert assignment.owner[0] == 0
+        owner = assign_relays(topology, np.array([[3.0, 3.0, 3.0]]))
+        assert owner[0] == 0
 
     def test_partition_property(self):
         rng = np.random.default_rng(11)
@@ -89,64 +88,64 @@ class TestAssignRelays:
             coverage = rng.random((6, 3)) < 0.5
             topology = topo(coverage)
             rates = rng.uniform(0, 1, size=(6, 3))
-            assignment = assign_relays(topology, rates)
+            owner = assign_relays(topology, rates)
             # each relay has one owner, or is dropped when it covers no pair
-            assert assignment.owner.shape == (6,)
+            assert owner.shape == (6,)
             np.testing.assert_array_equal(
-                assignment.owner == UNASSIGNED, ~coverage.any(axis=1)
+                owner == UNASSIGNED, ~coverage.any(axis=1)
             )
             # an assigned relay always covers its pair
-            for relay, user in enumerate(assignment.owner):
+            for relay, user in enumerate(owner):
                 if user >= 0:
                     assert coverage[relay, user]
 
 
 class TestCommonFreeSpectrum:
     def test_band_free_for_single_user_joins_it(self):
-        assignment = RelayAssignment(users=2, owner=np.array([0, 1]))
+        owner = np.array([0, 1])
         source_avail = np.array([[True], [False]])
         relay_avail = np.array([[True], [True]])
         snr = np.array([[1.0, 9.0]])
-        common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
-        assert common.band_user[0] == 0
+        band_user = common_free_spectrum(owner, 2, source_avail, relay_avail, snr)
+        assert band_user[0] == 0
 
     def test_band_busy_everywhere_dropped(self):
-        assignment = RelayAssignment(users=2, owner=np.array([0, 1]))
+        owner = np.array([0, 1])
         source_avail = np.array([[True], [True]])
         relay_avail = np.array([[False], [False]])
         snr = np.array([[1.0, 9.0]])
-        common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
-        assert common.band_user[0] == UNASSIGNED
+        band_user = common_free_spectrum(owner, 2, source_avail, relay_avail, snr)
+        assert band_user[0] == UNASSIGNED
 
     def test_contested_band_goes_to_owner_of_best_relay(self):
-        assignment = RelayAssignment(users=2, owner=np.array([0, 1]))
+        owner = np.array([0, 1])
         source_avail = np.array([[True], [True]])
         relay_avail = np.array([[True], [True]])
         snr = np.array([[1.0, 9.0]])  # relay 1 (user 1) is globally best
-        common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
-        assert common.band_user[0] == 1
+        band_user = common_free_spectrum(owner, 2, source_avail, relay_avail, snr)
+        assert band_user[0] == 1
 
     def test_winner_outside_any_set_drops_band(self):
         # the strongest free relay is unowned: the band is dropped, not
         # reassigned to the runner-up
-        assignment = RelayAssignment(users=2, owner=np.array([0, 1, UNASSIGNED]))
+        owner = np.array([0, 1, UNASSIGNED])
         source_avail = np.array([[True], [True]])
         relay_avail = np.array([[True], [True], [True]])
         snr = np.array([[1.0, 2.0, 50.0]])
-        common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
-        assert common.band_user[0] == UNASSIGNED
+        band_user = common_free_spectrum(owner, 2, source_avail, relay_avail, snr)
+        assert band_user[0] == UNASSIGNED
 
     def test_many_free_relays_of_one_user_keep_the_band(self):
         # 256 free relays of one user must not wrap a narrow per-user count
         relays = 256
-        assignment = RelayAssignment(users=1, owner=np.zeros(relays, dtype=np.int64))
+        owner = np.zeros(relays, dtype=np.int64)
         source_avail = np.array([[True, True]])
         relay_avail = np.zeros((relays, 2), dtype=bool)
         relay_avail[:, 0] = True
         relay_avail[0, 1] = True
         snr = np.ones((2, relays))
-        common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
-        np.testing.assert_array_equal(common.band_user, [0, 0])
+        band_user = common_free_spectrum(owner, 1, source_avail, relay_avail, snr)
+        np.testing.assert_array_equal(band_user, [0, 0])
 
     def test_exhaustive_candidate_scan(self):
         # replicate the selection rule with plain loops over all
@@ -157,7 +156,6 @@ class TestCommonFreeSpectrum:
             n_relays = int(rng.integers(1, 6))
             n_bands = int(rng.integers(1, 8))
             owner = rng.integers(-1, n_users, size=n_relays)
-            assignment = RelayAssignment(users=n_users, owner=owner)
             source_avail = rng.random((n_users, n_bands)) < 0.7
             relay_avail = rng.random((n_relays, n_bands)) < 0.7
             snr = rng.uniform(0.1, 20.0, size=(n_bands, n_relays))
@@ -183,92 +181,83 @@ class TestCommonFreeSpectrum:
                 if owner[winner] in candidates:
                     expected[band] = owner[winner]
 
-            common = common_free_spectrum(assignment, source_avail, relay_avail, snr)
-            np.testing.assert_array_equal(common.band_user, expected)
+            band_user = common_free_spectrum(owner, n_users, source_avail, relay_avail, snr)
+            np.testing.assert_array_equal(band_user, expected)
 
 
 class TestAllocateSpectrum:
     def test_single_relay_single_band(self):
-        assignment = RelayAssignment(users=1, owner=np.array([0]))
+        owner = np.array([0])
         common_user = np.array([0])
         bits = np.zeros((1, 1), dtype=np.int8)
         snr = np.array([[4.0]])
-        alloc = allocate_spectrum(
-            _common(1, common_user), assignment, bits, snr
-        )
-        assert alloc.band_relay[0] == 0
-        assert alloc.snr_total == 4.0
+        band_relay, band_snr = allocate_spectrum(common_user, owner, bits, snr)
+        assert band_relay[0] == 0
+        assert band_snr.sum() == 4.0
 
     def test_fully_occupied_prediction_unallocates(self):
-        assignment = RelayAssignment(users=1, owner=np.array([0, 0]))
+        owner = np.array([0, 0])
         common_user = np.array([0])
         bits = np.ones((2, 1), dtype=np.int8)
         snr = np.array([[4.0, 8.0]])
-        alloc = allocate_spectrum(_common(1, common_user), assignment, bits, snr)
-        assert alloc.band_relay[0] == UNASSIGNED
-        assert alloc.snr_total == 0.0
-        scored = aggregate_and_score(alloc, RadioParams())
-        assert scored.total_throughput_bps == 0.0
+        band_relay, band_snr = allocate_spectrum(common_user, owner, bits, snr)
+        assert band_relay[0] == UNASSIGNED
+        assert band_snr.sum() == 0.0
+        total_bps, _ = aggregate_and_score(common_user, band_snr, 1, RadioParams())
+        assert total_bps == 0.0
 
     def test_matches_exhaustive_oracle_on_random_instances(self):
         rng = np.random.default_rng(123)
         for _ in range(300):
             n_users, owner, common_user, bits, snr = random_instance(rng)
-            assignment = RelayAssignment(users=n_users, owner=owner)
-            alloc = allocate_spectrum(
-                _common(n_users, common_user), assignment, bits, snr
-            )
+            band_relay, band_snr = allocate_spectrum(common_user, owner, bits, snr)
             best, chosen = exhaustive_best_assignment(common_user, owner, bits, snr)
-            assert alloc.snr_total == pytest.approx(best, rel=1e-12, abs=1e-12)
+            assert band_snr.sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
             # with continuous SNRs the maximiser is unique a.s.
-            np.testing.assert_array_equal(alloc.band_relay, chosen)
+            np.testing.assert_array_equal(band_relay, chosen)
 
     def test_tie_breaks_to_lowest_relay(self):
-        assignment = RelayAssignment(users=1, owner=np.array([0, 0, 0]))
+        owner = np.array([0, 0, 0])
         bits = np.zeros((3, 1), dtype=np.int8)
         snr = np.array([[7.0, 7.0, 7.0]])
-        alloc = allocate_spectrum(_common(1, np.array([0])), assignment, bits, snr)
-        assert alloc.band_relay[0] == 0
+        band_relay, _ = allocate_spectrum(np.array([0]), owner, bits, snr)
+        assert band_relay[0] == 0
 
 
 class TestAggregateAndScore:
     def test_empty_allocation(self):
-        assignment = RelayAssignment(users=2, owner=np.array([0, 1]))
-        alloc = allocate_spectrum(
-            _common(2, np.array([UNASSIGNED, UNASSIGNED])),
-            assignment,
-            np.zeros((2, 2), dtype=np.int8),
-            np.ones((2, 2)),
+        common_user = np.array([UNASSIGNED, UNASSIGNED])
+        _, band_snr = allocate_spectrum(
+            common_user, np.array([0, 1]), np.zeros((2, 2), dtype=np.int8), np.ones((2, 2))
         )
-        scored = aggregate_and_score(alloc, RadioParams())
-        assert scored.total_throughput_bps == 0.0
-        np.testing.assert_array_equal(scored.user_throughput_bps, [0.0, 0.0])
+        total_bps, user_bps = aggregate_and_score(common_user, band_snr, 2, RadioParams())
+        assert total_bps == 0.0
+        np.testing.assert_array_equal(user_bps, [0.0, 0.0])
 
     def test_snr_one_band_at_2mhz(self):
-        scored = _score_two_band_case(snrs=[1.0], params=RadioParams(band_width_hz=2e6))
-        assert scored.total_throughput_bps == 2e6
+        total_bps, _ = _score_two_band_case(snrs=[1.0], params=RadioParams(band_width_hz=2e6))
+        assert total_bps == 2e6
 
     def test_two_band_sum(self):
-        scored = _score_two_band_case(snrs=[1.0, 3.0], params=RadioParams(band_width_hz=2e6))
-        assert scored.total_throughput_bps == 6e6  # 2 Mb/s + 4 Mb/s
+        total_bps, _ = _score_two_band_case(
+            snrs=[1.0, 3.0], params=RadioParams(band_width_hz=2e6)
+        )
+        assert total_bps == 6e6  # 2 Mb/s + 4 Mb/s
 
     def test_per_band_sum_oracle(self):
         rng = np.random.default_rng(77)
         params = RadioParams()
         for _ in range(100):
             n_users, owner, common_user, bits, snr = random_instance(rng)
-            assignment = RelayAssignment(users=n_users, owner=owner)
-            alloc = allocate_spectrum(_common(n_users, common_user), assignment, bits, snr)
-            scored = aggregate_and_score(alloc, params)
+            band_relay, band_snr = allocate_spectrum(common_user, owner, bits, snr)
+            total_bps, user_bps = aggregate_and_score(common_user, band_snr, n_users, params)
             expected = sum(
-                params.band_width_hz * np.log2(1.0 + alloc.band_snr[band])
+                params.band_width_hz * np.log2(1.0 + band_snr[band])
                 for band in range(len(common_user))
-                if alloc.band_relay[band] >= 0
+                if band_relay[band] >= 0
             )
-            assert scored.total_throughput_bps == pytest.approx(expected, rel=1e-12)
-            assert scored.user_throughput_bps.sum() == pytest.approx(
-                scored.total_throughput_bps, rel=1e-9
-            )
+            assert total_bps == pytest.approx(expected, rel=1e-12)
+            assert user_bps.sum() == pytest.approx(total_bps, rel=1e-9)
 
 
 class TestEngineInvariants:
@@ -277,40 +266,25 @@ class TestEngineInvariants:
         params = RadioParams()
         for _ in range(100):
             n_users, owner, common_user, bits, snr = random_instance(rng)
-            assignment = RelayAssignment(users=n_users, owner=owner)
-            alloc = aggregate_and_score(
-                allocate_spectrum(_common(n_users, common_user), assignment, bits, snr),
-                params,
-            )
-            for band in np.flatnonzero(alloc.allocated):
-                single = params.band_width_hz * np.log2(1.0 + alloc.band_snr[band])
-                assert alloc.total_throughput_bps >= single - 1e-9
+            band_relay, band_snr = allocate_spectrum(common_user, owner, bits, snr)
+            total_bps, _ = aggregate_and_score(common_user, band_snr, n_users, params)
+            for band in np.flatnonzero(band_relay >= 0):
+                single = params.band_width_hz * np.log2(1.0 + band_snr[band])
+                assert total_bps >= single - 1e-9
 
     def test_freeing_a_bit_never_hurts(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             n_users, owner, common_user, bits, snr = random_instance(rng)
-            assignment = RelayAssignment(users=n_users, owner=owner)
-            base = allocate_spectrum(_common(n_users, common_user), assignment, bits, snr)
+            _, base_snr = allocate_spectrum(common_user, owner, bits, snr)
             ones = np.argwhere(bits == 1)
             if ones.size == 0:
                 continue
             relay, band = ones[rng.integers(len(ones))]
             flipped = bits.copy()
             flipped[relay, band] = 0
-            better = allocate_spectrum(
-                _common(n_users, common_user), assignment, flipped, snr
-            )
-            assert better.snr_total >= base.snr_total - 1e-12
-
-    def test_conservation_of_allocated_bands(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            n_users, owner, common_user, bits, snr = random_instance(rng)
-            assignment = RelayAssignment(users=n_users, owner=owner)
-            alloc = allocate_spectrum(_common(n_users, common_user), assignment, bits, snr)
-            grouped = sum(len(v) for v in alloc.relay_bands().values())
-            assert grouped == int(alloc.allocated.sum())
+            _, better_snr = allocate_spectrum(common_user, owner, flipped, snr)
+            assert better_snr.sum() >= base_snr.sum() - 1e-12
 
     def test_determinism_byte_for_byte(self):
         rng_a = np.random.default_rng(99)
@@ -318,28 +292,16 @@ class TestEngineInvariants:
         results = []
         for rng in (rng_a, rng_b):
             n_users, owner, common_user, bits, snr = random_instance(rng)
-            assignment = RelayAssignment(users=n_users, owner=owner)
-            alloc = aggregate_and_score(
-                allocate_spectrum(_common(n_users, common_user), assignment, bits, snr),
-                RadioParams(),
-            )
-            results.append(pickle.dumps(alloc))
+            band_relay, band_snr = allocate_spectrum(common_user, owner, bits, snr)
+            scored = aggregate_and_score(common_user, band_snr, n_users, RadioParams())
+            results.append(pickle.dumps((band_relay, band_snr, scored)))
         assert results[0] == results[1]
-
-
-def _common(users, band_user):
-    from specagg.aggregation import CommonSpectrumSet
-
-    return CommonSpectrumSet(users=users, band_user=np.asarray(band_user))
 
 
 def _score_two_band_case(snrs, params):
     n = len(snrs)
-    assignment = RelayAssignment(users=1, owner=np.array([0]))
-    alloc = allocate_spectrum(
-        _common(1, np.zeros(n, dtype=np.int64)),
-        assignment,
-        np.zeros((1, n), dtype=np.int8),
-        np.array(snrs)[:, None],
+    common_user = np.zeros(n, dtype=np.int64)
+    _, band_snr = allocate_spectrum(
+        common_user, np.array([0]), np.zeros((1, n), dtype=np.int8), np.array(snrs)[:, None]
     )
-    return aggregate_and_score(alloc, params)
+    return aggregate_and_score(common_user, band_snr, 1, params)

@@ -98,6 +98,21 @@ class TestParseConfig:
             parse_config(None, {"users": raw})
         assert parse_config(None, {"users": 3.0}).users == 3
 
+    @pytest.mark.parametrize(
+        "key, kind, raw",
+        [
+            ("seed", "an integer", True),
+            ("workers", "an integer", True),
+            ("users", "an integer", False),
+            ("coverage_probability", "a number", True),
+            ("p0", "a number", False),
+        ],
+    )
+    def test_bool_value_is_refused(self, key, kind, raw):
+        # int(True) == 1 and float(True) == 1.0 used to run as seed 1 or probability 1
+        with pytest.raises(ConfigParseError, match=rf"{key} must be {kind}, got {raw}"):
+            parse_config(None, {key: raw})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigParseError, match="unknown config key 'p1'"):
             parse_config(None, {"p1": "0.5"})

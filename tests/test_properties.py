@@ -73,22 +73,26 @@ def pair_stacks(draw):
 
 
 def run_steps(topology, rate, source, relay, bits, snr):
-    assignment = assign_relays(topology, rate)
-    common = common_free_spectrum(assignment, source, relay, snr)
-    alloc = aggregate_and_score(allocate_spectrum(common, assignment, bits, snr), PARAMS)
-    return assignment, common, alloc, aggregate_and_score(reduce_to_best_band(alloc), PARAMS)
+    """Steps 1-3 and the no-aggregation keep: the owners, the bands' users
+    and the (band_relay, band_snr) of the full and the reduced allocation."""
+    owner = assign_relays(topology, rate)
+    band_user = common_free_spectrum(owner, topology.users, source, relay, snr)
+    band_relay, band_snr = allocate_spectrum(band_user, owner, bits, snr)
+    allocated_user = np.where(band_relay >= 0, band_user, UNASSIGNED)
+    keep = reduce_to_best_band(allocated_user, band_snr, topology.users)
+    reduced = np.where(keep, band_relay, UNASSIGNED), np.where(keep, band_snr, 0.0)
+    return owner, band_user, (band_relay, band_snr), reduced
 
 
-def outputs(steps):
-    assignment, common, alloc, reduced = steps
-    out = [assignment.owner, common.band_user]
-    for result in (alloc, reduced):
+def outputs(steps, users):
+    owner, band_user, alloc, reduced = steps
+    out = [owner, band_user]
+    for band_relay, band_snr in (alloc, reduced):
         out += [
-            result.band_relay,
-            result.band_snr,
-            result.snr_total,
-            result.total_throughput_bps,
-            result.user_throughput_bps,
+            band_relay,
+            band_snr,
+            band_snr.sum(axis=-1),
+            *aggregate_and_score(band_user, band_snr, users, PARAMS),
         ]
     return out
 
@@ -97,10 +101,11 @@ def outputs(steps):
 @given(pair_stacks())
 def test_stacked_pairs_equal_each_pair_alone(stack):
     topology, *inputs = stack
-    batched = outputs(run_steps(topology, *inputs))
+    users = topology.users
+    batched = outputs(run_steps(topology, *inputs), users)
     for k in range(inputs[0].shape[0]):
-        batch_of_one = outputs(run_steps(topology, *(x[k : k + 1] for x in inputs)))
-        unbatched = outputs(run_steps(topology, *(x[k] for x in inputs)))
+        batch_of_one = outputs(run_steps(topology, *(x[k : k + 1] for x in inputs)), users)
+        unbatched = outputs(run_steps(topology, *(x[k] for x in inputs)), users)
         for whole, one, alone in zip(batched, batch_of_one, unbatched):
             np.testing.assert_array_equal(whole[k], one[0])
             np.testing.assert_array_equal(whole[k], alone)
@@ -110,8 +115,7 @@ def test_stacked_pairs_equal_each_pair_alone(stack):
 @given(pair_stacks())
 def test_engine_invariants_hold_for_every_pair(stack):
     topology, rate, source, relay, bits, snr = stack
-    assignment, common, alloc, reduced = run_steps(topology, rate, source, relay, bits, snr)
-    owner, band_user = assignment.owner, common.band_user
+    owner, band_user, alloc, reduced = run_steps(topology, rate, source, relay, bits, snr)
     users = topology.users
     pairs = np.arange(rate.shape[0])[:, None]
 
@@ -128,23 +132,25 @@ def test_engine_invariants_hold_for_every_pair(stack):
     assert np.all(source[pairs, user_of, np.arange(band_user.shape[1])][assigned])
 
     # an allocated band has one relay, owned by the band's user and predicted free
-    for result in (alloc, reduced):
-        relay_of = np.where(result.allocated, result.band_relay, 0)
-        allocated = result.allocated
+    for band_relay, band_snr in (alloc, reduced):
+        allocated = band_relay >= 0
+        relay_of = np.where(allocated, band_relay, 0)
         assert np.all(band_user[allocated] >= 0)
         assert np.all(owner[pairs, relay_of][allocated] == band_user[allocated])
         band_ids = np.arange(band_user.shape[1])
         assert np.all(bits[pairs, relay_of, band_ids][allocated] == 0)
-        assert np.all(result.band_snr[~allocated] == 0.0)
+        assert np.all(band_snr[~allocated] == 0.0)
 
     # the no-aggregation policy keeps at most one of each user's bands
-    assert np.all(reduced.allocated <= alloc.allocated)
+    (band_relay, band_snr), (kept_relay, _) = alloc, reduced
+    kept = kept_relay >= 0
+    assert np.all(kept <= (band_relay >= 0))
     for user in range(users):
-        assert np.all((reduced.allocated & (band_user == user)).sum(axis=-1) <= 1)
+        assert np.all((kept & (band_user == user)).sum(axis=-1) <= 1)
 
     # freeing every predicted-occupied bit never lowers a pair's SNR total
-    freed = allocate_spectrum(common, assignment, np.zeros_like(bits), snr)
-    assert np.all(freed.snr_total >= alloc.snr_total)
+    _, freed_snr = allocate_spectrum(band_user, owner, np.zeros_like(bits), snr)
+    assert np.all(freed_snr.sum(axis=-1) >= band_snr.sum(axis=-1))
 
 
 @st.composite
@@ -183,13 +189,13 @@ def shared_mask_stacks(draw):
 @given(shared_mask_stacks())
 def test_steps_two_and_three_take_one_mask_row_for_every_relay(stack):
     topology, rate, source, relay, bits, snr = stack
-    assignment = assign_relays(topology, rate)
-    assert assignment.owner[..., -1].max() == UNASSIGNED
+    owner = assign_relays(topology, rate)
+    assert owner[..., -1].max() == UNASSIGNED
 
     def steps(relay, bits):
-        common = common_free_spectrum(assignment, source, relay, snr)
-        alloc = allocate_spectrum(common, assignment, bits, snr)
-        return common.band_user, alloc.band_relay, alloc.band_snr, alloc.snr_total
+        band_user = common_free_spectrum(owner, topology.users, source, relay, snr)
+        band_relay, band_snr = allocate_spectrum(band_user, owner, bits, snr)
+        return band_user, band_relay, band_snr, band_snr.sum(axis=-1)
 
     def every_relay(mask):
         shape = mask.shape[:-2] + (topology.relays, mask.shape[-1])
@@ -217,6 +223,10 @@ def test_window_counts_predict_as_refitted_matrices(case):
     window, history = case
     counts = window_transition_counts(history, window)
     assert counts.shape == (history.shape[0] - window + 1, history.shape[1], 3, 3)
+    # an int64 history counts exactly as the int8 one
+    np.testing.assert_array_equal(
+        window_transition_counts(history.astype(np.int64), window), counts
+    )
     for k in range(counts.shape[0]):
         segment = history[k : k + window]
         predicted = predict_next_states(counts[k], segment[-1])

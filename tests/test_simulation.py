@@ -8,7 +8,7 @@ import pytest
 
 from oracles import bandwise_gains, slotwise_sense
 
-from specagg.aggregation import RelayAssignment, UNASSIGNED, allocate_spectrum
+from specagg.aggregation import UNASSIGNED, aggregate_and_score, allocate_spectrum
 from specagg.markov import SpectrumState, TransitionMatrix
 from specagg.radio import RadioParams
 from specagg import simulation
@@ -192,25 +192,23 @@ class TestPeriodTwoChain:
 
 class TestNoAggregationBaseline:
     def test_reduce_keeps_best_band_per_user(self):
-        from specagg.aggregation import CommonSpectrumSet
-
-        assignment = RelayAssignment(users=1, owner=np.array([0]))
-        common = CommonSpectrumSet(users=1, band_user=np.array([0, 0]))
-        alloc = allocate_spectrum(
-            common,
-            assignment,
+        band_user = np.array([0, 0])
+        band_relay, band_snr = allocate_spectrum(
+            band_user,
+            np.array([0]),
             np.zeros((1, 2), dtype=np.int8),
             np.array([[1.0], [3.0]]),
         )
         params = RadioParams(band_width_hz=2e6)
-        from specagg.aggregation import aggregate_and_score
 
-        full = aggregate_and_score(alloc, params)
-        reduced = aggregate_and_score(reduce_to_best_band(alloc), params)
-        assert full.total_throughput_bps == pytest.approx(6e6)
-        assert reduced.total_throughput_bps == pytest.approx(4e6)
-        assert int(reduced.allocated.sum()) == 1
-        assert reduced.band_relay[1] == 0 and reduced.band_relay[0] == UNASSIGNED
+        keep = reduce_to_best_band(band_user, band_snr, 1)
+        full_bps, _ = aggregate_and_score(band_user, band_snr, 1, params)
+        reduced_bps, _ = aggregate_and_score(band_user, np.where(keep, band_snr, 0.0), 1, params)
+        assert full_bps == pytest.approx(6e6)
+        assert reduced_bps == pytest.approx(4e6)
+        assert int(keep.sum()) == 1
+        reduced_relay = np.where(keep, band_relay, UNASSIGNED)
+        assert reduced_relay[1] == 0 and reduced_relay[0] == UNASSIGNED
 
     def test_single_band_equals_aggregation(self):
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)

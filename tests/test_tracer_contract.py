@@ -7,8 +7,9 @@ the tracer's key function; a benchmark run then ends without a numeric
 result.  This runs the unmodified tracer over a tiny `run_single` and a
 tiny p0 `run_sweep` and checks that every layer resolves, every keyed
 call fits its key, that each world and decision pass runs once, and
-that the decision pass, the no-aggregation keep and the scoring step
-each still run: a layer with no calls reports nothing per pair.
+that the decision pass, its allocation steps 1-3, the no-aggregation
+keep and the scoring step each still run: a layer with no calls reports
+nothing per pair.
 """
 
 import json
@@ -44,7 +45,8 @@ def test_every_layer_resolves_and_each_world_and_pass_runs_once(command, tmp_pat
         assert ratio == 1.0
     json.dumps(ratios, allow_nan=False)
     stats = layer_stats(**tracer.spans())
-    for layer in ("simulation.run_episode", "simulation.reduce_to_best_band",
-                  "aggregation.aggregate_and_score"):
+    for layer in ("simulation.run_episode", "aggregation.assign_relays",
+                  "aggregation.common_free_spectrum", "aggregation.allocate_spectrum",
+                  "simulation.reduce_to_best_band", "aggregation.aggregate_and_score"):
         calls, _ = stats[layer]
         assert calls >= 1, layer
