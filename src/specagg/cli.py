@@ -234,8 +234,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise ConfigParseError(f"unknown config key '{key}'")
         raw[key] = value
     config = RunConfig(**{key: _parse_value(key, key, value) for key, value in raw.items()})
+    # config_effective.txt must read back as this config: a value ends at '#' or a line break
+    if "#" in config.out or config.out.strip() != config.out or len(config.out.splitlines()) > 1:
+        raise ConfigParseError(
+            f"out must hold no '#', line break or leading or trailing space, got {config.out!r}"
+        )
     try:
-        episode_config_from(config, Strategy.PREDICT_AGGREGATE)
+        episode_config_from(config)
     except ConfigError as exc:
         raise ConfigParseError(str(exc)) from None
     if message := designated_band_error(config.designated_band, config.bands):
@@ -280,29 +285,48 @@ def params_from(config: RunConfig) -> RadioParams:
     return _from_fields(RadioParams, config, es_over_n0=es_db_to_linear(config.es_n0_db))
 
 
-def episode_config_from(config: RunConfig, strategy: Strategy) -> EpisodeConfig:
-    return _from_fields(EpisodeConfig, config, strategy=strategy)
+def episode_config_from(config: RunConfig) -> EpisodeConfig:
+    return _from_fields(EpisodeConfig, config, strategy=Strategy.PREDICT_AGGREGATE)
 
 
 # an overflow or invalid operation ends the run in an error, not in inf or nan CSVs
-_RAISE_ON_BAD_ARITHMETIC = np.errstate(over="raise", invalid="raise", divide="raise")
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
+    """Run the cell of `config` with `strategies` at the Es/N0 points `grid` (dB).
 
-
-@_RAISE_ON_BAD_ARITHMETIC
-def run_single(config: RunConfig) -> dict[str, Path]:
-    """Run one cell with all four strategies and write the run CSVs.
-
-    The strategies run as the arms of one `run_strategies` call: per
-    episode one world and three decision passes, with no-aggregation
-    scored from the prediction pass's allocation.
+    One `run_strategies` call: per episode one world and one Es/N0-free
+    decision pass per decision rule, run at the first point and scored
+    at the others in one batch.  Returns (strategy, dB, metrics, columns)
+    per strategy and point, strategy-major; the columns are the CSV text
+    of the mean outage, throughput and min and max user capacity.
     """
+    runs = run_strategies(
+        scenario_from(config),
+        episode_config_from(config),
+        params_from(replace(config, es_n0_db=grid[0])),
+        strategies,
+        [es_db_to_linear(db) for db in grid],
+    )
+    cells = []
+    for strategy, by_point in zip(strategies, runs):
+        for db, metrics in zip(grid, by_point):
+            summary = summarize(metrics)
+            columns = [
+                summary.mean_outage_rate,
+                summary.mean_throughput_bps,
+                summary.min_user_capacity_bps,
+                summary.max_user_capacity_bps,
+            ]
+            cells.append((strategy, db, metrics, [repr(c) for c in columns]))
+    return cells
+
+
+def run_single(config: RunConfig) -> dict[str, Path]:
+    """Run one cell with all four strategies at `es_n0_db` and write the run CSVs."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenario = scenario_from(config)
-    params = params_from(config)
-
-    arms = [(episode_config_from(config, strategy), params) for strategy in Strategy]
-    metrics_by_strategy = dict(zip(Strategy, run_strategies(scenario, arms)))
+    cells = _run_cell(config, list(Strategy), [config.es_n0_db])
+    metrics_by_strategy = {strategy: metrics for strategy, _, metrics, _ in cells}
 
     paths = {
         "config": write_effective_config(config, out_dir),
@@ -312,56 +336,26 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     }
     write_metrics_csv(paths["metrics"], metrics_by_strategy)
     write_trace_csv(paths["trace"], metrics_by_strategy[Strategy.PREDICT_AGGREGATE])
-
-    rows = []
-    for strategy in sorted(Strategy, key=lambda s: s.value):
-        summary = summarize(metrics_by_strategy[strategy])
-        rows.append(
-            [
-                strategy.value,
-                "es_n0_db",
-                repr(float(config.es_n0_db)),
-                repr(summary.mean_outage_rate),
-                repr(summary.mean_throughput_bps),
-                repr(summary.min_user_capacity_bps),
-            ]
-        )
+    rows = [
+        # the run summary has no max user capacity column
+        [strategy.value, "es_n0_db", repr(float(db)), *columns[:3]]
+        for strategy, db, _, columns in sorted(cells, key=lambda cell: cell[0].value)
+    ]
     write_csv(paths["summary"], RUN_SUMMARY_HEADER, rows)
     return paths
 
 
-@_RAISE_ON_BAD_ARITHMETIC
 def _sweep_value(config: RunConfig, axis: str, value) -> list[list]:
-    """Rows of one axis value: its Es/N0 points crossed with the strategies.
+    """Rows of one axis value: its cell's strategies at each of its Es/N0 points.
 
-    The value's cells run as the arms of one `run_strategies` call: per
-    episode one world and one Es/N0-free decision pass per strategy
-    rule, whose allocation is scored at every point in one batch.
     Top-level so worker processes can receive it.
     """
     config = replace(config, **{_AXIS_FIELD[axis]: value})
     grid = [value] if axis == "es_over_n0" else config.es_n0_db_sweep
-    # one checked config per strategy and one per Es/N0 point, then crossed
-    strategies = [episode_config_from(config, strategy) for strategy in SWEEP_STRATEGIES]
-    points = [(db, params_from(replace(config, es_n0_db=db))) for db in grid]
-    cells = [(db, c, params) for db, params in points for c in strategies]
-    runs = run_strategies(scenario_from(config), [(c, params) for _, c, params in cells])
-    rows = []
-    for (db, episode_config, _), metrics in zip(cells, runs):
-        summary = summarize(metrics)
-        rows.append(
-            [
-                episode_config.strategy.value,
-                axis,
-                repr(float(value)),
-                repr(float(db)),
-                repr(summary.mean_outage_rate),
-                repr(summary.mean_throughput_bps),
-                repr(summary.min_user_capacity_bps),
-                repr(summary.max_user_capacity_bps),
-            ]
-        )
-    return rows
+    return [
+        [strategy.value, axis, repr(float(value)), repr(float(db)), *columns]
+        for strategy, db, _, columns in _run_cell(config, SWEEP_STRATEGIES, grid)
+    ]
 
 
 def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
@@ -461,7 +455,6 @@ def emit_figure_data(config: RunConfig, figure_id: int) -> Path:
             + ", ".join(str(i) for i in FIGURE_IDS)
         )
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     figure_path = out_dir / f"figure{figure_id}.csv"
 
     if figure_id == 8:

@@ -35,17 +35,18 @@ winner score (`reduce_to_best_band`).  One function, `_score`, turns a
 pass's kept allocation into metrics at any list of Es/N0 points: it
 gathers the winning bands' draws and rebuilds their SNRs at every
 point as one (points, pairs, bands) batch.  A pass scores its own
-point through it.  `run_strategies` builds each episode's world once,
-runs one pass per decision rule -- predict (also NO_AGGREGATION's),
-persist and single-user -- of arms that differ only in strategy and
-Es/N0, and scores every other arm through the same function.
+point through it.  `run_strategies` runs one cell's strategies at its
+Es/N0 points: per episode it builds the world once, runs one pass per
+decision rule -- predict (also NO_AGGREGATION's), persist and
+single-user -- and scores every other (strategy, point) through the
+same function.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ from .aggregation import (
     two_slot_availability,
 )
 from .markov import SpectrumState, predict_next_states, window_transition_counts, wrap_states
-from .params import ConfigError, EpisodeConfig, NetworkScenario, Strategy
+from .params import ConfigError, EpisodeConfig, NetworkScenario, Strategy, require
 from .radio import RadioParams, sample_hop_splits
 from .seeds import derive_rng, derive_rngs, derive_seed_sequence
 from .topology import (
@@ -184,8 +185,8 @@ def episode_draws(
     relay; gains are the (n_pairs, bands, relays) power gains, one fading
     stream per band.  Adding a relay or band never perturbs the draws of
     the existing ones.  Nothing here depends on the strategy or Es/N0,
-    so the one-entry cache serves every arm of the episode that
-    `run_strategies` is running.
+    so the one-entry cache serves every pass and point of the episode
+    that `run_strategies` is running.
     """
     alpha = np.empty((n_pairs, relays, draw_users))
     beta = np.empty_like(alpha)
@@ -220,7 +221,7 @@ def sensing_offsets(
     many states past the truth.  A node's offsets are `sense` of an
     all-Good (code 0) trajectory, so it senses any truth as
     ``wrap_states(truth + offsets)``.  They hold no truth, so the
-    one-entry cache serves every arm, Es/N0 point and p0 value of the
+    one-entry cache serves every pass, Es/N0 point and p0 value of the
     episode.
     """
     good = np.zeros((slots, bands), dtype=np.int8)
@@ -438,82 +439,66 @@ def build_episode_world(
     return topology, processes
 
 
-def run_strategies(
-    scenario: NetworkScenario, arms: list[tuple[EpisodeConfig, RadioParams]]
-) -> list[list[EpisodeMetrics]]:
-    """Run every episode of each (config, params) arm on seed-paired worlds.
+# a strategy's decision rule where the two differ
+_RULE = {Strategy.NO_AGGREGATION: Strategy.PREDICT_AGGREGATE}
 
-    Episodes run outer.  Arms that differ only in strategy and Es/N0
-    share each episode's world, built once, and one decision pass per
+
+def run_strategies(
+    scenario: NetworkScenario,
+    config: EpisodeConfig,
+    params: RadioParams,
+    strategies: list[Strategy],
+    points: list[float],
+) -> list[list[list[EpisodeMetrics]]]:
+    """Run every episode of one cell's `strategies` at its Es/N0 `points`.
+
+    `points` are linear Es/N0 values; results are reported at them, not
+    at `params.es_over_n0`, and `config.strategy` is ignored.  Episodes
+    run outer: each builds its world once and runs one decision pass per
     decision rule -- predict (also NO_AGGREGATION's), persist and
-    single-user -- run with the first of them that needs it.  Every
-    other arm of a rule, another Es/N0 point or NO_AGGREGATION, is
-    scored from that pass's kept allocation (`_score`, once per pass
-    and kind).  Returns each arm's per-episode metrics, in arm order.
-    Every arm must run the same number of episodes.
+    single-user -- and scores each pass's kept allocation at every point
+    (`_score`, once per pass and kind).  Returns ``out[i][j]``, the
+    per-episode metrics of ``strategies[i]`` at ``points[j]``.
     """
-    episodes = {config.episodes for config, _ in arms}
-    if len(episodes) > 1:
-        raise ConfigError(
-            f"all arms must run the same number of episodes, got {sorted(episodes)}"
-        )
-    groups: dict[tuple, list[int]] = {}
-    for index, (config, params) in enumerate(arms):
-        # every field but the strategy and Es/N0, read without re-validating
-        shared = (
-            tuple(getattr(config, f.name) for f in fields(config) if f.name != "strategy"),
-            tuple(getattr(params, f.name) for f in fields(params) if f.name != "es_over_n0"),
-        )
-        groups.setdefault(shared, []).append(index)
-    out = [[] for _ in arms]
-    for episode in range(max(episodes, default=0)):
+    for es in points:
+        require(RadioParams, "es_over_n0", es)
+    # each strategy's decision rule, and each rule's config, built once per call
+    rules = [_RULE.get(strategy, strategy) for strategy in strategies]
+    configs = {rule: replace(config, strategy=rule) for rule in dict.fromkeys(rules)}
+    out = [[[] for _ in points] for _ in strategies]
+    for episode in range(config.episodes):
         if episode:
             # the last episode's draws are spent: free them before drawing
             episode_draws.cache_clear()
             sensing_offsets.cache_clear()
-        for members in groups.values():
-            topology, processes = build_episode_world(scenario, arms[members[0]][0], episode)
-            truth = processes.trajectory()
-            # decision rule -> the arms it decides; prediction decides NO_AGGREGATION's
-            rules: dict[Strategy, list[int]] = {}
-            for index in members:
-                rule = arms[index][0].strategy
-                if rule == Strategy.NO_AGGREGATION:
-                    rule = Strategy.PREDICT_AGGREGATE
-                rules.setdefault(rule, []).append(index)
-            for rule, indices in rules.items():
-                config, params = arms[indices[0]]
-                # the first pair alone keeps every relay covering it, and its
-                # draws stay shaped for (so paired with) the full population
-                seen = topology.restrict_to_user(0) if rule == Strategy.SINGLE_USER else topology
-                decided = run_episode(
-                    config if config.strategy == rule else replace(config, strategy=rule),
-                    seen, processes, params, episode, scenario.users,
-                )
-                decisions, decided.decisions = decided.decisions, None
-                draws = (config.seed, episode, config.pairs, seen.relays, scenario.users,
-                         processes.band_count, params.gain_model)
-                truth_next = truth[decided.pair_slots + 1]
-                # (reduced, Es/N0) -> pair fields; the pass has scored its own point
-                keys = [
-                    (arms[i][0].strategy == Strategy.NO_AGGREGATION, arms[i][1].es_over_n0)
-                    for i in indices
-                ]
-                scored = {(False, params.es_over_n0): {}}
-                missing = [key for key in dict.fromkeys(keys) if key not in scored]
-                for reduce in (False, True):
-                    points = [es for r, es in missing if r == reduce]
-                    if points:
-                        scored.update(zip(
-                            [(reduce, es) for es in points],
-                            # the cached draws, held only while scoring: the
-                            # next episode frees them before drawing its own
-                            _score(decisions, seen.users, reduce, episode_draws(*draws),
-                                   truth_next, points, params),
-                        ))
-                for index, key in zip(indices, keys):
-                    out[index].append(EpisodeMetrics(
-                        **{**vars(decided), "strategy": arms[index][0].strategy, **scored[key]}
+        topology, processes = build_episode_world(scenario, config, episode)
+        truth = processes.trajectory()
+        for rule, rule_config in configs.items():
+            # the first pair alone keeps every relay covering it, and its
+            # draws stay shaped for (so paired with) the full population
+            seen = topology.restrict_to_user(0) if rule == Strategy.SINGLE_USER else topology
+            decided = run_episode(rule_config, seen, processes, params, episode, scenario.users)
+            decisions, decided.decisions = decided.decisions, None
+            draws = (config.seed, episode, config.pairs, seen.relays, scenario.users,
+                     processes.band_count, params.gain_model)
+            # (reduced, Es/N0) -> pair fields; the pass has scored its own point
+            scored = {(False, params.es_over_n0): {}}
+            for i, strategy in enumerate(strategies):
+                if rules[i] != rule:
+                    continue
+                reduce = strategy == Strategy.NO_AGGREGATION
+                missing = [es for es in dict.fromkeys(points) if (reduce, es) not in scored]
+                if missing:
+                    scored.update(zip(
+                        [(reduce, es) for es in missing],
+                        # the cached draws, held only while scoring: the
+                        # next episode frees them before drawing its own
+                        _score(decisions, seen.users, reduce, episode_draws(*draws),
+                               truth[decided.pair_slots + 1], missing, params),
+                    ))
+                for j, es in enumerate(points):
+                    out[i][j].append(EpisodeMetrics(
+                        **{**vars(decided), "strategy": strategy, **scored[reduce, es]}
                     ))
     return out
 
@@ -522,7 +507,7 @@ def run_strategy(
     scenario: NetworkScenario, config: EpisodeConfig, params: RadioParams
 ) -> list[EpisodeMetrics]:
     """Run every episode of one strategy on freshly built, seed-paired worlds."""
-    return run_strategies(scenario, [(config, params)])[0]
+    return run_strategies(scenario, config, params, [config.strategy], [params.es_over_n0])[0][0]
 
 
 @dataclass(frozen=True)

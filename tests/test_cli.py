@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specagg import cli
+from specagg import cli, simulation
 from specagg.cli import (
     CLIError,
     ConfigParseError,
@@ -24,6 +27,7 @@ from specagg.cli import (
     run_single,
     run_sweep,
     scenario_from,
+    write_effective_config,
 )
 from specagg.radio import RadioParams
 from specagg.simulation import EpisodeConfig, NetworkScenario, Strategy
@@ -69,7 +73,7 @@ class TestParseConfig:
         config = parse_config()
         assert scenario_from(config) == NetworkScenario()
         assert params_from(config) == RadioParams()
-        assert episode_config_from(config, Strategy.PREDICT_AGGREGATE) == EpisodeConfig()
+        assert episode_config_from(config) == EpisodeConfig()
 
     def test_noise_power_is_an_unknown_key(self, tmp_path, capsys):
         assert main(["run", "--noise-power-w", "1e-6", "--out", str(tmp_path / "x")]) == 1
@@ -146,6 +150,27 @@ class TestParseConfig:
         assert config.es_n0_db_sweep == (0.0, 10.0, 20.0)
         with pytest.raises(ConfigParseError, match="es_n0_db_sweep"):
             parse_config(None, {"es_n0_db_sweep": "0,ten"})
+
+    @pytest.mark.parametrize("out", ["x #y", " x", "x ", "a\nb", "a\rb", "a\u2028b"])
+    def test_out_the_config_file_cannot_hold_is_one_error_line(
+        self, out, tmp_path, monkeypatch, capsys
+    ):
+        # each read back from config_effective.txt as another out, or failed to parse
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure", "--id", "8", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out must hold no '#'") and len(err.splitlines()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=8))
+    def test_effective_config_reads_back_as_the_config(self, out):
+        try:
+            config = parse_config(None, {"out": out})
+        except ConfigParseError:
+            return
+        with tempfile.TemporaryDirectory() as echo_dir:
+            echo = write_effective_config(config, Path(echo_dir))
+            assert parse_config(str(echo)) == config
 
     def test_db_conversion(self):
         assert es_db_to_linear(0.0) == 1.0
@@ -275,22 +300,50 @@ class TestSweepCommand:
     def test_a_sweep_value_checks_each_strategy_and_point_once(
         self, axis, values, tmp_path, monkeypatch
     ):
-        # S configs and G radio params, crossed without re-validating: each
-        # further check may come only from a decision pass
-        config = fast_config(tmp_path, es_n0_db_sweep="0,10,20,30", episodes="1")
-        checks = []
+        # one cell's radio params and episode config, then one config per
+        # decision pass; none per Es/N0 point or per episode.  es_n0_db is
+        # not a grid point, so a pass run at it would score a wasted point
+        config = fast_config(
+            tmp_path, es_n0_db_sweep="0,10,20,30", es_n0_db="15", episodes="2"
+        )
+        checks, scored = [], []
         for cls in (EpisodeConfig, RadioParams):
             def counted(self, check=cls.__post_init__):
                 checks.append(type(self))
                 check(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def score(*args, score=simulation._score):
+            scored.append(len(args[5]))  # its Es/N0 points
+            return score(*args)
+
+        monkeypatch.setattr(simulation, "_score", score)
         run_sweep(config, axis, values)
-        points = 1 if axis == "es_over_n0" else len(config.es_n0_db_sweep)
-        strategies = len(cli.SWEEP_STRATEGIES)
         passes = 2  # predict (with no-aggregation's views) and single-user
-        assert checks.count(RadioParams) == points
-        assert len(checks) <= strategies + points + passes
+        assert checks.count(RadioParams) == 1
+        assert checks.count(EpisodeConfig) == 1 + passes
+        # each point scored once per episode by each pass, and once more
+        # by the prediction pass for no-aggregation
+        points = 1 if axis == "es_over_n0" else len(config.es_n0_db_sweep)
+        assert sum(scored) == config.episodes * (passes + 1) * points
+
+    def test_equal_linear_points_each_get_every_episode(self, tmp_path, monkeypatch):
+        # 0 and 1e-20 dB are distinct points whose linear Es/N0 are both 1.0
+        config = fast_config(tmp_path, es_n0_db_sweep="0,1e-20")
+        assert es_db_to_linear(0.0) == es_db_to_linear(1e-20)
+        runs, original = [], cli.run_strategies
+
+        def recorded(*args):
+            runs.append(original(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_strategies", recorded)
+        rows = run_sweep(config, "p0", ["0.3"]).read_text().splitlines()[1:]
+        assert len(rows) == 2 * len(cli.SWEEP_STRATEGIES)
+        (by_strategy,) = runs
+        for by_point in by_strategy:
+            assert [len(metrics) for metrics in by_point] == [config.episodes] * 2
 
     def test_rows_do_not_depend_on_the_other_sweep_values(self, tmp_path):
         # sweep values enter no stream derivation, so a cell's row is the
@@ -366,6 +419,13 @@ class TestFigureCommands:
         config = fast_config(tmp_path)
         with pytest.raises(CLIError, match="figure 8 needs"):
             emit_figure_data(config, 8)
+
+    @pytest.mark.parametrize("figure_id", ["8", "9", "13"])
+    def test_a_failed_figure_creates_no_directory(self, figure_id, tmp_path, capsys):
+        out = tmp_path / "fresh" / "deep"
+        assert main(["figure", "--id", figure_id, "--out", str(out)]) == 1
+        assert "missing prerequisite" in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestMainEntry:

@@ -6,11 +6,13 @@ equals the same pair run alone, both as a batch of one and with no
 batch axis.  The invariants of a single allocation must hold for every
 pair of a stack.
 
-`run_strategies` runs one decision pass per decision rule and rescores
-all of its views, every further Es/N0 point and no-aggregation, in one
-batch; each arm's metrics must be byte for byte those of the arm run
-alone and of a decision pass at its own point, whatever the arms' order,
-repeats and groups and however the views split into pair blocks.
+`run_strategies` runs one cell's strategies at its Es/N0 points: one
+decision pass per decision rule, whose views, every further point and
+no-aggregation, it rescores in one batch.  Each (strategy, point)'s
+metrics must be byte for byte those of that strategy run alone at that
+point and of a decision pass at the point, whatever the order and
+repeats of the points and strategies and however the views split into
+pair blocks.
 """
 
 from dataclasses import replace
@@ -240,7 +242,7 @@ def test_window_counts_predict_as_refitted_matrices(case):
 
 @st.composite
 def grid_cells(draw):
-    """A small cell, its radio switches, an Es/N0 grid and some strategies."""
+    """A small cell, its radio switches, some strategies and an Es/N0 grid."""
     scenario = NetworkScenario(
         users=draw(st.integers(1, 3)),
         relays=draw(st.integers(1, 5)),
@@ -262,11 +264,11 @@ def grid_cells(draw):
         gain_model=draw(st.sampled_from(["rayleigh", "unit"])),
         snr_combining=draw(st.sampled_from(["second_hop", "min_hop"])),
     )
-    # linear Es/N0 from -10 to 30 dB
-    grid = draw(st.lists(st.sampled_from([0.1, 1.0, 10**0.5, 10.0, 1000.0]),
-                         min_size=1, max_size=3, unique=True))
     strategies = draw(st.lists(st.sampled_from(list(Strategy)), min_size=1, unique=True))
-    return scenario, config, params, grid, strategies
+    # linear Es/N0 from -10 to 30 dB, in any order, repeats allowed
+    grid = draw(st.lists(st.sampled_from([0.1, 1.0, 10**0.5, 10.0, 1000.0]),
+                         min_size=1, max_size=3))
+    return scenario, config, params, strategies, grid
 
 
 METRIC_ARRAYS = ("pair_allocated", "pair_outages", "pair_throughput_bps",
@@ -283,36 +285,32 @@ def assert_same_metrics(a, b):
         assert x.tobytes() == y.tobytes(), name
 
 
-def assert_views_equal_separate_runs(scenario, config, params, grid, strategies):
-    arms = [
-        (replace(config, strategy=strategy), replace(params, es_over_n0=es))
-        for es in grid
-        for strategy in strategies
-    ]
-    assert_arms_equal_separate_runs(scenario, arms)
-
-
-def assert_arms_equal_separate_runs(scenario, arms):
-    together = run_strategies(scenario, arms)
-    for (arm_config, arm_params), metrics in zip(arms, together):
-        alone = run_strategy(scenario, arm_config, arm_params)
-        assert len(metrics) == len(alone) == arm_config.episodes
-        for episode, (view, run) in enumerate(zip(metrics, alone)):
-            assert_same_metrics(view, run)
-            # a decision pass at this arm's own point, NO_AGGREGATION reduced inline
-            topology, processes = build_episode_world(scenario, arm_config, episode)
-            if arm_config.strategy == Strategy.SINGLE_USER:
-                topology = topology.restrict_to_user(0)
-            decided = run_episode(
-                arm_config, topology, processes, arm_params, episode, scenario.users
-            )
-            assert_same_metrics(view, decided)
+def assert_cell_equals_separate_runs(scenario, config, params, strategies, points):
+    together = run_strategies(scenario, config, params, strategies, points)
+    assert len(together) == len(strategies)
+    for strategy, by_point in zip(strategies, together):
+        assert len(by_point) == len(points)
+        strategy_config = replace(config, strategy=strategy)
+        for es, metrics in zip(points, by_point):
+            point_params = replace(params, es_over_n0=es)
+            alone = run_strategy(scenario, strategy_config, point_params)
+            assert len(metrics) == len(alone) == config.episodes
+            for episode, (view, run) in enumerate(zip(metrics, alone)):
+                assert_same_metrics(view, run)
+                # a decision pass at this point, NO_AGGREGATION reduced inline
+                topology, processes = build_episode_world(scenario, strategy_config, episode)
+                if strategy == Strategy.SINGLE_USER:
+                    topology = topology.restrict_to_user(0)
+                decided = run_episode(
+                    strategy_config, topology, processes, point_params, episode, scenario.users
+                )
+                assert_same_metrics(view, decided)
 
 
 @settings(max_examples=40, deadline=None)
 @given(grid_cells())
 def test_es_grid_views_equal_separate_runs(cell):
-    assert_views_equal_separate_runs(*cell)
+    assert_cell_equals_separate_runs(*cell)
 
 
 @pytest.mark.parametrize("users, relays", [(200, 20), (3, 130)])
@@ -320,8 +318,8 @@ def test_es_grid_views_keep_user_and_relay_indices_past_int8(users, relays):
     # the kept owners hold user indices up to 199, the winners relay indices up to 129
     scenario = NetworkScenario(users=users, relays=relays, bands=6, coverage_probability=0.7)
     config = EpisodeConfig(slots=8, n_train=2, episodes=1, seed=5)
-    assert_views_equal_separate_runs(
-        scenario, config, RadioParams(), [0.1, 10.0, 1000.0], list(Strategy)
+    assert_cell_equals_separate_runs(
+        scenario, config, RadioParams(), list(Strategy), [0.1, 10.0, 1000.0]
     )
 
 
@@ -331,38 +329,33 @@ CELL_CONFIG = EpisodeConfig(slots=12, n_train=3, episodes=2, sensing_error_rate=
 CELL_PARAMS = RadioParams(snr_combining="min_hop")
 
 
-def es_major(grid, strategies, params=CELL_PARAMS):
-    return [
-        (replace(CELL_CONFIG, strategy=strategy), replace(params, es_over_n0=es))
-        for es in grid
-        for strategy in strategies
-    ]
-
-
 @pytest.mark.parametrize(
-    "arms",
+    "cells",
     [
-        # unsorted points, one repeated: one batch point serves both arms
-        es_major([10.0, 0.1, 1000.0, 0.1], list(Strategy)),
-        # every no-aggregation arm is a view, the pass's own point included
-        es_major([10.0, 0.1, 1000.0], [Strategy.NO_AGGREGATION, Strategy.SINGLE_USER]),
-        # strategy-major: a pass's views arrive interleaved with other rules'
-        [arm for strategy in Strategy for arm in es_major([0.1, 10.0, 1000.0], [strategy])],
-        # two groups, each with its own world passes and views
-        es_major([0.1, 10.0], list(Strategy))
-        + es_major([1000.0, 0.1], list(Strategy), replace(CELL_PARAMS, tx_power_w=7.0)),
-        # SNRs that round to 0 in one group, near overflow in the other
-        es_major([0.1, 1000.0], list(Strategy), replace(CELL_PARAMS, tx_power_w=1e-320))
-        + es_major([1000.0, 0.1], list(Strategy), replace(CELL_PARAMS, tx_power_w=1e300)),
+        # unsorted points, one repeated: one batch point serves both
+        [(CELL_PARAMS, list(Strategy), [10.0, 0.1, 1000.0, 0.1])],
+        # every no-aggregation point is a view, the pass's own point included
+        [(CELL_PARAMS, [Strategy.NO_AGGREGATION, Strategy.SINGLE_USER], [10.0, 0.1, 1000.0])],
+        # strategies out of rule order: a pass's strategies arrive after other rules'
+        [(CELL_PARAMS, list(reversed(Strategy)), [0.1, 10.0, 1000.0])],
+        # two cells, one call each; the second pass's own point is not one of its points
+        [(CELL_PARAMS, list(Strategy), [0.1, 10.0]),
+         (replace(CELL_PARAMS, tx_power_w=7.0), list(Strategy), [1000.0, 0.1])],
+        # SNRs that round to 0 in one cell, near overflow in the other
+        [(replace(CELL_PARAMS, tx_power_w=1e-320), list(Strategy), [0.1, 1000.0]),
+         (replace(CELL_PARAMS, tx_power_w=1e300), list(Strategy), [1000.0, 0.1])],
     ],
     ids=["unsorted-repeated-points", "no-aggregation-alone", "strategy-major", "two-groups",
          "extreme-powers"],
 )
-def test_batched_views_equal_separate_runs(arms):
-    assert_arms_equal_separate_runs(CELL, arms)
+def test_batched_views_equal_separate_runs(cells):
+    for params, strategies, points in cells:
+        assert_cell_equals_separate_runs(CELL, CELL_CONFIG, params, strategies, points)
 
 
 def test_batched_views_span_pair_blocks(monkeypatch):
     # 3 points x 7 bands x 3 users leave one pair per view block of 64 elements
     monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 64)
-    assert_arms_equal_separate_runs(CELL, es_major([0.1, 10.0, 1000.0], list(Strategy)))
+    assert_cell_equals_separate_runs(
+        CELL, CELL_CONFIG, CELL_PARAMS, list(Strategy), [0.1, 10.0, 1000.0]
+    )

@@ -378,33 +378,59 @@ def count_derived_streams(monkeypatch) -> list[tuple]:
 
 
 class TestSharedDraws:
-    def test_arms_run_together_equal_each_arm_alone(self, monkeypatch):
-        # all four strategies at two Es/N0 points, a weaker-hop and a
-        # unit-gain arm: run together they draw once per (episode, gain
-        # model), and each arm's metrics are those of its own run
+    @pytest.mark.parametrize(
+        "params, strategies, per_episode",
+        [
+            # one budget stream per relay and one fading stream per band
+            (RadioParams(), list(Strategy), 6 + 12),
+            (RadioParams(snr_combining="min_hop"), [Strategy.PREDICT_AGGREGATE], 6 + 12),
+            # unit gains draw no fading stream
+            (RadioParams(gain_model="unit"), [Strategy.NO_AGGREGATION], 6),
+        ],
+        ids=["all-strategies", "min-hop", "unit-gains"],
+    )
+    def test_a_cell_draws_once_and_equals_each_strategy_and_point_alone(
+        self, params, strategies, per_episode, monkeypatch
+    ):
+        # run together, a cell's strategies and Es/N0 points draw once per
+        # episode, and each (strategy, point)'s metrics are its own run's
         streams = count_derived_streams(monkeypatch)
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(slots=26, episodes=2, n_train=20, seed=13)
-        arms = [
-            (replace(config, strategy=strategy), RadioParams(es_over_n0=es))
-            for es in (1.0, 100.0)
-            for strategy in Strategy
-        ]
-        arms += [
-            (config, RadioParams(snr_combining="min_hop")),
-            (replace(config, strategy=Strategy.NO_AGGREGATION), RadioParams(gain_model="unit")),
-        ]
+        points = [1.0, 100.0]
         episode_draws.cache_clear()
-        together = run_strategies(scenario, arms)
-        # one budget stream per relay for each gain model, one fading
-        # stream per band for the Rayleigh arms, in each episode
+        together = run_strategies(scenario, config, params, strategies, points)
         draws = [tokens for tokens in streams if tokens[0] in ("budget", "gain")]
-        assert len(draws) == config.episodes * (2 * 6 + 12)
-        assert len(together) == len(arms)
-        for (arm_config, params), metrics in zip(arms, together):
-            episode_draws.cache_clear()
-            alone = run_strategy(scenario, arm_config, params)
-            assert pickle.dumps(metrics) == pickle.dumps(alone)
+        assert len(draws) == config.episodes * per_episode
+        assert len(together) == len(strategies)
+        for strategy, by_point in zip(strategies, together):
+            assert len(by_point) == len(points)
+            for es, metrics in zip(points, by_point):
+                episode_draws.cache_clear()
+                alone = run_strategy(
+                    scenario, replace(config, strategy=strategy), replace(params, es_over_n0=es)
+                )
+                assert pickle.dumps(metrics) == pickle.dumps(alone)
+
+    def test_repeated_points_each_get_every_episode(self):
+        # two equal points are two (strategy, point) results, not one
+        # result keyed by the value and filled twice
+        scenario = NetworkScenario(users=2, relays=4, bands=8)
+        config = EpisodeConfig(slots=24, episodes=2, n_train=20, seed=3)
+        runs = run_strategies(scenario, config, RadioParams(), list(Strategy), [1.0, 1.0])
+        for strategy, by_point in zip(Strategy, runs):
+            assert len(by_point) == 2
+            for metrics in by_point:
+                assert [m.episode for m in metrics] == list(range(config.episodes))
+                assert {m.strategy for m in metrics} == {strategy}
+            assert pickle.dumps(by_point[0]) == pickle.dumps(by_point[1])
+
+    @pytest.mark.parametrize("es", [0.0, -1.0, float("nan"), float("inf")])
+    def test_a_point_outside_its_declaration_is_a_config_error(self, es):
+        scenario = NetworkScenario(users=2, relays=4, bands=8)
+        config = EpisodeConfig(slots=24, episodes=1, n_train=20)
+        with pytest.raises(ConfigError, match="es_over_n0 must lie in"):
+            run_strategies(scenario, config, RadioParams(), list(Strategy), [1.0, es])
 
     @pytest.mark.parametrize("gain_model", ["rayleigh", "unit"])
     def test_cached_draws_are_read_only_and_match_a_cold_draw(self, gain_model):
@@ -440,13 +466,9 @@ class TestSharedDraws:
         config = EpisodeConfig(
             slots=26, episodes=2, n_train=20, seed=19, sensing_error_rate=0.2
         )
-        arms = [
-            (replace(config, strategy=strategy), RadioParams(es_over_n0=es))
-            for es in (1.0, 100.0)
-            for strategy in Strategy
-        ]
+        points = [1.0, 100.0]
         sensing_offsets.cache_clear()
-        together = run_strategies(scenario, arms)
+        together = run_strategies(scenario, config, RadioParams(), list(Strategy), points)
         sensed = [tokens for tokens in streams if tokens[0] == "sense"]
         expected = [
             ("sense", episode, kind, i)
@@ -455,10 +477,13 @@ class TestSharedDraws:
             for i in range(n)
         ]
         assert sensed == expected
-        for (arm_config, params), metrics in zip(arms, together):
-            sensing_offsets.cache_clear()
-            alone = run_strategy(scenario, arm_config, params)
-            assert pickle.dumps(metrics) == pickle.dumps(alone)
+        for strategy, by_point in zip(Strategy, together):
+            for es, metrics in zip(points, by_point):
+                sensing_offsets.cache_clear()
+                alone = run_strategy(
+                    scenario, replace(config, strategy=strategy), RadioParams(es_over_n0=es)
+                )
+                assert pickle.dumps(metrics) == pickle.dumps(alone)
 
     def test_cached_sensing_serves_a_second_truth(self):
         # one-episode runs at two p0 values hit the same cache entry, as
@@ -491,13 +516,6 @@ class TestSharedDraws:
         good = np.zeros((26, 11), dtype=np.int8)
         first_relay = slotwise_sense(good, 0.2, derive_rng(19, "sense", 1, "rel", 0))
         np.testing.assert_array_equal(relays[:, 0], first_relay)
-
-    def test_arms_with_different_episodes_are_one_config_error(self):
-        scenario = NetworkScenario(users=2, relays=4, bands=8)
-        config = EpisodeConfig(slots=24, episodes=2)
-        arms = [(config, RadioParams()), (replace(config, episodes=3), RadioParams())]
-        with pytest.raises(ConfigError, match="same number of episodes, got \\[2, 3\\]"):
-            run_strategies(scenario, arms)
 
 
 class TestRadioSwitches:
