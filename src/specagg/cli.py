@@ -6,7 +6,8 @@ Three subcommands drive the simulator and write CSV outputs only
 * ``specagg run``    -- one cell, all four strategies; writes per-slot
   metrics, a summary, and the designated-band state trace.
 * ``specagg sweep``  -- cross a parameter axis with the Es/N0 grid and
-  the comparison strategies; writes one sorted summary CSV.
+  the comparison strategies, a cell per axis value (on the Es/N0 axis,
+  one cell whose grid is the values); writes one sorted summary CSV.
 * ``specagg figure`` -- assemble the CSV behind one of the six standard
   result figures from completed run/sweep outputs.
 
@@ -345,26 +346,27 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     return paths
 
 
-def _sweep_value(config: RunConfig, axis: str, value) -> list[list]:
-    """Rows of one axis value: its cell's strategies at each of its Es/N0 points.
+def _sweep_cell(axis: str, config: RunConfig) -> list[list]:
+    """Rows of one cell: its strategies at each point of its `es_n0_db_sweep`.
 
-    Top-level so worker processes can receive it.
+    A row's value is the cell's axis value, or on the es_over_n0 axis
+    the row's own point.  Top-level so worker processes can receive it.
     """
-    config = replace(config, **{_AXIS_FIELD[axis]: value})
-    grid = [value] if axis == "es_over_n0" else config.es_n0_db_sweep
-    return [
-        [strategy.value, axis, repr(float(value)), repr(float(db)), *columns]
-        for strategy, db, _, columns in _run_cell(config, SWEEP_STRATEGIES, grid)
-    ]
+    rows = []
+    for strategy, db, _, columns in _run_cell(config, SWEEP_STRATEGIES, config.es_n0_db_sweep):
+        value = db if axis == "es_over_n0" else getattr(config, _AXIS_FIELD[axis])
+        rows.append([strategy.value, axis, repr(float(value)), repr(float(db)), *columns])
+    return rows
 
 
 def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
     """Cross `values` on `axis` with the Es/N0 grid and write the summary.
 
-    Axis values may execute concurrently (config.workers), one process
-    per axis value and per CPU; rows are collected and written sorted by
-    (strategy, axis value, Es/N0), so reruns and any worker count produce
-    identical files.
+    Each axis value is a cell, except on the es_over_n0 axis, whose
+    values are the grid of one cell.  Cells may execute concurrently
+    (config.workers), one process per cell and per CPU; rows are
+    collected and written sorted by (strategy, axis value, Es/N0), so
+    reruns and any worker count produce identical files.
     """
     if axis not in SWEEP_AXES:
         raise CLIError(
@@ -385,19 +387,23 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_value = functools.partial(_sweep_value, config, axis)
+    if axis == "es_over_n0":
+        cells = [replace(config, es_n0_db_sweep=tuple(parsed))]
+    else:
+        cells = [replace(config, **{name: value}) for value in parsed]
+    run_cell = functools.partial(_sweep_cell, axis)
 
     # a pool forks all its workers at once, so it gets no more than can be busy
-    workers = min(config.workers, len(parsed), os.cpu_count() or 1)
+    workers = min(config.workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, socket, ...) are
         # a start-up cost of every command that never forks
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(run_value, parsed))
+            groups = list(pool.map(run_cell, cells))
     else:
-        groups = [run_value(v) for v in parsed]
+        groups = [run_cell(cell) for cell in cells]
     rows = sorted(
         (row for group in groups for row in group),
         key=lambda r: (r[0], float(r[2]), float(r[3])),

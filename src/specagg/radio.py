@@ -102,23 +102,16 @@ def sample_hop_splits(
     return alpha, beta
 
 
-def hop_snrs(
-    params: RadioParams, alpha: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (snr1, snr2) hops of relayed links with splits `alpha`, `beta`:
-
-        snr1 = alpha * beta * 2 * Es/N0
-        snr2 = (1 - alpha) * beta * 2 * Es/N0
-    """
-    total = beta * 2.0 * params.es_over_n0
-    return alpha * total, (1.0 - alpha) * total
-
-
 def sample_hop_snrs(
     params: RadioParams, rng: np.random.Generator, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (snr1, snr2) arrays of `shape`: the two hops of relayed links.
 
-    `sample_hop_splits` followed by `hop_snrs`.
+    The splits come from `sample_hop_splits`; the hops are
+
+        snr1 = alpha * beta * 2 * Es/N0
+        snr2 = (1 - alpha) * beta * 2 * Es/N0
     """
-    return hop_snrs(params, *sample_hop_splits(rng, shape))
+    alpha, beta = sample_hop_splits(rng, shape)
+    total = beta * 2.0 * params.es_over_n0
+    return alpha * total, (1.0 - alpha) * total

@@ -31,15 +31,15 @@ relays on draw-only scores, the hop at Es/N0 = 1 and that times each
 band's fading gain.  An SNR is its score times P_tx * Es/N0 / gamma, so
 both rank alike, and no Es/N0 point or transmit power can move a
 decision.  `NO_AGGREGATION` keeps each user's band with the highest
-winner score (`reduce_to_best_band`).  One function, `_score`, turns a
-pass's kept allocation into metrics at any list of Es/N0 points: it
-gathers the winning bands' draws and rebuilds their SNRs at every
-point as one (points, pairs, bands) batch.  A pass scores its own
-point through it.  `run_strategies` runs one cell's strategies at its
-Es/N0 points: per episode it builds the world once, runs one pass per
-decision rule -- predict (also NO_AGGREGATION's), persist and
-single-user -- and scores every other (strategy, point) through the
-same function.
+winner score (`reduce_to_best_band`).  A pass keeps four (pairs,
+bands) arrays: each band's user and its winning relay's position split,
+doubled attenuation and fading gain.  One function, `_score`, reads
+only those and turns them into metrics at any list of Es/N0 points as
+one (points, pairs, bands) batch; a pass scores its own point through
+it.  `run_strategies` runs one cell's strategies at its Es/N0 points:
+per episode it builds the world once, runs one pass per decision rule
+-- predict (also NO_AGGREGATION's), persist and single-user -- and
+scores every other (strategy, point) through the same function.
 """
 
 from __future__ import annotations
@@ -103,10 +103,9 @@ class EpisodeMetrics:
     prediction_match_count: int
     default_match_count: int
     trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
-    # a decision pass's kept allocation, which `run_strategies` scores:
-    # (pairs, bands) winning relays and (pairs, relays) owners, -1 for
-    # none; None on the metrics `run_strategies` returns
-    decisions: tuple[np.ndarray, np.ndarray] | None = field(
+    # a decision pass's kept allocation, the four (pairs, bands) arrays
+    # `_score` reads; None on the metrics `run_strategies` returns
+    decisions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -235,31 +234,28 @@ def sensing_offsets(
 
 
 def _score(
-    decisions: tuple[np.ndarray, np.ndarray],
+    kept: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     users: int,
     reduce: bool,
-    draws: tuple[np.ndarray, np.ndarray, np.ndarray],
     truth_next: np.ndarray,
     points: list[float],
     params: RadioParams,
 ) -> list[dict]:
     """The per-pair `EpisodeMetrics` fields of a decision pass at each Es/N0 point of `points`.
 
-    `decisions` are the pass's kept (pairs, bands) winning relays and
-    (pairs, relays) owners, `draws` the episode's (alpha, beta, gains)
-    and `truth_next` the true (pairs, bands) states at t + 1.  With
-    `reduce`, each user keeps only its best band (`reduce_to_best_band`
+    `kept` is the pass's allocation (`EpisodeMetrics.decisions`): the
+    (pairs, bands) user of each band, -1 for none, and its winning
+    relay's position split, doubled attenuation (0 for none) and fading
+    gain.  `truth_next` holds the true (pairs, bands) states at t + 1.
+    With `reduce`, each user keeps only its best band (`reduce_to_best_band`
     of the winners' draw-only scores).  A kept band is an outage where
     its truth is Busy or Bad, and an outage delivers nothing.  Each pair
-    block gathers every band's winner and its draws once and rebuilds
-    their SNRs at every point as one (points, pairs, bands) batch, in
-    the order (1 - alpha) * (beta * 2 * es), then tx * hop * gain /
-    gamma, over the full band layout, so every sum rounds as it does for
-    one point alone.  Only the throughputs depend on Es/N0.
+    block rebuilds its SNRs at every point as one (points, pairs, bands)
+    batch, in the order (1 - alpha) * (beta * 2 * es), then tx * hop *
+    gain / gamma, over the full band layout, so every sum rounds as it
+    does for one point alone.  Only the throughputs depend on Es/N0.
     """
-    band_relay, owner = decisions
-    alpha, beta, gains = draws
-    n_pairs, bands = band_relay.shape
+    n_pairs, bands = kept[0].shape
     es = np.array(points)[:, None, None]
     failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
     blocks = []
@@ -268,28 +264,19 @@ def _score(
     # once; counting at least three users keeps a single-user pass's blocks
     # within the memory of a multi-user pass's
     for pairs in _pair_blocks(n_pairs, len(points) * bands * max(users, 3)):
-        # (pairs, bands): each band's winner, its user, and their draws
-        relay = band_relay[pairs]
-        pair = np.arange(n_pairs)[pairs, None]
-        kept = relay >= 0
-        winner = np.clip(relay, 0, None)
-        band_user = np.where(kept, owner[pair, winner], UNASSIGNED)
-        user = np.clip(band_user, 0, None)
-        hop_split = alpha[pair, winner, user]
-        # an unallocated band gets a zero budget, so its SNR is 0 at every point
-        beta2 = np.where(kept, beta[pair, winner, user] * 2.0, 0.0)
-        gain = gains[pair, np.arange(bands), winner]
+        band_user, hop_split, beta2, gain = (array[pairs] for array in kept)
+        held = band_user >= 0
         if reduce:
             score = _hop(hop_split, beta2, params.snr_combining) * gain
-            kept = reduce_to_best_band(band_user, score, users)
-        delivered = kept & ~failed[pairs]
+            held = reduce_to_best_band(band_user, score, users)
+        delivered = held & ~failed[pairs]
         snr = params.tx_power_w * _hop(hop_split, beta2 * es, params.snr_combining) * gain
         snr /= params.gamma
         # a band that delivers nothing gets SNR 0, so it scores nothing for its user
         band_snr = np.where(delivered, snr, 0.0)
         blocks.append((
-            kept.sum(axis=-1),
-            (kept & failed[pairs]).sum(axis=-1),
+            held.sum(axis=-1),
+            (held & failed[pairs]).sum(axis=-1),
             *aggregate_and_score(np.broadcast_to(band_user, snr.shape), band_snr, users, params),
         ))
     allocated, outages, throughput, capacity = zip(*blocks)
@@ -386,11 +373,23 @@ def run_episode(
         )
         predicted[pairs] = states_next[0][:, 0, designated]
 
+    # the kept allocation: each band's user and its winner's draws; an
+    # unallocated band gets a zero budget, so its SNR is 0 at every point
+    pair = np.arange(n_pairs)[:, None]
+    won = band_relay >= 0
+    winner = np.clip(band_relay, 0, None)
+    band_user = np.where(won, owner[pair, winner], UNASSIGNED)
+    user = np.clip(band_user, 0, None)
+    kept = (
+        band_user,
+        alpha[pair, winner, user],
+        np.where(won, beta[pair, winner, user] * 2.0, 0.0),
+        gains[pair, np.arange(bands), winner],
+    )
     (pair_fields,) = _score(
-        (band_relay, owner),
+        kept,
         users,
         config.strategy == Strategy.NO_AGGREGATION,
-        draws,
         truth[pair_slots + 1],
         [params.es_over_n0],
         params,
@@ -405,7 +404,7 @@ def run_episode(
         prediction_match_count=int((predicted == actual).sum()),
         default_match_count=int((default == actual).sum()),
         trace=np.stack([actual, default, predicted], axis=1).astype(np.int8),
-        decisions=(band_relay, owner),
+        decisions=kept,
     )
 
 
@@ -457,8 +456,9 @@ def run_strategies(
     run outer: each builds its world once and runs one decision pass per
     decision rule -- predict (also NO_AGGREGATION's), persist and
     single-user -- and scores each pass's kept allocation at every point
-    (`_score`, once per pass and kind).  Returns ``out[i][j]``, the
-    per-episode metrics of ``strategies[i]`` at ``points[j]``.
+    (`_score`, once per pass and kind), which reads no draws: only
+    `run_episode` does, and this function clears their caches.  Returns
+    ``out[i][j]``, the per-episode metrics of ``strategies[i]`` at ``points[j]``.
     """
     for es in points:
         require(RadioParams, "es_over_n0", es)
@@ -478,9 +478,7 @@ def run_strategies(
             # draws stay shaped for (so paired with) the full population
             seen = topology.restrict_to_user(0) if rule == Strategy.SINGLE_USER else topology
             decided = run_episode(rule_config, seen, processes, params, episode, scenario.users)
-            decisions, decided.decisions = decided.decisions, None
-            draws = (config.seed, episode, config.pairs, seen.relays, scenario.users,
-                     processes.band_count, params.gain_model)
+            kept, decided.decisions = decided.decisions, None
             # (reduced, Es/N0) -> pair fields; the pass has scored its own point
             scored = {(False, params.es_over_n0): {}}
             for i, strategy in enumerate(strategies):
@@ -491,15 +489,15 @@ def run_strategies(
                 if missing:
                     scored.update(zip(
                         [(reduce, es) for es in missing],
-                        # the cached draws, held only while scoring: the
-                        # next episode frees them before drawing its own
-                        _score(decisions, seen.users, reduce, episode_draws(*draws),
-                               truth[decided.pair_slots + 1], missing, params),
+                        _score(kept, seen.users, reduce, truth[decided.pair_slots + 1],
+                               missing, params),
                     ))
                 for j, es in enumerate(points):
                     out[i][j].append(EpisodeMetrics(
                         **{**vars(decided), "strategy": strategy, **scored[reduce, es]}
                     ))
+            # the pass's views are scored: free its allocation before the next pass keeps one
+            del kept
     return out
 
 

@@ -1,6 +1,9 @@
 """Tests for configuration parsing, sweeps, figure CSVs and the CLI."""
 
 import concurrent.futures
+import contextlib
+import inspect
+import io
 import math
 import os
 import subprocess
@@ -10,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specagg import cli, simulation
@@ -296,17 +299,21 @@ class TestSweepCommand:
         # numpy.random loads with the first derived stream, not at start-up
         assert self.loaded_after_importing_the_cli({"numpy.random"}) == "[]"
 
-    @pytest.mark.parametrize("axis, values", [("p0", ["0.3"]), ("es_over_n0", ["10"])])
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("p0", ["0.3"]), ("es_over_n0", ["10"]), ("es_over_n0", ["0", "10", "20"])],
+    )
     def test_a_sweep_value_checks_each_strategy_and_point_once(
         self, axis, values, tmp_path, monkeypatch
     ):
         # one cell's radio params and episode config, then one config per
         # decision pass; none per Es/N0 point or per episode.  es_n0_db is
-        # not a grid point, so a pass run at it would score a wasted point
+        # not a grid point, so a pass run at it would score a wasted point.
+        # The es_over_n0 axis is one cell whose grid is its values
         config = fast_config(
             tmp_path, es_n0_db_sweep="0,10,20,30", es_n0_db="15", episodes="2"
         )
-        checks, scored = [], []
+        checks, scored, worlds = [], [], []
         for cls in (EpisodeConfig, RadioParams):
             def counted(self, check=cls.__post_init__):
                 checks.append(type(self))
@@ -314,18 +321,25 @@ class TestSweepCommand:
 
             monkeypatch.setattr(cls, "__post_init__", counted)
 
-        def score(*args, score=simulation._score):
-            scored.append(len(args[5]))  # its Es/N0 points
-            return score(*args)
+        def score(*args, score=simulation._score, **kwargs):
+            bound = inspect.signature(score).bind(*args, **kwargs)
+            scored.append(len(bound.arguments["points"]))
+            return score(*args, **kwargs)
+
+        def build(*args, build=simulation.build_episode_world):
+            worlds.append(args)
+            return build(*args)
 
         monkeypatch.setattr(simulation, "_score", score)
+        monkeypatch.setattr(simulation, "build_episode_world", build)
         run_sweep(config, axis, values)
         passes = 2  # predict (with no-aggregation's views) and single-user
         assert checks.count(RadioParams) == 1
         assert checks.count(EpisodeConfig) == 1 + passes
+        assert len(worlds) == config.episodes
         # each point scored once per episode by each pass, and once more
         # by the prediction pass for no-aggregation
-        points = 1 if axis == "es_over_n0" else len(config.es_n0_db_sweep)
+        points = len(values) if axis == "es_over_n0" else len(config.es_n0_db_sweep)
         assert sum(scored) == config.episodes * (passes + 1) * points
 
     def test_equal_linear_points_each_get_every_episode(self, tmp_path, monkeypatch):
@@ -576,6 +590,72 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} values must be distinct")
         assert len(err.strip().splitlines()) == 1
+
+
+# dB points of the cross-command property: 0 and 1e-20 share a linear
+# Es/N0, and at 90 dB a 1e300 W transmit power overflows
+AGREEMENT_DB = ["0", "1e-20", "-5", "7.5", "30", "90"]
+
+
+@st.composite
+def grid_and_point(draw):
+    """An Es/N0 grid in drawn order, and one of its points."""
+    grid = draw(st.lists(st.sampled_from(AGREEMENT_DB), min_size=1, max_size=4, unique=True))
+    return grid, draw(st.sampled_from(grid))
+
+
+class TestCommandsAgree:
+    """`specagg run --es-n0-db X` and every sweep whose Es/N0 grid holds X
+    write equal numbers for each strategy they share."""
+
+    TINY = ["--users", "2", "--relays", "4", "--bands", "8", "--slots", "24",
+            "--n-train", "20", "--episodes", "1", "--p0", "0.4"]
+
+    @staticmethod
+    def command(argv: list[str], out: Path) -> tuple[int, list[str], list[list[str]]]:
+        """`main(argv)` writing into `out`: its exit code, stderr lines and CSV rows."""
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        csvs = [path for path in out.glob("*.csv")] if code == 0 else []
+        rows = [line.split(",") for path in csvs for line in path.read_text().splitlines()[1:]]
+        return code, err.getvalue().splitlines(), rows
+
+    @settings(max_examples=12, deadline=None)
+    @given(cell=grid_and_point(), tx_power_w=st.sampled_from(["1.0", "1e-320", "1e300"]),
+           seed=st.integers(0, 3))
+    @example(cell=(["30", "0", "7.5"], "0"), tx_power_w="1.0", seed=0)
+    @example(cell=(["1e-20", "0"], "1e-20"), tx_power_w="1.0", seed=1)
+    @example(cell=(["0", "30"], "30"), tx_power_w="1e-320", seed=0)
+    @example(cell=(["30", "-5", "90"], "30"), tx_power_w="1e300", seed=0)
+    @example(cell=(["90", "0"], "90"), tx_power_w="1e300", seed=0)
+    def test_a_run_and_the_sweeps_through_its_point_agree(self, cell, tx_power_w, seed):
+        grid, x = cell
+        base = self.TINY + ["--tx-power-w", tx_power_w, "--seed", str(seed)]
+        with tempfile.TemporaryDirectory() as tmp:
+            run_code, run_err, run_rows = self.command(
+                ["run", *base, "--es-n0-db", x], Path(tmp, "run")
+            )
+            sweeps = [
+                self.command(["sweep", *base, "--axis", "es_over_n0", "--values",
+                              ",".join(grid)], Path(tmp, "es")),
+                self.command(["sweep", *base, "--axis", "p0", "--values", "0.4",
+                              "--es-n0-db-sweep", ",".join(grid)], Path(tmp, "p0")),
+            ]
+        for code, err, _ in [(run_code, run_err, run_rows), *sweeps]:
+            assert (code, len(err)) in ((0, 0), (1, 1))
+            assert code == 0 or err[0].startswith("error: overflow")
+            # only a transmit power that huge can overflow
+            assert code == 0 or tx_power_w == "1e300"
+        # run rows: strategy, param, value, outage, throughput, min capacity
+        want = {row[0]: row[3:6] for row in run_rows}
+        for code, _, rows in sweeps:
+            if run_code == 1:
+                assert code == 1
+            elif code == 0:
+                # sweep rows: strategy, param, value, es_n0_db, outage, ...
+                got = {row[0]: row[4:7] for row in rows if float(row[3]) == float(x)}
+                assert got == {s.value: want[s.value] for s in cli.SWEEP_STRATEGIES}
 
 
 class TestTrendSmoke:
