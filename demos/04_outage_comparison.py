@@ -23,6 +23,7 @@ from specagg import (
     TransitionMatrix,
     run_episode,
     run_strategy,
+    score_episode,
     summarize,
 )
 
@@ -44,11 +45,12 @@ def alternating_channel():
         )
         return topology, processes
 
+    params = RadioParams()
     for strategy in (Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION):
         topology, processes = world()
-        metrics = run_episode(
-            replace(config, strategy=strategy), topology, processes, RadioParams()
-        )
+        decided = run_episode(replace(config, strategy=strategy), topology, processes, params)
+        # the pass decides without Es/N0; score it at the params' own point
+        (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
         print(
             f"  {strategy.value:>17}: allocated={metrics.allocation_count:>3}"
             f"  outage rate={metrics.outage_rate:.2f}"

@@ -50,6 +50,7 @@ from .simulation import (
     run_episode,
     run_strategies,
     run_strategy,
+    score_episode,
     summarize,
 )
 from .topology import (

@@ -296,15 +296,15 @@ def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
     """Run the cell of `config` with `strategies` at the Es/N0 points `grid` (dB).
 
     One `run_strategies` call: per episode one world and one Es/N0-free
-    decision pass per decision rule, run at the first point and scored
-    at the others in one batch.  Returns (strategy, dB, metrics, columns)
+    decision pass per decision rule, and one scoring of each strategy at
+    every point in one batch.  Returns (strategy, dB, metrics, columns)
     per strategy and point, strategy-major; the columns are the CSV text
     of the mean outage, throughput and min and max user capacity.
     """
     runs = run_strategies(
         scenario_from(config),
         episode_config_from(config),
-        params_from(replace(config, es_n0_db=grid[0])),
+        params_from(config),
         strategies,
         [es_db_to_linear(db) for db in grid],
     )
@@ -556,11 +556,12 @@ def main(argv: list[str] | None = None) -> int:
             run_sweep(config, args.axis, args.values.split(","))
         elif args.command == "figure":
             emit_figure_data(config, args.id)
-    except (CLIError, ValueError, OSError, FloatingPointError) as exc:
+    except (CLIError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
         # ValueError: a value the library rejects that `parse_config` cannot
         # foresee, e.g. a chain too sticky for a unique stationary solve;
         # OSError: an output or config path the system refuses;
-        # FloatingPointError: an overflow, e.g. from a huge tx_power_w
+        # FloatingPointError: an overflow, e.g. from a huge tx_power_w;
+        # MemoryError: a configured size whose arrays cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

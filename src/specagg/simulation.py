@@ -30,23 +30,21 @@ A decision pass (`run_episode`) needs no Es/N0: it ranks users and
 relays on draw-only scores, the hop at Es/N0 = 1 and that times each
 band's fading gain.  An SNR is its score times P_tx * Es/N0 / gamma, so
 both rank alike, and no Es/N0 point or transmit power can move a
-decision.  `NO_AGGREGATION` keeps each user's band with the highest
-winner score (`reduce_to_best_band`).  A pass keeps four (pairs,
-bands) arrays: each band's user and its winning relay's position split,
-doubled attenuation and fading gain.  One function, `_score`, reads
-only those and turns them into metrics at any list of Es/N0 points as
-one (points, pairs, bands) batch; a pass scores its own point through
-it.  `run_strategies` runs one cell's strategies at its Es/N0 points:
-per episode it builds the world once, runs one pass per decision rule
--- predict (also NO_AGGREGATION's), persist and single-user -- and
-scores every other (strategy, point) through the same function.
+decision.  A pass returns what it decided (`EpisodePass`), and one
+function, `score_episode`, turns it into one strategy's metrics at any
+list of Es/N0 points as one (points, pairs, bands) batch;
+`NO_AGGREGATION` keeps each user's band with the highest winner score
+(`reduce_to_best_band`).  `run_strategies` runs one cell's strategies
+at its Es/N0 points: per episode it builds the world once, runs one
+pass per decision rule -- predict (also NO_AGGREGATION's), persist and
+single-user -- and scores each strategy of a pass in one call.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,11 +101,6 @@ class EpisodeMetrics:
     prediction_match_count: int
     default_match_count: int
     trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
-    # a decision pass's kept allocation, the four (pairs, bands) arrays
-    # `_score` reads; None on the metrics `run_strategies` returns
-    decisions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def allocation_count(self) -> int:
@@ -126,6 +119,26 @@ class EpisodeMetrics:
     @property
     def mean_throughput_bps(self) -> float:
         return float(self.pair_throughput_bps.mean())
+
+
+@dataclass(frozen=True)
+class EpisodePass:
+    """What one decision pass decided; it holds no Es/N0 and scores nothing.
+
+    `kept` is the allocation, four (pairs, bands) arrays: each band's
+    user (-1 for none), and its winning relay's position split, doubled
+    attenuation (0 for none) and fading gain.  `failed` marks the bands
+    whose true t + 1 state is Busy or Bad.
+    """
+
+    episode: int
+    users: int
+    pair_slots: np.ndarray
+    kept: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    failed: np.ndarray
+    prediction_match_count: int
+    default_match_count: int
+    trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
 
 
 def _pair_blocks(n_pairs: int, width: int) -> list[slice]:
@@ -233,40 +246,32 @@ def sensing_offsets(
     return tuple(offsets)
 
 
-def _score(
-    kept: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    users: int,
-    reduce: bool,
-    truth_next: np.ndarray,
-    points: list[float],
-    params: RadioParams,
-) -> list[dict]:
-    """The per-pair `EpisodeMetrics` fields of a decision pass at each Es/N0 point of `points`.
+def score_episode(
+    decided: EpisodePass, strategy: Strategy, points: list[float], params: RadioParams
+) -> list[EpisodeMetrics]:
+    """`strategy`'s metrics of the decision pass `decided` at each Es/N0 point of `points`.
 
-    `kept` is the pass's allocation (`EpisodeMetrics.decisions`): the
-    (pairs, bands) user of each band, -1 for none, and its winning
-    relay's position split, doubled attenuation (0 for none) and fading
-    gain.  `truth_next` holds the true (pairs, bands) states at t + 1.
-    With `reduce`, each user keeps only its best band (`reduce_to_best_band`
-    of the winners' draw-only scores).  A kept band is an outage where
-    its truth is Busy or Bad, and an outage delivers nothing.  Each pair
-    block rebuilds its SNRs at every point as one (points, pairs, bands)
-    batch, in the order (1 - alpha) * (beta * 2 * es), then tx * hop *
-    gain / gamma, over the full band layout, so every sum rounds as it
-    does for one point alone.  Only the throughputs depend on Es/N0.
+    `NO_AGGREGATION` keeps only each user's best band (`reduce_to_best_band`
+    of the winners' draw-only scores); every other strategy keeps the
+    whole allocation.  A kept band is an outage where it `failed`, and an
+    outage delivers nothing.  Each pair block rebuilds its SNRs at every
+    point as one (points, pairs, bands) batch, in the order (1 - alpha) *
+    (beta * 2 * es), then tx * hop * gain / gamma, over the full band
+    layout, so every sum rounds as it does for one point alone.  Only
+    the throughputs depend on Es/N0.
     """
-    n_pairs, bands = kept[0].shape
+    users, failed = decided.users, decided.failed
+    n_pairs, bands = failed.shape
     es = np.array(points)[:, None, None]
-    failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
     blocks = []
     # the widest temporaries are reduce_to_best_band's (pairs, users, bands)
     # mask and the (points, pairs, bands) batch, several of them alive at
     # once; counting at least three users keeps a single-user pass's blocks
     # within the memory of a multi-user pass's
     for pairs in _pair_blocks(n_pairs, len(points) * bands * max(users, 3)):
-        band_user, hop_split, beta2, gain = (array[pairs] for array in kept)
+        band_user, hop_split, beta2, gain = (array[pairs] for array in decided.kept)
         held = band_user >= 0
-        if reduce:
+        if strategy == Strategy.NO_AGGREGATION:
             score = _hop(hop_split, beta2, params.snr_combining) * gain
             held = reduce_to_best_band(band_user, score, users)
         delivered = held & ~failed[pairs]
@@ -283,11 +288,17 @@ def _score(
     allocated, outages = np.concatenate(allocated), np.concatenate(outages)
     throughput, capacity = np.concatenate(throughput, axis=1), np.concatenate(capacity, axis=1)
     return [
-        dict(
+        EpisodeMetrics(
+            strategy=strategy,
+            episode=decided.episode,
+            pair_slots=decided.pair_slots,
             pair_allocated=allocated,
             pair_outages=outages,
             pair_throughput_bps=throughput[k],
             user_capacity_bps=capacity[k].mean(axis=0),
+            prediction_match_count=decided.prediction_match_count,
+            default_match_count=decided.default_match_count,
+            trace=decided.trace,
         )
         for k in range(len(points))
     ]
@@ -300,10 +311,12 @@ def run_episode(
     params: RadioParams,
     episode: int = 0,
     base_users: int | None = None,
-) -> EpisodeMetrics:
-    """Run one episode and return its metrics.
+) -> EpisodePass:
+    """Run one episode's decision pass and return what it decided, unscored.
 
-    The episode reads the band processes' trajectory from slot 0.
+    The pass reads no Es/N0, transmit power or SNR gap; `score_episode`
+    turns it into metrics.  The episode reads the band processes'
+    trajectory from slot 0.
     `base_users` is the user count the link-budget draws are shaped for;
     leaving it at the topology's own user count is correct for
     standalone runs, while the single-user strategy passes the full
@@ -386,25 +399,18 @@ def run_episode(
         np.where(won, beta[pair, winner, user] * 2.0, 0.0),
         gains[pair, np.arange(bands), winner],
     )
-    (pair_fields,) = _score(
-        kept,
-        users,
-        config.strategy == Strategy.NO_AGGREGATION,
-        truth[pair_slots + 1],
-        [params.es_over_n0],
-        params,
-    )
-    actual = truth[pair_slots + 1, designated]
+    truth_next = truth[pair_slots + 1]
+    actual = truth_next[:, designated]
     default = history[pair_slots, designated]
-    return EpisodeMetrics(
-        strategy=config.strategy,
+    return EpisodePass(
         episode=episode,
+        users=users,
         pair_slots=pair_slots,
-        **pair_fields,
+        kept=kept,
+        failed=(truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD),
         prediction_match_count=int((predicted == actual).sum()),
         default_match_count=int((default == actual).sum()),
         trace=np.stack([actual, default, predicted], axis=1).astype(np.int8),
-        decisions=kept,
     )
 
 
@@ -455,13 +461,14 @@ def run_strategies(
     at `params.es_over_n0`, and `config.strategy` is ignored.  Episodes
     run outer: each builds its world once and runs one decision pass per
     decision rule -- predict (also NO_AGGREGATION's), persist and
-    single-user -- and scores each pass's kept allocation at every point
-    (`_score`, once per pass and kind), which reads no draws: only
-    `run_episode` does, and this function clears their caches.  Returns
+    single-user -- and scores each of its strategies at every point in
+    one `score_episode` call, which reads no draws: only `run_episode`
+    does, and this function clears their caches.  Returns
     ``out[i][j]``, the per-episode metrics of ``strategies[i]`` at ``points[j]``.
     """
     for es in points:
         require(RadioParams, "es_over_n0", es)
+    distinct = list(dict.fromkeys(points))
     # each strategy's decision rule, and each rule's config, built once per call
     rules = [_RULE.get(strategy, strategy) for strategy in strategies]
     configs = {rule: replace(config, strategy=rule) for rule in dict.fromkeys(rules)}
@@ -472,32 +479,18 @@ def run_strategies(
             episode_draws.cache_clear()
             sensing_offsets.cache_clear()
         topology, processes = build_episode_world(scenario, config, episode)
-        truth = processes.trajectory()
         for rule, rule_config in configs.items():
             # the first pair alone keeps every relay covering it, and its
             # draws stay shaped for (so paired with) the full population
             seen = topology.restrict_to_user(0) if rule == Strategy.SINGLE_USER else topology
             decided = run_episode(rule_config, seen, processes, params, episode, scenario.users)
-            kept, decided.decisions = decided.decisions, None
-            # (reduced, Es/N0) -> pair fields; the pass has scored its own point
-            scored = {(False, params.es_over_n0): {}}
             for i, strategy in enumerate(strategies):
-                if rules[i] != rule:
-                    continue
-                reduce = strategy == Strategy.NO_AGGREGATION
-                missing = [es for es in dict.fromkeys(points) if (reduce, es) not in scored]
-                if missing:
-                    scored.update(zip(
-                        [(reduce, es) for es in missing],
-                        _score(kept, seen.users, reduce, truth[decided.pair_slots + 1],
-                               missing, params),
-                    ))
-                for j, es in enumerate(points):
-                    out[i][j].append(EpisodeMetrics(
-                        **{**vars(decided), "strategy": strategy, **scored[reduce, es]}
-                    ))
+                if rules[i] == rule:
+                    scored = dict(zip(distinct, score_episode(decided, strategy, distinct, params)))
+                    for j, es in enumerate(points):
+                        out[i][j].append(scored[es])
             # the pass's views are scored: free its allocation before the next pass keeps one
-            del kept
+            del decided
     return out
 
 

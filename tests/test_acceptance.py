@@ -37,6 +37,7 @@ from specagg.simulation import (
     Strategy,
     run_episode,
     run_strategy,
+    score_episode,
     summarize,
 )
 from specagg.stats import paired_one_sided_pvalue
@@ -188,15 +189,16 @@ def test_criterion_4b_period_two_chain_exact():
         return topology, processes
 
     config = EpisodeConfig(slots=30, episodes=1, n_train=4, seed=7)
-    topology, processes = world(7)
-    predicted = run_episode(config, topology, processes, _params())
-    topology, processes = world(7)
-    persisted = run_episode(
-        replace(config, strategy=Strategy.NO_PREDICTION),
-        topology,
-        processes,
-        _params(),
-    )
+    params = _params()
+
+    def scored(strategy):
+        topology, processes = world(7)
+        decided = run_episode(replace(config, strategy=strategy), topology, processes, params)
+        (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
+        return metrics
+
+    predicted = scored(Strategy.PREDICT_AGGREGATE)
+    persisted = scored(Strategy.NO_PREDICTION)
     runtime = time.perf_counter() - start
     ok = (
         predicted.outage_rate == 0.0

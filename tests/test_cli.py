@@ -307,9 +307,10 @@ class TestSweepCommand:
         self, axis, values, tmp_path, monkeypatch
     ):
         # one cell's radio params and episode config, then one config per
-        # decision pass; none per Es/N0 point or per episode.  es_n0_db is
-        # not a grid point, so a pass run at it would score a wasted point.
-        # The es_over_n0 axis is one cell whose grid is its values
+        # decision pass; none per Es/N0 point or per episode.  Each sweep
+        # strategy is scored once per episode at every point of the grid,
+        # and never at es_n0_db, which is not a grid point.  The
+        # es_over_n0 axis is one cell whose grid is its values
         config = fast_config(
             tmp_path, es_n0_db_sweep="0,10,20,30", es_n0_db="15", episodes="2"
         )
@@ -321,26 +322,26 @@ class TestSweepCommand:
 
             monkeypatch.setattr(cls, "__post_init__", counted)
 
-        def score(*args, score=simulation._score, **kwargs):
+        def score(*args, score=simulation.score_episode, **kwargs):
             bound = inspect.signature(score).bind(*args, **kwargs)
-            scored.append(len(bound.arguments["points"]))
+            scored.append(bound.arguments["points"])
             return score(*args, **kwargs)
 
         def build(*args, build=simulation.build_episode_world):
             worlds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(simulation, "_score", score)
+        monkeypatch.setattr(simulation, "score_episode", score)
         monkeypatch.setattr(simulation, "build_episode_world", build)
         run_sweep(config, axis, values)
         passes = 2  # predict (with no-aggregation's views) and single-user
         assert checks.count(RadioParams) == 1
         assert checks.count(EpisodeConfig) == 1 + passes
         assert len(worlds) == config.episodes
-        # each point scored once per episode by each pass, and once more
-        # by the prediction pass for no-aggregation
-        points = len(values) if axis == "es_over_n0" else len(config.es_n0_db_sweep)
-        assert sum(scored) == config.episodes * (passes + 1) * points
+        # one call per sweep strategy and episode, over the whole grid
+        grid = values if axis == "es_over_n0" else config.es_n0_db_sweep
+        linear = [es_db_to_linear(float(db)) for db in grid]
+        assert scored == [linear] * (config.episodes * len(cli.SWEEP_STRATEGIES))
 
     def test_equal_linear_points_each_get_every_episode(self, tmp_path, monkeypatch):
         # 0 and 1e-20 dB are distinct points whose linear Es/N0 are both 1.0
@@ -544,6 +545,16 @@ class TestInputValidation:
         assert main(argv + args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_a_size_no_host_can_allocate_is_one_error_line(self, tmp_path, capsys):
+        # the first (relays, users) array of 2**50 users needs 24 PiB, more
+        # than a 47-bit address space can map, even under overcommit
+        argv = ["run", "--users", str(2**50), "--relays", "3", "--bands", "4",
+                "--slots", "24", "--episodes", "1", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "args",

@@ -7,10 +7,10 @@ batch axis.  The invariants of a single allocation must hold for every
 pair of a stack.
 
 `run_strategies` runs one cell's strategies at its Es/N0 points: one
-decision pass per decision rule, whose views, every further point and
-no-aggregation, it rescores in one batch.  Each (strategy, point)'s
-metrics must be byte for byte those of that strategy run alone at that
-point and of a decision pass at the point, whatever the order and
+decision pass per decision rule, each of whose strategies it scores at
+every point in one batch.  Each (strategy, point)'s metrics must be
+byte for byte those of that strategy run alone at that point and of a
+decision pass scored at the point alone, whatever the order and
 repeats of the points and strategies and however the views split into
 pair blocks.
 """
@@ -48,6 +48,7 @@ from specagg.simulation import (
     run_episode,
     run_strategies,
     run_strategy,
+    score_episode,
 )
 from specagg.topology import Topology
 
@@ -297,14 +298,15 @@ def assert_cell_equals_separate_runs(scenario, config, params, strategies, point
             assert len(metrics) == len(alone) == config.episodes
             for episode, (view, run) in enumerate(zip(metrics, alone)):
                 assert_same_metrics(view, run)
-                # a decision pass at this point, NO_AGGREGATION reduced inline
+                # a decision pass scored at this point alone
                 topology, processes = build_episode_world(scenario, strategy_config, episode)
                 if strategy == Strategy.SINGLE_USER:
                     topology = topology.restrict_to_user(0)
                 decided = run_episode(
                     strategy_config, topology, processes, point_params, episode, scenario.users
                 )
-                assert_same_metrics(view, decided)
+                (scored,) = score_episode(decided, strategy, [es], point_params)
+                assert_same_metrics(view, scored)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,7 +325,7 @@ def test_es_grid_views_keep_user_and_relay_indices_past_int8(users, relays):
     )
 
 
-# one small noisy cell whose views a pass rescores in one batch
+# one small noisy cell whose views each strategy of a pass scores in one batch
 CELL = NetworkScenario(users=3, relays=5, bands=7, coverage_probability=0.7)
 CELL_CONFIG = EpisodeConfig(slots=12, n_train=3, episodes=2, sensing_error_rate=0.2, seed=11)
 CELL_PARAMS = RadioParams(snr_combining="min_hop")
@@ -334,11 +336,11 @@ CELL_PARAMS = RadioParams(snr_combining="min_hop")
     [
         # unsorted points, one repeated: one batch point serves both
         [(CELL_PARAMS, list(Strategy), [10.0, 0.1, 1000.0, 0.1])],
-        # every no-aggregation point is a view, the pass's own point included
+        # no-aggregation without the prediction strategy that shares its pass
         [(CELL_PARAMS, [Strategy.NO_AGGREGATION, Strategy.SINGLE_USER], [10.0, 0.1, 1000.0])],
         # strategies out of rule order: a pass's strategies arrive after other rules'
         [(CELL_PARAMS, list(reversed(Strategy)), [0.1, 10.0, 1000.0])],
-        # two cells, one call each; the second pass's own point is not one of its points
+        # two cells, one call each; the second's params.es_over_n0 is not one of its points
         [(CELL_PARAMS, list(Strategy), [0.1, 10.0]),
          (replace(CELL_PARAMS, tx_power_w=7.0), list(Strategy), [1000.0, 0.1])],
         # SNRs that round to 0 in one cell, near overflow in the other

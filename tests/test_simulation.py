@@ -24,6 +24,7 @@ from specagg.simulation import (
     run_episode,
     run_strategies,
     run_strategy,
+    score_episode,
     sensing_offsets,
     summarize,
 )
@@ -57,6 +58,13 @@ def _world(matrix, p0, bands, seed, slots, users=2, relays=4, coverage=1.0):
         max_slots=slots - 1,
     )
     return topology, processes
+
+
+def _scored(config, topology, processes, params, **kwargs):
+    """The metrics of `config.strategy` on one decision pass, at `params`' Es/N0."""
+    decided = run_episode(config, topology, processes, params, **kwargs)
+    (metrics,) = score_episode(decided, config.strategy, [params.es_over_n0], params)
+    return metrics
 
 
 class TestEpisodeConfig:
@@ -103,7 +111,7 @@ class TestStaticGoodSpectrum:
         topology, processes = _world(
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
-        metrics = run_episode(config, topology, processes, RadioParams())
+        metrics = _scored(config, topology, processes, RadioParams())
         assert metrics.outage_count == 0
         np.testing.assert_array_equal(metrics.pair_allocated, 9)
         assert np.all(metrics.pair_throughput_bps > 0)
@@ -115,7 +123,7 @@ class TestStaticGoodSpectrum:
             topology, processes = _world(
                 ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
             )
-            metrics = run_episode(
+            metrics = _scored(
                 replace(config, strategy=strategy), topology, processes, RadioParams()
             )
             results[strategy] = metrics
@@ -128,7 +136,7 @@ class TestStaticGoodSpectrum:
         topology, processes = _world(
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
-        metrics = run_episode(config, topology, processes, RadioParams())
+        metrics = _scored(config, topology, processes, RadioParams())
         assert metrics.prediction_match_count == config.pairs
         assert metrics.default_match_count == config.pairs
         assert metrics.trace.shape == (config.pairs, 3)
@@ -143,7 +151,7 @@ class TestPeriodTwoChain:
             slots=10, episodes=1, n_train=4, seed=seed, strategy=strategy
         )
         topology, processes = _world(PERIOD_TWO, 0.5, bands=8, seed=seed, slots=10)
-        return run_episode(config, topology, processes, RadioParams())
+        return _scored(config, topology, processes, RadioParams())
 
     def test_prediction_avoids_every_outage(self):
         metrics = self._run(Strategy.PREDICT_AGGREGATE)
@@ -167,11 +175,11 @@ class TestPeriodTwoChain:
         config = EpisodeConfig(slots=6, episodes=1, n_train=3, seed=11)
         topology, processes = _world(PERIOD_TWO, 0.5, bands=6, seed=11, slots=6)
         truth0 = processes.states.copy()
-        metrics = run_episode(config, topology, processes, RadioParams())
+        metrics = _scored(config, topology, processes, RadioParams())
         assert metrics.allocation_count == 0
 
         topology, processes = _world(PERIOD_TWO, 0.5, bands=6, seed=11, slots=6)
-        baseline = run_episode(
+        baseline = _scored(
             replace(config, strategy=Strategy.NO_PREDICTION),
             topology,
             processes,
@@ -217,7 +225,7 @@ class TestNoAggregationBaseline:
             topology, processes = _world(
                 ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=1, seed=5, slots=12, users=1
             )
-            metrics = run_episode(
+            metrics = _scored(
                 replace(config, strategy=strategy), topology, processes, RadioParams()
             )
             results.append(metrics.pair_throughput_bps)
@@ -253,7 +261,7 @@ class TestSingleUserBaseline:
         params = RadioParams()
         (via_strategy,) = run_strategy(scenario, config, params)
         topology, processes = build_episode_world(scenario, config, episode=0)
-        direct = run_episode(
+        direct = _scored(
             config,
             topology.restrict_to_user(0),
             processes,
@@ -271,7 +279,7 @@ class TestSingleUserBaseline:
         topology = Topology(users=1, relays=3, coverage=np.zeros((3, 1), dtype=bool))
         scenario = NetworkScenario(users=1, relays=3, bands=10)
         _, processes = build_episode_world(scenario, config, episode=0)
-        metrics = run_episode(config, topology, processes, RadioParams(), episode=0)
+        metrics = _scored(config, topology, processes, RadioParams(), episode=0)
         assert metrics.allocation_count == 0
         np.testing.assert_array_equal(metrics.user_capacity_bps, [0.0])
 
@@ -319,19 +327,18 @@ class TestDeterminismAndPairing:
 
     @pytest.mark.parametrize("strategy", [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION])
     def test_decisions_depend_on_neither_es_over_n0_nor_transmit_power(self, strategy):
-        # a pass ranks on draw-only scores, so its kept winners and owners
-        # stay put where SNRs round to 0 (1e-320 W) or overflow to inf (1e306 W)
+        # a pass ranks on draw-only scores and scores nothing, so the whole
+        # record stays put where SNRs would round to 0 (1e-320 W) or
+        # overflow to inf (1e306 W)
         scenario = NetworkScenario(users=3, relays=8, bands=20)
         config = EpisodeConfig(slots=30, episodes=1, n_train=20, seed=4, strategy=strategy)
         topology, processes = build_episode_world(scenario, config, 0)
-        expected = run_episode(config, topology, processes, RadioParams()).decisions
+        expected = pickle.dumps(run_episode(config, topology, processes, RadioParams()))
         for es_over_n0 in (0.1, 10.0, 1000.0):
             for tx_power_w in (1.0, 1e-320, 1e306):
                 params = RadioParams(es_over_n0=es_over_n0, tx_power_w=tx_power_w)
-                with np.errstate(over="ignore"):
-                    decisions = run_episode(config, topology, processes, params).decisions
-                for kept, want in zip(decisions, expected):
-                    np.testing.assert_array_equal(kept, want)
+                decided = run_episode(config, topology, processes, params)
+                assert pickle.dumps(decided) == expected
 
 
 class TestPairBlocks:
@@ -344,7 +351,7 @@ class TestPairBlocks:
             slots=30, episodes=1, n_train=20, seed=29, sensing_error_rate=sensing_error_rate
         )
         topology, processes = build_episode_world(scenario, config, 0)
-        one_block = run_episode(config, topology, processes, RadioParams())
+        one_block = _scored(config, topology, processes, RadioParams())
         calls = {"assign_relays": 0, "common_free_spectrum": 0}
         for name in calls:
             def counting(*args, _step=getattr(simulation, name), _name=name):
@@ -354,7 +361,7 @@ class TestPairBlocks:
             monkeypatch.setattr(simulation, name, counting)
         # three of the 10 pairs per block of (pairs, 12 bands, 6 relays) scores
         monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 3 * 12 * 6)
-        blocked = run_episode(config, topology, processes, RadioParams())
+        blocked = _scored(config, topology, processes, RadioParams())
         assert calls == {"assign_relays": 1, "common_free_spectrum": 4}
         assert pickle.dumps(blocked) == pickle.dumps(one_block)
 
@@ -526,7 +533,7 @@ class TestRadioSwitches:
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
         params = RadioParams(gain_model="unit")
-        metrics = run_episode(config, topology, processes, params)
+        metrics = _scored(config, topology, processes, params)
         assert metrics.outage_count == 0
         assert np.all(metrics.pair_allocated == 9)
 
@@ -562,7 +569,7 @@ class TestSummaries:
         params = RadioParams()
         for strategy in (Strategy.NO_PREDICTION, Strategy.NO_AGGREGATION):
             topology, processes = build_episode_world(scenario, config, 0)
-            metrics = run_episode(
+            metrics = _scored(
                 replace(config, strategy=strategy), topology, processes, params
             )
             assert metrics.strategy == strategy
