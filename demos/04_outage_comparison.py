@@ -48,7 +48,7 @@ def alternating_channel():
     params = RadioParams()
     for strategy in (Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION):
         topology, processes = world()
-        decided = run_episode(replace(config, strategy=strategy), topology, processes, params)
+        (decided,) = run_episode(config, topology, processes, params, 0, (strategy,))
         # the pass decides without Es/N0; score it at the params' own point
         (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
         print(

@@ -324,9 +324,10 @@ def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
 
 def run_single(config: RunConfig) -> dict[str, Path]:
     """Run one cell with all four strategies at `es_n0_db` and write the run CSVs."""
+    cells = _run_cell(config, list(Strategy), [config.es_n0_db])
+    # created only now, so a run that fails leaves no directory behind
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = _run_cell(config, list(Strategy), [config.es_n0_db])
     metrics_by_strategy = {strategy: metrics for strategy, _, metrics, _ in cells}
 
     paths = {
@@ -385,8 +386,6 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
                 f"{config.designated_band}"
             )
 
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if axis == "es_over_n0":
         cells = [replace(config, es_n0_db_sweep=tuple(parsed))]
     else:
@@ -409,6 +408,8 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
         key=lambda r: (r[0], float(r[2]), float(r[3])),
     )
 
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_effective_config(config, out_dir)
     return write_csv(out_dir / f"sweep_{axis}.csv", SWEEP_HEADER, rows)
 

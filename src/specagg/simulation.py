@@ -8,13 +8,6 @@ bands under the idle-both-slots rule, and the true t+1 states score the
 outcome.  An allocated band whose true t+1 state is Busy or Bad is an
 outage; throughput counts only non-outage bands.
 
-No slot pair depends on an earlier pair's allocation, so an episode runs
-as whole-episode array passes: the ground truth and the sensed states of
-every slot are realised first, the sliding-window transition counts of
-every pair come from one cumulative sum, step 1 assigns every pair's
-relays in one call, and each block of slot pairs gets its nodes' views,
-predictions and band scores and runs steps 2-3 at once.
-
 Four strategies share identical ground truth, topology, sensing errors,
 link budgets and fading draws per (seed, episode) -- comparisons between
 them are paired:
@@ -26,25 +19,27 @@ them are paired:
 * ``SINGLE_USER``: the same pipeline with only the first user pair
   present (it keeps every relay that covers it).
 
-A decision pass (`run_episode`) needs no Es/N0: it ranks users and
-relays on draw-only scores, the hop at Es/N0 = 1 and that times each
-band's fading gain.  An SNR is its score times P_tx * Es/N0 / gamma, so
-both rank alike, and no Es/N0 point or transmit power can move a
-decision.  A pass returns what it decided (`EpisodePass`), and one
-function, `score_episode`, turns it into one strategy's metrics at any
-list of Es/N0 points as one (points, pairs, bands) batch;
-`NO_AGGREGATION` keeps each user's band with the highest winner score
-(`reduce_to_best_band`).  `run_strategies` runs one cell's strategies
-at its Es/N0 points: per episode it builds the world once, runs one
-pass per decision rule -- predict (also NO_AGGREGATION's), persist and
-single-user -- and scores each strategy of a pass in one call.
+No slot pair depends on an earlier pair's allocation, so an episode is
+one lockstep pass (`run_episode`) of its decision rules -- predict (also
+NO_AGGREGATION's), persist and single-user.  The truth, the sensed views
+and the sliding-window transition counts of every pair are realised
+once; step 1 assigns every pair's relays in one call per topology; and
+the fading gains are drawn chunk by chunk of pairs into one reused
+buffer, each chunk's blocks of pairs running steps 2-3 of every rule.
+The pass ranks on draw-only scores (the hop at Es/N0 = 1, times the
+band's gain): an SNR is its score times P_tx * Es/N0 / gamma, so no
+Es/N0 point or transmit power can move a decision.  Each rule's
+`EpisodePass` keeps only its allocation, and `score_episode` turns it
+into one strategy's metrics at any list of Es/N0 points as one (points,
+pairs, bands) batch; `NO_AGGREGATION` keeps each user's band with the
+highest winner score (`reduce_to_best_band`).  `run_strategies` runs one
+cell: per episode one world, one pass and one scoring per strategy.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +73,12 @@ from .topology import (
 # pair at a time.  Each block temporary then stays under a megabyte, so
 # peak memory stays that of a per-pair loop; larger blocks were no faster.
 PAIR_BLOCK_ELEMENTS = 2**15
+
+# The fading gains are drawn in chunks of slot pairs whose (pairs, bands,
+# relays) gains hold at most this many elements, 8 MB: a default episode
+# is one chunk, a 1000-band, 100-relay one is drawn ten pairs at a time
+# into one reused buffer, so an episode's gains are never held whole.
+GAIN_CHUNK_ELEMENTS = 2**20
 
 
 def designated_band_error(designated_band: int, bands: int) -> str | None:
@@ -141,11 +142,11 @@ class EpisodePass:
     trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
 
 
-def _pair_blocks(n_pairs: int, width: int) -> list[slice]:
-    """Slices of consecutive slot pairs, each with at most PAIR_BLOCK_ELEMENTS
-    elements of `width` per pair (at least one pair)."""
+def _pair_blocks(start: int, stop: int, width: int) -> list[slice]:
+    """Slices of the consecutive slot pairs [start, stop), each with at most
+    PAIR_BLOCK_ELEMENTS elements of `width` per pair (at least one pair)."""
     block = max(1, PAIR_BLOCK_ELEMENTS // width)
-    return [slice(start, start + block) for start in range(0, n_pairs, block)]
+    return [slice(first, min(first + block, stop)) for first in range(start, stop, block)]
 
 
 def _hop(alpha: np.ndarray, total: np.ndarray, snr_combining: str) -> np.ndarray:
@@ -158,12 +159,6 @@ def _hop(alpha: np.ndarray, total: np.ndarray, snr_combining: str) -> np.ndarray
     if snr_combining == "min_hop":
         hop = np.minimum(alpha * total, hop)
     return hop
-
-
-def _owned_hop(hop: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """(..., relays) hop of each relay toward its owner; 0 for unowned relays."""
-    owned_hop = np.take_along_axis(hop, np.clip(owner, 0, None)[..., None], axis=-1)
-    return np.where(owner >= 0, owned_hop[..., 0], 0.0)
 
 
 def reduce_to_best_band(band_user: np.ndarray, score: np.ndarray, users: int) -> np.ndarray:
@@ -180,51 +175,53 @@ def reduce_to_best_band(band_user: np.ndarray, score: np.ndarray, users: int) ->
     return (mine.any(axis=-1)[..., None] & (bands == best[..., None])).any(axis=-2)
 
 
-@functools.lru_cache(maxsize=1)
 def episode_draws(
-    seed: int,
-    episode: int,
-    n_pairs: int,
-    relays: int,
-    draw_users: int,
-    bands: int,
-    gain_model: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (alpha, beta, gains): an episode's link-budget and fading draws.
+    seed: int, episode: int, n_pairs: int, relays: int, users: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (alpha, beta): an episode's link-budget draws.
 
-    alpha and beta are the (n_pairs, relays, draw_users) position splits
-    and attenuations of `radio.sample_hop_splits`, one budget stream per
-    relay; gains are the (n_pairs, bands, relays) power gains, one fading
-    stream per band.  Adding a relay or band never perturbs the draws of
-    the existing ones.  Nothing here depends on the strategy or Es/N0,
-    so the one-entry cache serves every pass and point of the episode
-    that `run_strategies` is running.
+    They are the (n_pairs, relays, users) position splits and attenuations
+    of `radio.sample_hop_splits`, one budget stream per relay, so adding a
+    relay never perturbs the draws of the existing ones.
     """
-    alpha = np.empty((n_pairs, relays, draw_users))
+    alpha = np.empty((n_pairs, relays, users))
     beta = np.empty_like(alpha)
     for r, rng in enumerate(derive_rngs(seed, "budget", episode, count=relays)):
-        alpha[:, r], beta[:, r] = sample_hop_splits(rng, (n_pairs, draw_users))
-    if gain_model == "rayleigh":
-        # band-major, so each band's stream fills its own contiguous block
-        gains = np.empty((bands, n_pairs, relays))
-        for n, rng in enumerate(derive_rngs(seed, "gain", episode, count=bands)):
-            rng.standard_exponential(out=gains[n])
-    else:
-        gains = np.broadcast_to(1.0, (bands, n_pairs, relays))
-    for draws in (alpha, beta, gains):
+        alpha[:, r], beta[:, r] = sample_hop_splits(rng, (n_pairs, users))
+    for draws in (alpha, beta):
         draws.flags.writeable = False
-    return alpha, beta, gains.transpose(1, 0, 2)
+    return alpha, beta
 
 
-@functools.lru_cache(maxsize=1)
+def gain_chunks(seed: int, episode: int, n_pairs: int, relays: int, bands: int, gain_model: str):
+    """Yield (pairs, gains): an episode's fading draws, one chunk of pairs at a time.
+
+    `pairs` slices consecutive slot pairs whose draws hold at most
+    GAIN_CHUNK_ELEMENTS elements (at least one pair), and `gains` is their
+    read-only (pairs, bands, relays) power gains.  Each band has one
+    fading stream, kept across chunks, so the chunks of an episode are
+    one draw of it, and adding a band never perturbs the others' draws.
+    Each chunk overwrites the buffer of the last one; unit gains are one
+    chunk that holds no memory.
+    """
+    if gain_model != "rayleigh":
+        yield slice(0, n_pairs), np.broadcast_to(1.0, (n_pairs, bands, relays))
+        return
+    size = max(1, GAIN_CHUNK_ELEMENTS // (bands * relays))
+    rngs = list(derive_rngs(seed, "gain", episode, count=bands))
+    buffer = np.empty((bands, min(size, n_pairs), relays))
+    for start in range(0, n_pairs, size):
+        n = min(size, n_pairs - start)
+        # band-major, so each band's stream fills its own contiguous block
+        for rng, block in zip(rngs, buffer):
+            rng.standard_exponential(out=block[:n])
+        gains = buffer[:, :n].transpose(1, 0, 2)
+        gains.flags.writeable = False
+        yield slice(start, start + n), gains
+
+
 def sensing_offsets(
-    seed: int,
-    episode: int,
-    slots: int,
-    bands: int,
-    users: int,
-    relays: int,
-    err: float,
+    seed: int, episode: int, slots: int, bands: int, users: int, relays: int, err: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only int8 (sources, relays): an episode's sensing errors.
 
@@ -232,9 +229,7 @@ def sensing_offsets(
     the node senses a band correctly, 1 or 2 where its report is that
     many states past the truth.  A node's offsets are `sense` of an
     all-Good (code 0) trajectory, so it senses any truth as
-    ``wrap_states(truth + offsets)``.  They hold no truth, so the
-    one-entry cache serves every pass, Es/N0 point and p0 value of the
-    episode.
+    ``wrap_states(truth + offsets)``.
     """
     good = np.zeros((slots, bands), dtype=np.int8)
     offsets = []
@@ -268,7 +263,7 @@ def score_episode(
     # mask and the (points, pairs, bands) batch, several of them alive at
     # once; counting at least three users keeps a single-user pass's blocks
     # within the memory of a multi-user pass's
-    for pairs in _pair_blocks(n_pairs, len(points) * bands * max(users, 3)):
+    for pairs in _pair_blocks(0, n_pairs, len(points) * bands * max(users, 3)):
         band_user, hop_split, beta2, gain = (array[pairs] for array in decided.kept)
         held = band_user >= 0
         if strategy == Strategy.NO_AGGREGATION:
@@ -309,25 +304,22 @@ def run_episode(
     topology: Topology,
     processes: BandProcessSet,
     params: RadioParams,
-    episode: int = 0,
-    base_users: int | None = None,
-) -> EpisodePass:
-    """Run one episode's decision pass and return what it decided, unscored.
+    episode: int,
+    rules: tuple[Strategy, ...],
+) -> tuple[EpisodePass, ...]:
+    """Run one episode's decision pass per rule of `rules` in lockstep; returns them, unscored.
 
-    The pass reads no Es/N0, transmit power or SNR gap; `score_episode`
-    turns it into metrics.  The episode reads the band processes'
-    trajectory from slot 0.
-    `base_users` is the user count the link-budget draws are shaped for;
-    leaving it at the topology's own user count is correct for
-    standalone runs, while the single-user strategy passes the full
-    population so its draws stay paired with the multi-user runs.
+    A rule is predict (`PREDICT_AGGREGATE`, also NO_AGGREGATION's),
+    persist (`NO_PREDICTION`) or `SINGLE_USER`, which sees `topology`
+    restricted to its first pair and reads that pair's share of the full
+    population's draws and views.  The rules share the draws, views and
+    predictions; predict and persist also share step 1 and the scores.
+    Each chunk of gains runs steps 2-3 of every rule before the next is
+    drawn.  No pass reads Es/N0, transmit power, the SNR gap or
+    `config.strategy`.  The episode reads the trajectory from slot 0.
     """
     users, relays, bands = topology.users, topology.relays, processes.band_count
-    n_pairs = config.pairs
-    seed = config.seed
-    draw_users = base_users if base_users is not None else users
-    if draw_users < users:
-        raise ConfigError("base_users must cover the topology's user count")
+    n_pairs, seed = config.pairs, config.seed
     if message := designated_band_error(config.designated_band, bands):
         raise ConfigError(message)
     if processes.max_slots < config.slots - 1:
@@ -335,10 +327,7 @@ def run_episode(
             f"band processes cover {processes.max_slots + 1} slots, "
             f"the episode needs {config.slots}"
         )
-    predicting = config.strategy != Strategy.NO_PREDICTION
-
-    draws = episode_draws(seed, episode, n_pairs, relays, draw_users, bands, params.gain_model)
-    alpha, beta, gains = draws
+    alpha, beta = episode_draws(seed, episode, n_pairs, relays, users)
 
     truth = processes.trajectory()[: config.slots]
     err = config.sensing_error_rate
@@ -346,72 +335,89 @@ def run_episode(
         # perfect sensing: sources and relays share one view, the truth
         views = [truth[:, None, :]]
     else:
-        offsets = sensing_offsets(seed, episode, config.slots, bands, draw_users, relays, err)
-        views = [
-            wrap_states(truth[:, None] + node_offsets[:, :n])
-            for node_offsets, n in zip(offsets, (users, relays))
-        ]
+        offsets = sensing_offsets(seed, episode, config.slots, bands, users, relays, err)
+        views = [wrap_states(truth[:, None] + node_offsets) for node_offsets in offsets]
     # the predictor trains on the first user's sensed history
     history = views[0][:, 0]
     pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
-    if predicting:
+    predicting = [rule != Strategy.NO_PREDICTION for rule in rules]
+    if any(predicting):
         # window k ends at pair k's first slot
         counts = window_transition_counts(history[:-1], config.n_train)
 
     # step 1 for all pairs at once, on draw-only scores (the hop at Es/N0 = 1, then
     # times band gains): an SNR is a score times tx * Es/N0 / gamma, so both rank alike
-    hop = _hop(alpha[:, :, :users], beta[:, :, :users] * 2.0, params.snr_combining)
-    # relay and user indices in the narrowest integer types that also hold -1
-    owner = assign_relays(topology, hop).astype(np.min_scalar_type(-users))
-    band_relay = np.empty((n_pairs, bands), dtype=np.min_scalar_type(-relays))
-    owned_hop = _owned_hop(hop, owner)
+    hop = _hop(alpha, beta * 2.0, params.snr_combining)
+    # per topology a rule sees, the whole or its first pair alone: its user
+    # count, its relays' owners (in the narrowest integer type that also
+    # holds -1) and their hops toward them
+    alone = [rule == Strategy.SINGLE_USER for rule in rules]
+    steps = {}
+    for single in dict.fromkeys(alone):
+        seen, seen_hop = (topology.restrict_to_user(0), hop[..., :1]) if single else (topology, hop)
+        owner = assign_relays(seen, seen_hop).astype(np.min_scalar_type(-seen.users))
+        # each relay's hop toward its owner; 0 for an unowned relay
+        owned = np.take_along_axis(seen_hop, np.clip(owner, 0, None)[..., None], axis=-1)
+        steps[single] = seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0)
     # freed before the pair blocks' temporaries, which would otherwise grow the heap
     del hop
-    predicted = np.empty(n_pairs, dtype=np.int8)
+    band_relay = [np.empty((n_pairs, bands), dtype=np.min_scalar_type(-relays)) for _ in rules]
+    kept_gain = [np.empty((n_pairs, bands)) for _ in rules]
+    guessed = {p: np.empty(n_pairs, dtype=np.int8) for p in predicting}
     designated = config.designated_band
-    for pairs in _pair_blocks(n_pairs, bands * relays):
-        now = pair_slots[pairs]
-        # (pairs, nodes, bands) states at t and t + 1 of each view;
-        # sources are the first view and relays the last
-        states_now = [view[now] for view in views]
-        if predicting:
-            states_next = [predict_next_states(counts[pairs, None], s) for s in states_now]
-        else:
-            states_next = states_now
-        available = [two_slot_availability(*s) for s in zip(states_now, states_next)]
-        score = owned_hop[pairs, None, :] * gains[pairs]
-        band_user = common_free_spectrum(owner[pairs], users, available[0], available[-1], score)
-        band_relay[pairs], _ = allocate_spectrum(
-            band_user, owner[pairs], prediction_bits(states_next[-1]), score
-        )
-        predicted[pairs] = states_next[0][:, 0, designated]
+    for chunk, gains in gain_chunks(seed, episode, n_pairs, relays, bands, params.gain_model):
+        for pairs in _pair_blocks(chunk.start, chunk.stop, bands * relays):
+            block_gains = gains[pairs.start - chunk.start : pairs.stop - chunk.start]
+            # (pairs, nodes, bands) states at t and t + 1 of each view, predicted
+            # or persisted; sources are the first view and relays the last
+            now = [view[pair_slots[pairs]] for view in views]
+            judged = {}
+            for p in guessed:
+                after = [predict_next_states(counts[pairs, None], s) for s in now] if p else now
+                available = [two_slot_availability(*s) for s in zip(now, after)]
+                judged[p] = available, prediction_bits(after[-1])
+                guessed[p][pairs] = after[0][:, 0, designated]
+            for single, (seen_users, owner, owned_hop) in steps.items():
+                score = owned_hop[pairs, None, :] * block_gains
+                for k in (k for k, a in enumerate(alone) if a == single):
+                    available, bits = judged[predicting[k]]
+                    sources = available[0][:, :1] if single else available[0]
+                    band_user = common_free_spectrum(
+                        owner[pairs], seen_users, sources, available[-1], score
+                    )
+                    relay, _ = allocate_spectrum(band_user, owner[pairs], bits, score)
+                    band_relay[k][pairs] = relay
+                    winner = np.clip(relay, 0, None)[..., None]
+                    kept_gain[k][pairs] = np.take_along_axis(block_gains, winner, axis=-1)[..., 0]
+    del gains, block_gains  # the last chunk's buffer is spent: free it before the passes
 
-    # the kept allocation: each band's user and its winner's draws; an
-    # unallocated band gets a zero budget, so its SNR is 0 at every point
     pair = np.arange(n_pairs)[:, None]
-    won = band_relay >= 0
-    winner = np.clip(band_relay, 0, None)
-    band_user = np.where(won, owner[pair, winner], UNASSIGNED)
-    user = np.clip(band_user, 0, None)
-    kept = (
-        band_user,
-        alpha[pair, winner, user],
-        np.where(won, beta[pair, winner, user] * 2.0, 0.0),
-        gains[pair, np.arange(bands), winner],
-    )
     truth_next = truth[pair_slots + 1]
+    failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
     actual = truth_next[:, designated]
     default = history[pair_slots, designated]
-    return EpisodePass(
-        episode=episode,
-        users=users,
-        pair_slots=pair_slots,
-        kept=kept,
-        failed=(truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD),
-        prediction_match_count=int((predicted == actual).sum()),
-        default_match_count=int((default == actual).sum()),
-        trace=np.stack([actual, default, predicted], axis=1).astype(np.int8),
-    )
+    passes = []
+    for k, relay in enumerate(band_relay):
+        seen_users, owner, _ = steps[alone[k]]
+        # the kept allocation: each band's user and its winner's draws; an
+        # unallocated band gets a zero budget, so its SNR is 0 at every point
+        won = relay >= 0
+        winner = np.clip(relay, 0, None)
+        band_user = np.where(won, owner[pair, winner], UNASSIGNED)
+        user = np.clip(band_user, 0, None)
+        beta2 = np.where(won, beta[pair, winner, user] * 2.0, 0.0)
+        predicted = guessed[predicting[k]]
+        passes.append(EpisodePass(
+            episode=episode,
+            users=seen_users,
+            pair_slots=pair_slots,
+            kept=(band_user, alpha[pair, winner, user], beta2, kept_gain[k]),
+            failed=failed,
+            prediction_match_count=int((predicted == actual).sum()),
+            default_match_count=int((default == actual).sum()),
+            trace=np.stack([actual, default, predicted], axis=1).astype(np.int8),
+        ))
+    return tuple(passes)
 
 
 def build_episode_world(
@@ -459,38 +465,30 @@ def run_strategies(
 
     `points` are linear Es/N0 values; results are reported at them, not
     at `params.es_over_n0`, and `config.strategy` is ignored.  Episodes
-    run outer: each builds its world once and runs one decision pass per
-    decision rule -- predict (also NO_AGGREGATION's), persist and
-    single-user -- and scores each of its strategies at every point in
-    one `score_episode` call, which reads no draws: only `run_episode`
-    does, and this function clears their caches.  Returns
-    ``out[i][j]``, the per-episode metrics of ``strategies[i]`` at ``points[j]``.
+    run outer: each builds its world once, runs the decision rules of
+    its strategies -- predict (also NO_AGGREGATION's), persist and
+    single-user -- in one `run_episode` call, and scores each strategy
+    at every point in one `score_episode` call.  Returns ``out[i][j]``,
+    the per-episode metrics of ``strategies[i]`` at ``points[j]``.
     """
+    if not points:
+        raise ConfigError("a cell needs at least one Es/N0 point")
     for es in points:
         require(RadioParams, "es_over_n0", es)
     distinct = list(dict.fromkeys(points))
-    # each strategy's decision rule, and each rule's config, built once per call
-    rules = [_RULE.get(strategy, strategy) for strategy in strategies]
-    configs = {rule: replace(config, strategy=rule) for rule in dict.fromkeys(rules)}
+    # the strategies' decision rules, each run once per episode
+    rules = tuple(dict.fromkeys(_RULE.get(strategy, strategy) for strategy in strategies))
     out = [[[] for _ in points] for _ in strategies]
     for episode in range(config.episodes):
-        if episode:
-            # the last episode's draws are spent: free them before drawing
-            episode_draws.cache_clear()
-            sensing_offsets.cache_clear()
         topology, processes = build_episode_world(scenario, config, episode)
-        for rule, rule_config in configs.items():
-            # the first pair alone keeps every relay covering it, and its
-            # draws stay shaped for (so paired with) the full population
-            seen = topology.restrict_to_user(0) if rule == Strategy.SINGLE_USER else topology
-            decided = run_episode(rule_config, seen, processes, params, episode, scenario.users)
-            for i, strategy in enumerate(strategies):
-                if rules[i] == rule:
-                    scored = dict(zip(distinct, score_episode(decided, strategy, distinct, params)))
-                    for j, es in enumerate(points):
-                        out[i][j].append(scored[es])
-            # the pass's views are scored: free its allocation before the next pass keeps one
-            del decided
+        passes = run_episode(config, topology, processes, params, episode, rules)
+        for i, strategy in enumerate(strategies):
+            decided = passes[rules.index(_RULE.get(strategy, strategy))]
+            scored = score_episode(decided, strategy, distinct, params)
+            for j, es in enumerate(points):
+                out[i][j].append(scored[distinct.index(es)])
+        # the passes are scored: free them before the next episode runs its own
+        del passes, decided
     return out
 
 

@@ -193,7 +193,7 @@ def test_criterion_4b_period_two_chain_exact():
 
     def scored(strategy):
         topology, processes = world(7)
-        decided = run_episode(replace(config, strategy=strategy), topology, processes, params)
+        (decided,) = run_episode(config, topology, processes, params, 0, (strategy,))
         (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
         return metrics
 

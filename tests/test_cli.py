@@ -306,8 +306,8 @@ class TestSweepCommand:
     def test_a_sweep_value_checks_each_strategy_and_point_once(
         self, axis, values, tmp_path, monkeypatch
     ):
-        # one cell's radio params and episode config, then one config per
-        # decision pass; none per Es/N0 point or per episode.  Each sweep
+        # one cell's radio params and episode config; none per decision
+        # pass, Es/N0 point or episode.  Each sweep
         # strategy is scored once per episode at every point of the grid,
         # and never at es_n0_db, which is not a grid point.  The
         # es_over_n0 axis is one cell whose grid is its values
@@ -334,9 +334,8 @@ class TestSweepCommand:
         monkeypatch.setattr(simulation, "score_episode", score)
         monkeypatch.setattr(simulation, "build_episode_world", build)
         run_sweep(config, axis, values)
-        passes = 2  # predict (with no-aggregation's views) and single-user
         assert checks.count(RadioParams) == 1
-        assert checks.count(EpisodeConfig) == 1 + passes
+        assert checks.count(EpisodeConfig) == 1
         assert len(worlds) == config.episodes
         # one call per sweep strategy and episode, over the whole grid
         grid = values if axis == "es_over_n0" else config.es_n0_db_sweep
@@ -573,6 +572,20 @@ class TestInputValidation:
         assert err.startswith("error: overflow") and len(err.strip().splitlines()) == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not any("inf" in path.read_text() for path in out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--axis", "p0", "--values", "0.2"]]
+    )
+    def test_a_failed_run_creates_no_directory(self, command, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate the cell")
+
+        monkeypatch.setattr(cli, "_run_cell", out_of_memory)
+        out = tmp_path / "fresh" / "deep"
+        assert main(command + ["--episodes", "1", "--slots", "24", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "fresh").exists()
 
     @pytest.mark.parametrize(
         "command", [["run"], ["sweep", "--axis", "p0", "--values", "0.2"]]

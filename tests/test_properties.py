@@ -298,12 +298,10 @@ def assert_cell_equals_separate_runs(scenario, config, params, strategies, point
             assert len(metrics) == len(alone) == config.episodes
             for episode, (view, run) in enumerate(zip(metrics, alone)):
                 assert_same_metrics(view, run)
-                # a decision pass scored at this point alone
+                # a decision pass of this strategy alone, scored at this point alone
                 topology, processes = build_episode_world(scenario, strategy_config, episode)
-                if strategy == Strategy.SINGLE_USER:
-                    topology = topology.restrict_to_user(0)
-                decided = run_episode(
-                    strategy_config, topology, processes, point_params, episode, scenario.users
+                (decided,) = run_episode(
+                    strategy_config, topology, processes, point_params, episode, (strategy,)
                 )
                 (scored,) = score_episode(decided, strategy, [es], point_params)
                 assert_same_metrics(view, scored)

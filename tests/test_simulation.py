@@ -1,6 +1,7 @@
 """Tests for the two-slot episode harness and its baseline strategies."""
 
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from specagg.simulation import (
     Strategy,
     build_episode_world,
     episode_draws,
+    gain_chunks,
     reduce_to_best_band,
     run_episode,
     run_strategies,
@@ -60,9 +62,9 @@ def _world(matrix, p0, bands, seed, slots, users=2, relays=4, coverage=1.0):
     return topology, processes
 
 
-def _scored(config, topology, processes, params, **kwargs):
-    """The metrics of `config.strategy` on one decision pass, at `params`' Es/N0."""
-    decided = run_episode(config, topology, processes, params, **kwargs)
+def _scored(config, topology, processes, params, episode=0):
+    """The metrics of `config.strategy` on its decision pass, at `params`' Es/N0."""
+    (decided,) = run_episode(config, topology, processes, params, episode, (config.strategy,))
     (metrics,) = score_episode(decided, config.strategy, [params.es_over_n0], params)
     return metrics
 
@@ -253,7 +255,8 @@ class TestNoAggregationBaseline:
 
 class TestSingleUserBaseline:
     def test_definitional_equivalence(self):
-        # the strategy equals running the restricted topology directly
+        # the strategy equals its decision rule run on the world directly,
+        # which restricts the topology to the first pair itself
         config = EpisodeConfig(
             slots=24, episodes=1, n_train=20, seed=9, strategy=Strategy.SINGLE_USER
         )
@@ -261,14 +264,7 @@ class TestSingleUserBaseline:
         params = RadioParams()
         (via_strategy,) = run_strategy(scenario, config, params)
         topology, processes = build_episode_world(scenario, config, episode=0)
-        direct = _scored(
-            config,
-            topology.restrict_to_user(0),
-            processes,
-            params,
-            episode=0,
-            base_users=4,
-        )
+        direct = _scored(config, topology, processes, params)
         assert via_strategy.user_capacity_bps.shape == (1,)
         np.testing.assert_array_equal(
             via_strategy.pair_throughput_bps, direct.pair_throughput_bps
@@ -333,11 +329,13 @@ class TestDeterminismAndPairing:
         scenario = NetworkScenario(users=3, relays=8, bands=20)
         config = EpisodeConfig(slots=30, episodes=1, n_train=20, seed=4, strategy=strategy)
         topology, processes = build_episode_world(scenario, config, 0)
-        expected = pickle.dumps(run_episode(config, topology, processes, RadioParams()))
+        expected = pickle.dumps(
+            run_episode(config, topology, processes, RadioParams(), 0, (strategy,))
+        )
         for es_over_n0 in (0.1, 10.0, 1000.0):
             for tx_power_w in (1.0, 1e-320, 1e306):
                 params = RadioParams(es_over_n0=es_over_n0, tx_power_w=tx_power_w)
-                decided = run_episode(config, topology, processes, params)
+                decided = run_episode(config, topology, processes, params, 0, (strategy,))
                 assert pickle.dumps(decided) == expected
 
 
@@ -364,6 +362,19 @@ class TestPairBlocks:
         blocked = _scored(config, topology, processes, RadioParams())
         assert calls == {"assign_relays": 1, "common_free_spectrum": 4}
         assert pickle.dumps(blocked) == pickle.dumps(one_block)
+
+
+def drawn_gains(*args):
+    """The whole (pairs, bands, relays) gains of `gain_chunks(*args)`; each
+    chunk must follow the last one and refuse writes."""
+    chunks = []
+    for pairs, gains in gain_chunks(*args):
+        assert pairs.start == sum(len(chunk) for chunk in chunks)
+        assert len(gains) == pairs.stop - pairs.start
+        with pytest.raises(ValueError):
+            gains[0, 0, 0] = 0.0
+        chunks.append(gains.copy())
+    return np.concatenate(chunks)
 
 
 def count_derived_streams(monkeypatch) -> list[tuple]:
@@ -405,7 +416,6 @@ class TestSharedDraws:
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(slots=26, episodes=2, n_train=20, seed=13)
         points = [1.0, 100.0]
-        episode_draws.cache_clear()
         together = run_strategies(scenario, config, params, strategies, points)
         draws = [tokens for tokens in streams if tokens[0] in ("budget", "gain")]
         assert len(draws) == config.episodes * per_episode
@@ -413,7 +423,6 @@ class TestSharedDraws:
         for strategy, by_point in zip(strategies, together):
             assert len(by_point) == len(points)
             for es, metrics in zip(points, by_point):
-                episode_draws.cache_clear()
                 alone = run_strategy(
                     scenario, replace(config, strategy=strategy), replace(params, es_over_n0=es)
                 )
@@ -440,32 +449,26 @@ class TestSharedDraws:
             run_strategies(scenario, config, RadioParams(), list(Strategy), [1.0, es])
 
     @pytest.mark.parametrize("gain_model", ["rayleigh", "unit"])
-    def test_cached_draws_are_read_only_and_match_a_cold_draw(self, gain_model):
-        key = (13, 1, 6, 6, 3, 12, gain_model)
-        episode_draws.cache_clear()
-        episode_draws(*key)
-        hit = episode_draws(*key)
-        assert episode_draws.cache_info().hits == 1
-        episode_draws.cache_clear()
-        cold = episode_draws(*key)
-        for cached, fresh in zip(hit, cold):
-            assert not cached.flags.writeable
+    def test_draws_are_read_only_and_match_a_fresh_draw(self, gain_model):
+        budget = [episode_draws(13, 1, 6, 6, 3) for _ in range(2)]
+        for drawn, fresh in zip(*budget):
+            assert not drawn.flags.writeable
             with pytest.raises(ValueError):
-                cached[0] = 0.0
-            assert cached.shape == fresh.shape
-            assert cached.tobytes() == fresh.tobytes()
+                drawn[0] = 0.0
+            assert drawn.shape == fresh.shape == (6, 6, 3)
+            assert drawn.tobytes() == fresh.tobytes()
+        gains = [drawn_gains(13, 1, 6, 6, 12, gain_model) for _ in range(2)]
+        assert gains[0].shape == (6, 12, 6)
+        assert gains[0].tobytes() == gains[1].tobytes()
 
-    def test_gains_fill_band_major_as_per_band_draws_and_refuse_writes(self):
-        episode_draws.cache_clear()
-        _, _, gains = episode_draws(13, 1, 6, 5, 3, 12, "rayleigh")
-        assert gains.shape == (6, 12, 5)
-        assert gains.tobytes() == bandwise_gains(13, 1, 6, 5, 12).tobytes()
-        # the band-major buffer behind the (pairs, bands, relays) view is
-        # read-only too
-        for array in (gains, gains.base):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0, 0, 0] = 0.0
+    @pytest.mark.parametrize("elements", [None, 1, 3 * 12 * 5])
+    def test_chunked_gains_equal_per_band_draws(self, elements, monkeypatch):
+        # one chunk, one pair per chunk (a budget below one pair), and
+        # chunks of 3, 3 and an uneven tail of 1 of the 7 pairs
+        if elements is not None:
+            monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", elements)
+        gains = drawn_gains(13, 1, 7, 5, 12, "rayleigh")
+        assert gains.tobytes() == bandwise_gains(13, 1, 7, 5, 12).tobytes()
 
     def test_noisy_arms_sense_each_node_once_per_episode(self, monkeypatch):
         streams = count_derived_streams(monkeypatch)
@@ -474,7 +477,6 @@ class TestSharedDraws:
             slots=26, episodes=2, n_train=20, seed=19, sensing_error_rate=0.2
         )
         points = [1.0, 100.0]
-        sensing_offsets.cache_clear()
         together = run_strategies(scenario, config, RadioParams(), list(Strategy), points)
         sensed = [tokens for tokens in streams if tokens[0] == "sense"]
         expected = [
@@ -486,33 +488,28 @@ class TestSharedDraws:
         assert sensed == expected
         for strategy, by_point in zip(Strategy, together):
             for es, metrics in zip(points, by_point):
-                sensing_offsets.cache_clear()
                 alone = run_strategy(
                     scenario, replace(config, strategy=strategy), RadioParams(es_over_n0=es)
                 )
                 assert pickle.dumps(metrics) == pickle.dumps(alone)
 
-    def test_cached_sensing_serves_a_second_truth(self):
-        # one-episode runs at two p0 values hit the same cache entry, as
-        # the values of a p0 sweep do; each must sense its own truth
+    def test_each_p0_value_senses_its_own_truth(self):
+        # one-episode runs at two p0 values draw the same sensing errors,
+        # as the values of a p0 sweep do; each must sense its own truth
         config = EpisodeConfig(
             slots=26, episodes=1, n_train=20, seed=23, sensing_error_rate=0.3
         )
         scenarios = [
             NetworkScenario(users=2, relays=5, bands=9, p0_idle=p0) for p0 in (0.2, 0.6)
         ]
-        sensing_offsets.cache_clear()
-        warm = [run_strategy(scenario, config, RadioParams()) for scenario in scenarios]
-        assert sensing_offsets.cache_info().hits == 1
-        for scenario, metrics in zip(scenarios, warm):
-            sensing_offsets.cache_clear()
+        in_turn = [run_strategy(scenario, config, RadioParams()) for scenario in scenarios]
+        assert not np.array_equal(in_turn[0][0].trace, in_turn[1][0].trace)
+        for scenario, metrics in reversed(list(zip(scenarios, in_turn))):
             alone = run_strategy(scenario, config, RadioParams())
             assert pickle.dumps(metrics) == pickle.dumps(alone)
 
-    def test_cached_sensing_offsets_are_read_only_and_hold_no_truth(self):
-        key = (19, 1, 26, 11, 3, 6, 0.2)
-        sensing_offsets.cache_clear()
-        sources, relays = sensing_offsets(*key)
+    def test_sensing_offsets_are_read_only_and_hold_no_truth(self):
+        sources, relays = sensing_offsets(19, 1, 26, 11, 3, 6, 0.2)
         assert sources.shape == (26, 3, 11) and relays.shape == (26, 6, 11)
         for offsets in (sources, relays):
             assert offsets.dtype == np.int8 and not offsets.flags.writeable
@@ -523,6 +520,73 @@ class TestSharedDraws:
         good = np.zeros((26, 11), dtype=np.int8)
         first_relay = slotwise_sense(good, 0.2, derive_rng(19, "sense", 1, "rel", 0))
         np.testing.assert_array_equal(relays[:, 0], first_relay)
+
+
+class TestLockstepPass:
+    def test_a_cell_runs_one_pass_per_episode_sharing_step_one(self, monkeypatch):
+        # predict and persist share step 1; the single-user rule runs its own
+        calls = {"run_episode": [], "assign_relays": 0}
+        run_episode_alone, assign_relays = simulation.run_episode, simulation.assign_relays
+
+        def counting_run_episode(*args, **kwargs):
+            calls["run_episode"].append((len(args), kwargs))
+            return run_episode_alone(*args, **kwargs)
+
+        def counting_assign_relays(*args):
+            calls["assign_relays"] += 1
+            return assign_relays(*args)
+
+        monkeypatch.setattr(simulation, "run_episode", counting_run_episode)
+        monkeypatch.setattr(simulation, "assign_relays", counting_assign_relays)
+        scenario = NetworkScenario(users=3, relays=6, bands=12)
+        config = EpisodeConfig(slots=26, episodes=2, n_train=20, seed=13)
+        run_strategies(scenario, config, RadioParams(), list(Strategy), [1.0])
+        assert calls == {"run_episode": [(6, {})] * 2, "assign_relays": 2 * 2}
+
+    @pytest.mark.parametrize(
+        "params, sensing_error_rate",
+        [
+            (RadioParams(), 0.0),
+            (RadioParams(), 0.2),
+            (RadioParams(snr_combining="min_hop"), 0.0),
+            (RadioParams(gain_model="unit"), 0.2),
+        ],
+        ids=["perfect", "noisy", "min-hop", "unit-gains"],
+    )
+    def test_chunks_and_blocks_do_not_change_a_cell(
+        self, params, sensing_error_rate, monkeypatch
+    ):
+        scenario = NetworkScenario(users=3, relays=6, bands=12)
+        config = EpisodeConfig(
+            slots=30, episodes=2, n_train=20, seed=31, sensing_error_rate=sensing_error_rate
+        )
+        cell = (scenario, config, params, list(Strategy), [1.0, 100.0])
+        whole = pickle.dumps(run_strategies(*cell))
+        # the 10 pairs of an episode in gain chunks of 3, 3, 3 and 1, each
+        # run as pair blocks of 2 and 1 (the last, 1)
+        monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", 3 * 12 * 6)
+        monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 2 * 12 * 6)
+        assert pickle.dumps(run_strategies(*cell)) == whole
+
+    def test_an_episode_never_holds_its_gains_whole(self, monkeypatch):
+        # (40 pairs, 400 bands, 100 relays) float64 gains are 12.8 MB; drawn
+        # four pairs at a time, a cell stays below half of that
+        monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", 4 * 400 * 100)
+        scenario = NetworkScenario(users=2, relays=100, bands=400)
+        config = EpisodeConfig(slots=60, episodes=1, n_train=20, seed=37)
+        tracemalloc.start()
+        try:
+            run_strategies(scenario, config, RadioParams(), list(Strategy), [10.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 400 * 100 * 8 / 2
+
+    def test_a_cell_without_points_is_a_config_error(self):
+        scenario = NetworkScenario(users=2, relays=4, bands=8)
+        config = EpisodeConfig(slots=24, episodes=1, n_train=20)
+        with pytest.raises(ConfigError, match="at least one Es/N0 point"):
+            run_strategies(scenario, config, RadioParams(), list(Strategy), [])
 
 
 class TestRadioSwitches:
