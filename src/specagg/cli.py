@@ -322,11 +322,18 @@ def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
     return cells
 
 
+def _output_dir(config: RunConfig) -> Path:
+    """`config.out`, checked before a run, creating nothing, for a file in its way."""
+    out_dir = Path(config.out)
+    if not next(path for path in (out_dir, *out_dir.parents) if path.exists()).is_dir():
+        raise CLIError(f"cannot write to {out_dir}: a file stands in its path")
+    return out_dir
+
+
 def run_single(config: RunConfig) -> dict[str, Path]:
     """Run one cell with all four strategies at `es_n0_db` and write the run CSVs."""
+    out_dir = _output_dir(config)
     cells = _run_cell(config, list(Strategy), [config.es_n0_db])
-    # created only now, so a run that fails leaves no directory behind
-    out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_by_strategy = {strategy: metrics for strategy, _, metrics, _ in cells}
 
@@ -386,6 +393,7 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
                 f"{config.designated_band}"
             )
 
+    out_dir = _output_dir(config)
     if axis == "es_over_n0":
         cells = [replace(config, es_n0_db_sweep=tuple(parsed))]
     else:
@@ -408,7 +416,6 @@ def run_sweep(config: RunConfig, axis: str, values: list) -> Path:
         key=lambda r: (r[0], float(r[2]), float(r[3])),
     )
 
-    out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_effective_config(config, out_dir)
     return write_csv(out_dir / f"sweep_{axis}.csv", SWEEP_HEADER, rows)
@@ -484,15 +491,13 @@ def emit_figure_data(config: RunConfig, figure_id: int) -> Path:
         table = []
         for slot in sorted(per_slot):
             cells = per_slot[slot]
+            rates = []
             for name in (Strategy.PREDICT_AGGREGATE.value, Strategy.NO_PREDICTION.value):
                 if name not in cells:
                     raise CLIError(
                         f"missing cell: strategy={name} slot={slot} in metrics.csv"
                     )
-            rates = []
-            for name in (Strategy.PREDICT_AGGREGATE.value, Strategy.NO_PREDICTION.value):
-                outages = sum(o for o, _ in cells[name])
-                allocated = sum(a for _, a in cells[name])
+                outages, allocated = map(sum, zip(*cells[name]))
                 rates.append(outages / allocated if allocated else 0.0)
             table.append([slot, repr(rates[0]), repr(rates[1])])
         header = ["slot", "outage_with_prediction", "outage_without"]

@@ -21,19 +21,16 @@ them are paired:
 
 No slot pair depends on an earlier pair's allocation, so an episode is
 one lockstep pass (`run_episode`) of its decision rules -- predict (also
-NO_AGGREGATION's), persist and single-user.  The truth, the sensed views
-and the sliding-window transition counts of every pair are realised
-once; step 1 assigns every pair's relays in one call per topology; and
+NO_AGGREGATION's), persist and single-user -- over arrays of all its
+pairs: step 1 assigns every pair's relays in one call per topology, and
 the fading gains are drawn chunk by chunk of pairs into one reused
-buffer, each chunk's blocks of pairs running steps 2-3 of every rule.
-The pass ranks on draw-only scores (the hop at Es/N0 = 1, times the
-band's gain): an SNR is its score times P_tx * Es/N0 / gamma, so no
-Es/N0 point or transmit power can move a decision.  Each rule's
-`EpisodePass` keeps only its allocation, and `score_episode` turns it
-into one strategy's metrics at any list of Es/N0 points as one (points,
-pairs, bands) batch; `NO_AGGREGATION` keeps each user's band with the
-highest winner score (`reduce_to_best_band`).  `run_strategies` runs one
-cell: per episode one world, one pass and one scoring per strategy.
+buffer, each chunk running steps 2-3 of every rule.  Decisions rank on
+draw-only scores (the hop at Es/N0 = 1, times the band's gain), so no
+Es/N0 point or transmit power can move one.  `score_episode` turns a
+rule's `EpisodePass`, its allocation alone, into one strategy's metrics
+at any list of Es/N0 points; `NO_AGGREGATION` keeps each user's band
+with the highest winner score.  `run_strategies` runs one cell: per
+episode one world, one pass and one scoring per strategy.
 """
 
 from __future__ import annotations
@@ -340,8 +337,13 @@ def run_episode(
     # the predictor trains on the first user's sensed history
     history = views[0][:, 0]
     pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
-    predicting = [rule != Strategy.NO_PREDICTION for rule in rules]
-    if any(predicting):
+    # per rule: whether it sees the first pair alone, whether it predicts, and
+    # its kept (pairs, bands) winners and their gains, filled block by block
+    records = [(rule == Strategy.SINGLE_USER, rule != Strategy.NO_PREDICTION,
+                np.empty((n_pairs, bands), np.min_scalar_type(-relays)), np.empty((n_pairs, bands)))
+               for rule in rules]
+    guessed = {predicting: np.empty(n_pairs, dtype=np.int8) for _, predicting, *_ in records}
+    if True in guessed:
         # window k ends at pair k's first slot
         counts = window_transition_counts(history[:-1], config.n_train)
 
@@ -349,21 +351,18 @@ def run_episode(
     # times band gains): an SNR is a score times tx * Es/N0 / gamma, so both rank alike
     hop = _hop(alpha, beta * 2.0, params.snr_combining)
     # per topology a rule sees, the whole or its first pair alone: its user
-    # count, its relays' owners (in the narrowest integer type that also
-    # holds -1) and their hops toward them
-    alone = [rule == Strategy.SINGLE_USER for rule in rules]
+    # count, its relays' owners (narrowest integer type holding -1), their
+    # hops toward them, and its rules' records, which share its scores
     steps = {}
-    for single in dict.fromkeys(alone):
+    for single in dict.fromkeys(single for single, *_ in records):
         seen, seen_hop = (topology.restrict_to_user(0), hop[..., :1]) if single else (topology, hop)
         owner = assign_relays(seen, seen_hop).astype(np.min_scalar_type(-seen.users))
         # each relay's hop toward its owner; 0 for an unowned relay
         owned = np.take_along_axis(seen_hop, np.clip(owner, 0, None)[..., None], axis=-1)
-        steps[single] = seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0)
+        seeing = [record[1:] for record in records if record[0] == single]
+        steps[single] = seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0), seeing
     # freed before the pair blocks' temporaries, which would otherwise grow the heap
     del hop
-    band_relay = [np.empty((n_pairs, bands), dtype=np.min_scalar_type(-relays)) for _ in rules]
-    kept_gain = [np.empty((n_pairs, bands)) for _ in rules]
-    guessed = {p: np.empty(n_pairs, dtype=np.int8) for p in predicting}
     designated = config.designated_band
     for chunk, gains in gain_chunks(seed, episode, n_pairs, relays, bands, params.gain_model):
         for pairs in _pair_blocks(chunk.start, chunk.stop, bands * relays):
@@ -372,23 +371,22 @@ def run_episode(
             # or persisted; sources are the first view and relays the last
             now = [view[pair_slots[pairs]] for view in views]
             judged = {}
-            for p in guessed:
+            for p, guesses in guessed.items():
                 after = [predict_next_states(counts[pairs, None], s) for s in now] if p else now
                 available = [two_slot_availability(*s) for s in zip(now, after)]
                 judged[p] = available, prediction_bits(after[-1])
-                guessed[p][pairs] = after[0][:, 0, designated]
-            for single, (seen_users, owner, owned_hop) in steps.items():
+                guesses[pairs] = after[0][:, 0, designated]
+            for seen_users, owner, owned_hop, seeing in steps.values():
                 score = owned_hop[pairs, None, :] * block_gains
-                for k in (k for k, a in enumerate(alone) if a == single):
-                    available, bits = judged[predicting[k]]
-                    sources = available[0][:, :1] if single else available[0]
+                for predicting, band_relay, kept_gain in seeing:
+                    available, bits = judged[predicting]
                     band_user = common_free_spectrum(
-                        owner[pairs], seen_users, sources, available[-1], score
+                        owner[pairs], seen_users, available[0][:, :seen_users], available[-1], score
                     )
                     relay, _ = allocate_spectrum(band_user, owner[pairs], bits, score)
-                    band_relay[k][pairs] = relay
+                    band_relay[pairs] = relay
                     winner = np.clip(relay, 0, None)[..., None]
-                    kept_gain[k][pairs] = np.take_along_axis(block_gains, winner, axis=-1)[..., 0]
+                    kept_gain[pairs] = np.take_along_axis(block_gains, winner, axis=-1)[..., 0]
     del gains, block_gains  # the last chunk's buffer is spent: free it before the passes
 
     pair = np.arange(n_pairs)[:, None]
@@ -397,8 +395,8 @@ def run_episode(
     actual = truth_next[:, designated]
     default = history[pair_slots, designated]
     passes = []
-    for k, relay in enumerate(band_relay):
-        seen_users, owner, _ = steps[alone[k]]
+    for single, predicting, relay, kept_gain in records:
+        seen_users, owner, *_ = steps[single]
         # the kept allocation: each band's user and its winner's draws; an
         # unallocated band gets a zero budget, so its SNR is 0 at every point
         won = relay >= 0
@@ -406,16 +404,15 @@ def run_episode(
         band_user = np.where(won, owner[pair, winner], UNASSIGNED)
         user = np.clip(band_user, 0, None)
         beta2 = np.where(won, beta[pair, winner, user] * 2.0, 0.0)
-        predicted = guessed[predicting[k]]
         passes.append(EpisodePass(
             episode=episode,
             users=seen_users,
             pair_slots=pair_slots,
-            kept=(band_user, alpha[pair, winner, user], beta2, kept_gain[k]),
+            kept=(band_user, alpha[pair, winner, user], beta2, kept_gain),
             failed=failed,
-            prediction_match_count=int((predicted == actual).sum()),
+            prediction_match_count=int((guessed[predicting] == actual).sum()),
             default_match_count=int((default == actual).sum()),
-            trace=np.stack([actual, default, predicted], axis=1).astype(np.int8),
+            trace=np.stack([actual, default, guessed[predicting]], axis=1).astype(np.int8),
         ))
     return tuple(passes)
 
@@ -465,11 +462,10 @@ def run_strategies(
 
     `points` are linear Es/N0 values; results are reported at them, not
     at `params.es_over_n0`, and `config.strategy` is ignored.  Episodes
-    run outer: each builds its world once, runs the decision rules of
-    its strategies -- predict (also NO_AGGREGATION's), persist and
-    single-user -- in one `run_episode` call, and scores each strategy
-    at every point in one `score_episode` call.  Returns ``out[i][j]``,
-    the per-episode metrics of ``strategies[i]`` at ``points[j]``.
+    run outer: each builds its world once, runs its strategies' decision
+    rules in one `run_episode` call, and scores each strategy at every
+    point in one `score_episode` call.  Returns ``out[i][j]``, the
+    per-episode metrics of ``strategies[i]`` at ``points[j]``.
     """
     if not points:
         raise ConfigError("a cell needs at least one Es/N0 point")
@@ -483,12 +479,12 @@ def run_strategies(
         topology, processes = build_episode_world(scenario, config, episode)
         passes = run_episode(config, topology, processes, params, episode, rules)
         for i, strategy in enumerate(strategies):
-            decided = passes[rules.index(_RULE.get(strategy, strategy))]
-            scored = score_episode(decided, strategy, distinct, params)
+            rule = _RULE.get(strategy, strategy)
+            scored = score_episode(passes[rules.index(rule)], strategy, distinct, params)
             for j, es in enumerate(points):
                 out[i][j].append(scored[distinct.index(es)])
         # the passes are scored: free them before the next episode runs its own
-        del passes, decided
+        del passes
     return out
 
 

@@ -590,12 +590,18 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "command", [["run"], ["sweep", "--axis", "p0", "--values", "0.2"]]
     )
-    def test_output_path_under_a_file_is_one_error_line(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("out", ["file", "file/sub/deeper"])
+    def test_output_path_under_a_file_is_one_error_line(
+        self, command, out, tmp_path, capsys, monkeypatch
+    ):
+        # refused before the cell runs, not once all its compute is spent
+        monkeypatch.setattr(cli, "_run_cell", lambda *_: pytest.fail("the cell ran"))
         (tmp_path / "file").write_text("")
         argv = command + ["--episodes", "1", "--slots", "24", "--es-n0-db-sweep", "10"]
-        assert main(argv + ["--out", str(tmp_path / "file" / "sub")]) == 1
+        assert main(argv + ["--out", str(tmp_path / out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert (tmp_path / "file").read_text() == ""
 
     @pytest.mark.parametrize(
         "args, key",

@@ -254,21 +254,32 @@ class TestNoAggregationBaseline:
 
 
 class TestSingleUserBaseline:
-    def test_definitional_equivalence(self):
-        # the strategy equals its decision rule run on the world directly,
-        # which restricts the topology to the first pair itself
+    @pytest.mark.parametrize("err", [0.0, 0.1])
+    def test_definitional_equivalence(self, err, monkeypatch):
+        # the strategy equals the generic predict pipeline run directly on
+        # the restricted topology, fed the full population's link budgets
+        # and sensing errors cut down to the first pair
         config = EpisodeConfig(
-            slots=24, episodes=1, n_train=20, seed=9, strategy=Strategy.SINGLE_USER
+            slots=60, episodes=1, n_train=20, seed=9, sensing_error_rate=err,
+            strategy=Strategy.SINGLE_USER,
         )
         scenario = NetworkScenario(users=4, relays=10, bands=15)
         params = RadioParams()
         (via_strategy,) = run_strategy(scenario, config, params)
         topology, processes = build_episode_world(scenario, config, episode=0)
-        direct = _scored(config, topology, processes, params)
-        assert via_strategy.user_capacity_bps.shape == (1,)
-        np.testing.assert_array_equal(
-            via_strategy.pair_throughput_bps, direct.pair_throughput_bps
+        alpha, beta = episode_draws(config.seed, 0, config.pairs, topology.relays, 4)
+        sources, relays = sensing_offsets(
+            config.seed, 0, config.slots, scenario.bands, 4, topology.relays, err
         )
+        monkeypatch.setattr(simulation, "episode_draws", lambda *_: (alpha[..., :1], beta[..., :1]))
+        monkeypatch.setattr(simulation, "sensing_offsets", lambda *_: (sources[:, :1], relays))
+        (decided,) = run_episode(
+            config, topology.restrict_to_user(0), processes, params, 0,
+            (Strategy.PREDICT_AGGREGATE,),
+        )
+        (direct,) = score_episode(decided, Strategy.SINGLE_USER, [params.es_over_n0], params)
+        assert via_strategy.user_capacity_bps.shape == (1,)
+        assert pickle.dumps(via_strategy) == pickle.dumps(direct)
 
     def test_disconnected_pair_has_zero_capacity(self):
         config = EpisodeConfig(slots=24, episodes=1, n_train=20, seed=9)
@@ -587,6 +598,11 @@ class TestLockstepPass:
         config = EpisodeConfig(slots=24, episodes=1, n_train=20)
         with pytest.raises(ConfigError, match="at least one Es/N0 point"):
             run_strategies(scenario, config, RadioParams(), list(Strategy), [])
+
+    def test_a_cell_without_strategies_has_no_results(self):
+        scenario = NetworkScenario(users=2, relays=4, bands=8)
+        config = EpisodeConfig(slots=24, episodes=2, n_train=20)
+        assert run_strategies(scenario, config, RadioParams(), [], [10.0]) == []
 
 
 class TestRadioSwitches:
