@@ -8,8 +8,6 @@ the default lazy channel where persistence is already the best
 single-state predictor.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from specagg import (
@@ -22,7 +20,7 @@ from specagg import (
     Topology,
     TransitionMatrix,
     run_episode,
-    run_strategy,
+    run_strategies,
     score_episode,
     summarize,
 )
@@ -52,7 +50,7 @@ def alternating_channel():
         # the pass decides without Es/N0; score it at the params' own point
         (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
         print(
-            f"  {strategy.value:>17}: allocated={metrics.allocation_count:>3}"
+            f"  {strategy.value:>17}: allocated={metrics.pair_allocated.sum():>3}"
             f"  outage rate={metrics.outage_rate:.2f}"
             f"  throughput={metrics.mean_throughput_bps / 1e6:.1f} Mb/s"
         )
@@ -65,13 +63,15 @@ def lazy_channel():
     scenario = NetworkScenario()  # 5 users, 20 relays, 100 bands, P0=0.4
     config = EpisodeConfig(slots=100, episodes=20, n_train=20, seed=1)
     params = RadioParams()
-    for strategy in (Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION):
-        summary = summarize(
-            run_strategy(scenario, replace(config, strategy=strategy), params)
-        )
+    strategies = [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION]
+    # one paired cell of both strategies at the params' own Es/N0 point
+    runs = run_strategies(scenario, config, params, strategies, [params.es_over_n0])
+    for strategy, [metrics] in zip(strategies, runs):
+        # the episode means of the first two summary rows
+        outage, throughput = (row.mean() for row in summarize(metrics)[:2])
         print(
-            f"  {strategy.value:>17}: outage rate={summary.mean_outage_rate:.4f}"
-            f"  throughput={summary.mean_throughput_bps / 1e6:.1f} Mb/s"
+            f"  {strategy.value:>17}: outage rate={outage:.4f}"
+            f"  throughput={throughput / 1e6:.1f} Mb/s"
         )
     print("  here the most likely next state IS the current state, so the")
     print("  persistence baseline is already optimal and training noise makes")

@@ -44,12 +44,10 @@ from .simulation import (
     EpisodeMetrics,
     NetworkScenario,
     Strategy,
-    StrategySummary,
     build_episode_world,
     reduce_to_best_band,
     run_episode,
     run_strategies,
-    run_strategy,
     score_episode,
     summarize,
 )

@@ -287,7 +287,7 @@ def params_from(config: RunConfig) -> RadioParams:
 
 
 def episode_config_from(config: RunConfig) -> EpisodeConfig:
-    return _from_fields(EpisodeConfig, config, strategy=Strategy.PREDICT_AGGREGATE)
+    return _from_fields(EpisodeConfig, config)
 
 
 # an overflow or invalid operation ends the run in an error, not in inf or nan CSVs
@@ -311,14 +311,8 @@ def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
     cells = []
     for strategy, by_point in zip(strategies, runs):
         for db, metrics in zip(grid, by_point):
-            summary = summarize(metrics)
-            columns = [
-                summary.mean_outage_rate,
-                summary.mean_throughput_bps,
-                summary.min_user_capacity_bps,
-                summary.max_user_capacity_bps,
-            ]
-            cells.append((strategy, db, metrics, [repr(c) for c in columns]))
+            columns = [repr(float(row.mean())) for row in summarize(metrics)]
+            cells.append((strategy, db, metrics, columns))
     return cells
 
 

@@ -85,9 +85,12 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Episode shape: slot count, training window and strategy.
+    """Episode shape: slot and episode counts, training window, sensing
+    errors, traced band and master seed.
 
     `slots` must cover the training prefix plus at least one slot pair.
+    Which strategies run, and at which Es/N0 points, is the cell's call
+    to `simulation.run_strategies`.
     """
 
     slots: int = param(100, "[4, inf)")
@@ -96,7 +99,6 @@ class EpisodeConfig:
     sensing_error_rate: float = param(0.0, "[0, 1]")
     designated_band: int = param(0, "[0, bands)")
     seed: int = param(1, "[0, 2^32)")
-    strategy: Strategy = Strategy.PREDICT_AGGREGATE
 
     def __post_init__(self):
         check_fields(self)

@@ -29,8 +29,10 @@ draw-only scores (the hop at Es/N0 = 1, times the band's gain), so no
 Es/N0 point or transmit power can move one.  `score_episode` turns a
 rule's `EpisodePass`, its allocation alone, into one strategy's metrics
 at any list of Es/N0 points; `NO_AGGREGATION` keeps each user's band
-with the highest winner score.  `run_strategies` runs one cell: per
-episode one world, one pass and one scoring per strategy.
+with the highest winner score.  `run_strategies` is the one way to run a
+cell, any of its strategies at any of its points: per episode one world,
+one pass and one scoring per strategy.  `summarize` reduces a
+strategy's per-episode metrics to the rows behind the summary columns.
 """
 
 from __future__ import annotations
@@ -101,18 +103,10 @@ class EpisodeMetrics:
     trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
 
     @property
-    def allocation_count(self) -> int:
-        return int(self.pair_allocated.sum())
-
-    @property
-    def outage_count(self) -> int:
-        return int(self.pair_outages.sum())
-
-    @property
     def outage_rate(self) -> float:
         """Outage bands over allocated bands; 0 when nothing was allocated."""
-        allocated = self.allocation_count
-        return self.outage_count / allocated if allocated > 0 else 0.0
+        allocated = int(self.pair_allocated.sum())
+        return int(self.pair_outages.sum()) / allocated if allocated > 0 else 0.0
 
     @property
     def mean_throughput_bps(self) -> float:
@@ -250,8 +244,10 @@ def score_episode(
     point as one (points, pairs, bands) batch, in the order (1 - alpha) *
     (beta * 2 * es), then tx * hop * gain / gamma, over the full band
     layout, so every sum rounds as it does for one point alone.  Only
-    the throughputs depend on Es/N0.
+    the throughputs depend on Es/N0.  An empty `points` gives no metrics.
     """
+    if not points:
+        return []
     users, failed = decided.users, decided.failed
     n_pairs, bands = failed.shape
     es = np.array(points)[:, None, None]
@@ -312,8 +308,8 @@ def run_episode(
     population's draws and views.  The rules share the draws, views and
     predictions; predict and persist also share step 1 and the scores.
     Each chunk of gains runs steps 2-3 of every rule before the next is
-    drawn.  No pass reads Es/N0, transmit power, the SNR gap or
-    `config.strategy`.  The episode reads the trajectory from slot 0.
+    drawn.  No pass reads Es/N0, transmit power or the SNR gap.  The
+    episode reads the trajectory from slot 0.
     """
     users, relays, bands = topology.users, topology.relays, processes.band_count
     n_pairs, seed = config.pairs, config.seed
@@ -387,6 +383,8 @@ def run_episode(
                     band_relay[pairs] = relay
                     winner = np.clip(relay, 0, None)[..., None]
                     kept_gain[pairs] = np.take_along_axis(block_gains, winner, axis=-1)[..., 0]
+                # spent: freed before the next topology's scores are computed
+                del score
     del gains, block_gains  # the last chunk's buffer is spent: free it before the passes
 
     pair = np.arange(n_pairs)[:, None]
@@ -460,11 +458,11 @@ def run_strategies(
 ) -> list[list[list[EpisodeMetrics]]]:
     """Run every episode of one cell's `strategies` at its Es/N0 `points`.
 
+    This is the one way to run a cell, of one strategy or several.
     `points` are linear Es/N0 values; results are reported at them, not
-    at `params.es_over_n0`, and `config.strategy` is ignored.  Episodes
-    run outer: each builds its world once, runs its strategies' decision
-    rules in one `run_episode` call, and scores each strategy at every
-    point in one `score_episode` call.  Returns ``out[i][j]``, the
+    at `params.es_over_n0`.  Episodes run outer: each builds its world
+    once, runs its strategies' decision rules in one `run_episode` call,
+    and scores each strategy at every point in one `score_episode` call.  Returns ``out[i][j]``, the
     per-episode metrics of ``strategies[i]`` at ``points[j]``.
     """
     if not points:
@@ -488,54 +486,18 @@ def run_strategies(
     return out
 
 
-def run_strategy(
-    scenario: NetworkScenario, config: EpisodeConfig, params: RadioParams
-) -> list[EpisodeMetrics]:
-    """Run every episode of one strategy on freshly built, seed-paired worlds."""
-    return run_strategies(scenario, config, params, [config.strategy], [params.es_over_n0])[0][0]
+def summarize(metrics_list: list[EpisodeMetrics]) -> np.ndarray:
+    """The (4, episodes) summary of one strategy's per-episode metrics.
 
-
-@dataclass(frozen=True)
-class StrategySummary:
-    """Episode-averaged results of one strategy on one cell."""
-
-    strategy: Strategy
-    episodes: int
-    outage_rates: np.ndarray
-    throughputs_bps: np.ndarray
-    min_user_capacities_bps: np.ndarray
-    max_user_capacities_bps: np.ndarray
-
-    @property
-    def mean_outage_rate(self) -> float:
-        return float(self.outage_rates.mean())
-
-    @property
-    def mean_throughput_bps(self) -> float:
-        return float(self.throughputs_bps.mean())
-
-    @property
-    def min_user_capacity_bps(self) -> float:
-        return float(self.min_user_capacities_bps.mean())
-
-    @property
-    def max_user_capacity_bps(self) -> float:
-        return float(self.max_user_capacities_bps.mean())
-
-
-def summarize(metrics_list: list[EpisodeMetrics]) -> StrategySummary:
-    return StrategySummary(
-        strategy=metrics_list[0].strategy,
-        episodes=len(metrics_list),
-        outage_rates=np.array([m.outage_rate for m in metrics_list]),
-        throughputs_bps=np.array([m.mean_throughput_bps for m in metrics_list]),
-        min_user_capacities_bps=np.array(
-            [m.user_capacity_bps.min() for m in metrics_list]
-        ),
-        max_user_capacities_bps=np.array(
-            [m.user_capacity_bps.max() for m in metrics_list]
-        ),
-    )
+    Its rows, in the order of the summary columns, are each episode's
+    outage rate, mean throughput and least and greatest user capacity.
+    """
+    return np.array([
+        [m.outage_rate for m in metrics_list],
+        [m.mean_throughput_bps for m in metrics_list],
+        [m.user_capacity_bps.min() for m in metrics_list],
+        [m.user_capacity_bps.max() for m in metrics_list],
+    ])
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:

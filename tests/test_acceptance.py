@@ -36,7 +36,7 @@ from specagg.simulation import (
     NetworkScenario,
     Strategy,
     run_episode,
-    run_strategy,
+    run_strategies,
     score_episode,
     summarize,
 )
@@ -64,6 +64,13 @@ def _report(criterion, ok, detail):
 
 def _params(es_db=10.0):
     return RadioParams(es_over_n0=10.0 ** (es_db / 10.0))
+
+
+def _cell(scenario, config, strategies, es_grid_db=(10.0,)):
+    """One `run_strategies` call: the per-episode metrics of each of
+    `strategies` at each Es/N0 point of `es_grid_db` (dB)."""
+    points = [_params(es_db).es_over_n0 for es_db in es_grid_db]
+    return run_strategies(scenario, config, _params(), strategies, points)
 
 
 def test_criterion_1_transition_matrix_exactness():
@@ -146,25 +153,25 @@ def test_criterion_4a_outage_trend_at_table_defaults():
     """Prediction should beat persistence on outage rate at the defaults."""
     start = time.perf_counter()
     config = EpisodeConfig(slots=100, episodes=100, n_train=20, seed=1001)
-    params = _params()
-    predicted = summarize(run_strategy(TABLE_DEFAULTS, config, params))
-    persisted = summarize(
-        run_strategy(
-            TABLE_DEFAULTS, replace(config, strategy=Strategy.NO_PREDICTION), params
+    # each episode's outage rate, the first summary row, of each strategy
+    predicted, persisted = (
+        summarize(metrics)[0]
+        for [metrics] in _cell(
+            TABLE_DEFAULTS, config, [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION]
         )
     )
     runtime = time.perf_counter() - start
-    p_value = paired_one_sided_pvalue(persisted.outage_rates, predicted.outage_rates)
+    p_value = paired_one_sided_pvalue(persisted, predicted)
     ok = (
-        predicted.mean_outage_rate < persisted.mean_outage_rate
+        predicted.mean() < persisted.mean()
         and p_value < 0.05
         and runtime < 120.0
     )
     detail = _report(
         "4a",
         ok,
-        f"outage with prediction={predicted.mean_outage_rate:.4f} "
-        f"without={persisted.mean_outage_rate:.4f} p={p_value:.3g} "
+        f"outage with prediction={predicted.mean():.4f} "
+        f"without={persisted.mean():.4f} p={p_value:.3g} "
         f"runtime={runtime:.1f}s (budget 120s)",
     )
     assert ok, detail
@@ -202,24 +209,17 @@ def test_criterion_4b_period_two_chain_exact():
     runtime = time.perf_counter() - start
     ok = (
         predicted.outage_rate == 0.0
-        and persisted.allocation_count > 0
+        and persisted.pair_allocated.sum() > 0
         and persisted.outage_rate == 1.0
     )
     detail = _report(
         "4b",
         ok,
         f"prediction outage={predicted.outage_rate} persistence "
-        f"outage={persisted.outage_rate} over {persisted.allocation_count} "
+        f"outage={persisted.outage_rate} over {persisted.pair_allocated.sum()} "
         f"allocations runtime={runtime:.1f}s",
     )
     assert ok, detail
-
-
-def _sweep_cell(scenario, es_db, strategy, episodes=10, slots=60, seed=1002):
-    config = EpisodeConfig(
-        slots=slots, episodes=episodes, n_train=20, strategy=strategy, seed=seed
-    )
-    return summarize(run_strategy(scenario, config, _params(es_db)))
 
 
 def _count_inversions(series):
@@ -246,24 +246,28 @@ def test_criterion_5_throughput_trends_and_dominance():
         "band_count": (Strategy.PREDICT_AGGREGATE,),
         "relay_count": (Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION),
     }
+    config = EpisodeConfig(slots=60, episodes=10, n_train=20, seed=1002)
+    strategies = [Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION]
 
     bad_curves = []
     dominance_violations = 0
     for axis, scenarios in axes.items():
+        # (strategy, Es/N0) -> per scenario, each episode's mean throughput
+        cells = {}
+        for scenario in scenarios:
+            # one cell per scenario: both strategies over the whole Es/N0 grid
+            runs = _cell(scenario, config, strategies, ES_GRID_DB)
+            for strategy, by_point in zip(strategies, runs):
+                for es_db, metrics in zip(ES_GRID_DB, by_point):
+                    # the second summary row
+                    cells.setdefault((strategy, es_db), []).append(summarize(metrics)[1])
         for es_db in ES_GRID_DB:
-            cells = {}
-            for strategy in (Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION):
-                cells[strategy] = [
-                    _sweep_cell(scenario, es_db, strategy) for scenario in scenarios
-                ]
             for agg, trimmed in zip(
-                cells[Strategy.PREDICT_AGGREGATE], cells[Strategy.NO_AGGREGATION]
+                cells[Strategy.PREDICT_AGGREGATE, es_db], cells[Strategy.NO_AGGREGATION, es_db]
             ):
-                dominance_violations += int(
-                    np.any(agg.throughputs_bps < trimmed.throughputs_bps)
-                )
+                dominance_violations += int(np.any(agg < trimmed))
             for strategy in monotone_strategies[axis]:
-                curve = [cell.mean_throughput_bps for cell in cells[strategy]]
+                curve = [throughputs.mean() for throughputs in cells[strategy, es_db]]
                 inversions = _count_inversions(curve)
                 if inversions > 1:
                     bad_curves.append((axis, es_db, strategy.value, inversions))
@@ -281,24 +285,18 @@ def test_criterion_5_throughput_trends_and_dominance():
 
 @pytest.fixture(scope="module")
 def capacity_runs():
+    """Per strategy, its summary rows: outage rates, throughputs, and each
+    episode's least and greatest user capacity."""
     config = EpisodeConfig(slots=100, episodes=100, n_train=20, seed=1003)
-    params = _params()
-    out = {}
-    for strategy in (
-        Strategy.PREDICT_AGGREGATE,
-        Strategy.NO_AGGREGATION,
-        Strategy.SINGLE_USER,
-    ):
-        out[strategy] = summarize(
-            run_strategy(TABLE_DEFAULTS, replace(config, strategy=strategy), params)
-        )
-    return out
+    strategies = [Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION, Strategy.SINGLE_USER]
+    runs = _cell(TABLE_DEFAULTS, config, strategies)
+    return {strategy: summarize(metrics) for strategy, [metrics] in zip(strategies, runs)}
 
 
 def test_criterion_6a_worst_aggregating_user_beats_best_trimmed_user(capacity_runs):
     start = time.perf_counter()
-    worst_agg = capacity_runs[Strategy.PREDICT_AGGREGATE].min_user_capacities_bps
-    best_trimmed = capacity_runs[Strategy.NO_AGGREGATION].max_user_capacities_bps
+    worst_agg = capacity_runs[Strategy.PREDICT_AGGREGATE][2]
+    best_trimmed = capacity_runs[Strategy.NO_AGGREGATION][3]
     p_value = paired_one_sided_pvalue(worst_agg, best_trimmed)
     runtime = time.perf_counter() - start
     ok = worst_agg.mean() >= best_trimmed.mean() and p_value < 0.05
@@ -312,8 +310,8 @@ def test_criterion_6a_worst_aggregating_user_beats_best_trimmed_user(capacity_ru
 
 
 def test_criterion_6b_worst_user_not_below_single_user(capacity_runs):
-    worst_agg = capacity_runs[Strategy.PREDICT_AGGREGATE].min_user_capacities_bps
-    single = capacity_runs[Strategy.SINGLE_USER].min_user_capacities_bps
+    worst_agg = capacity_runs[Strategy.PREDICT_AGGREGATE][2]
+    single = capacity_runs[Strategy.SINGLE_USER][2]
     p_below = paired_one_sided_pvalue(single, worst_agg)  # H1: single > worst
     ok = p_below >= 0.05
     detail = _report(
@@ -329,7 +327,7 @@ def test_criterion_7_prediction_matches_vs_default():
     """Over 100 seeds of 20 compared slots on the persistence-0.6 chain."""
     start = time.perf_counter()
     config = EpisodeConfig(slots=40, episodes=100, n_train=20, seed=1004)
-    metrics = run_strategy(TABLE_DEFAULTS, config, _params())
+    [[metrics]] = _cell(TABLE_DEFAULTS, config, [Strategy.PREDICT_AGGREGATE])
     pred = np.array([m.prediction_match_count for m in metrics], dtype=float)
     default = np.array([m.default_match_count for m in metrics], dtype=float)
     runtime = time.perf_counter() - start

@@ -55,7 +55,7 @@ def test_every_parameter_is_declared():
         for f in fields(cls)
         if f.init and "interval" not in f.metadata
     ]
-    assert undeclared == ["strategy"]
+    assert undeclared == []
 
 
 @pytest.mark.parametrize(

@@ -47,7 +47,6 @@ from specagg.simulation import (
     reduce_to_best_band,
     run_episode,
     run_strategies,
-    run_strategy,
     score_episode,
 )
 from specagg.topology import Topology
@@ -291,17 +290,17 @@ def assert_cell_equals_separate_runs(scenario, config, params, strategies, point
     assert len(together) == len(strategies)
     for strategy, by_point in zip(strategies, together):
         assert len(by_point) == len(points)
-        strategy_config = replace(config, strategy=strategy)
         for es, metrics in zip(points, by_point):
             point_params = replace(params, es_over_n0=es)
-            alone = run_strategy(scenario, strategy_config, point_params)
+            # this strategy run alone at this point: a cell of one each
+            [[alone]] = run_strategies(scenario, config, point_params, [strategy], [es])
             assert len(metrics) == len(alone) == config.episodes
             for episode, (view, run) in enumerate(zip(metrics, alone)):
                 assert_same_metrics(view, run)
                 # a decision pass of this strategy alone, scored at this point alone
-                topology, processes = build_episode_world(scenario, strategy_config, episode)
+                topology, processes = build_episode_world(scenario, config, episode)
                 (decided,) = run_episode(
-                    strategy_config, topology, processes, point_params, episode, (strategy,)
+                    config, topology, processes, point_params, episode, (strategy,)
                 )
                 (scored,) = score_episode(decided, strategy, [es], point_params)
                 assert_same_metrics(view, scored)

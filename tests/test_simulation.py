@@ -25,7 +25,6 @@ from specagg.simulation import (
     reduce_to_best_band,
     run_episode,
     run_strategies,
-    run_strategy,
     score_episode,
     sensing_offsets,
     summarize,
@@ -62,10 +61,17 @@ def _world(matrix, p0, bands, seed, slots, users=2, relays=4, coverage=1.0):
     return topology, processes
 
 
-def _scored(config, topology, processes, params, episode=0):
-    """The metrics of `config.strategy` on its decision pass, at `params`' Es/N0."""
-    (decided,) = run_episode(config, topology, processes, params, episode, (config.strategy,))
-    (metrics,) = score_episode(decided, config.strategy, [params.es_over_n0], params)
+def _scored(strategy, config, topology, processes, params, episode=0):
+    """The metrics of `strategy` on its decision pass, at `params`' Es/N0."""
+    (decided,) = run_episode(config, topology, processes, params, episode, (strategy,))
+    (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
+    return metrics
+
+
+def _alone(strategy, scenario, config, params):
+    """The per-episode metrics of `strategy` run alone at `params`' Es/N0:
+    a cell of one strategy at one point."""
+    [[metrics]] = run_strategies(scenario, config, params, [strategy], [params.es_over_n0])
     return metrics
 
 
@@ -98,7 +104,8 @@ class TestEpisodeConfig:
     def test_rejects_designated_band_outside_the_bands(self, designated_band):
         # -1 used to trace the last band silently, 50 to end in an IndexError
         with pytest.raises(ConfigError, match="designated_band"):
-            run_strategy(
+            _alone(
+                Strategy.PREDICT_AGGREGATE,
                 NetworkScenario(bands=10),
                 EpisodeConfig(slots=24, episodes=1, designated_band=designated_band),
                 RadioParams(),
@@ -113,8 +120,8 @@ class TestStaticGoodSpectrum:
         topology, processes = _world(
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
-        metrics = _scored(config, topology, processes, RadioParams())
-        assert metrics.outage_count == 0
+        metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
+        assert metrics.pair_outages.sum() == 0
         np.testing.assert_array_equal(metrics.pair_allocated, 9)
         assert np.all(metrics.pair_throughput_bps > 0)
 
@@ -125,20 +132,18 @@ class TestStaticGoodSpectrum:
             topology, processes = _world(
                 ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
             )
-            metrics = _scored(
-                replace(config, strategy=strategy), topology, processes, RadioParams()
-            )
+            metrics = _scored(strategy, config, topology, processes, RadioParams())
             results[strategy] = metrics
         a, b = results.values()
         np.testing.assert_array_equal(a.pair_throughput_bps, b.pair_throughput_bps)
-        assert a.outage_count == b.outage_count == 0
+        assert a.pair_outages.sum() == b.pair_outages.sum() == 0
 
     def test_state_match_trace_all_agree(self):
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)
         topology, processes = _world(
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
-        metrics = _scored(config, topology, processes, RadioParams())
+        metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
         assert metrics.prediction_match_count == config.pairs
         assert metrics.default_match_count == config.pairs
         assert metrics.trace.shape == (config.pairs, 3)
@@ -149,21 +154,19 @@ class TestPeriodTwoChain:
     persistence baseline walks into an outage on every allocation."""
 
     def _run(self, strategy, seed=3):
-        config = EpisodeConfig(
-            slots=10, episodes=1, n_train=4, seed=seed, strategy=strategy
-        )
+        config = EpisodeConfig(slots=10, episodes=1, n_train=4, seed=seed)
         topology, processes = _world(PERIOD_TWO, 0.5, bands=8, seed=seed, slots=10)
-        return _scored(config, topology, processes, RadioParams())
+        return _scored(strategy, config, topology, processes, RadioParams())
 
     def test_prediction_avoids_every_outage(self):
         metrics = self._run(Strategy.PREDICT_AGGREGATE)
-        assert metrics.allocation_count == 0
+        assert metrics.pair_allocated.sum() == 0
         assert metrics.outage_rate == 0.0
 
     def test_persistence_baseline_outages_on_every_allocation(self):
         metrics = self._run(Strategy.NO_PREDICTION)
-        assert metrics.allocation_count > 0
-        assert metrics.outage_count == metrics.allocation_count
+        assert metrics.pair_allocated.sum() > 0
+        np.testing.assert_array_equal(metrics.pair_outages, metrics.pair_allocated)
         assert metrics.outage_rate == 1.0
         # throughput never counts an outage band
         assert np.all(metrics.pair_throughput_bps == 0.0)
@@ -177,16 +180,11 @@ class TestPeriodTwoChain:
         config = EpisodeConfig(slots=6, episodes=1, n_train=3, seed=11)
         topology, processes = _world(PERIOD_TWO, 0.5, bands=6, seed=11, slots=6)
         truth0 = processes.states.copy()
-        metrics = _scored(config, topology, processes, RadioParams())
-        assert metrics.allocation_count == 0
+        metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
+        assert metrics.pair_allocated.sum() == 0
 
         topology, processes = _world(PERIOD_TWO, 0.5, bands=6, seed=11, slots=6)
-        baseline = _scored(
-            replace(config, strategy=Strategy.NO_PREDICTION),
-            topology,
-            processes,
-            RadioParams(),
-        )
+        baseline = _scored(Strategy.NO_PREDICTION, config, topology, processes, RadioParams())
         # per pair the persistence baseline allocates exactly the bands
         # currently in Good state, alternating with the phase
         good_now = int((truth0 == SpectrumState.GOOD).sum())
@@ -227,27 +225,23 @@ class TestNoAggregationBaseline:
             topology, processes = _world(
                 ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=1, seed=5, slots=12, users=1
             )
-            metrics = _scored(
-                replace(config, strategy=strategy), topology, processes, RadioParams()
-            )
+            metrics = _scored(strategy, config, topology, processes, RadioParams())
             results.append(metrics.pair_throughput_bps)
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_at_most_one_band_per_user_each_pair(self):
         scenario = NetworkScenario(users=3, relays=8, bands=20)
-        config = EpisodeConfig(
-            slots=30, episodes=2, n_train=20, seed=7, strategy=Strategy.NO_AGGREGATION
-        )
-        for metrics in run_strategy(scenario, config, RadioParams()):
+        config = EpisodeConfig(slots=30, episodes=2, n_train=20, seed=7)
+        for metrics in _alone(Strategy.NO_AGGREGATION, scenario, config, RadioParams()):
             assert np.all(metrics.pair_allocated <= scenario.users)
 
     def test_never_beats_aggregation_in_any_run(self):
         scenario = NetworkScenario(users=3, relays=8, bands=20)
         params = RadioParams()
         base = EpisodeConfig(slots=30, episodes=4, n_train=20, seed=13)
-        full = run_strategy(scenario, base, params)
-        trimmed = run_strategy(
-            scenario, replace(base, strategy=Strategy.NO_AGGREGATION), params
+        [full], [trimmed] = run_strategies(
+            scenario, base, params, [Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION],
+            [params.es_over_n0],
         )
         for a, b in zip(full, trimmed):
             assert np.all(a.pair_throughput_bps >= b.pair_throughput_bps - 1e-9)
@@ -260,12 +254,11 @@ class TestSingleUserBaseline:
         # the restricted topology, fed the full population's link budgets
         # and sensing errors cut down to the first pair
         config = EpisodeConfig(
-            slots=60, episodes=1, n_train=20, seed=9, sensing_error_rate=err,
-            strategy=Strategy.SINGLE_USER,
+            slots=60, episodes=1, n_train=20, seed=9, sensing_error_rate=err
         )
         scenario = NetworkScenario(users=4, relays=10, bands=15)
         params = RadioParams()
-        (via_strategy,) = run_strategy(scenario, config, params)
+        (via_strategy,) = _alone(Strategy.SINGLE_USER, scenario, config, params)
         topology, processes = build_episode_world(scenario, config, episode=0)
         alpha, beta = episode_draws(config.seed, 0, config.pairs, topology.relays, 4)
         sources, relays = sensing_offsets(
@@ -286,8 +279,10 @@ class TestSingleUserBaseline:
         topology = Topology(users=1, relays=3, coverage=np.zeros((3, 1), dtype=bool))
         scenario = NetworkScenario(users=1, relays=3, bands=10)
         _, processes = build_episode_world(scenario, config, episode=0)
-        metrics = _scored(config, topology, processes, RadioParams(), episode=0)
-        assert metrics.allocation_count == 0
+        metrics = _scored(
+            Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams(), episode=0
+        )
+        assert metrics.pair_allocated.sum() == 0
         np.testing.assert_array_equal(metrics.user_capacity_bps, [0.0])
 
 
@@ -295,8 +290,8 @@ class TestDeterminismAndPairing:
     def test_identical_runs_are_byte_identical(self):
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(slots=28, episodes=2, n_train=20, seed=21)
-        a = run_strategy(scenario, config, RadioParams())
-        b = run_strategy(scenario, config, RadioParams())
+        a = _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
+        b = _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
         assert pickle.dumps(a) == pickle.dumps(b)
 
     def test_all_strategies_share_the_ground_truth(self):
@@ -306,10 +301,8 @@ class TestDeterminismAndPairing:
         params = RadioParams()
         traces = []
         for strategy in Strategy:
-            config = EpisodeConfig(
-                slots=28, episodes=2, n_train=20, seed=21, strategy=strategy
-            )
-            metrics = run_strategy(scenario, config, params)
+            config = EpisodeConfig(slots=28, episodes=2, n_train=20, seed=21)
+            metrics = _alone(strategy, scenario, config, params)
             traces.append(np.stack([m.trace[:, 0] for m in metrics]))
         for other in traces[1:]:
             np.testing.assert_array_equal(traces[0], other)
@@ -317,7 +310,7 @@ class TestDeterminismAndPairing:
     def test_outage_accounting_is_conserved(self):
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(slots=40, episodes=3, n_train=20, seed=2)
-        for metrics in run_strategy(scenario, config, RadioParams()):
+        for metrics in _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams()):
             assert np.all(metrics.pair_outages <= metrics.pair_allocated)
             # a pair where every allocation failed moves no data
             fully_failed = (metrics.pair_outages == metrics.pair_allocated) & (
@@ -328,8 +321,10 @@ class TestDeterminismAndPairing:
     def test_seed_changes_the_world(self):
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         params = RadioParams()
-        a = run_strategy(scenario, EpisodeConfig(slots=28, episodes=1, seed=1), params)
-        b = run_strategy(scenario, EpisodeConfig(slots=28, episodes=1, seed=2), params)
+        a, b = (
+            _alone(Strategy.PREDICT_AGGREGATE, scenario, config, params)
+            for config in (EpisodeConfig(slots=28, episodes=1, seed=seed) for seed in (1, 2))
+        )
         assert not np.array_equal(a[0].trace, b[0].trace)
 
     @pytest.mark.parametrize("strategy", [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION])
@@ -338,7 +333,7 @@ class TestDeterminismAndPairing:
         # record stays put where SNRs would round to 0 (1e-320 W) or
         # overflow to inf (1e306 W)
         scenario = NetworkScenario(users=3, relays=8, bands=20)
-        config = EpisodeConfig(slots=30, episodes=1, n_train=20, seed=4, strategy=strategy)
+        config = EpisodeConfig(slots=30, episodes=1, n_train=20, seed=4)
         topology, processes = build_episode_world(scenario, config, 0)
         expected = pickle.dumps(
             run_episode(config, topology, processes, RadioParams(), 0, (strategy,))
@@ -360,7 +355,7 @@ class TestPairBlocks:
             slots=30, episodes=1, n_train=20, seed=29, sensing_error_rate=sensing_error_rate
         )
         topology, processes = build_episode_world(scenario, config, 0)
-        one_block = _scored(config, topology, processes, RadioParams())
+        one_block = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
         calls = {"assign_relays": 0, "common_free_spectrum": 0}
         for name in calls:
             def counting(*args, _step=getattr(simulation, name), _name=name):
@@ -370,7 +365,7 @@ class TestPairBlocks:
             monkeypatch.setattr(simulation, name, counting)
         # three of the 10 pairs per block of (pairs, 12 bands, 6 relays) scores
         monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 3 * 12 * 6)
-        blocked = _scored(config, topology, processes, RadioParams())
+        blocked = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
         assert calls == {"assign_relays": 1, "common_free_spectrum": 4}
         assert pickle.dumps(blocked) == pickle.dumps(one_block)
 
@@ -434,9 +429,7 @@ class TestSharedDraws:
         for strategy, by_point in zip(strategies, together):
             assert len(by_point) == len(points)
             for es, metrics in zip(points, by_point):
-                alone = run_strategy(
-                    scenario, replace(config, strategy=strategy), replace(params, es_over_n0=es)
-                )
+                alone = _alone(strategy, scenario, config, replace(params, es_over_n0=es))
                 assert pickle.dumps(metrics) == pickle.dumps(alone)
 
     def test_repeated_points_each_get_every_episode(self):
@@ -499,9 +492,7 @@ class TestSharedDraws:
         assert sensed == expected
         for strategy, by_point in zip(Strategy, together):
             for es, metrics in zip(points, by_point):
-                alone = run_strategy(
-                    scenario, replace(config, strategy=strategy), RadioParams(es_over_n0=es)
-                )
+                alone = _alone(strategy, scenario, config, RadioParams(es_over_n0=es))
                 assert pickle.dumps(metrics) == pickle.dumps(alone)
 
     def test_each_p0_value_senses_its_own_truth(self):
@@ -513,10 +504,13 @@ class TestSharedDraws:
         scenarios = [
             NetworkScenario(users=2, relays=5, bands=9, p0_idle=p0) for p0 in (0.2, 0.6)
         ]
-        in_turn = [run_strategy(scenario, config, RadioParams()) for scenario in scenarios]
+        in_turn = [
+            _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
+            for scenario in scenarios
+        ]
         assert not np.array_equal(in_turn[0][0].trace, in_turn[1][0].trace)
         for scenario, metrics in reversed(list(zip(scenarios, in_turn))):
-            alone = run_strategy(scenario, config, RadioParams())
+            alone = _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
             assert pickle.dumps(metrics) == pickle.dumps(alone)
 
     def test_sensing_offsets_are_read_only_and_hold_no_truth(self):
@@ -599,6 +593,15 @@ class TestLockstepPass:
         with pytest.raises(ConfigError, match="at least one Es/N0 point"):
             run_strategies(scenario, config, RadioParams(), list(Strategy), [])
 
+    @pytest.mark.parametrize("strategy", [Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION])
+    def test_a_pass_scored_at_no_points_has_no_metrics(self, strategy):
+        # list in, list out: no points once ended in a ZeroDivisionError
+        config = EpisodeConfig(slots=10, episodes=1, n_train=4, seed=3)
+        topology, processes = _world(PERIOD_TWO, 0.5, bands=8, seed=3, slots=10)
+        rule = (Strategy.PREDICT_AGGREGATE,)
+        (decided,) = run_episode(config, topology, processes, RadioParams(), 0, rule)
+        assert score_episode(decided, strategy, [], RadioParams()) == []
+
     def test_a_cell_without_strategies_has_no_results(self):
         scenario = NetworkScenario(users=2, relays=4, bands=8)
         config = EpisodeConfig(slots=24, episodes=2, n_train=20)
@@ -613,17 +616,17 @@ class TestRadioSwitches:
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
         params = RadioParams(gain_model="unit")
-        metrics = _scored(config, topology, processes, params)
-        assert metrics.outage_count == 0
+        metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, params)
+        assert metrics.pair_outages.sum() == 0
         assert np.all(metrics.pair_allocated == 9)
 
     def test_min_hop_never_beats_second_hop(self):
         # the weaker-hop rule can only lower the per-band SNR
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(slots=26, episodes=2, n_train=20, seed=8)
-        second = run_strategy(scenario, config, RadioParams())
-        weaker = run_strategy(
-            scenario, config, RadioParams(snr_combining="min_hop")
+        second, weaker = (
+            _alone(Strategy.PREDICT_AGGREGATE, scenario, config, params)
+            for params in (RadioParams(), RadioParams(snr_combining="min_hop"))
         )
         for a, b in zip(second, weaker):
             assert np.all(a.pair_throughput_bps >= b.pair_throughput_bps - 1e-9)
@@ -633,14 +636,14 @@ class TestSummaries:
     def test_summary_aggregates_episodes(self):
         scenario = NetworkScenario(users=2, relays=5, bands=10)
         config = EpisodeConfig(slots=26, episodes=3, n_train=20, seed=4)
-        metrics = run_strategy(scenario, config, RadioParams())
+        metrics = _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
         summary = summarize(metrics)
-        assert summary.episodes == 3
-        assert summary.outage_rates.shape == (3,)
-        assert summary.mean_throughput_bps == pytest.approx(
-            np.mean([m.mean_throughput_bps for m in metrics])
-        )
-        assert summary.min_user_capacity_bps <= summary.max_user_capacity_bps
+        assert summary.shape == (4, 3)
+        outage, throughput, least, greatest = summary
+        assert outage.tolist() == [m.outage_rate for m in metrics]
+        assert throughput.tolist() == [m.mean_throughput_bps for m in metrics]
+        np.testing.assert_array_equal(least, [m.user_capacity_bps.min() for m in metrics])
+        assert np.all(least <= greatest)
 
     def test_baseline_wrappers_set_strategy(self):
         # each baseline's metrics record the strategy that produced them
@@ -649,7 +652,5 @@ class TestSummaries:
         params = RadioParams()
         for strategy in (Strategy.NO_PREDICTION, Strategy.NO_AGGREGATION):
             topology, processes = build_episode_world(scenario, config, 0)
-            metrics = _scored(
-                replace(config, strategy=strategy), topology, processes, params
-            )
+            metrics = _scored(strategy, config, topology, processes, params)
             assert metrics.strategy == strategy

@@ -8,8 +8,8 @@ result.  This runs the unmodified tracer over a tiny `run_single`, a
 tiny p0 `run_sweep` and a tiny es_over_n0 `run_sweep` and checks that every layer resolves, every keyed
 call fits its key, that each world and decision pass runs once, and
 that the decision pass, its allocation steps 1-3, the no-aggregation
-keep and the scoring step each still run: a layer with no calls reports
-nothing per pair.
+keep, the scoring step and the summary each still run: a layer with no
+calls reports nothing per pair.
 """
 
 import json
@@ -49,6 +49,7 @@ def test_every_layer_resolves_and_each_world_and_pass_runs_once(command, tmp_pat
     stats = layer_stats(**tracer.spans())
     for layer in ("simulation.run_episode", "aggregation.assign_relays",
                   "aggregation.common_free_spectrum", "aggregation.allocate_spectrum",
-                  "simulation.reduce_to_best_band", "aggregation.aggregate_and_score"):
+                  "simulation.reduce_to_best_band", "aggregation.aggregate_and_score",
+                  "simulation.summarize"):
         calls, _ = stats[layer]
         assert calls >= 1, layer
