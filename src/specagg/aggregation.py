@@ -67,12 +67,34 @@ def assign_relays(topology, pair_throughput: np.ndarray) -> np.ndarray:
     return np.where(n_covered > 0, best_pair, UNASSIGNED)
 
 
+def _best_admitted(index, best, admits, snr, hop):
+    """The highest-SNR relay (ties to the lowest index) that `admits`, a mask read
+    at (batch..., band, relay) indices, admits on each band of `index`, or -1.
+    `best`, each row's lowest-index maximum, wins wherever admitted; only the
+    other bands with an admitted relay rank SNR rows, rebuilt for them alone."""
+    if best is None:
+        best = (hop[..., None, :] * snr).argmax(axis=-1)
+    winner = np.asarray(best, np.intp)[index]
+    redo = np.flatnonzero(~admits(index + (winner,)))
+    index = tuple(axis[redo] for axis in index)
+    eligible = admits(index + (slice(None),))  # (K, relays or 1)
+    some = eligible.any(axis=-1)
+    index = tuple(axis[some] for axis in index)
+    rows = hop[index[:-1]] * snr[index]  # (K, relays)
+    np.copyto(rows, -np.inf, where=~eligible[some])
+    winner[redo] = UNASSIGNED
+    winner[redo[some]] = rows.argmax(axis=-1)
+    return winner
+
+
 def common_free_spectrum(
     owner: np.ndarray,
     users: int,
     source_available: np.ndarray,
     relay_available: np.ndarray,
     snr: np.ndarray,
+    hop=1.0,
+    best=None,
 ) -> np.ndarray:
     """Step 2: resolve every band to at most one user's common free set.
 
@@ -89,7 +111,11 @@ def common_free_spectrum(
         users: the number of user pairs.
         source_available: (..., users or 1, bands) bool mask; 1 broadcasts.
         relay_available: (..., relays or 1, bands) bool mask; 1 broadcasts.
-        snr: (..., bands, relays) per-band received SNR of each relay.
+        snr: (..., bands, relays) per-band SNR of each relay, before `hop`.
+        hop: (..., relays) per-relay factor: relay r's SNR on band n is
+            ``hop[..., r] * snr[..., n, r]``; 1 by default.
+        best: (..., bands) each band's highest-SNR relay of all (ties to the
+            lowest index); ranked from the SNRs when None.
 
     Returns:
         (..., bands) int64 user of each band, -1 where it is dropped.
@@ -98,29 +124,28 @@ def common_free_spectrum(
     snr = np.asarray(snr, dtype=np.float64)
     batch = snr.shape[:-2]
     owner = np.broadcast_to(owner, batch + np.shape(owner)[-1:])
+    hop = np.broadcast_to(hop, owner.shape)
     relay_free = np.asarray(relay_available, dtype=bool)
-    relay_free = np.broadcast_to(relay_free, batch + relay_free.shape[-2:])
 
     ownership = owner[..., None, :] == np.arange(users)[:, None]  # (..., T, Rr)
     if relay_free.shape[-2] == 1:
         # one mask for all relays: a user with a relay has a free one where it is free
-        ownership = ownership.any(axis=-1, keepdims=True)
-    # free relays of each user per band, counted exactly in float64
-    user_relay_free = (ownership.astype(np.float64) @ relay_free.astype(np.float64)) > 0
+        user_relay_free = ownership.any(axis=-1, keepdims=True) & relay_free
+    else:
+        # free relays of each user per band, counted exactly in float64
+        user_relay_free = (ownership.astype(np.float64) @ relay_free.astype(np.float64)) > 0
     candidates = source_available & user_relay_free  # (..., T, N)
     n_candidates = candidates.sum(axis=-2)
-    # the user ids dotted with a one-candidate mask give that candidate
-    band_user = np.where(n_candidates == 1, np.arange(users) @ candidates, UNASSIGNED)
+    # a one-candidate band's first candidate is its only one
+    band_user = np.where(n_candidates == 1, candidates.argmax(axis=-2), UNASSIGNED)
 
-    # (batch..., band) indices of the contested bands; each one's SNR row,
-    # busy relays masked out in place
+    # (batch..., band) indices of the contested bands, and each one's best free relay
     contested = np.nonzero(n_candidates >= 2)
-    rows = snr[contested]  # (K, Rr)
-    np.copyto(rows, -np.inf, where=~np.swapaxes(relay_free, -1, -2)[contested])
-    winner = rows.argmax(axis=-1)
+    free = np.broadcast_to(np.swapaxes(relay_free, -1, -2), snr.shape)  # (..., N, Rr)
+    winner = _best_admitted(contested, best, lambda at: free[at], snr, hop)
     winner_owner = owner[contested[:-1] + (winner,)]
     owner_qualifies = (winner_owner >= 0) & candidates[
-        contested[:-1] + (np.clip(winner_owner, 0, None), contested[-1])
+        contested[:-1] + (np.maximum(winner_owner, 0), contested[-1])
     ]
     band_user[contested] = np.where(owner_qualifies, winner_owner, UNASSIGNED)
     return band_user
@@ -131,6 +156,8 @@ def allocate_spectrum(
     owner: np.ndarray,
     bits: np.ndarray,
     snr: np.ndarray,
+    hop=1.0,
+    best=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step 3: per band, pick its user's best predicted-free relay.
 
@@ -143,7 +170,7 @@ def allocate_spectrum(
         band_user: (..., bands) step-2 users, -1 for a dropped band.
         owner: (..., relays) step-1 owners, -1 for a dropped relay.
         bits: (..., relays or 1, bands) prediction bits, 0 = free; 1 broadcasts.
-        snr: (..., bands, relays) per-band received SNR of each relay.
+        snr, hop, best: each relay's SNRs, as for `common_free_spectrum`.
 
     Returns:
         (band_relay, band_snr): the (..., bands) winning relay of each
@@ -153,23 +180,21 @@ def allocate_spectrum(
     band_user = np.asarray(band_user)
     batch = snr.shape[:-2]
     owner = np.broadcast_to(owner, batch + np.shape(owner)[-1:])
-    bits = np.broadcast_to(bits, batch + np.shape(bits)[-2:])
+    hop = np.broadcast_to(hop, owner.shape)
+    free = np.asarray(bits) == 0
+    owners, users, predicted_free = np.broadcast_arrays(  # (..., N, Rr) views
+        owner[..., None, :], band_user[..., None], np.swapaxes(free, -1, -2))
 
-    # (batch..., band) indices of the bands step 2 gave to a user; each
-    # one's SNR row, relays of other users or predicted busy masked out
-    assigned = np.nonzero(band_user >= 0)
-    eligible = (owner[assigned[:-1]] == band_user[assigned][:, None]) & (
-        np.swapaxes(bits, -1, -2)[assigned] == 0
-    )  # (K, Rr)
-    scores = snr[assigned]
-    np.copyto(scores, -np.inf, where=~eligible)
-    best = scores.argmax(axis=-1)
-    best_snr = scores[np.arange(best.size), best]
-    has_winner = eligible.any(axis=-1)
+    # (batch..., band) indices of the bands step 2 gave to a user and some relay
+    # predicts free, and each one's best relay of that user predicted free
+    assigned = np.nonzero((band_user >= 0) & free.any(axis=-2))
+    winner = _best_admitted(
+        assigned, best, lambda at: (owners[at] == users[at]) & predicted_free[at], snr, hop)
     band_relay = np.full(band_user.shape, UNASSIGNED)
-    band_relay[assigned] = np.where(has_winner, best, UNASSIGNED)
+    band_relay[assigned] = winner
+    relay = assigned[:-1] + (np.maximum(winner, 0),)
     band_snr = np.zeros(band_user.shape)
-    band_snr[assigned] = np.where(has_winner, best_snr, 0.0)
+    band_snr[assigned] = np.where(winner >= 0, hop[relay] * snr[assigned + relay[-1:]], 0.0)
     return band_relay, band_snr
 
 

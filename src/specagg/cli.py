@@ -195,7 +195,8 @@ def _require_distinct(key: str, values) -> None:
 def _read_config_file(path: str) -> dict[str, str]:
     file_path = Path(path)
     if not file_path.is_file():
-        raise ConfigParseError(f"config file not found: {path}")
+        problem = "is not a regular file" if file_path.exists() else "not found"
+        raise ConfigParseError(f"config file {problem}: {path}")
     raw: dict[str, str] = {}
     line_of: dict[str, int] = {}
     for line_no, line in enumerate(file_path.read_text().splitlines(), start=1):

@@ -22,17 +22,17 @@ them are paired:
 No slot pair depends on an earlier pair's allocation, so an episode is
 one lockstep pass (`run_episode`) of its decision rules -- predict (also
 NO_AGGREGATION's), persist and single-user -- over arrays of all its
-pairs: step 1 assigns every pair's relays in one call per topology, and
-the fading gains are drawn chunk by chunk of pairs into one reused
-buffer, each chunk running steps 2-3 of every rule.  Decisions rank on
+pairs: step 1 assigns every pair's relays once per topology, the fading
+gains are drawn by chunks of pairs into one reused buffer, and per pair
+block each topology ranks every band's best relay once; steps 2-3
+re-rank only the bands whose masks exclude it.  Decisions rank on
 draw-only scores (the hop at Es/N0 = 1, times the band's gain), so no
 Es/N0 point or transmit power can move one.  `score_episode` turns a
 rule's `EpisodePass`, its allocation alone, into one strategy's metrics
 at any list of Es/N0 points; `NO_AGGREGATION` keeps each user's band
-with the highest winner score.  `run_strategies` is the one way to run a
-cell, any of its strategies at any of its points: per episode one world,
-one pass and one scoring per strategy.  `summarize` reduces a
-strategy's per-episode metrics to the rows behind the summary columns.
+with the highest winner score.  `run_strategies` is the one way to run
+a cell: per episode one world, one pass and one scoring per strategy.
+`summarize` reduces a strategy's per-episode metrics to summary rows.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ from .topology import (
 )
 
 
-# Steps 2-3 run over blocks of slot pairs whose (pairs, bands, relays)
-# scores hold at most this many elements: a default episode (80 x 100 x
-# 20) runs as five blocks of 16 pairs, a 1000-band, 100-relay world one
-# pair at a time.  Each block temporary then stays under a megabyte, so
-# peak memory stays that of a per-pair loop; larger blocks were no faster.
+# Pair blocks hold at most this many elements of their widest per-pair
+# array: the (pairs, bands, relays) scores that rank each band's best
+# relay, or the (pairs, users or sensing relays, bands) views and masks
+# of steps 2-3.  A default episode runs steps 2-3 as blocks of 65 and 15
+# pairs (16 under noisy sensing); each temporary stays under a megabyte.
 PAIR_BLOCK_ELEMENTS = 2**15
 
 # The fading gains are drawn in chunks of slot pairs whose (pairs, bands,
@@ -306,7 +306,7 @@ def run_episode(
     persist (`NO_PREDICTION`) or `SINGLE_USER`, which sees `topology`
     restricted to its first pair and reads that pair's share of the full
     population's draws and views.  The rules share the draws, views and
-    predictions; predict and persist also share step 1 and the scores.
+    predictions; predict and persist also share step 1 and the best relays.
     Each chunk of gains runs steps 2-3 of every rule before the next is
     drawn.  No pass reads Es/N0, transmit power or the SNR gap.  The
     episode reads the trajectory from slot 0.
@@ -360,8 +360,9 @@ def run_episode(
     # freed before the pair blocks' temporaries, which would otherwise grow the heap
     del hop
     designated = config.designated_band
+    # steps 2-3 blocks are sized by their widest per-pair mask, (users or sensing relays, bands)
     for chunk, gains in gain_chunks(seed, episode, n_pairs, relays, bands, params.gain_model):
-        for pairs in _pair_blocks(chunk.start, chunk.stop, bands * relays):
+        for pairs in _pair_blocks(chunk.start, chunk.stop, bands * max(users, views[-1].shape[1])):
             block_gains = gains[pairs.start - chunk.start : pairs.stop - chunk.start]
             # (pairs, nodes, bands) states at t and t + 1 of each view, predicted
             # or persisted; sources are the first view and relays the last
@@ -373,18 +374,21 @@ def run_episode(
                 judged[p] = available, prediction_bits(after[-1])
                 guesses[pairs] = after[0][:, 0, designated]
             for seen_users, owner, owned_hop, seeing in steps.values():
-                score = owned_hop[pairs, None, :] * block_gains
+                # each band's best relay (shared by predict and persist), on band-major scores
+                best = np.concatenate([
+                    (owned_hop[pairs][b] * block_gains[b].transpose(1, 0, 2)).argmax(-1).T
+                    for b in _pair_blocks(0, len(block_gains), bands * relays)])
                 for predicting, band_relay, kept_gain in seeing:
                     available, bits = judged[predicting]
                     band_user = common_free_spectrum(
-                        owner[pairs], seen_users, available[0][:, :seen_users], available[-1], score
+                        owner[pairs], seen_users, available[0][:, :seen_users], available[-1],
+                        block_gains, owned_hop[pairs], best,
                     )
-                    relay, _ = allocate_spectrum(band_user, owner[pairs], bits, score)
-                    band_relay[pairs] = relay
-                    winner = np.clip(relay, 0, None)[..., None]
+                    band_relay[pairs] = allocate_spectrum(
+                        band_user, owner[pairs], bits, block_gains, owned_hop[pairs], best
+                    )[0]
+                    winner = np.maximum(band_relay[pairs], 0)[..., None]
                     kept_gain[pairs] = np.take_along_axis(block_gains, winner, axis=-1)[..., 0]
-                # spent: freed before the next topology's scores are computed
-                del score
     del gains, block_gains  # the last chunk's buffer is spent: free it before the passes
 
     pair = np.arange(n_pairs)[:, None]

@@ -160,29 +160,32 @@ class TestCommonFreeSpectrum:
             relay_avail = rng.random((n_relays, n_bands)) < 0.7
             snr = rng.uniform(0.1, 20.0, size=(n_bands, n_relays))
 
-            expected = np.full(n_bands, UNASSIGNED)
-            for band in range(n_bands):
-                candidates = [
-                    user
-                    for user in range(n_users)
-                    if source_avail[user, band]
-                    and any(
-                        owner[r] == user and relay_avail[r, band]
-                        for r in range(n_relays)
-                    )
-                ]
-                if not candidates:
-                    continue
-                if len(candidates) == 1:
-                    expected[band] = candidates[0]
-                    continue
-                free = [r for r in range(n_relays) if relay_avail[r, band]]
-                winner = max(free, key=lambda r: (snr[band, r], -r))
-                if owner[winner] in candidates:
-                    expected[band] = owner[winner]
-
+            expected = candidate_scan(owner, n_users, source_avail, relay_avail, snr)
             band_user = common_free_spectrum(owner, n_users, source_avail, relay_avail, snr)
             np.testing.assert_array_equal(band_user, expected)
+
+
+def candidate_scan(owner, n_users, source_avail, relay_avail, snr):
+    """Step 2's selection rule in plain loops over all (user, relay) candidates."""
+    n_bands, n_relays = snr.shape
+    expected = np.full(n_bands, UNASSIGNED)
+    for band in range(n_bands):
+        candidates = [
+            user
+            for user in range(n_users)
+            if source_avail[user, band]
+            and any(owner[r] == user and relay_avail[r, band] for r in range(n_relays))
+        ]
+        if not candidates:
+            continue
+        if len(candidates) == 1:
+            expected[band] = candidates[0]
+            continue
+        free = [r for r in range(n_relays) if relay_avail[r, band]]
+        winner = max(free, key=lambda r: (snr[band, r], -r))
+        if owner[winner] in candidates:
+            expected[band] = owner[winner]
+    return expected
 
 
 class TestAllocateSpectrum:
@@ -222,6 +225,81 @@ class TestAllocateSpectrum:
         snr = np.array([[7.0, 7.0, 7.0]])
         band_relay, _ = allocate_spectrum(np.array([0]), owner, bits, snr)
         assert band_relay[0] == 0
+
+
+class TestSharedBestRelay:
+    """Steps 2-3 given each band's best relay of all, as a decision pass
+    shares it, re-rank only the bands whose mask excludes it."""
+
+    @staticmethod
+    def instance(rng, snr_kind, n_users, pairs=3):
+        """`pairs` random (users, relays, bands) instances of one shape:
+        owners, masks with a relay axis of 1 or per relay, per-relay hops
+        and per-band gains, and each band's best relay of all."""
+        n_relays, n_bands = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        owner = rng.integers(-1, n_users, size=(pairs, n_relays))
+        source = rng.random((pairs, n_users, n_bands)) < 0.8
+        relay_axis = n_relays if rng.random() < 0.5 else 1
+        relay_free = rng.random((pairs, relay_axis, n_bands)) < 0.7
+        bits_axis = n_relays if rng.random() < 0.5 else 1
+        bits = (rng.random((pairs, bits_axis, n_bands)) < 0.4).astype(np.int8)
+        if snr_kind == "continuous":
+            hop = rng.uniform(0.1, 2.0, size=(pairs, n_relays))
+            gains = rng.exponential(size=(pairs, n_bands, n_relays))
+        else:
+            # small integers force ties, which go to the lowest relay index
+            hop = rng.integers(1, 3, size=(pairs, n_relays)).astype(np.float64)
+            gains = rng.integers(0, 3, size=(pairs, n_bands, n_relays)).astype(np.float64)
+        if snr_kind == "zero-owned":
+            # a decision pass gives an unowned relay hop 0; here some owned
+            # relays have SNR exactly 0 too, so the best relay of a band
+            # whose SNRs are all 0 is its lowest relay, owned or not
+            hop[(owner < 0) | (rng.random(owner.shape) < 0.5)] = 0.0
+        best = (hop[:, None, :] * gains).argmax(axis=-1)
+        return owner, source, relay_free, bits, hop, gains, best
+
+    @pytest.mark.parametrize("snr_kind", ["continuous", "integer", "zero-owned"])
+    @pytest.mark.parametrize("n_users", [1, 3])
+    def test_given_best_relay_steps_two_and_three_equal_the_oracles(self, snr_kind, n_users):
+        rng = np.random.default_rng([41, n_users, len(snr_kind)])
+        for _ in range(150):
+            owner, source, relay_free, bits, hop, gains, best = self.instance(
+                rng, snr_kind, n_users
+            )
+            snr = hop[:, None, :] * gains
+            band_user = common_free_spectrum(owner, n_users, source, relay_free, gains, hop, best)
+            band_relay, band_snr = allocate_spectrum(band_user, owner, bits, gains, hop, best)
+            # the same as given the full SNRs alone, whose best relays the steps rank
+            np.testing.assert_array_equal(
+                band_user, common_free_spectrum(owner, n_users, source, relay_free, snr)
+            )
+            ranked = allocate_spectrum(band_user, owner, bits, snr)
+            np.testing.assert_array_equal(band_relay, ranked[0])
+            np.testing.assert_array_equal(band_snr, ranked[1])
+            for k in range(len(owner)):
+                every_relay = (len(owner[k]), gains.shape[1])
+                expected = candidate_scan(
+                    owner[k], n_users, source[k],
+                    np.broadcast_to(relay_free[k], every_relay), snr[k],
+                )
+                np.testing.assert_array_equal(band_user[k], expected)
+                every_bit = np.broadcast_to(bits[k], every_relay)
+                total, chosen = exhaustive_best_assignment(
+                    band_user[k], owner[k], every_bit, snr[k]
+                )
+                # step 3 band by band: the user's best predicted-free relay, even at SNR 0
+                for band, user in enumerate(band_user[k]):
+                    eligible = [r for r in range(len(owner[k]))
+                                if user >= 0 and owner[k, r] == user and every_bit[r, band] == 0]
+                    best_eligible = max(eligible, key=lambda r: (snr[k, band, r], -r), default=-1)
+                    assert band_relay[k, band] == best_eligible
+                assert band_snr[k].sum() == pytest.approx(total, rel=1e-12, abs=1e-12)
+                # the oracle lists "unallocated" first, so it leaves a band
+                # whose best eligible SNR is 0 unallocated where step 3 takes
+                # that relay; among equal SNRs both take the lowest relay
+                kept = band_snr[k] > 0
+                np.testing.assert_array_equal(band_relay[k][kept], np.array(chosen)[kept])
+                assert np.all(band_snr[k][band_relay[k] != np.array(chosen)] == 0.0)
 
 
 class TestAggregateAndScore:

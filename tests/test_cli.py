@@ -142,6 +142,15 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match="config file not found"):
             parse_config("/does/not/exist.cfg")
 
+    @pytest.mark.parametrize("kind", ["directory", "device"])
+    def test_config_that_is_no_regular_file_is_one_error_line(self, kind, tmp_path, capsys):
+        # it exists, so "not found" would send the reader looking for a typo
+        path = str(tmp_path) if kind == "directory" else os.devnull
+        assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config file is not a regular file: {path}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_cross_field_validation(self):
         with pytest.raises(ConfigParseError, match="slots must be >="):
             parse_config(None, {"slots": "21", "n_train": "20"})

@@ -346,9 +346,13 @@ class TestDeterminismAndPairing:
 
 
 class TestPairBlocks:
-    @pytest.mark.parametrize("sensing_error_rate", [0.0, 0.2])
+    @pytest.mark.parametrize(
+        "sensing_error_rate, chunk_pairs, step_calls",
+        [(0.0, None, 2), (0.2, None, 4), (0.0, 4, 3), (0.2, 4, 5)],
+        ids=["0.0", "0.2", "0.0-chunks-of-4", "0.2-chunks-of-4"],
+    )
     def test_step_one_runs_once_per_pass_over_every_pair_block(
-        self, monkeypatch, sensing_error_rate
+        self, monkeypatch, sensing_error_rate, chunk_pairs, step_calls
     ):
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(
@@ -356,17 +360,26 @@ class TestPairBlocks:
         )
         topology, processes = build_episode_world(scenario, config, 0)
         one_block = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
-        calls = {"assign_relays": 0, "common_free_spectrum": 0}
+        calls = {"assign_relays": 0, "common_free_spectrum": 0, "allocate_spectrum": 0}
         for name in calls:
             def counting(*args, _step=getattr(simulation, name), _name=name):
                 calls[_name] += 1
                 return _step(*args)
 
             monkeypatch.setattr(simulation, name, counting)
-        # three of the 10 pairs per block of (pairs, 12 bands, 6 relays) scores
+        # 216 elements: three pairs of (12 bands, 6 relays) scores rank each
+        # band's best relay; steps 2-3 hold no scores, so their blocks take six
+        # pairs of the (3 users, 12 bands) masks under perfect sensing and
+        # three of the (6 relays, 12 bands) masks under noisy sensing
         monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 3 * 12 * 6)
+        if chunk_pairs is not None:
+            # gain chunks of 4, 4 and 2 of the 10 pairs cut the step blocks:
+            # 4, 4, 2 under perfect sensing, 3 + 1, 3 + 1, 2 under noisy
+            monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", chunk_pairs * 12 * 6)
         blocked = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
-        assert calls == {"assign_relays": 1, "common_free_spectrum": 4}
+        assert calls == {
+            "assign_relays": 1, "common_free_spectrum": step_calls, "allocate_spectrum": step_calls
+        }
         assert pickle.dumps(blocked) == pickle.dumps(one_block)
 
 
