@@ -48,11 +48,14 @@ def alternating_channel():
         topology, processes = world()
         (decided,) = run_episode(config, topology, processes, params, 0, (strategy,))
         # the pass decides without Es/N0; score it at the params' own point
-        (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
+        allocated, outages, [throughput], _ = score_episode(
+            decided, strategy, [params.es_over_n0], params
+        )
+        rate = outages.sum() / allocated.sum() if allocated.sum() else 0.0
         print(
-            f"  {strategy.value:>17}: allocated={metrics.pair_allocated.sum():>3}"
-            f"  outage rate={metrics.outage_rate:.2f}"
-            f"  throughput={metrics.mean_throughput_bps / 1e6:.1f} Mb/s"
+            f"  {strategy.value:>17}: allocated={allocated.sum():>3}"
+            f"  outage rate={rate:.2f}"
+            f"  throughput={throughput.mean() / 1e6:.1f} Mb/s"
         )
     print("  the trained predictor refuses bands about to turn Busy;")
     print("  the persistence baseline walks into an outage every time.\n")
@@ -66,9 +69,9 @@ def lazy_channel():
     strategies = [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION]
     # one paired cell of both strategies at the params' own Es/N0 point
     runs = run_strategies(scenario, config, params, strategies, [params.es_over_n0])
-    for strategy, [metrics] in zip(strategies, runs):
-        # the episode means of the first two summary rows
-        outage, throughput = (row.mean() for row in summarize(metrics)[:2])
+    for strategy, metrics in zip(strategies, runs):
+        # the episode means of the point's first two summary rows
+        outage, throughput = (row.mean() for row in summarize(metrics)[0, :2])
         print(
             f"  {strategy.value:>17}: outage rate={outage:.4f}"
             f"  throughput={throughput / 1e6:.1f} Mb/s"

@@ -41,7 +41,6 @@ from .seeds import derive_rng, derive_seed_sequence
 from .simulation import (
     ConfigError,
     EpisodeConfig,
-    EpisodeMetrics,
     NetworkScenario,
     Strategy,
     build_episode_world,

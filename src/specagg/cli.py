@@ -298,9 +298,9 @@ def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
 
     One `run_strategies` call: per episode one world and one Es/N0-free
     decision pass per decision rule, and one scoring of each strategy at
-    every point in one batch.  Returns (strategy, dB, metrics, columns)
-    per strategy and point, strategy-major; the columns are the CSV text
-    of the mean outage, throughput and min and max user capacity.
+    every point in one batch.  Returns (strategy, metrics, columns) per
+    strategy; its columns hold, per point of `grid`, the CSV text of the
+    mean outage, throughput and min and max user capacity.
     """
     runs = run_strategies(
         scenario_from(config),
@@ -310,10 +310,10 @@ def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
         [es_db_to_linear(db) for db in grid],
     )
     cells = []
-    for strategy, by_point in zip(strategies, runs):
-        for db, metrics in zip(grid, by_point):
-            columns = [repr(float(row.mean())) for row in summarize(metrics)]
-            cells.append((strategy, db, metrics, columns))
+    for strategy, metrics in zip(strategies, runs):
+        # per point, the episode mean of each summary row
+        columns = [[repr(float(row.mean())) for row in point] for point in summarize(metrics)]
+        cells.append((strategy, metrics, columns))
     return cells
 
 
@@ -330,7 +330,7 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     out_dir = _output_dir(config)
     cells = _run_cell(config, list(Strategy), [config.es_n0_db])
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_by_strategy = {strategy: metrics for strategy, _, metrics, _ in cells}
+    metrics_by_strategy = {strategy: metrics for strategy, metrics, _ in cells}
 
     paths = {
         "config": write_effective_config(config, out_dir),
@@ -342,8 +342,8 @@ def run_single(config: RunConfig) -> dict[str, Path]:
     write_trace_csv(paths["trace"], metrics_by_strategy[Strategy.PREDICT_AGGREGATE])
     rows = [
         # the run summary has no max user capacity column
-        [strategy.value, "es_n0_db", repr(float(db)), *columns[:3]]
-        for strategy, db, _, columns in sorted(cells, key=lambda cell: cell[0].value)
+        [strategy.value, "es_n0_db", repr(float(config.es_n0_db)), *columns[:3]]
+        for strategy, _, [columns] in sorted(cells, key=lambda cell: cell[0].value)
     ]
     write_csv(paths["summary"], RUN_SUMMARY_HEADER, rows)
     return paths
@@ -356,9 +356,10 @@ def _sweep_cell(axis: str, config: RunConfig) -> list[list]:
     the row's own point.  Top-level so worker processes can receive it.
     """
     rows = []
-    for strategy, db, _, columns in _run_cell(config, SWEEP_STRATEGIES, config.es_n0_db_sweep):
-        value = db if axis == "es_over_n0" else getattr(config, _AXIS_FIELD[axis])
-        rows.append([strategy.value, axis, repr(float(value)), repr(float(db)), *columns])
+    for strategy, _, by_point in _run_cell(config, SWEEP_STRATEGIES, config.es_n0_db_sweep):
+        for db, columns in zip(config.es_n0_db_sweep, by_point):
+            value = db if axis == "es_over_n0" else getattr(config, _AXIS_FIELD[axis])
+            rows.append([strategy.value, axis, repr(float(value)), repr(float(db)), *columns])
     return rows
 
 

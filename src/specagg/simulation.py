@@ -28,11 +28,12 @@ block each topology ranks every band's best relay once; steps 2-3
 re-rank only the bands whose masks exclude it.  Decisions rank on
 draw-only scores (the hop at Es/N0 = 1, times the band's gain), so no
 Es/N0 point or transmit power can move one.  `score_episode` turns a
-rule's `EpisodePass`, its allocation alone, into one strategy's metrics
-at any list of Es/N0 points; `NO_AGGREGATION` keeps each user's band
+rule's `EpisodePass`, its allocation alone, into one strategy's metric
+arrays at any list of Es/N0 points; `NO_AGGREGATION` keeps each user's band
 with the highest winner score.  `run_strategies` is the one way to run
-a cell: per episode one world, one pass and one scoring per strategy.
-`summarize` reduces a strategy's per-episode metrics to summary rows.
+a cell: per episode one world, one pass and one scoring per strategy,
+each filling its episode's row of the strategy's `StrategyMetrics`
+arrays.  `summarize` reduces those arrays to each point's summary rows.
 """
 
 from __future__ import annotations
@@ -87,30 +88,16 @@ def designated_band_error(designated_band: int, bands: int) -> str | None:
     return None
 
 
-@dataclass
-class EpisodeMetrics:
-    """Per-episode accounting of allocations, outages and throughput."""
+@dataclass(frozen=True)
+class StrategyMetrics:
+    """One strategy's metrics over a cell's episodes, at each of its Es/N0 points."""
 
-    strategy: Strategy
-    episode: int
-    pair_slots: np.ndarray
-    pair_allocated: np.ndarray
-    pair_outages: np.ndarray
-    pair_throughput_bps: np.ndarray
-    user_capacity_bps: np.ndarray
-    prediction_match_count: int
-    default_match_count: int
-    trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
-
-    @property
-    def outage_rate(self) -> float:
-        """Outage bands over allocated bands; 0 when nothing was allocated."""
-        allocated = int(self.pair_allocated.sum())
-        return int(self.pair_outages.sum()) / allocated if allocated > 0 else 0.0
-
-    @property
-    def mean_throughput_bps(self) -> float:
-        return float(self.pair_throughput_bps.mean())
+    pair_slots: np.ndarray  # (pairs,): the first slot of each slot pair
+    allocated: np.ndarray  # (episodes, pairs): kept bands
+    outages: np.ndarray  # (episodes, pairs): kept bands whose true t + 1 state fails
+    throughput_bps: np.ndarray  # (points, episodes, pairs): network throughput
+    user_capacity_bps: np.ndarray  # (points, episodes, users seen): means over the pairs
+    trace: np.ndarray  # (episodes, pairs, 3): actual, default, predicted for one band
 
 
 @dataclass(frozen=True)
@@ -123,13 +110,9 @@ class EpisodePass:
     whose true t + 1 state is Busy or Bad.
     """
 
-    episode: int
     users: int
-    pair_slots: np.ndarray
     kept: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     failed: np.ndarray
-    prediction_match_count: int
-    default_match_count: int
     trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
 
 
@@ -232,11 +215,19 @@ def sensing_offsets(
     return tuple(offsets)
 
 
+def _require_es_points(points: list[float]) -> None:
+    """Raise `ConfigError` for an Es/N0 point of `points` outside `es_over_n0`'s declaration."""
+    for es in points:
+        require(RadioParams, "es_over_n0", es)
+
+
 def score_episode(
     decided: EpisodePass, strategy: Strategy, points: list[float], params: RadioParams
-) -> list[EpisodeMetrics]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`strategy`'s metrics of the decision pass `decided` at each Es/N0 point of `points`.
 
+    Returns each pair's kept and failed band counts, each (point, pair)'s
+    throughput and each (point, user)'s mean throughput over the pairs.
     `NO_AGGREGATION` keeps only each user's best band (`reduce_to_best_band`
     of the winners' draw-only scores); every other strategy keeps the
     whole allocation.  A kept band is an outage where it `failed`, and an
@@ -244,19 +235,20 @@ def score_episode(
     point as one (points, pairs, bands) batch, in the order (1 - alpha) *
     (beta * 2 * es), then tx * hop * gain / gamma, over the full band
     layout, so every sum rounds as it does for one point alone.  Only
-    the throughputs depend on Es/N0.  An empty `points` gives no metrics.
+    the throughputs depend on Es/N0; an empty `points` gives none.
     """
-    if not points:
-        return []
+    _require_es_points(points)
     users, failed = decided.users, decided.failed
     n_pairs, bands = failed.shape
     es = np.array(points)[:, None, None]
-    blocks = []
+    allocated, outages = np.empty(n_pairs, np.int64), np.empty(n_pairs, np.int64)
+    throughput = np.empty((len(points), n_pairs))
+    capacity = np.empty((len(points), n_pairs, users))
     # the widest temporaries are reduce_to_best_band's (pairs, users, bands)
     # mask and the (points, pairs, bands) batch, several of them alive at
     # once; counting at least three users keeps a single-user pass's blocks
     # within the memory of a multi-user pass's
-    for pairs in _pair_blocks(0, n_pairs, len(points) * bands * max(users, 3)):
+    for pairs in _pair_blocks(0, n_pairs, max(len(points), 1) * bands * max(users, 3)):
         band_user, hop_split, beta2, gain = (array[pairs] for array in decided.kept)
         held = band_user >= 0
         if strategy == Strategy.NO_AGGREGATION:
@@ -267,29 +259,11 @@ def score_episode(
         snr /= params.gamma
         # a band that delivers nothing gets SNR 0, so it scores nothing for its user
         band_snr = np.where(delivered, snr, 0.0)
-        blocks.append((
-            held.sum(axis=-1),
-            (held & failed[pairs]).sum(axis=-1),
-            *aggregate_and_score(np.broadcast_to(band_user, snr.shape), band_snr, users, params),
-        ))
-    allocated, outages, throughput, capacity = zip(*blocks)
-    allocated, outages = np.concatenate(allocated), np.concatenate(outages)
-    throughput, capacity = np.concatenate(throughput, axis=1), np.concatenate(capacity, axis=1)
-    return [
-        EpisodeMetrics(
-            strategy=strategy,
-            episode=decided.episode,
-            pair_slots=decided.pair_slots,
-            pair_allocated=allocated,
-            pair_outages=outages,
-            pair_throughput_bps=throughput[k],
-            user_capacity_bps=capacity[k].mean(axis=0),
-            prediction_match_count=decided.prediction_match_count,
-            default_match_count=decided.default_match_count,
-            trace=decided.trace,
+        allocated[pairs], outages[pairs] = held.sum(axis=-1), (held & failed[pairs]).sum(axis=-1)
+        throughput[:, pairs], capacity[:, pairs] = aggregate_and_score(
+            np.broadcast_to(band_user, snr.shape), band_snr, users, params
         )
-        for k in range(len(points))
-    ]
+    return allocated, outages, throughput, capacity.mean(axis=1)
 
 
 def run_episode(
@@ -407,13 +381,9 @@ def run_episode(
         user = np.clip(band_user, 0, None)
         beta2 = np.where(won, beta[pair, winner, user] * 2.0, 0.0)
         passes.append(EpisodePass(
-            episode=episode,
             users=seen_users,
-            pair_slots=pair_slots,
             kept=(band_user, alpha[pair, winner, user], beta2, kept_gain),
             failed=failed,
-            prediction_match_count=int((guessed[predicting] == actual).sum()),
-            default_match_count=int((default == actual).sum()),
             trace=np.stack([actual, default, guessed[predicting]], axis=1).astype(np.int8),
         ))
     return tuple(passes)
@@ -459,49 +429,66 @@ def run_strategies(
     params: RadioParams,
     strategies: list[Strategy],
     points: list[float],
-) -> list[list[list[EpisodeMetrics]]]:
+) -> list[StrategyMetrics]:
     """Run every episode of one cell's `strategies` at its Es/N0 `points`.
 
     This is the one way to run a cell, of one strategy or several.
     `points` are linear Es/N0 values; results are reported at them, not
     at `params.es_over_n0`.  Episodes run outer: each builds its world
     once, runs its strategies' decision rules in one `run_episode` call,
-    and scores each strategy at every point in one `score_episode` call.  Returns ``out[i][j]``, the
-    per-episode metrics of ``strategies[i]`` at ``points[j]``.
+    and scores each strategy at every point in one `score_episode` call.
+    Returns the metrics of each of `strategies`, its points in the
+    order of `points`.
     """
     if not points:
         raise ConfigError("a cell needs at least one Es/N0 point")
-    for es in points:
-        require(RadioParams, "es_over_n0", es)
+    _require_es_points(points)
     distinct = list(dict.fromkeys(points))
+    at = [distinct.index(es) for es in points]
     # the strategies' decision rules, each run once per episode
     rules = tuple(dict.fromkeys(_RULE.get(strategy, strategy) for strategy in strategies))
-    out = [[[] for _ in points] for _ in strategies]
+    pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
+    shape = (config.episodes, config.pairs)
+    out = []
+    for strategy in strategies:
+        # the single-user strategy sees the first user alone
+        users = 1 if strategy == Strategy.SINGLE_USER else scenario.users
+        out.append(StrategyMetrics(
+            pair_slots=pair_slots,
+            allocated=np.empty(shape, np.int64),
+            outages=np.empty(shape, np.int64),
+            throughput_bps=np.empty((len(points), *shape)),
+            user_capacity_bps=np.empty((len(points), config.episodes, users)),
+            trace=np.empty((*shape, 3), np.int8),
+        ))
     for episode in range(config.episodes):
         topology, processes = build_episode_world(scenario, config, episode)
         passes = run_episode(config, topology, processes, params, episode, rules)
-        for i, strategy in enumerate(strategies):
-            rule = _RULE.get(strategy, strategy)
-            scored = score_episode(passes[rules.index(rule)], strategy, distinct, params)
-            for j, es in enumerate(points):
-                out[i][j].append(scored[distinct.index(es)])
+        for strategy, metrics in zip(strategies, out):
+            rule = rules.index(_RULE.get(strategy, strategy))
+            metrics.trace[episode] = passes[rule].trace
+            allocated, outages, throughput, capacity = score_episode(
+                passes[rule], strategy, distinct, params)
+            metrics.allocated[episode], metrics.outages[episode] = allocated, outages
+            metrics.throughput_bps[:, episode] = throughput[at]
+            metrics.user_capacity_bps[:, episode] = capacity[at]
         # the passes are scored: free them before the next episode runs its own
         del passes
     return out
 
 
-def summarize(metrics_list: list[EpisodeMetrics]) -> np.ndarray:
-    """The (4, episodes) summary of one strategy's per-episode metrics.
+def summarize(metrics: StrategyMetrics) -> np.ndarray:
+    """The (points, 4, episodes) summary of one strategy's metrics.
 
-    Its rows, in the order of the summary columns, are each episode's
-    outage rate, mean throughput and least and greatest user capacity.
+    Per Es/N0 point its rows, in the order of the summary columns, are
+    each episode's outage rate (outages over allocations, 0 where nothing
+    was allocated), mean throughput and least and greatest user capacity.
     """
-    return np.array([
-        [m.outage_rate for m in metrics_list],
-        [m.mean_throughput_bps for m in metrics_list],
-        [m.user_capacity_bps.min() for m in metrics_list],
-        [m.user_capacity_bps.max() for m in metrics_list],
-    ])
+    allocated, outages = metrics.allocated.sum(axis=-1), metrics.outages.sum(axis=-1)
+    rate = np.divide(outages, allocated, out=np.zeros(len(allocated)), where=allocated > 0)
+    capacity = metrics.user_capacity_bps
+    rows = [metrics.throughput_bps.mean(axis=-1), capacity.min(axis=-1), capacity.max(axis=-1)]
+    return np.stack([np.broadcast_to(rate, capacity.shape[:2]), *rows], axis=1)
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
@@ -514,30 +501,30 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
 
 
 def write_metrics_csv(
-    path: str | Path, metrics_by_strategy: dict[Strategy, list[EpisodeMetrics]]
+    path: str | Path, metrics_by_strategy: dict[Strategy, StrategyMetrics]
 ) -> None:
-    """Per-slot-pair CSV: ``episode,slot,strategy,allocated,outages,throughput_bps``."""
+    """Per-slot-pair CSV: ``episode,slot,strategy,allocated,outages,throughput_bps``.
+
+    The throughput is each strategy's at its first Es/N0 point, a run's one point.
+    """
     rows = (
-        [m.episode, slot, strategy.value, allocated, outages, repr(throughput)]
-        for strategy in sorted(metrics_by_strategy, key=lambda s: s.value)
-        for m in metrics_by_strategy[strategy]
-        for slot, allocated, outages, throughput in zip(
-            m.pair_slots.tolist(),
-            m.pair_allocated.tolist(),
-            m.pair_outages.tolist(),
-            m.pair_throughput_bps.tolist(),
+        [episode, slot, strategy.value, allocated, outages, repr(throughput)]
+        for strategy, m in sorted(metrics_by_strategy.items(), key=lambda item: item[0].value)
+        for episode, pairs in enumerate(
+            zip(m.allocated.tolist(), m.outages.tolist(), m.throughput_bps[0].tolist())
         )
+        for slot, allocated, outages, throughput in zip(m.pair_slots.tolist(), *pairs)
     )
     header = ["episode", "slot", "strategy", "allocated", "outages", "throughput_bps"]
     write_csv(path, header, rows)
 
 
-def write_trace_csv(path: str | Path, metrics_list: list[EpisodeMetrics]) -> None:
+def write_trace_csv(path: str | Path, metrics: StrategyMetrics) -> None:
     """Designated-band state trace CSV: ``episode,slot,actual,default,predicted``."""
     rows = (
         # the slot is the predicted/actual one, a pair's second
-        [m.episode, slot + 1, *states]
-        for m in metrics_list
-        for slot, states in zip(m.pair_slots.tolist(), m.trace.tolist())
+        [episode, slot + 1, *states]
+        for episode, trace in enumerate(metrics.trace.tolist())
+        for slot, states in zip(metrics.pair_slots.tolist(), trace)
     )
     write_csv(path, ["episode", "slot", "actual", "default", "predicted"], rows)

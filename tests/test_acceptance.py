@@ -67,8 +67,8 @@ def _params(es_db=10.0):
 
 
 def _cell(scenario, config, strategies, es_grid_db=(10.0,)):
-    """One `run_strategies` call: the per-episode metrics of each of
-    `strategies` at each Es/N0 point of `es_grid_db` (dB)."""
+    """One `run_strategies` call: the metrics of each of `strategies`
+    at each Es/N0 point of `es_grid_db` (dB)."""
     points = [_params(es_db).es_over_n0 for es_db in es_grid_db]
     return run_strategies(scenario, config, _params(), strategies, points)
 
@@ -155,8 +155,8 @@ def test_criterion_4a_outage_trend_at_table_defaults():
     config = EpisodeConfig(slots=100, episodes=100, n_train=20, seed=1001)
     # each episode's outage rate, the first summary row, of each strategy
     predicted, persisted = (
-        summarize(metrics)[0]
-        for [metrics] in _cell(
+        summarize(metrics)[0, 0]
+        for metrics in _cell(
             TABLE_DEFAULTS, config, [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION]
         )
     )
@@ -199,24 +199,22 @@ def test_criterion_4b_period_two_chain_exact():
     params = _params()
 
     def scored(strategy):
+        """The episode's allocations and outage rate (0 when nothing was allocated)."""
         topology, processes = world(7)
         (decided,) = run_episode(config, topology, processes, params, 0, (strategy,))
-        (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
-        return metrics
+        allocated, outages, _, _ = score_episode(decided, strategy, [params.es_over_n0], params)
+        allocated, outages = int(allocated.sum()), int(outages.sum())
+        return allocated, outages / allocated if allocated > 0 else 0.0
 
-    predicted = scored(Strategy.PREDICT_AGGREGATE)
-    persisted = scored(Strategy.NO_PREDICTION)
+    _, predicted = scored(Strategy.PREDICT_AGGREGATE)
+    allocated, persisted = scored(Strategy.NO_PREDICTION)
     runtime = time.perf_counter() - start
-    ok = (
-        predicted.outage_rate == 0.0
-        and persisted.pair_allocated.sum() > 0
-        and persisted.outage_rate == 1.0
-    )
+    ok = predicted == 0.0 and allocated > 0 and persisted == 1.0
     detail = _report(
         "4b",
         ok,
-        f"prediction outage={predicted.outage_rate} persistence "
-        f"outage={persisted.outage_rate} over {persisted.pair_allocated.sum()} "
+        f"prediction outage={predicted} persistence "
+        f"outage={persisted} over {allocated} "
         f"allocations runtime={runtime:.1f}s",
     )
     assert ok, detail
@@ -257,10 +255,10 @@ def test_criterion_5_throughput_trends_and_dominance():
         for scenario in scenarios:
             # one cell per scenario: both strategies over the whole Es/N0 grid
             runs = _cell(scenario, config, strategies, ES_GRID_DB)
-            for strategy, by_point in zip(strategies, runs):
-                for es_db, metrics in zip(ES_GRID_DB, by_point):
+            for strategy, metrics in zip(strategies, runs):
+                for es_db, summary in zip(ES_GRID_DB, summarize(metrics)):
                     # the second summary row
-                    cells.setdefault((strategy, es_db), []).append(summarize(metrics)[1])
+                    cells.setdefault((strategy, es_db), []).append(summary[1])
         for es_db in ES_GRID_DB:
             for agg, trimmed in zip(
                 cells[Strategy.PREDICT_AGGREGATE, es_db], cells[Strategy.NO_AGGREGATION, es_db]
@@ -290,7 +288,7 @@ def capacity_runs():
     config = EpisodeConfig(slots=100, episodes=100, n_train=20, seed=1003)
     strategies = [Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION, Strategy.SINGLE_USER]
     runs = _cell(TABLE_DEFAULTS, config, strategies)
-    return {strategy: summarize(metrics) for strategy, [metrics] in zip(strategies, runs)}
+    return {strategy: summarize(metrics)[0] for strategy, metrics in zip(strategies, runs)}
 
 
 def test_criterion_6a_worst_aggregating_user_beats_best_trimmed_user(capacity_runs):
@@ -327,9 +325,11 @@ def test_criterion_7_prediction_matches_vs_default():
     """Over 100 seeds of 20 compared slots on the persistence-0.6 chain."""
     start = time.perf_counter()
     config = EpisodeConfig(slots=40, episodes=100, n_train=20, seed=1004)
-    [[metrics]] = _cell(TABLE_DEFAULTS, config, [Strategy.PREDICT_AGGREGATE])
-    pred = np.array([m.prediction_match_count for m in metrics], dtype=float)
-    default = np.array([m.default_match_count for m in metrics], dtype=float)
+    [metrics] = _cell(TABLE_DEFAULTS, config, [Strategy.PREDICT_AGGREGATE])
+    # each episode's matches of the designated band's actual states
+    actual, default, predicted = np.moveaxis(metrics.trace, -1, 0)
+    pred = (predicted == actual).sum(-1).astype(float)
+    default = (default == actual).sum(-1).astype(float)
     runtime = time.perf_counter() - start
     ok = pred.mean() >= default.mean() and runtime < 30.0
     detail = _report(

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import csv
 import inspect
 import io
 import math
@@ -12,6 +13,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -216,6 +218,31 @@ class TestRunCommand:
         second = {name: path.read_bytes() for name, path in run_single(config).items()}
         assert first == second
 
+    @pytest.mark.parametrize("sensing_error_rate", ["0", "0.1"])
+    def test_the_summary_is_explained_by_the_metrics(self, tmp_path, sensing_error_rate):
+        # per episode: outages over allocations (0 where none) and the pair
+        # mean of throughput; then each strategy's episode mean of both
+        paths = run_single(fast_config(tmp_path, sensing_error_rate=sensing_error_rate))
+        with open(paths["metrics"], newline="") as fh:
+            pairs = list(csv.DictReader(fh))
+        with open(paths["summary"], newline="") as fh:
+            summary = {row["strategy"]: row for row in csv.DictReader(fh)}
+        assert sorted(summary) == sorted(s.value for s in Strategy)
+        for strategy, row in summary.items():
+            episodes = {}
+            for pair in pairs:
+                if pair["strategy"] == strategy:
+                    episodes.setdefault(pair["episode"], []).append(pair)
+            assert len(episodes) == int(FAST["episodes"])
+            outage, throughput = [], []
+            for rows in episodes.values():
+                allocated = sum(int(r["allocated"]) for r in rows)
+                outages = sum(int(r["outages"]) for r in rows)
+                outage.append(outages / allocated if allocated else 0.0)
+                throughput.append(np.mean([float(r["throughput_bps"]) for r in rows]))
+            assert row["mean_outage"] == repr(float(np.mean(outage)))
+            assert row["mean_throughput_bps"] == repr(float(np.mean(throughput)))
+
 
 class TestSweepCommand:
     def test_invalid_axis_lists_valid_ones(self, tmp_path):
@@ -365,8 +392,8 @@ class TestSweepCommand:
         rows = run_sweep(config, "p0", ["0.3"]).read_text().splitlines()[1:]
         assert len(rows) == 2 * len(cli.SWEEP_STRATEGIES)
         (by_strategy,) = runs
-        for by_point in by_strategy:
-            assert [len(metrics) for metrics in by_point] == [config.episodes] * 2
+        for metrics in by_strategy:
+            assert metrics.throughput_bps.shape[:2] == (2, config.episodes)
 
     def test_rows_do_not_depend_on_the_other_sweep_values(self, tmp_path):
         # sweep values enter no stream derivation, so a cell's row is the

@@ -1,6 +1,9 @@
-"""Every demo script runs to completion and prints its recorded output."""
+"""Every demo script runs to completion and prints its recorded output,
+and the README's library quick start runs as printed."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -40,3 +43,21 @@ def test_demo_exits_zero(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr.decode()
     assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[demo.stem]
+
+
+def test_readme_library_quick_start_runs():
+    # the fenced python block under "Library quick start" runs as printed
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), namespace)
+    lines = out.getvalue().splitlines()
+    strategies = namespace["strategies"]
+    assert len(lines) == len(strategies) == 2
+    for line, strategy in zip(lines, strategies):
+        name, outage, throughput = line.split()
+        assert name == strategy.value
+        assert 0.0 <= float(outage) <= 1.0 and float(throughput) > 0.0

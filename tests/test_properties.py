@@ -23,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import seed_sequence_rng, slotwise_sense
+
 from specagg import simulation
 from specagg.aggregation import (
     UNASSIGNED,
@@ -271,39 +273,44 @@ def grid_cells(draw):
     return scenario, config, params, strategies, grid
 
 
-METRIC_ARRAYS = ("pair_allocated", "pair_outages", "pair_throughput_bps",
-                 "user_capacity_bps", "trace")
+METRIC_ARRAYS = ("pair_slots", "allocated", "outages", "throughput_bps", "user_capacity_bps",
+                 "trace")
 
 
-def assert_same_metrics(a, b):
-    assert (a.strategy, a.episode) == (b.strategy, b.episode)
-    assert (a.prediction_match_count, a.default_match_count) == (
-        b.prediction_match_count, b.default_match_count)
-    for name in METRIC_ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.shape == y.shape, name
-        assert x.tobytes() == y.tobytes(), name
+def assert_same_arrays(a, b):
+    assert len(a) == len(b)
+    for i, (x, y) in enumerate(zip(a, b)):
+        assert x.dtype == y.dtype and x.shape == y.shape, i
+        assert x.tobytes() == y.tobytes(), i
 
 
 def assert_cell_equals_separate_runs(scenario, config, params, strategies, points):
     together = run_strategies(scenario, config, params, strategies, points)
     assert len(together) == len(strategies)
-    for strategy, by_point in zip(strategies, together):
-        assert len(by_point) == len(points)
-        for es, metrics in zip(points, by_point):
+    for strategy, metrics in zip(strategies, together):
+        assert metrics.throughput_bps.shape == (len(points), config.episodes, config.pairs)
+        for j, es in enumerate(points):
             point_params = replace(params, es_over_n0=es)
+            throughput, capacity = metrics.throughput_bps[j], metrics.user_capacity_bps[j]
             # this strategy run alone at this point: a cell of one each
-            [[alone]] = run_strategies(scenario, config, point_params, [strategy], [es])
-            assert len(metrics) == len(alone) == config.episodes
-            for episode, (view, run) in enumerate(zip(metrics, alone)):
-                assert_same_metrics(view, run)
+            [alone] = run_strategies(scenario, config, point_params, [strategy], [es])
+            assert_same_arrays(
+                (metrics.pair_slots, metrics.allocated, metrics.outages, throughput[None],
+                 capacity[None], metrics.trace),
+                [getattr(alone, name) for name in METRIC_ARRAYS],
+            )
+            for episode in range(config.episodes):
                 # a decision pass of this strategy alone, scored at this point alone
                 topology, processes = build_episode_world(scenario, config, episode)
                 (decided,) = run_episode(
                     config, topology, processes, point_params, episode, (strategy,)
                 )
-                (scored,) = score_episode(decided, strategy, [es], point_params)
-                assert_same_metrics(view, scored)
+                scored = score_episode(decided, strategy, [es], point_params)
+                assert_same_arrays(
+                    (metrics.allocated[episode], metrics.outages[episode],
+                     throughput[None, episode], capacity[None, episode], metrics.trace[episode]),
+                    (*scored, decided.trace),
+                )
 
 
 @settings(max_examples=40, deadline=None)
@@ -320,6 +327,42 @@ def test_es_grid_views_keep_user_and_relay_indices_past_int8(users, relays):
     assert_cell_equals_separate_runs(
         scenario, config, RadioParams(), list(Strategy), [0.1, 10.0, 1000.0]
     )
+
+
+@st.composite
+def traced_cells(draw):
+    """A small cell under perfect or noisy sensing, tracing any of its bands."""
+    scenario, config, params, _, _ = draw(grid_cells())
+    config = replace(
+        config,
+        sensing_error_rate=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        designated_band=draw(st.integers(0, scenario.bands - 1)),
+    )
+    return scenario, config, params
+
+
+@settings(max_examples=30, deadline=None)
+@given(traced_cells())
+def test_the_trace_is_the_designated_bands_truth_and_first_users_view(cell):
+    # actual: the truth at each pair's second slot; default: user 0's sensed
+    # state at its first slot, which persistence predicts; every strategy
+    # traces the same two, and the predicting ones the same prediction
+    scenario, config, params = cell
+    runs = run_strategies(scenario, config, params, list(Strategy), [1.0])
+    band, err = config.designated_band, config.sensing_error_rate
+    first = runs[0].pair_slots
+    for episode in range(config.episodes):
+        _, processes = build_episode_world(scenario, config, episode)
+        truth = processes.trajectory()[: config.slots]
+        rng = seed_sequence_rng(config.seed, "sense", episode, "src", 0)
+        sensed = slotwise_sense(truth, err, rng) if err > 0 else truth
+        predicted = runs[0].trace[episode, :, 2]
+        for strategy, metrics in zip(Strategy, runs):
+            actual, default, guess = metrics.trace[episode].T
+            np.testing.assert_array_equal(actual, truth[first + 1, band])
+            np.testing.assert_array_equal(default, sensed[first, band])
+            persisted = strategy == Strategy.NO_PREDICTION
+            np.testing.assert_array_equal(guess, default if persisted else predicted)
 
 
 # one small noisy cell whose views each strategy of a pass scores in one batch

@@ -2,6 +2,7 @@
 
 import pickle
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -61,18 +62,39 @@ def _world(matrix, p0, bands, seed, slots, users=2, relays=4, coverage=1.0):
     return topology, processes
 
 
+# one pass's metrics at one Es/N0 point, and its designated-band trace
+Scored = namedtuple("Scored", "allocated outages throughput_bps user_capacity_bps trace")
+
+
 def _scored(strategy, config, topology, processes, params, episode=0):
     """The metrics of `strategy` on its decision pass, at `params`' Es/N0."""
     (decided,) = run_episode(config, topology, processes, params, episode, (strategy,))
-    (metrics,) = score_episode(decided, strategy, [params.es_over_n0], params)
-    return metrics
+    allocated, outages, [throughput], [capacity] = score_episode(
+        decided, strategy, [params.es_over_n0], params
+    )
+    return Scored(allocated, outages, throughput, capacity, decided.trace)
+
+
+def _matches(trace):
+    """The (prediction, default) match counts of a (..., pairs, 3) trace."""
+    actual, default, predicted = np.moveaxis(trace, -1, 0)
+    return (predicted == actual).sum(-1), (default == actual).sum(-1)
 
 
 def _alone(strategy, scenario, config, params):
-    """The per-episode metrics of `strategy` run alone at `params`' Es/N0:
-    a cell of one strategy at one point."""
-    [[metrics]] = run_strategies(scenario, config, params, [strategy], [params.es_over_n0])
+    """The metrics of `strategy` run alone at `params`' Es/N0: a cell of
+    one strategy at one point."""
+    [metrics] = run_strategies(scenario, config, params, [strategy], [params.es_over_n0])
     return metrics
+
+
+def _at(metrics, j):
+    """A cell's `metrics` at its point j alone, as a cell of that one point has them."""
+    return replace(
+        metrics,
+        throughput_bps=metrics.throughput_bps[j : j + 1],
+        user_capacity_bps=metrics.user_capacity_bps[j : j + 1],
+    )
 
 
 class TestEpisodeConfig:
@@ -121,9 +143,9 @@ class TestStaticGoodSpectrum:
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
         metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
-        assert metrics.pair_outages.sum() == 0
-        np.testing.assert_array_equal(metrics.pair_allocated, 9)
-        assert np.all(metrics.pair_throughput_bps > 0)
+        assert metrics.outages.sum() == 0
+        np.testing.assert_array_equal(metrics.allocated, 9)
+        assert np.all(metrics.throughput_bps > 0)
 
     def test_prediction_cannot_help_a_constant_channel(self):
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)
@@ -135,8 +157,8 @@ class TestStaticGoodSpectrum:
             metrics = _scored(strategy, config, topology, processes, RadioParams())
             results[strategy] = metrics
         a, b = results.values()
-        np.testing.assert_array_equal(a.pair_throughput_bps, b.pair_throughput_bps)
-        assert a.pair_outages.sum() == b.pair_outages.sum() == 0
+        np.testing.assert_array_equal(a.throughput_bps, b.throughput_bps)
+        assert a.outages.sum() == b.outages.sum() == 0
 
     def test_state_match_trace_all_agree(self):
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)
@@ -144,8 +166,7 @@ class TestStaticGoodSpectrum:
             ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
         )
         metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
-        assert metrics.prediction_match_count == config.pairs
-        assert metrics.default_match_count == config.pairs
+        assert _matches(metrics.trace) == (config.pairs, config.pairs)
         assert metrics.trace.shape == (config.pairs, 3)
 
 
@@ -160,16 +181,15 @@ class TestPeriodTwoChain:
 
     def test_prediction_avoids_every_outage(self):
         metrics = self._run(Strategy.PREDICT_AGGREGATE)
-        assert metrics.pair_allocated.sum() == 0
-        assert metrics.outage_rate == 0.0
+        assert metrics.allocated.sum() == 0
+        assert metrics.outages.sum() == 0
 
     def test_persistence_baseline_outages_on_every_allocation(self):
         metrics = self._run(Strategy.NO_PREDICTION)
-        assert metrics.pair_allocated.sum() > 0
-        np.testing.assert_array_equal(metrics.pair_outages, metrics.pair_allocated)
-        assert metrics.outage_rate == 1.0
+        assert metrics.allocated.sum() > 0
+        np.testing.assert_array_equal(metrics.outages, metrics.allocated)
         # throughput never counts an outage band
-        assert np.all(metrics.pair_throughput_bps == 0.0)
+        assert np.all(metrics.throughput_bps == 0.0)
 
     def test_hand_traced_six_slot_run(self):
         # slots 0..5, training window 3, pairs at t = 2, 3, 4.  Bands in
@@ -181,7 +201,7 @@ class TestPeriodTwoChain:
         topology, processes = _world(PERIOD_TWO, 0.5, bands=6, seed=11, slots=6)
         truth0 = processes.states.copy()
         metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
-        assert metrics.pair_allocated.sum() == 0
+        assert metrics.allocated.sum() == 0
 
         topology, processes = _world(PERIOD_TWO, 0.5, bands=6, seed=11, slots=6)
         baseline = _scored(Strategy.NO_PREDICTION, config, topology, processes, RadioParams())
@@ -189,13 +209,12 @@ class TestPeriodTwoChain:
         # currently in Good state, alternating with the phase
         good_now = int((truth0 == SpectrumState.GOOD).sum())
         expected = [good_now if t % 2 == 0 else 6 - good_now for t in (2, 3, 4)]
-        np.testing.assert_array_equal(baseline.pair_allocated, expected)
-        np.testing.assert_array_equal(baseline.pair_outages, expected)
+        np.testing.assert_array_equal(baseline.allocated, expected)
+        np.testing.assert_array_equal(baseline.outages, expected)
 
     def test_state_match_trace_prediction_wins(self):
         metrics = self._run(Strategy.PREDICT_AGGREGATE)
-        assert metrics.prediction_match_count == metrics.trace.shape[0]
-        assert metrics.default_match_count == 0
+        assert _matches(metrics.trace) == (metrics.trace.shape[0], 0)
 
 
 class TestNoAggregationBaseline:
@@ -226,25 +245,24 @@ class TestNoAggregationBaseline:
                 ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=1, seed=5, slots=12, users=1
             )
             metrics = _scored(strategy, config, topology, processes, RadioParams())
-            results.append(metrics.pair_throughput_bps)
+            results.append(metrics.throughput_bps)
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_at_most_one_band_per_user_each_pair(self):
         scenario = NetworkScenario(users=3, relays=8, bands=20)
         config = EpisodeConfig(slots=30, episodes=2, n_train=20, seed=7)
-        for metrics in _alone(Strategy.NO_AGGREGATION, scenario, config, RadioParams()):
-            assert np.all(metrics.pair_allocated <= scenario.users)
+        metrics = _alone(Strategy.NO_AGGREGATION, scenario, config, RadioParams())
+        assert np.all(metrics.allocated <= scenario.users)
 
     def test_never_beats_aggregation_in_any_run(self):
         scenario = NetworkScenario(users=3, relays=8, bands=20)
         params = RadioParams()
         base = EpisodeConfig(slots=30, episodes=4, n_train=20, seed=13)
-        [full], [trimmed] = run_strategies(
+        full, trimmed = run_strategies(
             scenario, base, params, [Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION],
             [params.es_over_n0],
         )
-        for a, b in zip(full, trimmed):
-            assert np.all(a.pair_throughput_bps >= b.pair_throughput_bps - 1e-9)
+        assert np.all(full.throughput_bps >= trimmed.throughput_bps - 1e-9)
 
 
 class TestSingleUserBaseline:
@@ -258,7 +276,7 @@ class TestSingleUserBaseline:
         )
         scenario = NetworkScenario(users=4, relays=10, bands=15)
         params = RadioParams()
-        (via_strategy,) = _alone(Strategy.SINGLE_USER, scenario, config, params)
+        via_strategy = _alone(Strategy.SINGLE_USER, scenario, config, params)
         topology, processes = build_episode_world(scenario, config, episode=0)
         alpha, beta = episode_draws(config.seed, 0, config.pairs, topology.relays, 4)
         sources, relays = sensing_offsets(
@@ -270,9 +288,12 @@ class TestSingleUserBaseline:
             config, topology.restrict_to_user(0), processes, params, 0,
             (Strategy.PREDICT_AGGREGATE,),
         )
-        (direct,) = score_episode(decided, Strategy.SINGLE_USER, [params.es_over_n0], params)
-        assert via_strategy.user_capacity_bps.shape == (1,)
-        assert pickle.dumps(via_strategy) == pickle.dumps(direct)
+        direct = score_episode(decided, Strategy.SINGLE_USER, [params.es_over_n0], params)
+        assert via_strategy.user_capacity_bps.shape == (1, 1, 1)
+        episode = (via_strategy.allocated[0], via_strategy.outages[0],
+                   via_strategy.throughput_bps[:, 0], via_strategy.user_capacity_bps[:, 0])
+        assert pickle.dumps(episode) == pickle.dumps(direct)
+        assert via_strategy.trace[0].tobytes() == decided.trace.tobytes()
 
     def test_disconnected_pair_has_zero_capacity(self):
         config = EpisodeConfig(slots=24, episodes=1, n_train=20, seed=9)
@@ -282,7 +303,7 @@ class TestSingleUserBaseline:
         metrics = _scored(
             Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams(), episode=0
         )
-        assert metrics.pair_allocated.sum() == 0
+        assert metrics.allocated.sum() == 0
         np.testing.assert_array_equal(metrics.user_capacity_bps, [0.0])
 
 
@@ -303,20 +324,18 @@ class TestDeterminismAndPairing:
         for strategy in Strategy:
             config = EpisodeConfig(slots=28, episodes=2, n_train=20, seed=21)
             metrics = _alone(strategy, scenario, config, params)
-            traces.append(np.stack([m.trace[:, 0] for m in metrics]))
+            traces.append(metrics.trace[..., 0])
         for other in traces[1:]:
             np.testing.assert_array_equal(traces[0], other)
 
     def test_outage_accounting_is_conserved(self):
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(slots=40, episodes=3, n_train=20, seed=2)
-        for metrics in _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams()):
-            assert np.all(metrics.pair_outages <= metrics.pair_allocated)
-            # a pair where every allocation failed moves no data
-            fully_failed = (metrics.pair_outages == metrics.pair_allocated) & (
-                metrics.pair_allocated > 0
-            )
-            assert np.all(metrics.pair_throughput_bps[fully_failed] == 0.0)
+        metrics = _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
+        assert np.all(metrics.outages <= metrics.allocated)
+        # a pair where every allocation failed moves no data
+        fully_failed = (metrics.outages == metrics.allocated) & (metrics.allocated > 0)
+        assert np.all(metrics.throughput_bps[0][fully_failed] == 0.0)
 
     def test_seed_changes_the_world(self):
         scenario = NetworkScenario(users=3, relays=6, bands=12)
@@ -325,7 +344,7 @@ class TestDeterminismAndPairing:
             _alone(Strategy.PREDICT_AGGREGATE, scenario, config, params)
             for config in (EpisodeConfig(slots=28, episodes=1, seed=seed) for seed in (1, 2))
         )
-        assert not np.array_equal(a[0].trace, b[0].trace)
+        assert not np.array_equal(a.trace[0], b.trace[0])
 
     @pytest.mark.parametrize("strategy", [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION])
     def test_decisions_depend_on_neither_es_over_n0_nor_transmit_power(self, strategy):
@@ -439,11 +458,11 @@ class TestSharedDraws:
         draws = [tokens for tokens in streams if tokens[0] in ("budget", "gain")]
         assert len(draws) == config.episodes * per_episode
         assert len(together) == len(strategies)
-        for strategy, by_point in zip(strategies, together):
-            assert len(by_point) == len(points)
-            for es, metrics in zip(points, by_point):
+        for strategy, metrics in zip(strategies, together):
+            assert len(metrics.throughput_bps) == len(points)
+            for j, es in enumerate(points):
                 alone = _alone(strategy, scenario, config, replace(params, es_over_n0=es))
-                assert pickle.dumps(metrics) == pickle.dumps(alone)
+                assert pickle.dumps(_at(metrics, j)) == pickle.dumps(alone)
 
     def test_repeated_points_each_get_every_episode(self):
         # two equal points are two (strategy, point) results, not one
@@ -451,19 +470,31 @@ class TestSharedDraws:
         scenario = NetworkScenario(users=2, relays=4, bands=8)
         config = EpisodeConfig(slots=24, episodes=2, n_train=20, seed=3)
         runs = run_strategies(scenario, config, RadioParams(), list(Strategy), [1.0, 1.0])
-        for strategy, by_point in zip(Strategy, runs):
-            assert len(by_point) == 2
-            for metrics in by_point:
-                assert [m.episode for m in metrics] == list(range(config.episodes))
-                assert {m.strategy for m in metrics} == {strategy}
-            assert pickle.dumps(by_point[0]) == pickle.dumps(by_point[1])
+        for metrics in runs:
+            assert metrics.throughput_bps.shape == (2, config.episodes, config.pairs)
+            assert metrics.user_capacity_bps.shape[:2] == (2, config.episodes)
+            assert pickle.dumps(_at(metrics, 0)) == pickle.dumps(_at(metrics, 1))
 
     @pytest.mark.parametrize("es", [0.0, -1.0, float("nan"), float("inf")])
-    def test_a_point_outside_its_declaration_is_a_config_error(self, es):
+    def test_a_point_outside_its_declaration_is_a_config_error(self, es, monkeypatch):
         scenario = NetworkScenario(users=2, relays=4, bands=8)
         config = EpisodeConfig(slots=24, episodes=1, n_train=20)
+        # refused before any episode runs
+        monkeypatch.setattr(
+            simulation, "build_episode_world", lambda *_: pytest.fail("an episode ran")
+        )
         with pytest.raises(ConfigError, match="es_over_n0 must lie in"):
             run_strategies(scenario, config, RadioParams(), list(Strategy), [1.0, es])
+
+    @pytest.mark.parametrize("es", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scoring_at_a_point_outside_its_declaration_is_a_config_error(self, es):
+        # unchecked, nan and inf would score nan and inf, 0 zeros, and -1 fail in link_throughput
+        config = EpisodeConfig(slots=10, episodes=1, n_train=4, seed=3)
+        topology, processes = _world(PERIOD_TWO, 0.5, bands=8, seed=3, slots=10)
+        rule = (Strategy.PREDICT_AGGREGATE,)
+        (decided,) = run_episode(config, topology, processes, RadioParams(), 0, rule)
+        with pytest.raises(ConfigError, match="es_over_n0 must lie in"):
+            score_episode(decided, Strategy.PREDICT_AGGREGATE, [1.0, es], RadioParams())
 
     @pytest.mark.parametrize("gain_model", ["rayleigh", "unit"])
     def test_draws_are_read_only_and_match_a_fresh_draw(self, gain_model):
@@ -503,10 +534,10 @@ class TestSharedDraws:
             for i in range(n)
         ]
         assert sensed == expected
-        for strategy, by_point in zip(Strategy, together):
-            for es, metrics in zip(points, by_point):
+        for strategy, metrics in zip(Strategy, together):
+            for j, es in enumerate(points):
                 alone = _alone(strategy, scenario, config, RadioParams(es_over_n0=es))
-                assert pickle.dumps(metrics) == pickle.dumps(alone)
+                assert pickle.dumps(_at(metrics, j)) == pickle.dumps(alone)
 
     def test_each_p0_value_senses_its_own_truth(self):
         # one-episode runs at two p0 values draw the same sensing errors,
@@ -521,7 +552,7 @@ class TestSharedDraws:
             _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
             for scenario in scenarios
         ]
-        assert not np.array_equal(in_turn[0][0].trace, in_turn[1][0].trace)
+        assert not np.array_equal(in_turn[0].trace, in_turn[1].trace)
         for scenario, metrics in reversed(list(zip(scenarios, in_turn))):
             alone = _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
             assert pickle.dumps(metrics) == pickle.dumps(alone)
@@ -608,12 +639,18 @@ class TestLockstepPass:
 
     @pytest.mark.parametrize("strategy", [Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION])
     def test_a_pass_scored_at_no_points_has_no_metrics(self, strategy):
-        # list in, list out: no points once ended in a ZeroDivisionError
+        # no points give empty point axes, not a ZeroDivisionError
         config = EpisodeConfig(slots=10, episodes=1, n_train=4, seed=3)
         topology, processes = _world(PERIOD_TWO, 0.5, bands=8, seed=3, slots=10)
         rule = (Strategy.PREDICT_AGGREGATE,)
         (decided,) = run_episode(config, topology, processes, RadioParams(), 0, rule)
-        assert score_episode(decided, strategy, [], RadioParams()) == []
+        allocated, outages, throughput, capacity = score_episode(
+            decided, strategy, [], RadioParams()
+        )
+        assert throughput.shape == (0, config.pairs) and capacity.shape == (0, 2)
+        # the counts do not depend on Es/N0
+        at_one_point = score_episode(decided, strategy, [1.0], RadioParams())
+        assert pickle.dumps((allocated, outages)) == pickle.dumps(at_one_point[:2])
 
     def test_a_cell_without_strategies_has_no_results(self):
         scenario = NetworkScenario(users=2, relays=4, bands=8)
@@ -630,8 +667,8 @@ class TestRadioSwitches:
         )
         params = RadioParams(gain_model="unit")
         metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, params)
-        assert metrics.pair_outages.sum() == 0
-        assert np.all(metrics.pair_allocated == 9)
+        assert metrics.outages.sum() == 0
+        assert np.all(metrics.allocated == 9)
 
     def test_min_hop_never_beats_second_hop(self):
         # the weaker-hop rule can only lower the per-band SNR
@@ -641,8 +678,7 @@ class TestRadioSwitches:
             _alone(Strategy.PREDICT_AGGREGATE, scenario, config, params)
             for params in (RadioParams(), RadioParams(snr_combining="min_hop"))
         )
-        for a, b in zip(second, weaker):
-            assert np.all(a.pair_throughput_bps >= b.pair_throughput_bps - 1e-9)
+        assert np.all(second.throughput_bps >= weaker.throughput_bps - 1e-9)
 
 
 class TestSummaries:
@@ -651,19 +687,17 @@ class TestSummaries:
         config = EpisodeConfig(slots=26, episodes=3, n_train=20, seed=4)
         metrics = _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
         summary = summarize(metrics)
-        assert summary.shape == (4, 3)
-        outage, throughput, least, greatest = summary
-        assert outage.tolist() == [m.outage_rate for m in metrics]
-        assert throughput.tolist() == [m.mean_throughput_bps for m in metrics]
-        np.testing.assert_array_equal(least, [m.user_capacity_bps.min() for m in metrics])
+        assert summary.shape == (1, 4, 3)
+        [[outage, throughput, least, greatest]] = summary
+        counts = zip(metrics.outages.tolist(), metrics.allocated.tolist())
+        assert outage.tolist() == [
+            sum(outages) / sum(allocated) if sum(allocated) else 0.0
+            for outages, allocated in counts
+        ]
+        assert throughput.tolist() == [
+            float(np.array(pairs).mean()) for pairs in metrics.throughput_bps[0].tolist()
+        ]
+        np.testing.assert_array_equal(
+            least, [min(users) for users in metrics.user_capacity_bps[0].tolist()]
+        )
         assert np.all(least <= greatest)
-
-    def test_baseline_wrappers_set_strategy(self):
-        # each baseline's metrics record the strategy that produced them
-        scenario = NetworkScenario(users=2, relays=5, bands=10)
-        config = EpisodeConfig(slots=26, episodes=1, n_train=20, seed=4)
-        params = RadioParams()
-        for strategy in (Strategy.NO_PREDICTION, Strategy.NO_AGGREGATION):
-            topology, processes = build_episode_world(scenario, config, 0)
-            metrics = _scored(strategy, config, topology, processes, params)
-            assert metrics.strategy == strategy
