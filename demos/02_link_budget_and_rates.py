@@ -26,18 +26,18 @@ def main():
         print(f"  snr={snr:<6g} rate={link_throughput(params, snr) / 1e6:.3f} Mb/s")
 
     print("\ntwo-hop budget sampling at Es/N0 = 10 (linear):")
-    params = RadioParams(es_over_n0=10.0)
-    snr1, snr2 = sample_hop_snrs(params, np.random.default_rng(42), (5,))
+    es_over_n0 = 10.0
+    snr1, snr2 = sample_hop_snrs(es_over_n0, np.random.default_rng(42), (5,))
     for hop1, hop2 in zip(snr1, snr2):
         print(
             f"  hop1={hop1:7.3f}  hop2={hop2:7.3f}"
-            f"  sum={hop1 + hop2:7.3f}  < {2 * params.es_over_n0:.0f}"
+            f"  sum={hop1 + hop2:7.3f}  < {2 * es_over_n0:.0f}"
         )
 
-    snr1, snr2 = sample_hop_snrs(params, np.random.default_rng(0), (100_000,))
+    snr1, snr2 = sample_hop_snrs(es_over_n0, np.random.default_rng(0), (100_000,))
     print(
         f"\n100000 draws: max hop sum = {(snr1 + snr2).max():.4f}"
-        f" (always below {2 * params.es_over_n0:.0f})"
+        f" (always below {2 * es_over_n0:.0f})"
     )
 
 

@@ -109,18 +109,15 @@ class ConfigParseError(CLIError):
     """Raised for unknown keys, bad syntax or out-of-range values."""
 
 
-# library field -> its config key where the two differ; None leaves the
-# field out (the linear es_over_n0 is set from the dB key `es_n0_db`)
-_KEYS = {"p0_idle": "p0", "es_over_n0": None}
-
-# Every config key: the declared library fields, then the command line's own.
+# Every config key: the declared library fields, each under its own name,
+# then the command line's own.
 RunConfig = make_dataclass(
     "RunConfig",
     [
-        (_KEYS.get(f.name, f.name), f.type, field(default=f.default, metadata=f.metadata))
+        (f.name, f.type, field(default=f.default, metadata=f.metadata))
         for cls in (NetworkScenario, RadioParams, EpisodeConfig)
         for f in fields(cls)
-        if "interval" in f.metadata and _KEYS.get(f.name, f.name)
+        if "interval" in f.metadata
     ]
     + [
         ("es_n0_db", "float", param(10.0, db=True)),
@@ -273,10 +270,9 @@ def es_db_to_linear(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def _from_fields(cls, config: RunConfig, **special):
-    """A `cls` whose init fields not in `special` copy their `config` keys."""
-    names = [f.name for f in fields(cls) if f.init and f.name not in special]
-    return cls(**{name: getattr(config, _KEYS.get(name, name)) for name in names}, **special)
+def _from_fields(cls, config: RunConfig):
+    """A `cls` whose init fields copy the `config` keys of the same names."""
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if f.init})
 
 
 def scenario_from(config: RunConfig) -> NetworkScenario:
@@ -284,7 +280,7 @@ def scenario_from(config: RunConfig) -> NetworkScenario:
 
 
 def params_from(config: RunConfig) -> RadioParams:
-    return _from_fields(RadioParams, config, es_over_n0=es_db_to_linear(config.es_n0_db))
+    return _from_fields(RadioParams, config)
 
 
 def episode_config_from(config: RunConfig) -> EpisodeConfig:

@@ -124,13 +124,8 @@ def estimate_transition_matrices(windows: np.ndarray) -> np.ndarray:
         raise EstimationError("windows must be (bands, length>=2)")
     if np.any((windows < 0) | (windows >= N_STATES)):
         raise ValueError("state codes must be 0, 1 or 2")
-    # one window per band: count its pair codes, offset by band, in one pass
-    bands = windows.shape[0]
-    codes = windows[:, :-1] * N_STATES
-    codes += windows[:, 1:]
-    codes += np.arange(0, bands * N_STATES**2, N_STATES**2)[:, None]
-    counts = np.bincount(codes.ravel(), minlength=bands * N_STATES**2)
-    counts = counts.reshape(bands, N_STATES, N_STATES).astype(np.float64)
+    # the one window of every band, counted as the engine counts its windows
+    counts = window_transition_counts(windows.T, windows.shape[1])[0].astype(np.float64)
     totals = counts.sum(axis=2, keepdims=True)
     unseen = totals[:, :, 0] == 0
     totals[totals == 0.0] = 1.0

@@ -122,7 +122,7 @@ class NetworkScenario:
     relays: int = param(20, "[1, inf)")
     bands: int = param(100, "[1, inf)")
     coverage_probability: float = param(0.4, "(0, 1]")
-    p0_idle: float = param(0.4, "(0, 1)")
+    p0: float = param(0.4, "(0, 1)")
     persistence: float = param(0.6, "[0, 1)")
     good_fraction: float = param(0.75, "(0, 1)")
 

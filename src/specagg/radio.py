@@ -40,13 +40,14 @@ def snr_gap(ber: float, formula: str = "log2") -> float:
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Link and sweep parameters shared by every node.
+    """Link parameters shared by every node.
+
+    The end-to-end Es/N0, the sweep variable, is not one of them: a cell
+    is scored at its list of Es/N0 points (`simulation.run_strategies`).
 
     Attributes:
         band_width_hz: bandwidth of one spectrum band (b).
         ber: target bit error rate, in (0, 0.2).
-        es_over_n0: end-to-end SNR budget of a direct source-destination
-            link (linear ratio); the sweep variable.
         tx_power_w: per-node, per-band transmit power.
         gap_formula: 'log2' or 'natural_log' (see `snr_gap`).
         gain_model: per-(band, relay, slot-pair) power-gain law;
@@ -60,7 +61,6 @@ class RadioParams:
 
     band_width_hz: float = param(2e6, "(0, inf)")
     ber: float = param(1e-3, "(0, 0.2)")  # 5 * ber reaches 1 at 0.2
-    es_over_n0: float = param(10.0, "(0, inf)")
     tx_power_w: float = param(1.0, "(0, inf)")
     gap_formula: str = param("log2", choices=("log2", "natural_log"))
     gain_model: str = param("rayleigh", choices=("rayleigh", "unit"))
@@ -103,9 +103,10 @@ def sample_hop_splits(
 
 
 def sample_hop_snrs(
-    params: RadioParams, rng: np.random.Generator, shape: tuple[int, ...]
+    es_over_n0: float, rng: np.random.Generator, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (snr1, snr2) arrays of `shape`: the two hops of relayed links.
+    """Draw (snr1, snr2) arrays of `shape`: the two hops of relayed links
+    whose end-to-end budget is the linear `es_over_n0`.
 
     The splits come from `sample_hop_splits`; the hops are
 
@@ -113,5 +114,5 @@ def sample_hop_snrs(
         snr2 = (1 - alpha) * beta * 2 * Es/N0
     """
     alpha, beta = sample_hop_splits(rng, shape)
-    total = beta * 2.0 * params.es_over_n0
+    total = beta * 2.0 * es_over_n0
     return alpha * total, (1.0 - alpha) * total

@@ -54,7 +54,7 @@ from .aggregation import (
     two_slot_availability,
 )
 from .markov import SpectrumState, predict_next_states, window_transition_counts, wrap_states
-from .params import ConfigError, EpisodeConfig, NetworkScenario, Strategy, require
+from .params import ConfigError, EpisodeConfig, NetworkScenario, Strategy, param, violation
 from .radio import RadioParams, sample_hop_splits
 from .seeds import derive_rng, derive_rngs, derive_seed_sequence
 from .topology import (
@@ -215,10 +215,15 @@ def sensing_offsets(
     return tuple(offsets)
 
 
+# an Es/N0 point: a linear end-to-end SNR budget, the sweep variable
+_ES_POINT = param(None, "(0, inf)")
+
+
 def _require_es_points(points: list[float]) -> None:
-    """Raise `ConfigError` for an Es/N0 point of `points` outside `es_over_n0`'s declaration."""
+    """Raise `ConfigError` for an Es/N0 point of `points` outside `(0, inf)`."""
     for es in points:
-        require(RadioParams, "es_over_n0", es)
+        if message := violation("es_over_n0", es, _ES_POINT):
+            raise ConfigError(message)
 
 
 def score_episode(
@@ -403,16 +408,9 @@ def build_episode_world(
         scenario.coverage_probability,
         derive_rng(config.seed, "topology", episode),
     )
-    chain = derive_ground_truth_matrix(
-        scenario.p0_idle, scenario.persistence, scenario.good_fraction
-    )
-    process_config = SpectrumProcessConfig(
-        band_count=scenario.bands,
-        p0_idle=scenario.p0_idle,
-        ground_truth_matrix=chain,
-    )
+    chain = derive_ground_truth_matrix(scenario.p0, scenario.persistence, scenario.good_fraction)
     processes = BandProcessSet(
-        process_config,
+        SpectrumProcessConfig(band_count=scenario.bands, ground_truth_matrix=chain),
         derive_seed_sequence(config.seed, "truth", episode),
         max_slots=config.slots - 1,
     )
@@ -433,18 +431,19 @@ def run_strategies(
     """Run every episode of one cell's `strategies` at its Es/N0 `points`.
 
     This is the one way to run a cell, of one strategy or several.
-    `points` are linear Es/N0 values; results are reported at them, not
-    at `params.es_over_n0`.  Episodes run outer: each builds its world
-    once, runs its strategies' decision rules in one `run_episode` call,
-    and scores each strategy at every point in one `score_episode` call.
-    Returns the metrics of each of `strategies`, its points in the
-    order of `points`.
+    `points` are the cell's linear Es/N0 values, the only Es/N0 it has;
+    a repeated point is scored again.  Episodes run outer: each builds
+    its world once, runs its strategies' decision rules in one
+    `run_episode` call, and scores each strategy at every point in one
+    `score_episode` call.  Returns the metrics of each of `strategies`,
+    its points in the order of `points`; with no strategies, `[]`
+    before any world is built.
     """
     if not points:
         raise ConfigError("a cell needs at least one Es/N0 point")
     _require_es_points(points)
-    distinct = list(dict.fromkeys(points))
-    at = [distinct.index(es) for es in points]
+    if not strategies:
+        return []
     # the strategies' decision rules, each run once per episode
     rules = tuple(dict.fromkeys(_RULE.get(strategy, strategy) for strategy in strategies))
     pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
@@ -468,10 +467,10 @@ def run_strategies(
             rule = rules.index(_RULE.get(strategy, strategy))
             metrics.trace[episode] = passes[rule].trace
             allocated, outages, throughput, capacity = score_episode(
-                passes[rule], strategy, distinct, params)
+                passes[rule], strategy, points, params)
             metrics.allocated[episode], metrics.outages[episode] = allocated, outages
-            metrics.throughput_bps[:, episode] = throughput[at]
-            metrics.user_capacity_bps[:, episode] = capacity[at]
+            metrics.throughput_bps[:, episode] = throughput
+            metrics.user_capacity_bps[:, episode] = capacity
         # the passes are scored: free them before the next episode runs its own
         del passes
     return out

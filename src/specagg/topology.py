@@ -28,8 +28,6 @@ from .markov import (
 from .params import EpisodeConfig, NetworkScenario, is_integer, require
 from .seeds import spawn_rngs
 
-IDLE_MASS_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -76,9 +74,9 @@ def build_topology(
 
 
 def derive_ground_truth_matrix(
-    p0_idle: float, persistence: float, good_fraction: float
+    p0: float, persistence: float, good_fraction: float
 ) -> TransitionMatrix:
-    """Build a chain whose stationary idle mass is exactly `p0_idle`.
+    """Build a chain whose stationary idle mass is exactly `p0`.
 
     The chain is the lazy reversible form
 
@@ -86,15 +84,13 @@ def derive_ground_truth_matrix(
 
     with pi = (p0*good_fraction, p0*(1-good_fraction), 1-p0), so its
     stationary distribution is pi itself and the idle states carry mass
-    p0_idle by construction.  `persistence` is the probability of
+    p0 by construction.  `persistence` is the probability of
     freezing in place for one slot; 0 gives i.i.d. slots.
     """
-    require(NetworkScenario, "p0_idle", p0_idle)
+    require(NetworkScenario, "p0", p0)
     require(NetworkScenario, "persistence", persistence)
     require(NetworkScenario, "good_fraction", good_fraction)
-    pi = np.array(
-        [p0_idle * good_fraction, p0_idle * (1.0 - good_fraction), 1.0 - p0_idle]
-    )
+    pi = np.array([p0 * good_fraction, p0 * (1.0 - good_fraction), 1.0 - p0])
     probs = persistence * np.eye(N_STATES) + (1.0 - persistence) * np.ones(
         (N_STATES, 1)
     ) * pi
@@ -103,27 +99,21 @@ def derive_ground_truth_matrix(
 
 @dataclass(frozen=True)
 class SpectrumProcessConfig:
-    """Shape of the per-band ground-truth process.
-
-    `band_count` and `p0_idle` are checked as `NetworkScenario.bands`
-    and `.p0_idle`, and the chain's stationary idle mass (Good + Bad)
-    must match `p0_idle` within 1e-6.
-    """
+    """Shape of the per-band ground-truth process: its band count, checked
+    as `NetworkScenario.bands`, and the chain every band follows."""
 
     band_count: int
-    p0_idle: float
     ground_truth_matrix: TransitionMatrix
 
     def __post_init__(self):
         require(NetworkScenario, "bands", self.band_count)
-        require(NetworkScenario, "p0_idle", self.p0_idle)
+
+    @property
+    def p0_idle(self) -> float:
+        """The chain's stationary idle mass, Good + Bad: the scenario's `p0`
+        for a chain from `derive_ground_truth_matrix`."""
         pi = stationary_distribution(self.ground_truth_matrix)
-        idle_mass = pi[SpectrumState.GOOD] + pi[SpectrumState.BAD]
-        if abs(idle_mass - self.p0_idle) > IDLE_MASS_TOL:
-            raise ValueError(
-                f"stationary idle mass {idle_mass:.8f} does not match "
-                f"p0_idle {self.p0_idle}"
-            )
+        return float(pi[SpectrumState.GOOD] + pi[SpectrumState.BAD])
 
 
 class BandProcessSet:

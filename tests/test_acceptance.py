@@ -62,15 +62,16 @@ def _report(criterion, ok, detail):
     return detail
 
 
-def _params(es_db=10.0):
-    return RadioParams(es_over_n0=10.0 ** (es_db / 10.0))
+def _es(es_db=10.0):
+    """The linear Es/N0 of `es_db` dB."""
+    return 10.0 ** (es_db / 10.0)
 
 
 def _cell(scenario, config, strategies, es_grid_db=(10.0,)):
     """One `run_strategies` call: the metrics of each of `strategies`
     at each Es/N0 point of `es_grid_db` (dB)."""
-    points = [_params(es_db).es_over_n0 for es_db in es_grid_db]
-    return run_strategies(scenario, config, _params(), strategies, points)
+    points = [_es(es_db) for es_db in es_grid_db]
+    return run_strategies(scenario, config, RadioParams(), strategies, points)
 
 
 def test_criterion_1_transition_matrix_exactness():
@@ -187,22 +188,20 @@ def test_criterion_4b_period_two_chain_exact():
     def world(seed):
         topology = Topology(users=2, relays=4, coverage=np.ones((4, 2), dtype=bool))
         processes = BandProcessSet(
-            SpectrumProcessConfig(
-                band_count=16, p0_idle=0.5, ground_truth_matrix=period_two
-            ),
+            SpectrumProcessConfig(band_count=16, ground_truth_matrix=period_two),
             np.random.SeedSequence(seed),
             max_slots=29,
         )
         return topology, processes
 
     config = EpisodeConfig(slots=30, episodes=1, n_train=4, seed=7)
-    params = _params()
+    params = RadioParams()
 
     def scored(strategy):
         """The episode's allocations and outage rate (0 when nothing was allocated)."""
         topology, processes = world(7)
         (decided,) = run_episode(config, topology, processes, params, 0, (strategy,))
-        allocated, outages, _, _ = score_episode(decided, strategy, [params.es_over_n0], params)
+        allocated, outages, _, _ = score_episode(decided, strategy, [_es()], params)
         allocated, outages = int(allocated.sum()), int(outages.sum())
         return allocated, outages / allocated if allocated > 0 else 0.0
 
@@ -230,7 +229,7 @@ def test_criterion_5_throughput_trends_and_dominance():
     start = time.perf_counter()
     axes = {
         "p0": [
-            replace(TABLE_DEFAULTS, p0_idle=v) for v in (0.2, 0.4, 0.6)
+            replace(TABLE_DEFAULTS, p0=v) for v in (0.2, 0.4, 0.6)
         ],
         "band_count": [
             replace(TABLE_DEFAULTS, bands=v) for v in (50, 100, 150)

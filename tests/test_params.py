@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from specagg.cli import RunConfig
 from specagg.params import ConfigError, violation
 from specagg.radio import GapError, RadioParams, snr_gap
 from specagg.seeds import derive_rng, derive_seed_sequence
@@ -58,6 +59,16 @@ def test_every_parameter_is_declared():
     assert undeclared == []
 
 
+def test_every_declared_field_is_the_config_key_of_the_same_name():
+    # one name per parameter: the library field is the config key, flag and sweep axis
+    keys = {f.name: f for f in fields(RunConfig)}
+    for cls in DECLARING_CLASSES:
+        for f in fields(cls):
+            if "interval" in f.metadata:
+                assert f.name in keys, f"{cls.__name__}.{f.name}"
+                assert (keys[f.name].default, keys[f.name].metadata) == (f.default, f.metadata)
+
+
 @pytest.mark.parametrize(
     "cls, name, value", CASES, ids=[f"{c.__name__}.{n}={v}" for c, n, v in CASES]
 )
@@ -95,17 +106,14 @@ LOWER_LAYERS = [
     ("build_topology", lambda v: build_topology(2, 2, v, np.random.default_rng(0)),
      NetworkScenario, "coverage_probability"),
     ("derive_ground_truth_matrix", lambda v: derive_ground_truth_matrix(v, 0.6, 0.75),
-     NetworkScenario, "p0_idle"),
+     NetworkScenario, "p0"),
     ("derive_ground_truth_matrix", lambda v: derive_ground_truth_matrix(0.4, v, 0.75),
      NetworkScenario, "persistence"),
     ("derive_ground_truth_matrix", lambda v: derive_ground_truth_matrix(0.4, 0.6, v),
      NetworkScenario, "good_fraction"),
     ("SpectrumProcessConfig",
-     lambda v: SpectrumProcessConfig(band_count=v, p0_idle=0.4, ground_truth_matrix=MATRIX),
+     lambda v: SpectrumProcessConfig(band_count=v, ground_truth_matrix=MATRIX),
      NetworkScenario, "bands"),
-    ("SpectrumProcessConfig",
-     lambda v: SpectrumProcessConfig(band_count=1, p0_idle=v, ground_truth_matrix=MATRIX),
-     NetworkScenario, "p0_idle"),
     ("sense", lambda v: sense(np.zeros(3, dtype=np.int8), v, np.random.default_rng(0)),
      EpisodeConfig, "sensing_error_rate"),
     ("snr_gap", lambda v: snr_gap(v), RadioParams, "ber"),
@@ -145,7 +153,7 @@ def test_fractional_master_seed_is_refused(derive, seed):
 def test_fractional_band_count_is_refused_at_construction():
     # it used to build, and BandProcessSet then failed with a TypeError
     with pytest.raises(ValueError, match=r"^bands must be an integer, got 2\.5$"):
-        SpectrumProcessConfig(band_count=2.5, p0_idle=0.4, ground_truth_matrix=MATRIX)
+        SpectrumProcessConfig(band_count=2.5, ground_truth_matrix=MATRIX)
 
 
 def test_bool_is_not_an_integer_parameter():

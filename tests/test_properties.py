@@ -250,7 +250,7 @@ def grid_cells(draw):
         relays=draw(st.integers(1, 5)),
         bands=draw(st.integers(1, 7)),
         coverage_probability=draw(st.sampled_from([0.3, 0.7, 1.0])),
-        p0_idle=draw(st.sampled_from([0.3, 0.6])),
+        p0=draw(st.sampled_from([0.3, 0.6])),
     )
     n_train = draw(st.integers(2, 4))
     config = EpisodeConfig(
@@ -290,10 +290,9 @@ def assert_cell_equals_separate_runs(scenario, config, params, strategies, point
     for strategy, metrics in zip(strategies, together):
         assert metrics.throughput_bps.shape == (len(points), config.episodes, config.pairs)
         for j, es in enumerate(points):
-            point_params = replace(params, es_over_n0=es)
             throughput, capacity = metrics.throughput_bps[j], metrics.user_capacity_bps[j]
             # this strategy run alone at this point: a cell of one each
-            [alone] = run_strategies(scenario, config, point_params, [strategy], [es])
+            [alone] = run_strategies(scenario, config, params, [strategy], [es])
             assert_same_arrays(
                 (metrics.pair_slots, metrics.allocated, metrics.outages, throughput[None],
                  capacity[None], metrics.trace),
@@ -303,9 +302,9 @@ def assert_cell_equals_separate_runs(scenario, config, params, strategies, point
                 # a decision pass of this strategy alone, scored at this point alone
                 topology, processes = build_episode_world(scenario, config, episode)
                 (decided,) = run_episode(
-                    config, topology, processes, point_params, episode, (strategy,)
+                    config, topology, processes, params, episode, (strategy,)
                 )
-                scored = score_episode(decided, strategy, [es], point_params)
+                scored = score_episode(decided, strategy, [es], params)
                 assert_same_arrays(
                     (metrics.allocated[episode], metrics.outages[episode],
                      throughput[None, episode], capacity[None, episode], metrics.trace[episode]),
@@ -374,13 +373,13 @@ CELL_PARAMS = RadioParams(snr_combining="min_hop")
 @pytest.mark.parametrize(
     "cells",
     [
-        # unsorted points, one repeated: one batch point serves both
+        # unsorted points, one repeated: each is scored as its own point
         [(CELL_PARAMS, list(Strategy), [10.0, 0.1, 1000.0, 0.1])],
         # no-aggregation without the prediction strategy that shares its pass
         [(CELL_PARAMS, [Strategy.NO_AGGREGATION, Strategy.SINGLE_USER], [10.0, 0.1, 1000.0])],
         # strategies out of rule order: a pass's strategies arrive after other rules'
         [(CELL_PARAMS, list(reversed(Strategy)), [0.1, 10.0, 1000.0])],
-        # two cells, one call each; the second's params.es_over_n0 is not one of its points
+        # two cells, one call each, at different transmit powers
         [(CELL_PARAMS, list(Strategy), [0.1, 10.0]),
          (replace(CELL_PARAMS, tx_power_w=7.0), list(Strategy), [1000.0, 0.1])],
         # SNRs that round to 0 in one cell, near overflow in the other

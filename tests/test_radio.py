@@ -54,9 +54,7 @@ class TestRadioParams:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             RadioParams(band_width_hz=0)
-        with pytest.raises(ValueError):
-            RadioParams(es_over_n0=0)
-        for name in ("band_width_hz", "tx_power_w", "es_over_n0"):
+        for name in ("band_width_hz", "tx_power_w"):
             for value in (np.inf, np.nan):
                 with pytest.raises(ValueError, match=rf"{name} must lie in \(0, inf\)"):
                     RadioParams(**{name: value})
@@ -108,27 +106,24 @@ class _StubRng:
 
 class TestLinkBudget:
     def test_symmetric_split(self):
-        params = RadioParams(es_over_n0=10.0)
-        snr1, snr2 = sample_hop_snrs(params, _StubRng([0.5, 0.5]), (1,))
-        assert snr1 == pytest.approx(params.es_over_n0 / 2)
-        assert snr2 == pytest.approx(params.es_over_n0 / 2)
+        snr1, snr2 = sample_hop_snrs(10.0, _StubRng([0.5, 0.5]), (1,))
+        assert snr1 == pytest.approx(10.0 / 2)
+        assert snr2 == pytest.approx(10.0 / 2)
 
     def test_seeded_snapshot(self):
         # one link draws alpha, then beta, from the generator
         rng = np.random.default_rng(42)
-        snr1, snr2 = sample_hop_snrs(RadioParams(es_over_n0=10.0), rng, (1,))
+        snr1, snr2 = sample_hop_snrs(10.0, rng, (1,))
         assert snr1[0] == pytest.approx(BUDGET_SEED42_ES10[0], rel=1e-15)
         assert snr2[0] == pytest.approx(BUDGET_SEED42_ES10[1], rel=1e-15)
 
     def test_budget_constraint_over_many_draws(self):
         # the hop sum stays strictly under twice the end-to-end budget
-        params = RadioParams(es_over_n0=7.0)
-        snr1, snr2 = sample_hop_snrs(params, np.random.default_rng(1234), (10_000,))
+        snr1, snr2 = sample_hop_snrs(7.0, np.random.default_rng(1234), (10_000,))
         assert np.all(snr1 > 0) and np.all(snr2 > 0)
-        assert np.all(snr1 + snr2 < 2 * params.es_over_n0)
+        assert np.all(snr1 + snr2 < 2 * 7.0)
 
     def test_bulk_sampling_shares_the_constraint(self):
-        params = RadioParams(es_over_n0=3.0)
-        snr1, snr2 = sample_hop_snrs(params, np.random.default_rng(8), (200, 5))
-        assert np.all(snr1 + snr2 < 2 * params.es_over_n0)
+        snr1, snr2 = sample_hop_snrs(3.0, np.random.default_rng(8), (200, 5))
+        assert np.all(snr1 + snr2 < 2 * 3.0)
         assert np.all(snr1 > 0) and np.all(snr2 > 0)

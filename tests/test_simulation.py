@@ -49,13 +49,17 @@ PERIOD_TWO = TransitionMatrix(
 )
 
 
-def _world(matrix, p0, bands, seed, slots, users=2, relays=4, coverage=1.0):
+# the linear Es/N0 point a test scores at where it names none
+ES = 10.0
+
+
+def _world(matrix, bands, seed, slots, users=2, relays=4, coverage=1.0):
     topology_rng = np.random.default_rng(seed)
     coverage_matrix = topology_rng.random((relays, users)) < coverage
     coverage_matrix[0] = True  # keep every pair connected
     topology = Topology(users=users, relays=relays, coverage=coverage_matrix)
     processes = BandProcessSet(
-        SpectrumProcessConfig(band_count=bands, p0_idle=p0, ground_truth_matrix=matrix),
+        SpectrumProcessConfig(band_count=bands, ground_truth_matrix=matrix),
         np.random.SeedSequence(seed),
         max_slots=slots - 1,
     )
@@ -67,11 +71,9 @@ Scored = namedtuple("Scored", "allocated outages throughput_bps user_capacity_bp
 
 
 def _scored(strategy, config, topology, processes, params, episode=0):
-    """The metrics of `strategy` on its decision pass, at `params`' Es/N0."""
+    """The metrics of `strategy` on its decision pass, at the point `ES`."""
     (decided,) = run_episode(config, topology, processes, params, episode, (strategy,))
-    allocated, outages, [throughput], [capacity] = score_episode(
-        decided, strategy, [params.es_over_n0], params
-    )
+    allocated, outages, [throughput], [capacity] = score_episode(decided, strategy, [ES], params)
     return Scored(allocated, outages, throughput, capacity, decided.trace)
 
 
@@ -81,10 +83,10 @@ def _matches(trace):
     return (predicted == actual).sum(-1), (default == actual).sum(-1)
 
 
-def _alone(strategy, scenario, config, params):
-    """The metrics of `strategy` run alone at `params`' Es/N0: a cell of
+def _alone(strategy, scenario, config, params, es=ES):
+    """The metrics of `strategy` run alone at the Es/N0 `es`: a cell of
     one strategy at one point."""
-    [metrics] = run_strategies(scenario, config, params, [strategy], [params.es_over_n0])
+    [metrics] = run_strategies(scenario, config, params, [strategy], [es])
     return metrics
 
 
@@ -139,9 +141,7 @@ class TestStaticGoodSpectrum:
 
     def test_zero_outages_and_full_allocation(self):
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)
-        topology, processes = _world(
-            ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
-        )
+        topology, processes = _world(ALMOST_FROZEN_GOOD, bands=9, seed=5, slots=12)
         metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
         assert metrics.outages.sum() == 0
         np.testing.assert_array_equal(metrics.allocated, 9)
@@ -151,9 +151,7 @@ class TestStaticGoodSpectrum:
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)
         results = {}
         for strategy in (Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION):
-            topology, processes = _world(
-                ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
-            )
+            topology, processes = _world(ALMOST_FROZEN_GOOD, bands=9, seed=5, slots=12)
             metrics = _scored(strategy, config, topology, processes, RadioParams())
             results[strategy] = metrics
         a, b = results.values()
@@ -162,9 +160,7 @@ class TestStaticGoodSpectrum:
 
     def test_state_match_trace_all_agree(self):
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)
-        topology, processes = _world(
-            ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
-        )
+        topology, processes = _world(ALMOST_FROZEN_GOOD, bands=9, seed=5, slots=12)
         metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
         assert _matches(metrics.trace) == (config.pairs, config.pairs)
         assert metrics.trace.shape == (config.pairs, 3)
@@ -176,7 +172,7 @@ class TestPeriodTwoChain:
 
     def _run(self, strategy, seed=3):
         config = EpisodeConfig(slots=10, episodes=1, n_train=4, seed=seed)
-        topology, processes = _world(PERIOD_TWO, 0.5, bands=8, seed=seed, slots=10)
+        topology, processes = _world(PERIOD_TWO, bands=8, seed=seed, slots=10)
         return _scored(strategy, config, topology, processes, RadioParams())
 
     def test_prediction_avoids_every_outage(self):
@@ -198,12 +194,12 @@ class TestPeriodTwoChain:
         # skipped; Busy bands fail slot-1 sensing.  The persistence
         # baseline allocates every Good band and every one fails.
         config = EpisodeConfig(slots=6, episodes=1, n_train=3, seed=11)
-        topology, processes = _world(PERIOD_TWO, 0.5, bands=6, seed=11, slots=6)
+        topology, processes = _world(PERIOD_TWO, bands=6, seed=11, slots=6)
         truth0 = processes.states.copy()
         metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
         assert metrics.allocated.sum() == 0
 
-        topology, processes = _world(PERIOD_TWO, 0.5, bands=6, seed=11, slots=6)
+        topology, processes = _world(PERIOD_TWO, bands=6, seed=11, slots=6)
         baseline = _scored(Strategy.NO_PREDICTION, config, topology, processes, RadioParams())
         # per pair the persistence baseline allocates exactly the bands
         # currently in Good state, alternating with the phase
@@ -241,9 +237,7 @@ class TestNoAggregationBaseline:
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)
         results = []
         for strategy in (Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION):
-            topology, processes = _world(
-                ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=1, seed=5, slots=12, users=1
-            )
+            topology, processes = _world(ALMOST_FROZEN_GOOD, bands=1, seed=5, slots=12, users=1)
             metrics = _scored(strategy, config, topology, processes, RadioParams())
             results.append(metrics.throughput_bps)
         np.testing.assert_array_equal(results[0], results[1])
@@ -260,7 +254,7 @@ class TestNoAggregationBaseline:
         base = EpisodeConfig(slots=30, episodes=4, n_train=20, seed=13)
         full, trimmed = run_strategies(
             scenario, base, params, [Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION],
-            [params.es_over_n0],
+            [ES],
         )
         assert np.all(full.throughput_bps >= trimmed.throughput_bps - 1e-9)
 
@@ -288,7 +282,7 @@ class TestSingleUserBaseline:
             config, topology.restrict_to_user(0), processes, params, 0,
             (Strategy.PREDICT_AGGREGATE,),
         )
-        direct = score_episode(decided, Strategy.SINGLE_USER, [params.es_over_n0], params)
+        direct = score_episode(decided, Strategy.SINGLE_USER, [ES], params)
         assert via_strategy.user_capacity_bps.shape == (1, 1, 1)
         episode = (via_strategy.allocated[0], via_strategy.outages[0],
                    via_strategy.throughput_bps[:, 0], via_strategy.user_capacity_bps[:, 0])
@@ -348,20 +342,19 @@ class TestDeterminismAndPairing:
 
     @pytest.mark.parametrize("strategy", [Strategy.PREDICT_AGGREGATE, Strategy.NO_PREDICTION])
     def test_decisions_depend_on_neither_es_over_n0_nor_transmit_power(self, strategy):
-        # a pass ranks on draw-only scores and scores nothing, so the whole
-        # record stays put where SNRs would round to 0 (1e-320 W) or
-        # overflow to inf (1e306 W)
+        # a pass is given no Es/N0, ranks on draw-only scores and scores
+        # nothing, so the whole record stays put where SNRs would round to
+        # 0 (1e-320 W) or overflow to inf (1e306 W)
         scenario = NetworkScenario(users=3, relays=8, bands=20)
         config = EpisodeConfig(slots=30, episodes=1, n_train=20, seed=4)
         topology, processes = build_episode_world(scenario, config, 0)
         expected = pickle.dumps(
             run_episode(config, topology, processes, RadioParams(), 0, (strategy,))
         )
-        for es_over_n0 in (0.1, 10.0, 1000.0):
-            for tx_power_w in (1.0, 1e-320, 1e306):
-                params = RadioParams(es_over_n0=es_over_n0, tx_power_w=tx_power_w)
-                decided = run_episode(config, topology, processes, params, 0, (strategy,))
-                assert pickle.dumps(decided) == expected
+        for tx_power_w in (1.0, 1e-320, 1e306):
+            params = RadioParams(tx_power_w=tx_power_w)
+            decided = run_episode(config, topology, processes, params, 0, (strategy,))
+            assert pickle.dumps(decided) == expected
 
 
 class TestPairBlocks:
@@ -461,7 +454,7 @@ class TestSharedDraws:
         for strategy, metrics in zip(strategies, together):
             assert len(metrics.throughput_bps) == len(points)
             for j, es in enumerate(points):
-                alone = _alone(strategy, scenario, config, replace(params, es_over_n0=es))
+                alone = _alone(strategy, scenario, config, params, es)
                 assert pickle.dumps(_at(metrics, j)) == pickle.dumps(alone)
 
     def test_repeated_points_each_get_every_episode(self):
@@ -490,7 +483,7 @@ class TestSharedDraws:
     def test_scoring_at_a_point_outside_its_declaration_is_a_config_error(self, es):
         # unchecked, nan and inf would score nan and inf, 0 zeros, and -1 fail in link_throughput
         config = EpisodeConfig(slots=10, episodes=1, n_train=4, seed=3)
-        topology, processes = _world(PERIOD_TWO, 0.5, bands=8, seed=3, slots=10)
+        topology, processes = _world(PERIOD_TWO, bands=8, seed=3, slots=10)
         rule = (Strategy.PREDICT_AGGREGATE,)
         (decided,) = run_episode(config, topology, processes, RadioParams(), 0, rule)
         with pytest.raises(ConfigError, match="es_over_n0 must lie in"):
@@ -536,7 +529,7 @@ class TestSharedDraws:
         assert sensed == expected
         for strategy, metrics in zip(Strategy, together):
             for j, es in enumerate(points):
-                alone = _alone(strategy, scenario, config, RadioParams(es_over_n0=es))
+                alone = _alone(strategy, scenario, config, RadioParams(), es)
                 assert pickle.dumps(_at(metrics, j)) == pickle.dumps(alone)
 
     def test_each_p0_value_senses_its_own_truth(self):
@@ -546,7 +539,7 @@ class TestSharedDraws:
             slots=26, episodes=1, n_train=20, seed=23, sensing_error_rate=0.3
         )
         scenarios = [
-            NetworkScenario(users=2, relays=5, bands=9, p0_idle=p0) for p0 in (0.2, 0.6)
+            NetworkScenario(users=2, relays=5, bands=9, p0=p0) for p0 in (0.2, 0.6)
         ]
         in_turn = [
             _alone(Strategy.PREDICT_AGGREGATE, scenario, config, RadioParams())
@@ -641,7 +634,7 @@ class TestLockstepPass:
     def test_a_pass_scored_at_no_points_has_no_metrics(self, strategy):
         # no points give empty point axes, not a ZeroDivisionError
         config = EpisodeConfig(slots=10, episodes=1, n_train=4, seed=3)
-        topology, processes = _world(PERIOD_TWO, 0.5, bands=8, seed=3, slots=10)
+        topology, processes = _world(PERIOD_TWO, bands=8, seed=3, slots=10)
         rule = (Strategy.PREDICT_AGGREGATE,)
         (decided,) = run_episode(config, topology, processes, RadioParams(), 0, rule)
         allocated, outages, throughput, capacity = score_episode(
@@ -652,9 +645,13 @@ class TestLockstepPass:
         at_one_point = score_episode(decided, strategy, [1.0], RadioParams())
         assert pickle.dumps((allocated, outages)) == pickle.dumps(at_one_point[:2])
 
-    def test_a_cell_without_strategies_has_no_results(self):
+    def test_a_cell_without_strategies_has_no_results(self, monkeypatch):
         scenario = NetworkScenario(users=2, relays=4, bands=8)
         config = EpisodeConfig(slots=24, episodes=2, n_train=20)
+        # it returns before any world is built
+        monkeypatch.setattr(
+            simulation, "build_episode_world", lambda *_: pytest.fail("a world was built")
+        )
         assert run_strategies(scenario, config, RadioParams(), [], [10.0]) == []
 
 
@@ -662,9 +659,7 @@ class TestRadioSwitches:
     def test_unit_gains_are_deterministic_per_relay(self):
         # constant gains: every allocated band of one relay shares its SNR
         config = EpisodeConfig(slots=12, episodes=1, n_train=4, seed=5)
-        topology, processes = _world(
-            ALMOST_FROZEN_GOOD, 1.0 - 1e-12, bands=9, seed=5, slots=12
-        )
+        topology, processes = _world(ALMOST_FROZEN_GOOD, bands=9, seed=5, slots=12)
         params = RadioParams(gain_model="unit")
         metrics = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, params)
         assert metrics.outages.sum() == 0

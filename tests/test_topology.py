@@ -6,6 +6,7 @@ import pytest
 from oracles import slotwise_sense
 
 from specagg.markov import SpectrumState, TransitionMatrix, stationary_distribution
+from specagg.simulation import EpisodeConfig, NetworkScenario, build_episode_world
 from specagg.topology import (
     BandProcessSet,
     SpectrumProcessConfig,
@@ -91,21 +92,21 @@ class TestDeriveGroundTruthMatrix:
 class TestSpectrumProcessConfig:
     def test_accepts_matching_chain(self):
         tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
-        SpectrumProcessConfig(band_count=10, p0_idle=0.4, ground_truth_matrix=tm)
+        config = SpectrumProcessConfig(band_count=10, ground_truth_matrix=tm)
+        assert config.p0_idle == pytest.approx(0.4, abs=1e-12)
 
-    def test_rejects_mismatched_idle_mass(self):
-        tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
-        with pytest.raises(ValueError):
-            SpectrumProcessConfig(band_count=10, p0_idle=0.5, ground_truth_matrix=tm)
+    @pytest.mark.parametrize("p0", [0.05, 0.2, 0.4, 0.6, 0.95])
+    @pytest.mark.parametrize("persistence", [0.0, 0.3, 0.6, 0.9])
+    def test_a_world_idles_at_its_scenario_p0(self, p0, persistence):
+        # the idle probability is declared once, as the scenario's p0; the
+        # world's chain carries it as its stationary idle mass
+        scenario = NetworkScenario(users=1, relays=1, bands=2, p0=p0, persistence=persistence)
+        _, processes = build_episode_world(scenario, EpisodeConfig(slots=24), 0)
+        assert processes.config.p0_idle == pytest.approx(p0, abs=1e-9)
 
 
-def _process_set(matrix, bands=8, p0=None, seed=0, max_slots=50):
-    pi = stationary_distribution(matrix)
-    config = SpectrumProcessConfig(
-        band_count=bands,
-        p0_idle=float(pi[0] + pi[1]) if p0 is None else p0,
-        ground_truth_matrix=matrix,
-    )
+def _process_set(matrix, bands=8, seed=0, max_slots=50):
+    config = SpectrumProcessConfig(band_count=bands, ground_truth_matrix=matrix)
     return BandProcessSet(config, np.random.SeedSequence(seed), max_slots=max_slots)
 
 
@@ -141,9 +142,10 @@ class TestBandProcessSet:
 
     def test_deterministic_row_forces_transition(self):
         probs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        # stationary is all-Busy; p0 must reflect that this chain is never idle
-        with pytest.raises(ValueError):
-            _process_set(TransitionMatrix(probs), p0=0.4)
+        # stationary is all-Busy: from its first slot no band is ever idle
+        procs = _process_set(TransitionMatrix(probs))
+        assert procs.config.p0_idle == 0.0
+        assert np.all(procs.trajectory() == SpectrumState.BUSY)
 
     def test_good_to_busy_certainty(self):
         probs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])

@@ -9,7 +9,8 @@ tiny p0 `run_sweep` and a tiny es_over_n0 `run_sweep` and checks that every laye
 call fits its key, that each world and decision pass runs once, and
 that the decision pass, its allocation steps 1-3, the no-aggregation
 keep, the scoring step and the summary each still run: a layer with no
-calls reports nothing per pair.
+calls reports nothing per pair.  It also keys one `run_episode` call on a
+hand-built world, whose process config holds only its chain.
 """
 
 import json
@@ -17,9 +18,14 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from specagg import cli
+from specagg import cli, simulation
+from specagg.markov import TransitionMatrix
+from specagg.params import EpisodeConfig, Strategy
+from specagg.radio import RadioParams
+from specagg.topology import BandProcessSet, SpectrumProcessConfig, Topology
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import Tracer, layer_stats  # noqa: E402
@@ -53,3 +59,23 @@ def test_every_layer_resolves_and_each_world_and_pass_runs_once(command, tmp_pat
                   "simulation.summarize"):
         calls, _ = stats[layer]
         assert calls >= 1, layer
+
+
+def test_a_hand_built_world_with_a_derived_idle_mass_is_keyed():
+    # demo 04's alternating world: its idle mass, which the key reads, is the chain's
+    period_two = TransitionMatrix(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    topology = Topology(users=2, relays=4, coverage=np.ones((4, 2), dtype=bool))
+    processes = BandProcessSet(
+        SpectrumProcessConfig(band_count=16, ground_truth_matrix=period_two),
+        np.random.SeedSequence(7),
+        max_slots=29,
+    )
+    config = EpisodeConfig(slots=30, episodes=1, n_train=4, seed=7)
+    tracer = Tracer()
+    with tracer:
+        simulation.run_episode(
+            config, topology, processes, RadioParams(), 0, (Strategy.PREDICT_AGGREGATE,)
+        )
+    assert tracer.absent == []
+    assert tracer.key_errors == {}
+    assert len(tracer.keys["simulation.run_episode"]) == 1
