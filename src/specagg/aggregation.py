@@ -20,6 +20,19 @@ number of leading batch axes (one per slot pair, say) on its per-pair
 arrays and treats each batch entry independently, so one call can
 allocate a whole block of slot pairs; a single pair is the case with
 no batch axes.
+
+Steps 2 and 3 rank on each band's best relay of all (`best`, ties to
+the lowest index), and re-rank only the bands whose masks exclude it.
+Where every node reads one view -- the source and relay masks of step 2
+or the prediction bits of step 3 arrive with a node axis of 1, as under
+perfect sensing -- a step is decided in closed form on (..., bands)
+arrays.  Step 2 gives a band free in the view to the only user that
+owns a relay or, where two or more do, to its best relay's owner (-1
+for an unowned relay); every other band gets -1.  Step 3 gives a band
+with a user and a Good prediction its best relay where that user owns
+it, and only its other such bands re-rank; in a decision pass, whose
+unowned relays score 0, only zero-score ties leave any.  Per-node masks
+take the masked path.
 """
 
 from __future__ import annotations
@@ -67,14 +80,27 @@ def assign_relays(topology, pair_throughput: np.ndarray) -> np.ndarray:
     return np.where(n_covered > 0, best_pair, UNASSIGNED)
 
 
+def _best_relays(snr, hop, best):
+    """`best` as an array, or each band's highest-SNR relay of all (ties to
+    the lowest index) ranked from the SNRs when it is None."""
+    if best is None:
+        return (hop[..., None, :] * snr).argmax(axis=-1)
+    return np.asarray(best, np.intp)
+
+
+def _at(values, relay):
+    """``values[..., relay[..., n]]``: the (..., relays) `values` read at each
+    entry of the (..., bands) `relay`, as flat indices."""
+    first = np.arange(0, values.size, values.shape[-1]).reshape(values.shape[:-1] + (1,))
+    return values.reshape(-1)[first + relay]
+
+
 def _best_admitted(index, best, admits, snr, hop):
     """The highest-SNR relay (ties to the lowest index) that `admits`, a mask read
     at (batch..., band, relay) indices, admits on each band of `index`, or -1.
     `best`, each row's lowest-index maximum, wins wherever admitted; only the
     other bands with an admitted relay rank SNR rows, rebuilt for them alone."""
-    if best is None:
-        best = (hop[..., None, :] * snr).argmax(axis=-1)
-    winner = np.asarray(best, np.intp)[index]
+    winner = best[index]
     redo = np.flatnonzero(~admits(index + (winner,)))
     index = tuple(axis[redo] for axis in index)
     eligible = admits(index + (slice(None),))  # (K, relays or 1)
@@ -125,9 +151,19 @@ def common_free_spectrum(
     batch = snr.shape[:-2]
     owner = np.broadcast_to(owner, batch + np.shape(owner)[-1:])
     hop = np.broadcast_to(hop, owner.shape)
+    best = _best_relays(snr, hop, best)
     relay_free = np.asarray(relay_available, dtype=bool)
 
     ownership = owner[..., None, :] == np.arange(users)[:, None]  # (..., T, Rr)
+    if source_available.shape[-2] == relay_free.shape[-2] == 1:
+        # one view for every node: a band free in it qualifies for each user
+        # with a relay, and its best relay of all is free, so it goes to the
+        # only such user or else to its best relay's owner (-1 if unowned,
+        # as every relay is where no user has one)
+        holders = ownership.any(axis=-1)  # (..., T)
+        user = np.where(holders.sum(axis=-1, keepdims=True) == 1,
+                        holders.argmax(axis=-1)[..., None], _at(owner, best))
+        return np.where((source_available & relay_free)[..., 0, :], user, UNASSIGNED)
     if relay_free.shape[-2] == 1:
         # one mask for all relays: a user with a relay has a free one where it is free
         user_relay_free = ownership.any(axis=-1, keepdims=True) & relay_free
@@ -181,20 +217,35 @@ def allocate_spectrum(
     batch = snr.shape[:-2]
     owner = np.broadcast_to(owner, batch + np.shape(owner)[-1:])
     hop = np.broadcast_to(hop, owner.shape)
+    best = _best_relays(snr, hop, best)
     free = np.asarray(bits) == 0
-    owners, users, predicted_free = np.broadcast_arrays(  # (..., N, Rr) views
-        owner[..., None, :], band_user[..., None], np.swapaxes(free, -1, -2))
 
-    # (batch..., band) indices of the bands step 2 gave to a user and some relay
-    # predicts free, and each one's best relay of that user predicted free
-    assigned = np.nonzero((band_user >= 0) & free.any(axis=-2))
-    winner = _best_admitted(
-        assigned, best, lambda at: (owners[at] == users[at]) & predicted_free[at], snr, hop)
-    band_relay = np.full(band_user.shape, UNASSIGNED)
-    band_relay[assigned] = winner
-    relay = assigned[:-1] + (np.maximum(winner, 0),)
+    # the bands step 2 gave to a user and some relay predicts free
+    assigned = (band_user >= 0) & free.any(axis=-2)
     band_snr = np.zeros(band_user.shape)
-    band_snr[assigned] = np.where(winner >= 0, hop[relay] * snr[assigned + relay[-1:]], 0.0)
+    if free.shape[-2] == 1:
+        # one prediction for every relay: a band takes its best relay of all
+        # where the band's user owns it; only the rest re-rank
+        takes = assigned & (_at(owner, best) == band_user)
+        assigned &= ~takes
+        band_relay = np.where(takes, best, UNASSIGNED)
+        # (batch..., band) indices of those bands, found flat, and their relays
+        won = np.unravel_index(np.flatnonzero(takes), takes.shape)
+        relay = won[:-1] + (best[won],)
+        band_snr[won] = hop[relay] * snr[won + relay[-1:]]
+    else:
+        band_relay = np.full(band_user.shape, UNASSIGNED)
+    if assigned.any():
+        # (batch..., band) indices of the bands left, and each one's best relay
+        # of its user predicted free
+        left = np.nonzero(assigned)
+        owners, users, predicted_free = np.broadcast_arrays(  # (..., N, Rr) views
+            owner[..., None, :], band_user[..., None], np.swapaxes(free, -1, -2))
+        winner = _best_admitted(
+            left, best, lambda at: (owners[at] == users[at]) & predicted_free[at], snr, hop)
+        band_relay[left] = winner
+        relay = left[:-1] + (np.maximum(winner, 0),)
+        band_snr[left] = np.where(winner >= 0, hop[relay] * snr[left + relay[-1:]], 0.0)
     return band_relay, band_snr
 
 

@@ -239,7 +239,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             f"out must hold no '#', line break or leading or trailing space, got {config.out!r}"
         )
     try:
-        episode_config_from(config)
+        from_config(EpisodeConfig, config)
     except ConfigError as exc:
         raise ConfigParseError(str(exc)) from None
     if message := designated_band_error(config.designated_band, config.bands):
@@ -270,21 +270,10 @@ def es_db_to_linear(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def _from_fields(cls, config: RunConfig):
-    """A `cls` whose init fields copy the `config` keys of the same names."""
+def from_config(cls, config: RunConfig):
+    """A `cls` (`NetworkScenario`, `RadioParams` or `EpisodeConfig`) whose init
+    fields copy the `config` keys of the same names."""
     return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if f.init})
-
-
-def scenario_from(config: RunConfig) -> NetworkScenario:
-    return _from_fields(NetworkScenario, config)
-
-
-def params_from(config: RunConfig) -> RadioParams:
-    return _from_fields(RadioParams, config)
-
-
-def episode_config_from(config: RunConfig) -> EpisodeConfig:
-    return _from_fields(EpisodeConfig, config)
 
 
 # an overflow or invalid operation ends the run in an error, not in inf or nan CSVs
@@ -299,9 +288,9 @@ def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
     mean outage, throughput and min and max user capacity.
     """
     runs = run_strategies(
-        scenario_from(config),
-        episode_config_from(config),
-        params_from(config),
+        from_config(NetworkScenario, config),
+        from_config(EpisodeConfig, config),
+        from_config(RadioParams, config),
         strategies,
         [es_db_to_linear(db) for db in grid],
     )

@@ -327,15 +327,23 @@ def run_episode(
     hop = _hop(alpha, beta * 2.0, params.snr_combining)
     # per topology a rule sees, the whole or its first pair alone: its user
     # count, its relays' owners (narrowest integer type holding -1), their
-    # hops toward them, and its rules' records, which share its scores
+    # hops toward them, the relays that rank each band's best, and its
+    # rules' records, which share its scores
     steps = {}
     for single in dict.fromkeys(single for single, *_ in records):
         seen, seen_hop = (topology.restrict_to_user(0), hop[..., :1]) if single else (topology, hop)
         owner = assign_relays(seen, seen_hop).astype(np.min_scalar_type(-seen.users))
         # each relay's hop toward its owner; 0 for an unowned relay
         owned = np.take_along_axis(seen_hop, np.clip(owner, 0, None)[..., None], axis=-1)
+        ranked = slice(None)
+        if single:
+            # a relay off the first pair has hop 0, so it is a band's best only
+            # where every score is 0, and then relay 0 is: rank only the pair's
+            # relays and relay 0
+            ranked = np.flatnonzero(seen.coverage[:, 0] | (np.arange(relays) == 0))
         seeing = [record[1:] for record in records if record[0] == single]
-        steps[single] = seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0), seeing
+        steps[single] = (seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0),
+                         ranked, seeing)
     # freed before the pair blocks' temporaries, which would otherwise grow the heap
     del hop
     designated = config.designated_band
@@ -352,11 +360,14 @@ def run_episode(
                 available = [two_slot_availability(*s) for s in zip(now, after)]
                 judged[p] = available, prediction_bits(after[-1])
                 guesses[pairs] = after[0][:, 0, designated]
-            for seen_users, owner, owned_hop, seeing in steps.values():
+            for single, (seen_users, owner, owned_hop, ranked, seeing) in steps.items():
                 # each band's best relay (shared by predict and persist), on band-major scores
                 best = np.concatenate([
-                    (owned_hop[pairs][b] * block_gains[b].transpose(1, 0, 2)).argmax(-1).T
+                    (owned_hop[pairs][b][:, ranked]
+                     * block_gains[b].transpose(1, 0, 2)[..., ranked]).argmax(-1).T
                     for b in _pair_blocks(0, len(block_gains), bands * relays)])
+                if single:
+                    best = ranked[best]
                 for predicting, band_relay, kept_gain in seeing:
                     available, bits = judged[predicting]
                     band_user = common_free_spectrum(
@@ -505,17 +516,24 @@ def write_metrics_csv(
     """Per-slot-pair CSV: ``episode,slot,strategy,allocated,outages,throughput_bps``.
 
     The throughput is each strategy's at its first Es/N0 point, a run's one point.
+    Rows are formatted in bulk as `write_csv` writes them: no field needs quoting,
+    and each line ends in CRLF.
     """
-    rows = (
-        [episode, slot, strategy.value, allocated, outages, repr(throughput)]
-        for strategy, m in sorted(metrics_by_strategy.items(), key=lambda item: item[0].value)
-        for episode, pairs in enumerate(
-            zip(m.allocated.tolist(), m.outages.tolist(), m.throughput_bps[0].tolist())
-        )
-        for slot, allocated, outages, throughput in zip(m.pair_slots.tolist(), *pairs)
-    )
-    header = ["episode", "slot", "strategy", "allocated", "outages", "throughput_bps"]
-    write_csv(path, header, rows)
+    lines = ["episode,slot,strategy,allocated,outages,throughput_bps"]
+    for strategy, m in sorted(metrics_by_strategy.items(), key=lambda item: item[0].value):
+        slots = m.pair_slots.tolist()
+        for episode, (allocated, outages, throughput) in enumerate(
+            zip(m.allocated.tolist(), m.outages.tolist(), m.throughput_bps[0])
+        ):
+            # a list's repr holds each float's repr, separated by ", "
+            texts = repr(throughput.tolist())[1:-1].split(", ")
+            lines += [
+                f"{episode},{slot},{strategy.value},{kept},{failed},{text}"
+                for slot, kept, failed, text in zip(slots, allocated, outages, texts)
+            ]
+    lines.append("")
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
 
 
 def write_trace_csv(path: str | Path, metrics: StrategyMetrics) -> None:

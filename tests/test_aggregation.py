@@ -4,6 +4,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import exhaustive_best_assignment
 
@@ -300,6 +303,60 @@ class TestSharedBestRelay:
                 kept = band_snr[k] > 0
                 np.testing.assert_array_equal(band_relay[k][kept], np.array(chosen)[kept])
                 assert np.all(band_snr[k][band_relay[k] != np.array(chosen)] == 0.0)
+
+
+# few distinct values, so SNR ties exercise the tie-breaking
+SCORES = st.sampled_from([0.0, 1.0, 2.0])
+
+
+@st.composite
+def shared_view_instances(draw):
+    """Steps 2-3 inputs whose source, relay and bit masks have a node axis of
+    1: owners with -1 and users without a relay, small-integer SNRs with ties
+    and all-zero bands under a unit hop, or unit gains under small-integer
+    hops, and each band's best relay given or None.  Two or more relays make
+    the same masks copied out per node take the general path."""
+    pairs, users, relays, bands = (draw(st.integers(low, high))
+                                   for low, high in ((1, 3), (1, 3), (2, 5), (1, 6)))
+    owner = draw(arrays(np.int64, (pairs, relays), elements=st.integers(-1, users - 1)))
+    source, relay_free = (draw(arrays(np.bool_, (pairs, 1, bands))) for _ in range(2))
+    bits = draw(arrays(np.int8, (pairs, 1, bands), elements=st.integers(0, 1)))
+    if draw(st.booleans()):
+        gains = draw(arrays(np.float64, (pairs, bands, relays), elements=SCORES))
+        gains[draw(arrays(np.bool_, (pairs, bands)))] = 0.0
+        hop = np.ones((pairs, relays))
+    else:
+        gains = np.ones((pairs, bands, relays))
+        hop = draw(arrays(np.float64, (pairs, relays), elements=SCORES))
+    best = (hop[:, None, :] * gains).argmax(axis=-1) if draw(st.booleans()) else None
+    band_user = draw(arrays(np.int64, (pairs, bands), elements=st.integers(-1, users - 1)))
+    return users, owner, source, relay_free, bits, gains, hop, best, band_user
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_view_instances())
+def test_a_shared_view_decides_as_the_same_masks_per_node(case):
+    # steps 2-3 in closed form on one view equal the general path given
+    # that view copied out to every user and relay, dtypes included
+    users, owner, source, relay_free, bits, gains, hop, best, band_user = case
+    pairs, bands, relays = gains.shape
+
+    def per_node(mask, nodes):
+        return np.broadcast_to(mask, (pairs, nodes, bands)).copy()
+
+    band_user_shared = common_free_spectrum(owner, users, source, relay_free, gains, hop, best)
+    band_user_per_node = common_free_spectrum(
+        owner, users, per_node(source, users), per_node(relay_free, relays), gains, hop, best)
+    assert band_user_shared.dtype == band_user_per_node.dtype
+    np.testing.assert_array_equal(band_user_shared, band_user_per_node)
+    # step 3 of step 2's users, and of any users, also users without a relay
+    for users_of_bands in (band_user_shared, band_user):
+        shared = allocate_spectrum(users_of_bands, owner, bits, gains, hop, best)
+        every_relay = allocate_spectrum(
+            users_of_bands, owner, per_node(bits, relays), gains, hop, best)
+        for got, expected in zip(shared, every_relay):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestAggregateAndScore:

@@ -24,14 +24,12 @@ from specagg.cli import (
     ConfigParseError,
     RunConfig,
     emit_figure_data,
-    episode_config_from,
     es_db_to_linear,
+    from_config,
     main,
-    params_from,
     parse_config,
     run_single,
     run_sweep,
-    scenario_from,
     write_effective_config,
 )
 from specagg.radio import RadioParams
@@ -76,9 +74,9 @@ class TestParseConfig:
 
     def test_library_defaults_are_the_config_defaults(self):
         config = parse_config()
-        assert scenario_from(config) == NetworkScenario()
-        assert params_from(config) == RadioParams()
-        assert episode_config_from(config) == EpisodeConfig()
+        assert from_config(NetworkScenario, config) == NetworkScenario()
+        assert from_config(RadioParams, config) == RadioParams()
+        assert from_config(EpisodeConfig, config) == EpisodeConfig()
 
     def test_noise_power_is_an_unknown_key(self, tmp_path, capsys):
         assert main(["run", "--noise-power-w", "1e-6", "--out", str(tmp_path / "x")]) == 1

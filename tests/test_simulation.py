@@ -261,7 +261,10 @@ class TestNoAggregationBaseline:
 
 class TestSingleUserBaseline:
     @pytest.mark.parametrize("err", [0.0, 0.1])
-    def test_definitional_equivalence(self, err, monkeypatch):
+    # the relays whose coverage of the first pair is cleared: the strategy
+    # ranks each band's best relay over that pair's relays and relay 0 alone
+    @pytest.mark.parametrize("off_pair", [[], [0], slice(None)])
+    def test_definitional_equivalence(self, err, off_pair, monkeypatch):
         # the strategy equals the generic predict pipeline run directly on
         # the restricted topology, fed the full population's link budgets
         # and sensing errors cut down to the first pair
@@ -270,6 +273,15 @@ class TestSingleUserBaseline:
         )
         scenario = NetworkScenario(users=4, relays=10, bands=15)
         params = RadioParams()
+        drawn = simulation.build_topology
+
+        def build_topology(*args):
+            topology = drawn(*args)
+            coverage = topology.coverage.copy()
+            coverage[off_pair, 0] = False
+            return replace(topology, coverage=coverage)
+
+        monkeypatch.setattr(simulation, "build_topology", build_topology)
         via_strategy = _alone(Strategy.SINGLE_USER, scenario, config, params)
         topology, processes = build_episode_world(scenario, config, episode=0)
         alpha, beta = episode_draws(config.seed, 0, config.pairs, topology.relays, 4)
