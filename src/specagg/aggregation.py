@@ -88,13 +88,6 @@ def _best_relays(snr, hop, best):
     return np.asarray(best, np.intp)
 
 
-def _at(values, relay):
-    """``values[..., relay[..., n]]``: the (..., relays) `values` read at each
-    entry of the (..., bands) `relay`, as flat indices."""
-    first = np.arange(0, values.size, values.shape[-1]).reshape(values.shape[:-1] + (1,))
-    return values.reshape(-1)[first + relay]
-
-
 def _best_admitted(index, best, admits, snr, hop):
     """The highest-SNR relay (ties to the lowest index) that `admits`, a mask read
     at (batch..., band, relay) indices, admits on each band of `index`, or -1.
@@ -162,14 +155,14 @@ def common_free_spectrum(
         # as every relay is where no user has one)
         holders = ownership.any(axis=-1)  # (..., T)
         user = np.where(holders.sum(axis=-1, keepdims=True) == 1,
-                        holders.argmax(axis=-1)[..., None], _at(owner, best))
+                        holders.argmax(axis=-1)[..., None],
+                        np.take_along_axis(owner, best, axis=-1))
         return np.where((source_available & relay_free)[..., 0, :], user, UNASSIGNED)
-    if relay_free.shape[-2] == 1:
-        # one mask for all relays: a user with a relay has a free one where it is free
-        user_relay_free = ownership.any(axis=-1, keepdims=True) & relay_free
-    else:
-        # free relays of each user per band, counted exactly in float64
-        user_relay_free = (ownership.astype(np.float64) @ relay_free.astype(np.float64)) > 0
+    # free relays of each user per band, counted exactly in float64; a one-row
+    # relay mask is every relay's
+    relays_by_band = owner.shape[-1:] + relay_free.shape[-1:]
+    relay_free = np.broadcast_to(relay_free, relay_free.shape[:-2] + relays_by_band)
+    user_relay_free = (ownership.astype(np.float64) @ relay_free.astype(np.float64)) > 0
     candidates = source_available & user_relay_free  # (..., T, N)
     n_candidates = candidates.sum(axis=-2)
     # a one-candidate band's first candidate is its only one
@@ -226,7 +219,7 @@ def allocate_spectrum(
     if free.shape[-2] == 1:
         # one prediction for every relay: a band takes its best relay of all
         # where the band's user owns it; only the rest re-rank
-        takes = assigned & (_at(owner, best) == band_user)
+        takes = assigned & (np.take_along_axis(owner, best, axis=-1) == band_user)
         assigned &= ~takes
         band_relay = np.where(takes, best, UNASSIGNED)
         # (batch..., band) indices of those bands, found flat, and their relays

@@ -199,11 +199,6 @@ def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
     if not 2 <= window <= slots:
         raise EstimationError(f"window must lie in [2, {slots}], got {window}")
     pair_codes = history[:-1] * N_STATES + history[1:]
-    if window == slots:
-        # one window over the whole history: count each band's pair codes directly
-        cells = pair_codes + np.arange(0, n_bands * N_STATES**2, N_STATES**2)
-        counts = np.bincount(cells.reshape(-1), minlength=n_bands * N_STATES**2)
-        return counts.reshape(1, n_bands, N_STATES, N_STATES)
     # cumulative[s]: per band, counts of the pair codes before slot s, in
     # the narrowest integer type that holds a count of slots - 1
     dtype = np.min_scalar_type(slots - 1)

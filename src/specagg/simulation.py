@@ -516,24 +516,20 @@ def write_metrics_csv(
     """Per-slot-pair CSV: ``episode,slot,strategy,allocated,outages,throughput_bps``.
 
     The throughput is each strategy's at its first Es/N0 point, a run's one point.
-    Rows are formatted in bulk as `write_csv` writes them: no field needs quoting,
-    and each line ends in CRLF.
     """
-    lines = ["episode,slot,strategy,allocated,outages,throughput_bps"]
-    for strategy, m in sorted(metrics_by_strategy.items(), key=lambda item: item[0].value):
-        slots = m.pair_slots.tolist()
-        for episode, (allocated, outages, throughput) in enumerate(
+    rows = (
+        [episode, slot, strategy.value, allocated, outages, text]
+        for strategy, m in sorted(metrics_by_strategy.items(), key=lambda item: item[0].value)
+        for episode, (kept, failed, throughput) in enumerate(
             zip(m.allocated.tolist(), m.outages.tolist(), m.throughput_bps[0])
-        ):
-            # a list's repr holds each float's repr, separated by ", "
-            texts = repr(throughput.tolist())[1:-1].split(", ")
-            lines += [
-                f"{episode},{slot},{strategy.value},{kept},{failed},{text}"
-                for slot, kept, failed, text in zip(slots, allocated, outages, texts)
-            ]
-    lines.append("")
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+        )
+        # each float's repr, from one repr of the episode's list
+        for slot, allocated, outages, text in zip(
+            m.pair_slots.tolist(), kept, failed, repr(throughput.tolist())[1:-1].split(", ")
+        )
+    )
+    header = ["episode", "slot", "strategy", "allocated", "outages", "throughput_bps"]
+    write_csv(path, header, rows)
 
 
 def write_trace_csv(path: str | Path, metrics: StrategyMetrics) -> None:

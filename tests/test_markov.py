@@ -1,6 +1,5 @@
 """Tests for the three-state Markov machinery."""
 
-import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -152,21 +151,6 @@ class TestEstimation:
         seq = sample_chain(truth, 100_000, rng)
         tm = estimate_transition_matrix(seq)
         assert np.abs(tm.probs - truth).max() < 0.05
-
-    def test_a_long_sequence_is_counted_in_one_pass(self):
-        # one window over the whole history is counted without a cumulative
-        # count per slot: 200,000 steps peak under 4 MB, 20 bytes a step
-        # (cumulative counts peaked at about 16.6 MB)
-        seq = np.random.default_rng(12).integers(0, 3, size=200_000)
-        tracemalloc.start()
-        try:
-            tm = estimate_transition_matrix(seq)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        counts = count_transitions(seq)
-        np.testing.assert_array_equal(tm.probs, counts / counts.sum(axis=1, keepdims=True))
-        assert peak < 4_000_000
 
     def test_count_transitions_oracle_agreement(self):
         rng = np.random.default_rng(5)

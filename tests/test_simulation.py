@@ -282,7 +282,18 @@ class TestSingleUserBaseline:
             return replace(topology, coverage=coverage)
 
         monkeypatch.setattr(simulation, "build_topology", build_topology)
+        step_2 = simulation.common_free_spectrum
+        ranked = []
+
+        def common_free_spectrum(owner, users, source, relay, snr, hop, best):
+            # each band's best relay is the argmax over every relay's score
+            np.testing.assert_array_equal(best, (hop[:, None, :] * snr).argmax(-1))
+            ranked.append(users)
+            return step_2(owner, users, source, relay, snr, hop, best)
+
+        monkeypatch.setattr(simulation, "common_free_spectrum", common_free_spectrum)
         via_strategy = _alone(Strategy.SINGLE_USER, scenario, config, params)
+        assert ranked and set(ranked) == {1}
         topology, processes = build_episode_world(scenario, config, episode=0)
         alpha, beta = episode_draws(config.seed, 0, config.pairs, topology.relays, 4)
         sources, relays = sensing_offsets(
