@@ -12,9 +12,8 @@ import numpy as np
 from specagg import (
     SpectrumState,
     estimate_transition_matrix,
-    n_step_distribution,
     parse_observations,
-    predict_next_state,
+    predict_next_states,
     stationary_distribution,
 )
 
@@ -37,13 +36,13 @@ def main():
 
     print("\nnext-slot prediction from each current state:")
     for state in SpectrumState:
-        nxt = predict_next_state(matrix, state)
+        nxt = SpectrumState(int(predict_next_states(matrix.probs, state)))
         print(f"  {state.name:>4} -> {nxt.name}")
 
     print("\ndistribution drift from a certainly-Good slot:")
     p = np.array([1.0, 0.0, 0.0])
     for n in (1, 2, 5, 20):
-        dist = n_step_distribution(p, matrix, n)
+        dist = p @ np.linalg.matrix_power(matrix.probs, n)
         print(f"  after {n:>2} slots: Good={dist[0]:.4f} Bad={dist[1]:.4f} Busy={dist[2]:.4f}")
     print("(the drift converges to the stationary distribution)")
 

@@ -21,12 +21,9 @@ from .markov import (
     NonUniqueStationaryError,
     SpectrumState,
     TransitionMatrix,
-    count_transitions,
     estimate_transition_matrix,
     estimate_transition_matrices,
-    n_step_distribution,
     parse_observations,
-    predict_next_state,
     predict_next_states,
     stationary_distribution,
 )

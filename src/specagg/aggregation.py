@@ -80,12 +80,17 @@ def assign_relays(topology, pair_throughput: np.ndarray) -> np.ndarray:
     return np.where(n_covered > 0, best_pair, UNASSIGNED)
 
 
-def _best_relays(snr, hop, best):
-    """`best` as an array, or each band's highest-SNR relay of all (ties to
+def _relay_inputs(owner, snr, hop, best):
+    """(snr, owner, hop, best) of steps 2 and 3: the SNRs as float64, the
+    owners and per-relay factors broadcast to the SNRs' batch axes as views,
+    and `best` as an array, or each band's highest-SNR relay of all (ties to
     the lowest index) ranked from the SNRs when it is None."""
+    snr = np.asarray(snr, dtype=np.float64)
+    owner = np.broadcast_to(owner, snr.shape[:-2] + np.shape(owner)[-1:])
+    hop = np.broadcast_to(hop, owner.shape)
     if best is None:
-        return (hop[..., None, :] * snr).argmax(axis=-1)
-    return np.asarray(best, np.intp)
+        return snr, owner, hop, (hop[..., None, :] * snr).argmax(axis=-1)
+    return snr, owner, hop, np.asarray(best, np.intp)
 
 
 def _best_admitted(index, best, admits, snr, hop):
@@ -139,12 +144,8 @@ def common_free_spectrum(
     Returns:
         (..., bands) int64 user of each band, -1 where it is dropped.
     """
+    snr, owner, hop, best = _relay_inputs(owner, snr, hop, best)
     source_available = np.asarray(source_available, dtype=bool)
-    snr = np.asarray(snr, dtype=np.float64)
-    batch = snr.shape[:-2]
-    owner = np.broadcast_to(owner, batch + np.shape(owner)[-1:])
-    hop = np.broadcast_to(hop, owner.shape)
-    best = _best_relays(snr, hop, best)
     relay_free = np.asarray(relay_available, dtype=bool)
 
     ownership = owner[..., None, :] == np.arange(users)[:, None]  # (..., T, Rr)
@@ -205,12 +206,8 @@ def allocate_spectrum(
         (band_relay, band_snr): the (..., bands) winning relay of each
         band, -1 when unallocated, and its SNR, 0 when unallocated.
     """
-    snr = np.asarray(snr, dtype=np.float64)
+    snr, owner, hop, best = _relay_inputs(owner, snr, hop, best)
     band_user = np.asarray(band_user)
-    batch = snr.shape[:-2]
-    owner = np.broadcast_to(owner, batch + np.shape(owner)[-1:])
-    hop = np.broadcast_to(hop, owner.shape)
-    best = _best_relays(snr, hop, best)
     free = np.asarray(bits) == 0
 
     # the bands step 2 gave to a user and some relay predicts free

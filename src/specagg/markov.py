@@ -3,8 +3,8 @@
 A band is always in one of three conditions: Good (idle, channel quality
 supports transmission), Bad (idle, quality too poor) or Busy (licensed
 user active).  This module provides the state alphabet, transition-matrix
-estimation from observed state sequences, n-step evolution, stationary
-distributions, and single-slot state prediction.
+estimation from observed state sequences, stationary distributions, and
+single-slot state prediction.
 
 All operations are pure functions of their inputs; the value types are
 immutable after construction and safe to share across workers.
@@ -65,30 +65,10 @@ class TransitionMatrix:
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
-    def row(self, state: int) -> np.ndarray:
-        return self.probs[int(state)]
-
     def __eq__(self, other):
         if isinstance(other, TransitionMatrix):
             return np.array_equal(self.probs, other.probs)
         return NotImplemented
-
-
-def count_transitions(states: np.ndarray) -> np.ndarray:
-    """Count one-step transitions in a state sequence.
-
-    Returns a 3x3 integer array where entry (i, j) is the number of
-    adjacent pairs (i, j) observed in the sequence.
-    """
-    states = np.asarray(states, dtype=np.int64)
-    if states.ndim != 1:
-        raise ValueError("expected a one-dimensional state sequence")
-    if np.any((states < 0) | (states >= N_STATES)):
-        raise ValueError("state codes must be 0, 1 or 2")
-    pair_codes = states[:-1] * N_STATES + states[1:]
-    return np.bincount(pair_codes, minlength=N_STATES * N_STATES).reshape(
-        N_STATES, N_STATES
-    )
 
 
 def estimate_transition_matrix(states: np.ndarray) -> TransitionMatrix:
@@ -165,33 +145,14 @@ def stationary_distribution(matrix: TransitionMatrix) -> np.ndarray:
     return pi
 
 
-def n_step_distribution(p0: np.ndarray, matrix: TransitionMatrix, n: int) -> np.ndarray:
-    """Evolve an initial state distribution n slots forward: p0 P^n."""
-    p0 = np.asarray(p0, dtype=np.float64)
-    if p0.shape != (N_STATES,) or np.any(p0 < 0) or abs(p0.sum() - 1.0) > ROW_SUM_TOL:
-        raise ValueError("p0 must be a probability 3-vector")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return p0 @ np.linalg.matrix_power(matrix.probs, n)
-
-
-def predict_next_state(matrix: TransitionMatrix, current: int) -> SpectrumState:
-    """Most likely next state given the current one.
-
-    Ties in the row maximum break by fixed priority Good > Bad > Busy,
-    which is the index order, so the first argmax wins.
-    """
-    return SpectrumState(int(np.argmax(matrix.row(current))))
-
-
 def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
     """Transition counts of every sliding window of a state history at once.
 
     `history` is (slots, bands).  Entry k of the (slots - window + 1,
-    bands, 3, 3) result holds, per band, the `count_transitions` of
-    ``history[k : k + window]``.  Counts come from differences of
-    cumulative pair-code counts, so the cost does not grow with the
-    window length.
+    bands, 3, 3) result holds, per band, the one-step transition counts
+    of ``history[k : k + window]``: entry (i, j) counts the adjacent
+    pairs (i, j).  Counts come from differences of cumulative pair-code
+    counts, so the cost does not grow with the window length.
     """
     # pair codes 0-8 fit in int8
     history = np.asarray(history, dtype=np.int8)
@@ -214,14 +175,16 @@ def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
 
 
 def predict_next_states(prob_batch: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Vectorised prediction: argmax of each band's row for its current state.
+    """Most likely next states: each band's row argmax for its current state.
 
     `prob_batch` is (..., bands, 3, 3) and `current` is (..., bands);
-    leading axes broadcast against each other.  The same Good > Bad >
-    Busy tie priority applies (first argmax).  Integer transition counts
-    predict exactly as the probabilities estimated from them, because
-    every row is one count vector over a positive total (an unseen row
-    is all zeros, as its uniform fallback is all equal).
+    leading axes broadcast against each other, and a lone (3, 3) matrix
+    with a scalar state gives a 0-d prediction.  Ties in the row maximum
+    break by fixed priority Good > Bad > Busy, which is the index order,
+    so the first argmax wins.  Integer transition counts predict exactly
+    as the probabilities estimated from them, because every row is one
+    count vector over a positive total (an unseen row is all zeros, as
+    its uniform fallback is all equal).
     """
     best_next = np.asarray(prob_batch).argmax(axis=-1)  # (..., bands, 3)
     current = np.asarray(current, dtype=np.intp)[..., None]

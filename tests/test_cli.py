@@ -505,6 +505,31 @@ class TestMainEntry:
         assert exit_info.value.code == 0
         assert "usage: specagg" in capsys.readouterr().out
 
+    @staticmethod
+    def python_m_specagg(*args) -> subprocess.CompletedProcess:
+        """`python -m specagg` with `args`, in a fresh process."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "specagg", *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+
+    def test_python_m_specagg_runs(self, tmp_path):
+        out = tmp_path / "cli_out"
+        args = ["run", "--out", str(out), "--episodes", "1"]
+        for key, value in FAST.items():
+            if key != "episodes":
+                args += [f"--{key.replace('_', '-')}", value]
+        done = self.python_m_specagg(*args)
+        assert done.returncode == 0, done.stderr
+        names = ("config_effective.txt", "metrics.csv", "summary.csv", "trace.csv")
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+
+    def test_python_m_specagg_exits_1_with_one_error_line(self, tmp_path):
+        done = self.python_m_specagg("run", "--p0", "2", "--out", str(tmp_path / "x"))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+
     def test_figure_flow_through_main(self, tmp_path):
         out = str(tmp_path / "cli_out")
         base = []

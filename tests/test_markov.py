@@ -5,17 +5,16 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from oracles import naive_pair_counts
+
 from specagg.markov import (
     EstimationError,
     NonUniqueStationaryError,
     SpectrumState,
     TransitionMatrix,
-    count_transitions,
     estimate_transition_matrix,
     estimate_transition_matrices,
-    n_step_distribution,
     parse_observations,
-    predict_next_state,
     predict_next_states,
     stationary_distribution,
     wrap_states,
@@ -30,24 +29,6 @@ EXAMPLE_MATRIX = np.array(
         [1 / 2, 1 / 2, 0.0],
     ]
 )
-
-
-def naive_pair_counts(seq):
-    """Independent oracle: count adjacent pairs with a dict loop."""
-    counts = np.zeros((3, 3), dtype=np.int64)
-    for a, b in zip(seq[:-1], seq[1:]):
-        counts[int(a), int(b)] += 1
-    return counts
-
-
-def matmul_3x3(a, b):
-    """Independent oracle: explicit triple-loop 3x3 matrix product."""
-    out = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
 
 
 def sample_chain(probs, length, rng, start=0):
@@ -124,14 +105,14 @@ class TestEstimation:
             )
 
     def test_batch_rows_are_count_ratios_of_each_band(self):
-        # count_transitions is the oracle, band by band; states never left
+        # naive pair counting is the oracle, band by band; states never left
         # fall back to the uniform row
         rng = np.random.default_rng(4)
         windows = rng.integers(0, 3, size=(40, 6))
         windows[0] = [0, 0, 0, 0, 0, 1]
         batch = estimate_transition_matrices(windows)
         for band, row in enumerate(windows):
-            counts = count_transitions(row).astype(np.float64)
+            counts = naive_pair_counts(row).astype(np.float64)
             totals = counts.sum(axis=1, keepdims=True)
             expected = np.where(totals > 0, counts / np.maximum(totals, 1.0), 1 / 3)
             np.testing.assert_array_equal(batch[band], expected)
@@ -151,11 +132,6 @@ class TestEstimation:
         seq = sample_chain(truth, 100_000, rng)
         tm = estimate_transition_matrix(seq)
         assert np.abs(tm.probs - truth).max() < 0.05
-
-    def test_count_transitions_oracle_agreement(self):
-        rng = np.random.default_rng(5)
-        seq = rng.integers(0, 3, size=500)
-        np.testing.assert_array_equal(count_transitions(seq), naive_pair_counts(seq))
 
 
 class TestStationary:
@@ -192,86 +168,72 @@ class TestStationary:
         pi = stationary_distribution(TransitionMatrix(p))
         np.testing.assert_allclose(pi, [1.0, 0.0, 0.0], atol=1e-12)
 
-
-class TestNStep:
-    def test_zero_steps_is_identity(self):
-        tm = TransitionMatrix(EXAMPLE_MATRIX)
-        p0 = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_array_equal(n_step_distribution(p0, tm, 0), p0)
-
     def test_stationary_is_fixed_point(self):
-        tm = TransitionMatrix(EXAMPLE_MATRIX)
-        pi = stationary_distribution(tm)
-        for n in (1, 5, 50):
-            np.testing.assert_allclose(n_step_distribution(pi, tm, n), pi, atol=1e-9)
+        pi = stationary_distribution(TransitionMatrix(EXAMPLE_MATRIX))
+        np.testing.assert_allclose(pi @ EXAMPLE_MATRIX, pi, atol=1e-12)
 
-    def test_two_steps_against_explicit_square(self):
-        tm = TransitionMatrix(EXAMPLE_MATRIX)
-        p_squared = matmul_3x3(EXAMPLE_MATRIX, EXAMPLE_MATRIX)
-        out = n_step_distribution(np.array([1.0, 0.0, 0.0]), tm, 2)
-        np.testing.assert_allclose(out, p_squared[0], atol=1e-15)
 
-    def test_semigroup_property(self):
-        tm = TransitionMatrix(EXAMPLE_MATRIX)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            p0 = rng.dirichlet(np.ones(3))
-            n, m = rng.integers(0, 8, size=2)
-            via_two = n_step_distribution(n_step_distribution(p0, tm, n), tm, m)
-            direct = n_step_distribution(p0, tm, n + m)
-            np.testing.assert_allclose(via_two, direct, atol=1e-10)
+# the transition counts of the worked example
+EXAMPLE_COUNTS = np.array([[7, 4, 1], [3, 1, 1], [1, 1, 0]])
 
-    def test_result_stays_probability_vector(self):
-        tm = TransitionMatrix(EXAMPLE_MATRIX)
-        out = n_step_distribution(np.array([1.0, 0.0, 0.0]), tm, 17)
-        assert abs(out.sum() - 1.0) <= 1e-12
 
-    def test_rejects_bad_inputs(self):
-        tm = TransitionMatrix(EXAMPLE_MATRIX)
-        with pytest.raises(ValueError):
-            n_step_distribution(np.array([0.5, 0.5, 0.5]), tm, 1)
-        with pytest.raises(ValueError):
-            n_step_distribution(np.array([1.0, 0.0, 0.0]), tm, -1)
+def batched(counts, states, pairs=2, nodes=3):
+    """(bands, 3, 3) `counts` and (bands,) `states` stacked as `run_episode`
+    passes them: (pairs, 1, bands, 3, 3) counts against (pairs, nodes,
+    bands) states."""
+    counts = np.broadcast_to(counts, (pairs, 1) + np.shape(counts))
+    states = np.broadcast_to(states, (pairs, nodes) + np.shape(states))
+    return counts, states
 
 
 class TestPrediction:
     def test_row_maxima_of_worked_example(self):
-        tm = TransitionMatrix(EXAMPLE_MATRIX)
-        assert predict_next_state(tm, SpectrumState.GOOD) == SpectrumState.GOOD
-        assert predict_next_state(tm, SpectrumState.BAD) == SpectrumState.GOOD
+        counts, states = batched(np.stack([EXAMPLE_COUNTS] * 2), [0, 1])
+        assert np.all(predict_next_states(counts, states) == SpectrumState.GOOD)
 
     def test_tie_breaks_toward_good(self):
         # Busy row of the worked example ties 1/2 vs 1/2; Good wins
-        tm = TransitionMatrix(EXAMPLE_MATRIX)
-        assert predict_next_state(tm, SpectrumState.BUSY) == SpectrumState.GOOD
+        for table in (EXAMPLE_COUNTS, EXAMPLE_MATRIX):
+            counts, states = batched(np.stack([table] * 4), [SpectrumState.BUSY] * 4)
+            predicted = predict_next_states(counts, states)
+            assert predicted.shape == (2, 3, 4) and predicted.dtype == np.int8
+            assert np.all(predicted == SpectrumState.GOOD)
+
+    def test_ties_break_toward_the_lowest_state(self):
+        # Bad > Busy where Good is out of the tie, on every band at once
+        rows = np.array([[1, 1, 1], [0, 2, 2], [3, 1, 3], [0, 0, 0]])
+        counts, states = batched(np.broadcast_to(rows[:, None], (4, 3, 3)), [0, 1, 2, 0])
+        assert np.all(predict_next_states(counts, states) == [0, 1, 0, 0])
 
     def test_degenerate_row(self):
         p = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 1.0]])
-        tm = TransitionMatrix(p)
-        assert predict_next_state(tm, SpectrumState.BAD) == SpectrumState.BUSY
+        counts, states = batched(p[None], [SpectrumState.BAD])
+        assert np.all(predict_next_states(counts, states) == SpectrumState.BUSY)
+
+    def test_a_lone_matrix_and_state_give_one_state(self):
+        for state in SpectrumState:
+            predicted = predict_next_states(EXAMPLE_MATRIX, state)
+            assert predicted.shape == () and predicted == EXAMPLE_MATRIX[state].argmax()
 
     def test_count_scale_invariance(self):
         # argmax is invariant to scaling a row's count table
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            counts = rng.integers(1, 30, size=(3, 3)).astype(float)
-            for scale in (2.0, 10.0):
-                base = TransitionMatrix(counts / counts.sum(axis=1, keepdims=True))
-                scaled_counts = counts * scale
-                scaled = TransitionMatrix(
-                    scaled_counts / scaled_counts.sum(axis=1, keepdims=True)
-                )
-                for s in SpectrumState:
-                    assert predict_next_state(base, s) == predict_next_state(scaled, s)
+        counts = rng.integers(1, 30, size=(2, 1, 50, 3, 3))
+        states = rng.integers(0, 3, size=(2, 3, 50))
+        base = predict_next_states(counts / counts.sum(axis=-1, keepdims=True), states)
+        np.testing.assert_array_equal(predict_next_states(counts, states), base)
+        for scale in (2, 10):
+            scaled = counts * scale
+            probs = scaled / scaled.sum(axis=-1, keepdims=True)
+            np.testing.assert_array_equal(predict_next_states(probs, states), base)
 
-    def test_vectorised_matches_scalar(self):
+    def test_vectorised_matches_row_argmax(self):
         rng = np.random.default_rng(2)
         batch = rng.dirichlet(np.ones(3), size=(40, 3))
         current = rng.integers(0, 3, size=40).astype(np.int8)
         preds = predict_next_states(batch, current)
         for i in range(40):
-            tm = TransitionMatrix(batch[i])
-            assert preds[i] == predict_next_state(tm, int(current[i]))
+            assert preds[i] == np.argmax(batch[i, current[i]])
 
 
 class TestObservationIO:

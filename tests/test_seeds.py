@@ -4,6 +4,7 @@
 mixing over whole families; `tests/oracles.py` derives each member
 through numpy's own `SeedSequence` and `default_rng`.  Equal streams
 must agree in what they draw and in the bit generator's state after.
+Distinct consumers must never seed from one entropy row.
 """
 
 import gc
@@ -15,7 +16,10 @@ from hypothesis import strategies as st
 
 from oracles import seed_sequence_rng, slotwise_sense, spawned_rngs
 
+from specagg import seeds
+from specagg.radio import RadioParams
 from specagg.seeds import derive_rng, derive_rngs, derive_seed_sequence, spawn_rngs
+from specagg.simulation import EpisodeConfig, NetworkScenario, Strategy, run_strategies
 from specagg.topology import sense
 
 SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
@@ -99,3 +103,28 @@ def test_a_family_checks_its_seed_at_once_and_builds_each_generator_when_reached
 def test_derived_generators_cannot_spawn():
     with pytest.raises(TypeError):
         derive_rng(1, "topology", 0).spawn(1)
+
+
+@pytest.mark.parametrize("sensing_error_rate", [0.0, 0.1])
+def test_a_cell_never_gives_two_consumers_one_stream(sensing_error_rate, monkeypatch):
+    # every entropy row a tiny cell of all four strategies seeds a stream
+    # from, recorded per seed: none repeats within the cell, and seeds s
+    # and s + 1 share none
+    rows = []
+
+    def recorded(entropy, *args, generators=seeds._generators):
+        rows.extend(tuple(row) for row in entropy.tolist())
+        return generators(entropy, *args)
+
+    monkeypatch.setattr(seeds, "_generators", recorded)
+    scenario = NetworkScenario(users=2, relays=3, bands=4)
+    cells = []
+    for seed in (7, 8):
+        config = EpisodeConfig(
+            slots=24, n_train=20, episodes=2, seed=seed, sensing_error_rate=sensing_error_rate
+        )
+        rows.clear()
+        run_strategies(scenario, config, RadioParams(), list(Strategy), [10.0])
+        cells.append(set(rows))
+        assert len(cells[-1]) == len(rows) > 0
+    assert not cells[0] & cells[1]
