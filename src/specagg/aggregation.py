@@ -8,7 +8,8 @@ views plus per-(band, relay) SNRs and produces a full allocation:
 2. give each band to at most one user's common free set
    (`common_free_spectrum` returns each band's user),
 3. give every such band to the best predicted-free relay of its user
-   (`allocate_spectrum` returns each band's relay and its SNR),
+   (`allocate_spectrum` returns each band's relay and that relay's entry
+   of `snr`, before any `hop` factor),
 4. aggregate each user's bands and score the throughput
    (`aggregate_and_score`).
 
@@ -204,7 +205,8 @@ def allocate_spectrum(
 
     Returns:
         (band_relay, band_snr): the (..., bands) winning relay of each
-        band, -1 when unallocated, and its SNR, 0 when unallocated.
+        band, -1 when unallocated, and the winner's entry of `snr`, 0 when
+        unallocated; `hop` ranks the relays but does not scale it.
     """
     snr, owner, hop, best = _relay_inputs(owner, snr, hop, best)
     band_user = np.asarray(band_user)
@@ -221,8 +223,7 @@ def allocate_spectrum(
         band_relay = np.where(takes, best, UNASSIGNED)
         # (batch..., band) indices of those bands, found flat, and their relays
         won = np.unravel_index(np.flatnonzero(takes), takes.shape)
-        relay = won[:-1] + (best[won],)
-        band_snr[won] = hop[relay] * snr[won + relay[-1:]]
+        band_snr[won] = snr[won + (best[won],)]
     else:
         band_relay = np.full(band_user.shape, UNASSIGNED)
     if assigned.any():
@@ -234,8 +235,7 @@ def allocate_spectrum(
         winner = _best_admitted(
             left, best, lambda at: (owners[at] == users[at]) & predicted_free[at], snr, hop)
         band_relay[left] = winner
-        relay = left[:-1] + (np.maximum(winner, 0),)
-        band_snr[left] = np.where(winner >= 0, hop[relay] * snr[left + relay[-1:]], 0.0)
+        band_snr[left] = np.where(winner >= 0, snr[left + (np.maximum(winner, 0),)], 0.0)
     return band_relay, band_snr
 
 

@@ -490,15 +490,16 @@ def emit_figure_data(config: RunConfig, figure_id: int) -> Path:
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose errors reach `main` as `CLIError`; subparsers inherit it.
 
-    A token that starts with `-` and a digit or `.` is a value, e.g. the
-    `-5,0` of `--values -5,0` or the `-1e1` of `--es-n0-db -1e1`, where
-    argparse alone takes only `-5`- or `-.5`-shaped tokens for numbers.
+    A token that starts with `-` and a digit, `.`, `inf` or `nan` (any
+    case) is a value, e.g. the `-5,0` of `--values -5,0`, the `-1e1` of
+    `--es-n0-db -1e1` or the `-inf` of `--es-n0-db -inf`, where argparse
+    alone takes only `-5`- or `-.5`-shaped tokens for numbers.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads a token this matches as a value, not as a flag
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        self._negative_number_matcher = re.compile(r"^-([\d.]|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise CLIError(message)

@@ -32,8 +32,8 @@ rule's `EpisodePass`, its allocation alone, into one strategy's metric
 arrays at any list of Es/N0 points; `NO_AGGREGATION` keeps each user's band
 with the highest winner score.  `run_strategies` is the one way to run
 a cell: per episode one world, one pass and one scoring per strategy,
-each filling its episode's row of the strategy's `StrategyMetrics`
-arrays.  `summarize` reduces those arrays to each point's summary rows.
+whose arrays are stacked over the episodes into the strategy's
+`StrategyMetrics`.  `summarize` reduces those to each point's summary rows.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class EpisodePass:
 
     `kept` is the allocation, four (pairs, bands) arrays: each band's
     user (-1 for none), and its winning relay's position split, doubled
-    attenuation (0 for none) and fading gain.  `failed` marks the bands
+    attenuation and fading gain (both 0 for none).  `failed` marks the bands
     whose true t + 1 state is Busy or Bad.
     """
 
@@ -317,8 +317,9 @@ def run_episode(
     records = [(rule == Strategy.SINGLE_USER, rule != Strategy.NO_PREDICTION,
                 np.empty((n_pairs, bands), np.min_scalar_type(-relays)), np.empty((n_pairs, bands)))
                for rule in rules]
-    guessed = {predicting: np.empty(n_pairs, dtype=np.int8) for _, predicting, *_ in records}
-    if True in guessed:
+    # the rules' kinds: True where a rule predicts its t + 1 states, False where it persists
+    kinds = dict.fromkeys(predicting for _, predicting, *_ in records)
+    if True in kinds:
         # window k ends at pair k's first slot
         counts = window_transition_counts(history[:-1], config.n_train)
 
@@ -355,11 +356,10 @@ def run_episode(
             # or persisted; sources are the first view and relays the last
             now = [view[pair_slots[pairs]] for view in views]
             judged = {}
-            for p, guesses in guessed.items():
+            for p in kinds:
                 after = [predict_next_states(counts[pairs, None], s) for s in now] if p else now
                 available = [two_slot_availability(*s) for s in zip(now, after)]
                 judged[p] = available, prediction_bits(after[-1])
-                guesses[pairs] = after[0][:, 0, designated]
             for single, (seen_users, owner, owned_hop, ranked, seeing) in steps.items():
                 # each band's best relay (shared by predict and persist), on band-major scores
                 best = np.concatenate([
@@ -374,11 +374,9 @@ def run_episode(
                         owner[pairs], seen_users, available[0][:, :seen_users], available[-1],
                         block_gains, owned_hop[pairs], best,
                     )
-                    band_relay[pairs] = allocate_spectrum(
+                    band_relay[pairs], kept_gain[pairs] = allocate_spectrum(
                         band_user, owner[pairs], bits, block_gains, owned_hop[pairs], best
-                    )[0]
-                    winner = np.maximum(band_relay[pairs], 0)[..., None]
-                    kept_gain[pairs] = np.take_along_axis(block_gains, winner, axis=-1)[..., 0]
+                    )
     del gains, block_gains  # the last chunk's buffer is spent: free it before the passes
 
     pair = np.arange(n_pairs)[:, None]
@@ -386,6 +384,8 @@ def run_episode(
     failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
     actual = truth_next[:, designated]
     default = history[pair_slots, designated]
+    # the designated band's t + 1 state as the predicting rules predicted it
+    guessed = predict_next_states(counts[:, designated], default) if True in kinds else default
     passes = []
     for single, predicting, relay, kept_gain in records:
         seen_users, owner, *_ = steps[single]
@@ -400,7 +400,8 @@ def run_episode(
             users=seen_users,
             kept=(band_user, alpha[pair, winner, user], beta2, kept_gain),
             failed=failed,
-            trace=np.stack([actual, default, guessed[predicting]], axis=1).astype(np.int8),
+            trace=np.stack([actual, default, guessed if predicting else default],
+                           axis=1).astype(np.int8),
         ))
     return tuple(passes)
 
@@ -457,34 +458,22 @@ def run_strategies(
         return []
     # the strategies' decision rules, each run once per episode
     rules = tuple(dict.fromkeys(_RULE.get(strategy, strategy) for strategy in strategies))
-    pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
-    shape = (config.episodes, config.pairs)
-    out = []
-    for strategy in strategies:
-        # the single-user strategy sees the first user alone
-        users = 1 if strategy == Strategy.SINGLE_USER else scenario.users
-        out.append(StrategyMetrics(
-            pair_slots=pair_slots,
-            allocated=np.empty(shape, np.int64),
-            outages=np.empty(shape, np.int64),
-            throughput_bps=np.empty((len(points), *shape)),
-            user_capacity_bps=np.empty((len(points), config.episodes, users)),
-            trace=np.empty((*shape, 3), np.int8),
-        ))
+    # per strategy, each episode's scored arrays and trace
+    scored = [[] for _ in strategies]
     for episode in range(config.episodes):
         topology, processes = build_episode_world(scenario, config, episode)
         passes = run_episode(config, topology, processes, params, episode, rules)
-        for strategy, metrics in zip(strategies, out):
-            rule = rules.index(_RULE.get(strategy, strategy))
-            metrics.trace[episode] = passes[rule].trace
-            allocated, outages, throughput, capacity = score_episode(
-                passes[rule], strategy, points, params)
-            metrics.allocated[episode], metrics.outages[episode] = allocated, outages
-            metrics.throughput_bps[:, episode] = throughput
-            metrics.user_capacity_bps[:, episode] = capacity
+        for strategy, episodes in zip(strategies, scored):
+            decided = passes[rules.index(_RULE.get(strategy, strategy))]
+            episodes.append((*score_episode(decided, strategy, points, params), decided.trace))
         # the passes are scored: free them before the next episode runs its own
-        del passes
-    return out
+        del passes, decided
+    pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
+    return [
+        StrategyMetrics(pair_slots, np.stack(allocated), np.stack(outages),
+                        np.stack(throughput, axis=1), np.stack(capacity, axis=1), np.stack(trace))
+        for allocated, outages, throughput, capacity, trace in (zip(*e) for e in scored)
+    ]
 
 
 def summarize(metrics: StrategyMetrics) -> np.ndarray:

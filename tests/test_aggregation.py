@@ -271,7 +271,13 @@ class TestSharedBestRelay:
             )
             snr = hop[:, None, :] * gains
             band_user = common_free_spectrum(owner, n_users, source, relay_free, gains, hop, best)
-            band_relay, band_snr = allocate_spectrum(band_user, owner, bits, gains, hop, best)
+            band_relay, band_gain = allocate_spectrum(band_user, owner, bits, gains, hop, best)
+            # step 3's second output is each winner's entry of `gains`, 0 where
+            # the band is unallocated; the winner's hop times it is its SNR
+            winner = np.maximum(band_relay, 0)
+            at_winner = np.take_along_axis(gains, winner[..., None], axis=-1)[..., 0]
+            np.testing.assert_array_equal(band_gain, np.where(band_relay >= 0, at_winner, 0.0))
+            band_snr = np.take_along_axis(hop, winner, axis=-1) * band_gain
             # the same as given the full SNRs alone, whose best relays the steps rank
             np.testing.assert_array_equal(
                 band_user, common_free_spectrum(owner, n_users, source, relay_free, snr)

@@ -565,6 +565,25 @@ class TestNegativeValues:
         for name in names:
             assert (separate / name).read_bytes() == (joined / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["run"], "--es-n0-db", "-inf"),
+            (["sweep", "--axis", "es_over_n0"], "--values", "-Infinity,0"),
+            (["run"], "--p0", "-nan"),
+        ],
+    )
+    def test_separate_unusable_value_is_the_joined_forms_error(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        errors = []
+        for form in ([flag, value], [f"{flag}={value}"]):
+            assert main(command + form + ["--out", str(tmp_path / "x")]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error:") and len(errors[0].strip().splitlines()) == 1
+        assert "expected one argument" not in errors[0]
+
 
 class TestInputValidation:
     def test_seed_outside_32_bits_is_one_error_line(self, tmp_path, capsys):

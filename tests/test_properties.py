@@ -13,6 +13,10 @@ byte for byte those of that strategy run alone at that point and of a
 decision pass scored at the point alone, whatever the order and
 repeats of the points and strategies and however the views split into
 pair blocks.
+
+Steps 2-3 are metamorphic in the relays: permuting them with all their
+inputs permutes only step 3's winners, and a relay that nobody owns and
+whose hop is 0 changes no band's user or winner.
 """
 
 from dataclasses import replace
@@ -206,6 +210,83 @@ def test_steps_two_and_three_take_one_mask_row_for_every_relay(stack):
     for row, copied in zip(steps(relay, bits), steps(every_relay(relay), every_relay(bits))):
         assert row.dtype == copied.dtype
         np.testing.assert_array_equal(row, copied)
+
+
+@st.composite
+def relay_instances(draw):
+    """Steps 2-3 inputs of 1-3 pairs: owners, source and relay masks and
+    prediction bits (one row for every node or one per node), and
+    continuous positive gains and hops, so no two relays tie on a band;
+    whether each band's best relay is given; and a permutation of the relays.
+    The arrays are drawn from a seeded generator, so most masks mix values."""
+    pairs, users = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    relays, bands = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    source_rows, relay_rows, bit_rows = (
+        draw(st.sampled_from([1, nodes])) for nodes in (users, relays, relays))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (
+        users,
+        rng.integers(-1, users, size=(pairs, relays)),
+        rng.random((pairs, source_rows, bands)) < 0.8,
+        rng.random((pairs, relay_rows, bands)) < 0.7,
+        (rng.random((pairs, bit_rows, bands)) < 0.4).astype(np.int8),
+        rng.exponential(size=(pairs, bands, relays)),
+        rng.uniform(0.1, 2.0, size=(pairs, relays)),
+        draw(st.booleans()),
+        np.array(draw(st.permutations(range(relays)))),
+    )
+
+
+def relay_steps(users, owner, source, relay_free, bits, gains, hop, ranked):
+    """Step 2's band users and step 3's (band_relay, band_gain), given each
+    band's best relay as a decision pass gives it when `ranked`."""
+    best = (hop[:, None, :] * gains).argmax(axis=-1) if ranked else None
+    band_user = common_free_spectrum(owner, users, source, relay_free, gains, hop, best)
+    return (band_user, *allocate_spectrum(band_user, owner, bits, gains, hop, best))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relay_instances())
+def test_permuting_the_relays_permutes_only_the_winners(case):
+    *inputs, ranked, perm = case
+    users, owner, source, relay_free, bits, gains, hop = inputs
+
+    def rows(mask):
+        return mask[:, perm] if mask.shape[1] > 1 else mask
+
+    band_user, band_relay, band_gain = relay_steps(*inputs, ranked)
+    moved_user, moved_relay, moved_gain = relay_steps(
+        users, owner[:, perm], source, rows(relay_free), rows(bits), gains[..., perm],
+        hop[:, perm], ranked)
+    np.testing.assert_array_equal(moved_user, band_user)
+    np.testing.assert_array_equal(moved_gain, band_gain)
+    np.testing.assert_array_equal(
+        np.where(moved_relay >= 0, perm[moved_relay], UNASSIGNED), band_relay)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relay_instances())
+def test_an_unowned_zero_hop_relay_changes_no_band_user_or_winner(case):
+    *inputs, ranked, _ = case
+    users, owner, source, relay_free, bits, gains, hop = inputs
+
+    def grown(mask, value):
+        # a per-relay mask gets a row of `value` for the new relay; a one-row
+        # mask already holds its row
+        if mask.shape[1] == 1:
+            return mask
+        return np.concatenate([mask, np.full_like(mask[:, :1], value)], axis=1)
+
+    band_user, band_relay, _ = relay_steps(*inputs, ranked)
+    # the new relay is free and predicted free everywhere, and its gain is the
+    # largest, so only its zero hop and missing owner keep it from winning
+    more = relay_steps(
+        users, np.append(owner, np.full((len(owner), 1), -1), axis=1), source,
+        grown(relay_free, True), grown(bits, 0),
+        np.concatenate([gains, 2 * gains.max(axis=-1, keepdims=True)], axis=-1),
+        np.append(hop, np.zeros((len(hop), 1)), axis=1), ranked)
+    np.testing.assert_array_equal(more[0], band_user)
+    np.testing.assert_array_equal(more[1], band_relay)
 
 
 @settings(max_examples=100, deadline=None)

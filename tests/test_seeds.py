@@ -4,10 +4,12 @@
 mixing over whole families; `tests/oracles.py` derives each member
 through numpy's own `SeedSequence` and `default_rng`.  Equal streams
 must agree in what they draw and in the bit generator's state after.
-Distinct consumers must never seed from one entropy row.
+Distinct consumers must never seed from one entropy row, and the cells
+of a sweep share every row their axis value does not name.
 """
 
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,3 +130,28 @@ def test_a_cell_never_gives_two_consumers_one_stream(sensing_error_rate, monkeyp
         cells.append(set(rows))
         assert len(cells[-1]) == len(rows) > 0
     assert not cells[0] & cells[1]
+
+
+def test_sweep_cells_share_every_stream_their_axis_value_does_not_name(monkeypatch):
+    # p0 sets only the truth chain's thresholds, so cells that differ in p0
+    # alone seed the same rows; more bands add their own gain and truth
+    # streams and move no other
+    rows = []
+
+    def recorded(entropy, *args, generators=seeds._generators):
+        rows.extend(tuple(row) for row in entropy.tolist())
+        return generators(entropy, *args)
+
+    monkeypatch.setattr(seeds, "_generators", recorded)
+    config = EpisodeConfig(slots=24, n_train=20, episodes=2, seed=7, sensing_error_rate=0.1)
+
+    def cell_rows(bands, p0):
+        rows.clear()
+        scenario = NetworkScenario(users=2, relays=3, bands=bands, p0=p0)
+        run_strategies(scenario, config, RadioParams(), list(Strategy), [10.0])
+        return Counter(rows)
+
+    four = cell_rows(4, 0.2)
+    assert four and four == cell_rows(4, 0.6)
+    six = cell_rows(6, 0.2)
+    assert not four - six and six.total() > four.total()
