@@ -48,7 +48,7 @@ def alternating_channel():
         topology, processes = world()
         (decided,) = run_episode(config, topology, processes, params, 0, (strategy,))
         # the pass decides without Es/N0; score it at Es/N0 = 10 (linear)
-        allocated, outages, [throughput], _ = score_episode(decided, strategy, [10.0], params)
+        allocated, outages, [throughput], _ = score_episode(decided, [10.0], params)
         rate = outages.sum() / allocated.sum() if allocated.sum() else 0.0
         print(
             f"  {strategy.value:>17}: allocated={allocated.sum():>3}"

@@ -233,6 +233,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise ConfigParseError(f"unknown config key '{key}'")
         raw[key] = value
     config = RunConfig(**{key: _parse_value(key, key, value) for key, value in raw.items()})
+    # an empty out, most often an unset shell variable, would write the run into the cwd
+    if not config.out:
+        raise ConfigParseError("out must name a directory, got ''")
     # config_effective.txt must read back as this config: a value ends at '#' or a line break
     if "#" in config.out or config.out.strip() != config.out or len(config.out.splitlines()) > 1:
         raise ConfigParseError(
@@ -282,10 +285,10 @@ def _run_cell(config: RunConfig, strategies, grid) -> list[tuple]:
     """Run the cell of `config` with `strategies` at the Es/N0 points `grid` (dB).
 
     One `run_strategies` call: per episode one world and one Es/N0-free
-    decision pass per decision rule, and one scoring of each strategy at
-    every point in one batch.  Returns (strategy, metrics, columns) per
-    strategy; its columns hold, per point of `grid`, the CSV text of the
-    mean outage, throughput and min and max user capacity.
+    pass of every strategy, each decision run once, and one scoring of
+    each pass at every point in one batch.  Returns (strategy, metrics,
+    columns) per strategy; its columns hold, per point of `grid`, the CSV
+    text of the mean outage, throughput and min and max user capacity.
     """
     runs = run_strategies(
         from_config(NetworkScenario, config),

@@ -20,26 +20,26 @@ them are paired:
   present (it keeps every relay that covers it).
 
 No slot pair depends on an earlier pair's allocation, so an episode is
-one lockstep pass (`run_episode`) of its decision rules -- predict (also
-NO_AGGREGATION's), persist and single-user -- over arrays of all its
-pairs: step 1 assigns every pair's relays once per topology, the fading
-gains are drawn by chunks of pairs into one reused buffer, and per pair
-block each topology ranks every band's best relay once; steps 2-3
-re-rank only the bands whose masks exclude it.  Decisions rank on
-draw-only scores (the hop at Es/N0 = 1, times the band's gain), so no
-Es/N0 point or transmit power can move one.  `score_episode` turns a
-rule's `EpisodePass`, its allocation alone, into one strategy's metric
-arrays at any list of Es/N0 points; `NO_AGGREGATION` keeps each user's band
-with the highest winner score.  `run_strategies` is the one way to run
-a cell: per episode one world, one pass and one scoring per strategy,
-whose arrays are stacked over the episodes into the strategy's
+one lockstep pass (`run_episode`) over arrays of all its pairs, which
+returns each strategy's allocation.  Each decision (first pair or all,
+predict or persist) runs once: step 1 assigns every pair's relays once
+per topology, the fading gains are drawn by chunks of pairs into one
+reused buffer, and per pair block each topology ranks every band's best
+relay once; steps 2-3 re-rank only the bands whose masks exclude it.
+`NO_AGGREGATION` releases predict's bands but each user's best, once per
+pass.  Decisions rank on draw-only scores (the hop at Es/N0 = 1, times
+the band's gain), so no Es/N0 point or transmit power can move one.
+`score_episode` scores an `EpisodePass`, an allocation alone, at any
+list of Es/N0 points.  `run_strategies` is the one way to run a cell:
+per episode one world, one pass and one scoring per strategy, whose
+arrays are stacked over the episodes into the strategy's
 `StrategyMetrics`.  `summarize` reduces those to each point's summary rows.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +102,13 @@ class StrategyMetrics:
 
 @dataclass(frozen=True)
 class EpisodePass:
-    """What one decision pass decided; it holds no Es/N0 and scores nothing.
+    """What one strategy's pass decided; it holds no Es/N0 and scores nothing.
 
     `kept` is the allocation, four (pairs, bands) arrays: each band's
     user (-1 for none), and its winning relay's position split, doubled
-    attenuation and fading gain (both 0 for none).  `failed` marks the bands
-    whose true t + 1 state is Busy or Bad.
+    attenuation and fading gain (both 0 for an unallocated band).  A band
+    is held where its user is >= 0; a released band keeps its winner's
+    draws.  `failed` marks the bands whose true t + 1 state is Busy or Bad.
     """
 
     users: int
@@ -227,20 +228,18 @@ def _require_es_points(points: list[float]) -> None:
 
 
 def score_episode(
-    decided: EpisodePass, strategy: Strategy, points: list[float], params: RadioParams
+    decided: EpisodePass, points: list[float], params: RadioParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`strategy`'s metrics of the decision pass `decided` at each Es/N0 point of `points`.
+    """The metrics of the allocation `decided` at each Es/N0 point of `points`.
 
-    Returns each pair's kept and failed band counts, each (point, pair)'s
+    Returns each pair's held and failed band counts, each (point, pair)'s
     throughput and each (point, user)'s mean throughput over the pairs.
-    `NO_AGGREGATION` keeps only each user's best band (`reduce_to_best_band`
-    of the winners' draw-only scores); every other strategy keeps the
-    whole allocation.  A kept band is an outage where it `failed`, and an
-    outage delivers nothing.  Each pair block rebuilds its SNRs at every
-    point as one (points, pairs, bands) batch, in the order (1 - alpha) *
-    (beta * 2 * es), then tx * hop * gain / gamma, over the full band
-    layout, so every sum rounds as it does for one point alone.  Only
-    the throughputs depend on Es/N0; an empty `points` gives none.
+    A held band is an outage where it `failed`, and an outage delivers
+    nothing.  Each pair block rebuilds its SNRs at every point as one
+    (points, pairs, bands) batch, in the order (1 - alpha) * (beta * 2 *
+    es), then tx * hop * gain / gamma, over the full band layout, so every
+    sum rounds as it does for one point alone.  Only the throughputs
+    depend on Es/N0; an empty `points` gives none.
     """
     _require_es_points(points)
     users, failed = decided.users, decided.failed
@@ -249,16 +248,11 @@ def score_episode(
     allocated, outages = np.empty(n_pairs, np.int64), np.empty(n_pairs, np.int64)
     throughput = np.empty((len(points), n_pairs))
     capacity = np.empty((len(points), n_pairs, users))
-    # the widest temporaries are reduce_to_best_band's (pairs, users, bands)
-    # mask and the (points, pairs, bands) batch, several of them alive at
-    # once; counting at least three users keeps a single-user pass's blocks
-    # within the memory of a multi-user pass's
+    # several (points, pairs, bands) temporaries are alive at once; counting at
+    # least three users keeps a single-user pass's blocks within a multi-user pass's
     for pairs in _pair_blocks(0, n_pairs, max(len(points), 1) * bands * max(users, 3)):
         band_user, hop_split, beta2, gain = (array[pairs] for array in decided.kept)
         held = band_user >= 0
-        if strategy == Strategy.NO_AGGREGATION:
-            score = _hop(hop_split, beta2, params.snr_combining) * gain
-            held = reduce_to_best_band(band_user, score, users)
         delivered = held & ~failed[pairs]
         snr = params.tx_power_w * _hop(hop_split, beta2 * es, params.snr_combining) * gain
         snr /= params.gamma
@@ -277,18 +271,19 @@ def run_episode(
     processes: BandProcessSet,
     params: RadioParams,
     episode: int,
-    rules: tuple[Strategy, ...],
+    strategies: tuple[Strategy, ...],
 ) -> tuple[EpisodePass, ...]:
-    """Run one episode's decision pass per rule of `rules` in lockstep; returns them, unscored.
+    """Run one episode's pass of each of `strategies` in lockstep; returns them, unscored.
 
-    A rule is predict (`PREDICT_AGGREGATE`, also NO_AGGREGATION's),
-    persist (`NO_PREDICTION`) or `SINGLE_USER`, which sees `topology`
-    restricted to its first pair and reads that pair's share of the full
-    population's draws and views.  The rules share the draws, views and
-    predictions; predict and persist also share step 1 and the best relays.
-    Each chunk of gains runs steps 2-3 of every rule before the next is
-    drawn.  No pass reads Es/N0, transmit power or the SNR gap.  The
-    episode reads the trajectory from slot 0.
+    A decision is whether a strategy sees only the first pair (`SINGLE_USER`
+    sees `topology` restricted to it and reads its share of the full
+    population's draws and views) and whether it predicts (all but
+    `NO_PREDICTION`); each runs once, however many strategies share it.
+    All share the draws, views and predictions, and those of the whole
+    topology step 1 and the best relays.  Each chunk of gains runs steps 2-3
+    of every decision before the next is drawn.  `NO_AGGREGATION` releases
+    predict's bands but each user's best.  No pass reads Es/N0, transmit
+    power or the SNR gap.  The trajectory is read from slot 0.
     """
     users, relays, bands = topology.users, topology.relays, processes.band_count
     n_pairs, seed = config.pairs, config.seed
@@ -312,13 +307,14 @@ def run_episode(
     # the predictor trains on the first user's sensed history
     history = views[0][:, 0]
     pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
-    # per rule: whether it sees the first pair alone, whether it predicts, and
+    # per decision (whether it sees the first pair alone, whether it predicts):
     # its kept (pairs, bands) winners and their gains, filled block by block
-    records = [(rule == Strategy.SINGLE_USER, rule != Strategy.NO_PREDICTION,
-                np.empty((n_pairs, bands), np.min_scalar_type(-relays)), np.empty((n_pairs, bands)))
-               for rule in rules]
-    # the rules' kinds: True where a rule predicts its t + 1 states, False where it persists
-    kinds = dict.fromkeys(predicting for _, predicting, *_ in records)
+    decision = {strategy: (strategy == Strategy.SINGLE_USER, strategy != Strategy.NO_PREDICTION)
+                for strategy in strategies}
+    records = {key: (np.empty((n_pairs, bands), np.min_scalar_type(-relays)),
+                     np.empty((n_pairs, bands))) for key in decision.values()}
+    # True where a decision predicts its t + 1 states, False where it persists
+    kinds = dict.fromkeys(predicting for _, predicting in records)
     if True in kinds:
         # window k ends at pair k's first slot
         counts = window_transition_counts(history[:-1], config.n_train)
@@ -326,12 +322,12 @@ def run_episode(
     # step 1 for all pairs at once, on draw-only scores (the hop at Es/N0 = 1, then
     # times band gains): an SNR is a score times tx * Es/N0 / gamma, so both rank alike
     hop = _hop(alpha, beta * 2.0, params.snr_combining)
-    # per topology a rule sees, the whole or its first pair alone: its user
-    # count, its relays' owners (narrowest integer type holding -1), their
-    # hops toward them, the relays that rank each band's best, and its
-    # rules' records, which share its scores
+    # per topology a decision sees, the whole or its first pair alone: its
+    # user count, its relays' owners (narrowest integer type holding -1),
+    # their hops toward them, the relays that rank each band's best, and its
+    # decisions' records, which share its scores
     steps = {}
-    for single in dict.fromkeys(single for single, *_ in records):
+    for single in dict.fromkeys(single for single, _ in records):
         seen, seen_hop = (topology.restrict_to_user(0), hop[..., :1]) if single else (topology, hop)
         owner = assign_relays(seen, seen_hop).astype(np.min_scalar_type(-seen.users))
         # each relay's hop toward its owner; 0 for an unowned relay
@@ -342,7 +338,7 @@ def run_episode(
             # where every score is 0, and then relay 0 is: rank only the pair's
             # relays and relay 0
             ranked = np.flatnonzero(seen.coverage[:, 0] | (np.arange(relays) == 0))
-        seeing = [record[1:] for record in records if record[0] == single]
+        seeing = [(p, *record) for (s, p), record in records.items() if s == single]
         steps[single] = (seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0),
                          ranked, seeing)
     # freed before the pair blocks' temporaries, which would otherwise grow the heap
@@ -384,10 +380,10 @@ def run_episode(
     failed = (truth_next == SpectrumState.BUSY) | (truth_next == SpectrumState.BAD)
     actual = truth_next[:, designated]
     default = history[pair_slots, designated]
-    # the designated band's t + 1 state as the predicting rules predicted it
+    # the designated band's t + 1 state as the predicting decisions predicted it
     guessed = predict_next_states(counts[:, designated], default) if True in kinds else default
-    passes = []
-    for single, predicting, relay, kept_gain in records:
+    passes = {}
+    for (single, predicting), (relay, kept_gain) in records.items():
         seen_users, owner, *_ = steps[single]
         # the kept allocation: each band's user and its winner's draws; an
         # unallocated band gets a zero budget, so its SNR is 0 at every point
@@ -396,14 +392,24 @@ def run_episode(
         band_user = np.where(won, owner[pair, winner], UNASSIGNED)
         user = np.clip(band_user, 0, None)
         beta2 = np.where(won, beta[pair, winner, user] * 2.0, 0.0)
-        passes.append(EpisodePass(
+        passes[single, predicting] = EpisodePass(
             users=seen_users,
             kept=(band_user, alpha[pair, winner, user], beta2, kept_gain),
             failed=failed,
             trace=np.stack([actual, default, guessed if predicting else default],
                            axis=1).astype(np.int8),
-        ))
-    return tuple(passes)
+        )
+    if Strategy.NO_AGGREGATION in decision:
+        # predict's allocation but each user's best band by draw-only winner score
+        predicted = passes[decision[Strategy.NO_AGGREGATION]]
+        band_user, hop_split, beta2, kept_gain = predicted.kept
+        held = np.concatenate([reduce_to_best_band(
+            band_user[b], _hop(hop_split[b], beta2[b], params.snr_combining) * kept_gain[b], users)
+            for b in _pair_blocks(0, n_pairs, users * bands)])
+        best_only = replace(predicted, kept=(np.where(held, band_user, UNASSIGNED),
+                                              hop_split, beta2, kept_gain))
+    return tuple(best_only if strategy == Strategy.NO_AGGREGATION else passes[decision[strategy]]
+                 for strategy in strategies)
 
 
 def build_episode_world(
@@ -429,10 +435,6 @@ def build_episode_world(
     return topology, processes
 
 
-# a strategy's decision rule where the two differ
-_RULE = {Strategy.NO_AGGREGATION: Strategy.PREDICT_AGGREGATE}
-
-
 def run_strategies(
     scenario: NetworkScenario,
     config: EpisodeConfig,
@@ -445,9 +447,9 @@ def run_strategies(
     This is the one way to run a cell, of one strategy or several.
     `points` are the cell's linear Es/N0 values, the only Es/N0 it has;
     a repeated point is scored again.  Episodes run outer: each builds
-    its world once, runs its strategies' decision rules in one
-    `run_episode` call, and scores each strategy at every point in one
-    `score_episode` call.  Returns the metrics of each of `strategies`,
+    its world once, runs its strategies' passes in one `run_episode`
+    call, and scores each pass at every point in one `score_episode`
+    call.  Returns the metrics of each of `strategies`,
     its points in the order of `points`; with no strategies, `[]`
     before any world is built.
     """
@@ -456,16 +458,13 @@ def run_strategies(
     _require_es_points(points)
     if not strategies:
         return []
-    # the strategies' decision rules, each run once per episode
-    rules = tuple(dict.fromkeys(_RULE.get(strategy, strategy) for strategy in strategies))
     # per strategy, each episode's scored arrays and trace
     scored = [[] for _ in strategies]
     for episode in range(config.episodes):
         topology, processes = build_episode_world(scenario, config, episode)
-        passes = run_episode(config, topology, processes, params, episode, rules)
-        for strategy, episodes in zip(strategies, scored):
-            decided = passes[rules.index(_RULE.get(strategy, strategy))]
-            episodes.append((*score_episode(decided, strategy, points, params), decided.trace))
+        passes = run_episode(config, topology, processes, params, episode, tuple(strategies))
+        for decided, episodes in zip(passes, scored):
+            episodes.append((*score_episode(decided, points, params), decided.trace))
         # the passes are scored: free them before the next episode runs its own
         del passes, decided
     pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)

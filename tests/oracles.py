@@ -7,13 +7,16 @@ noisy sensing draws through the public Generator calls slot by slot
 instead of decoding one raw-word draw, substreams are seeded through
 numpy's own SeedSequence instead of one array pass per family, and
 fading gains are drawn one band's (pairs, relays) array at a time into a
-pair-major array instead of filling a band-major buffer in place.
+pair-major array instead of filling a band-major buffer in place.  The
+acceptance gate's paired t-test lives here too, since scipy is a test
+dependency only.
 """
 
 import functools
 import hashlib
 
 import numpy as np
+from scipy import stats
 
 from specagg.markov import N_STATES
 
@@ -92,3 +95,21 @@ def bandwise_gains(seed, episode, n_pairs, relays, bands):
         rng = seed_sequence_rng(seed, "gain", episode, n)
         gains[:, n, :] = rng.exponential(1.0, size=(n_pairs, relays))
     return gains
+
+
+def paired_one_sided_pvalue(x, y) -> float:
+    """P-value of a paired t-test for H1: mean(x - y) > 0.
+
+    `x` and `y` must be seed-matched samples of equal length.  A zero
+    variance of the differences degenerates to p = 0 when the common
+    difference is positive and p = 1 otherwise.
+    """
+    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    if d.size < 2:
+        raise ValueError("need at least two paired samples")
+    mean = d.mean()
+    sd = d.std(ddof=1)
+    if sd == 0.0:
+        return 0.0 if mean > 0 else 1.0
+    t = mean / (sd / np.sqrt(d.size))
+    return float(stats.t.sf(t, d.size - 1))

@@ -40,7 +40,7 @@ from specagg.simulation import (
     score_episode,
     summarize,
 )
-from specagg.stats import paired_one_sided_pvalue
+from oracles import paired_one_sided_pvalue
 from specagg.topology import (
     BandProcessSet,
     SpectrumProcessConfig,
@@ -201,7 +201,7 @@ def test_criterion_4b_period_two_chain_exact():
         """The episode's allocations and outage rate (0 when nothing was allocated)."""
         topology, processes = world(7)
         (decided,) = run_episode(config, topology, processes, params, 0, (strategy,))
-        allocated, outages, _, _ = score_episode(decided, strategy, [_es()], params)
+        allocated, outages, _, _ = score_episode(decided, [_es()], params)
         allocated, outages = int(allocated.sum()), int(outages.sum())
         return allocated, outages / allocated if allocated > 0 else 0.0
 

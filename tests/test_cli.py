@@ -173,6 +173,25 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: out must hold no '#'") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("form", ["flag", "config file"])
+    def test_an_empty_out_is_one_error_line_and_writes_nothing(
+        self, form, tmp_path, monkeypatch, capsys
+    ):
+        # an empty `--out "$OUT"` is most often an unset variable: it must not
+        # write the run into the current directory
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--episodes", "1", "--slots", "24"]
+        if form == "flag":
+            argv += ["--out", ""]
+        else:
+            Path("run.cfg").write_text("out =\n")
+            argv += ["--config", "run.cfg"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out must name a directory, got ''\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            [] if form == "flag" else ["run.cfg"])
+
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=8))
     def test_effective_config_reads_back_as_the_config(self, out):
@@ -524,6 +543,21 @@ class TestMainEntry:
         assert done.returncode == 0, done.stderr
         names = ("config_effective.txt", "metrics.csv", "summary.csv", "trace.csv")
         assert sorted(path.name for path in out.iterdir()) == sorted(names)
+
+    def test_a_run_needs_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: with its import blocked, a run that
+        # imported it anywhere would end in a traceback
+        out = tmp_path / "cli_out"
+        args = ["run", "--out", str(out), "--episodes", "1", "--slots", "24"]
+        block = ("import runpy, sys; sys.modules['scipy'] = None; "
+                 "runpy.run_module('specagg', run_name='__main__', alter_sys=True)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", block, *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (out / "summary.csv").is_file()
 
     def test_python_m_specagg_exits_1_with_one_error_line(self, tmp_path):
         done = self.python_m_specagg("run", "--p0", "2", "--out", str(tmp_path / "x"))

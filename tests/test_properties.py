@@ -7,18 +7,23 @@ batch axis.  The invariants of a single allocation must hold for every
 pair of a stack.
 
 `run_strategies` runs one cell's strategies at its Es/N0 points: one
-decision pass per decision rule, each of whose strategies it scores at
+pass per strategy, each decision run once, and each pass scored at
 every point in one batch.  Each (strategy, point)'s metrics must be
 byte for byte those of that strategy run alone at that point and of a
 decision pass scored at the point alone, whatever the order and
 repeats of the points and strategies and however the views split into
 pair blocks.
 
+A pass is its strategy's allocation: one `run_episode` call returns each
+strategy's pass as if it ran alone, and no-aggregation's holds one of
+predict's bands per user.
+
 Steps 2-3 are metamorphic in the relays: permuting them with all their
 inputs permutes only step 3's winners, and a relay that nobody owns and
 whose hop is 0 changes no band's user or winner.
 """
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -57,7 +62,13 @@ from specagg.topology import Topology
 
 PARAMS = RadioParams()
 # few distinct values, so SNR and rate ties exercise the tie-breaking
-LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+LEVELS = np.array([0.0, 0.5, 1.0, 2.0])
+
+
+def seeded(draw):
+    """A generator seeded by hypothesis: arrays drawn from it mix their values,
+    where hypothesis `arrays` fills most elements with one."""
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -67,14 +78,14 @@ def pair_stacks(draw):
     users = draw(st.integers(1, 3))
     relays = draw(st.integers(1, 5))
     bands = draw(st.integers(1, 6))
-    coverage = draw(arrays(np.bool_, (relays, users)))
+    rng = seeded(draw)
     return (
-        Topology(users=users, relays=relays, coverage=coverage),
-        draw(arrays(np.float64, (pairs, relays, users), elements=LEVELS)),
-        draw(arrays(np.bool_, (pairs, users, bands))),
-        draw(arrays(np.bool_, (pairs, relays, bands))),
-        draw(arrays(np.int8, (pairs, relays, bands), elements=st.integers(0, 1))),
-        draw(arrays(np.float64, (pairs, bands, relays), elements=LEVELS)),
+        Topology(users=users, relays=relays, coverage=rng.random((relays, users)) < 0.6),
+        rng.choice(LEVELS, (pairs, relays, users)),
+        rng.random((pairs, users, bands)) < 0.7,
+        rng.random((pairs, relays, bands)) < 0.7,
+        (rng.random((pairs, relays, bands)) < 0.4).astype(np.int8),
+        rng.choice(LEVELS, (pairs, bands, relays)),
     )
 
 
@@ -172,22 +183,23 @@ def shared_mask_stacks(draw):
     users = draw(st.integers(2, 3))
     relays = draw(st.integers(3, 5))
     bands = draw(st.integers(2, 6))
-    coverage = draw(arrays(np.bool_, (relays, users)))
+    rng = seeded(draw)
+    coverage = rng.random((relays, users)) < 0.6
     coverage[:2] = np.eye(2, users, dtype=bool)
     coverage[-1] = False
-    source = draw(arrays(np.bool_, batch + (users, bands)))
-    relay = draw(arrays(np.bool_, batch + (1, bands)))
+    source = rng.random(batch + (users, bands)) < 0.7
+    relay = rng.random(batch + (1, bands)) < 0.7
     first = (0,) * len(batch)
     source[first + (slice(None), 0)] = True
     relay[first + (0, 0)] = True
     relay[first + (0, -1)] = False
     return (
         Topology(users=users, relays=relays, coverage=coverage),
-        draw(arrays(np.float64, batch + (relays, users), elements=LEVELS)),
+        rng.choice(LEVELS, batch + (relays, users)),
         source,
         relay,
-        draw(arrays(np.int8, batch + (1, bands), elements=st.integers(0, 1))),
-        draw(arrays(np.float64, batch + (bands, relays), elements=LEVELS)),
+        (rng.random(batch + (1, bands)) < 0.4).astype(np.int8),
+        rng.choice(LEVELS, batch + (bands, relays)),
     )
 
 
@@ -217,13 +229,12 @@ def relay_instances(draw):
     """Steps 2-3 inputs of 1-3 pairs: owners, source and relay masks and
     prediction bits (one row for every node or one per node), and
     continuous positive gains and hops, so no two relays tie on a band;
-    whether each band's best relay is given; and a permutation of the relays.
-    The arrays are drawn from a seeded generator, so most masks mix values."""
+    whether each band's best relay is given; and a permutation of the relays."""
     pairs, users = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     relays, bands = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     source_rows, relay_rows, bit_rows = (
         draw(st.sampled_from([1, nodes])) for nodes in (users, relays, relays))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = seeded(draw)
     return (
         users,
         rng.integers(-1, users, size=(pairs, relays)),
@@ -383,7 +394,7 @@ def assert_cell_equals_separate_runs(scenario, config, params, strategies, point
                 (decided,) = run_episode(
                     config, topology, processes, params, episode, (strategy,)
                 )
-                scored = score_episode(decided, strategy, [es], params)
+                scored = score_episode(decided, [es], params)
                 assert_same_arrays(
                     (metrics.allocated[episode], metrics.outages[episode],
                      throughput[None, episode], capacity[None, episode], metrics.trace[episode]),
@@ -405,6 +416,58 @@ def test_es_grid_views_keep_user_and_relay_indices_past_int8(users, relays):
     assert_cell_equals_separate_runs(
         scenario, config, RadioParams(), list(Strategy), [0.1, 10.0, 1000.0]
     )
+
+
+@st.composite
+def pass_cells(draw):
+    """A tiny one-episode cell under perfect or noisy sensing, and strategies
+    in any order, repeats allowed."""
+    scenario = NetworkScenario(
+        users=draw(st.integers(1, 4)),
+        relays=draw(st.integers(1, 6)),
+        bands=draw(st.integers(1, 8)),
+        coverage_probability=draw(st.sampled_from([0.3, 0.7, 1.0])),
+    )
+    n_train = draw(st.integers(2, 4))
+    config = EpisodeConfig(
+        slots=n_train + draw(st.integers(2, 8)),
+        n_train=n_train,
+        episodes=1,
+        sensing_error_rate=draw(st.sampled_from([0.0, 0.2])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    params = RadioParams(
+        gain_model=draw(st.sampled_from(["rayleigh", "unit"])),
+        snr_combining=draw(st.sampled_from(["second_hop", "min_hop"])),
+    )
+    strategies = draw(st.lists(st.sampled_from(list(Strategy)), min_size=1, max_size=6))
+    return scenario, config, params, strategies
+
+
+@settings(max_examples=60, deadline=None)
+@given(pass_cells())
+def test_each_strategy_gets_its_own_pass_and_no_aggregation_one_band_per_user(cell):
+    scenario, config, params, strategies = cell
+    world = build_episode_world(scenario, config, 0)
+    passes = run_episode(config, *world, params, 0, tuple(strategies))
+    assert len(passes) == len(strategies)
+    for strategy, decided in zip(strategies, passes):
+        (alone,) = run_episode(config, *world, params, 0, (strategy,))
+        assert pickle.dumps(decided) == pickle.dumps(alone)
+
+    predicted, best_only = run_episode(
+        config, *world, params, 0, (Strategy.PREDICT_AGGREGATE, Strategy.NO_AGGREGATION))
+    band_user, kept = predicted.kept[0], best_only.kept[0]
+    # each user holds one band of a pair where predict gave it any, else none
+    for user in range(scenario.users):
+        np.testing.assert_array_equal(
+            (kept == user).sum(axis=-1), (band_user == user).any(axis=-1))
+    # the held bands are predict's, with the same users and winners' draws
+    held = kept >= 0
+    for ours, predicts in zip(best_only.kept, predicted.kept):
+        np.testing.assert_array_equal(ours[held], predicts[held])
+    assert pickle.dumps((best_only.failed, best_only.trace)) == pickle.dumps(
+        (predicted.failed, predicted.trace))
 
 
 @st.composite

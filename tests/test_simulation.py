@@ -73,7 +73,7 @@ Scored = namedtuple("Scored", "allocated outages throughput_bps user_capacity_bp
 def _scored(strategy, config, topology, processes, params, episode=0):
     """The metrics of `strategy` on its decision pass, at the point `ES`."""
     (decided,) = run_episode(config, topology, processes, params, episode, (strategy,))
-    allocated, outages, [throughput], [capacity] = score_episode(decided, strategy, [ES], params)
+    allocated, outages, [throughput], [capacity] = score_episode(decided, [ES], params)
     return Scored(allocated, outages, throughput, capacity, decided.trace)
 
 
@@ -305,7 +305,7 @@ class TestSingleUserBaseline:
             config, topology.restrict_to_user(0), processes, params, 0,
             (Strategy.PREDICT_AGGREGATE,),
         )
-        direct = score_episode(decided, Strategy.SINGLE_USER, [ES], params)
+        direct = score_episode(decided, [ES], params)
         assert via_strategy.user_capacity_bps.shape == (1, 1, 1)
         episode = (via_strategy.allocated[0], via_strategy.outages[0],
                    via_strategy.throughput_bps[:, 0], via_strategy.user_capacity_bps[:, 0])
@@ -510,7 +510,7 @@ class TestSharedDraws:
         rule = (Strategy.PREDICT_AGGREGATE,)
         (decided,) = run_episode(config, topology, processes, RadioParams(), 0, rule)
         with pytest.raises(ConfigError, match="es_over_n0 must lie in"):
-            score_episode(decided, Strategy.PREDICT_AGGREGATE, [1.0, es], RadioParams())
+            score_episode(decided, [1.0, es], RadioParams())
 
     @pytest.mark.parametrize("gain_model", ["rayleigh", "unit"])
     def test_draws_are_read_only_and_match_a_fresh_draw(self, gain_model):
@@ -658,14 +658,11 @@ class TestLockstepPass:
         # no points give empty point axes, not a ZeroDivisionError
         config = EpisodeConfig(slots=10, episodes=1, n_train=4, seed=3)
         topology, processes = _world(PERIOD_TWO, bands=8, seed=3, slots=10)
-        rule = (Strategy.PREDICT_AGGREGATE,)
-        (decided,) = run_episode(config, topology, processes, RadioParams(), 0, rule)
-        allocated, outages, throughput, capacity = score_episode(
-            decided, strategy, [], RadioParams()
-        )
+        (decided,) = run_episode(config, topology, processes, RadioParams(), 0, (strategy,))
+        allocated, outages, throughput, capacity = score_episode(decided, [], RadioParams())
         assert throughput.shape == (0, config.pairs) and capacity.shape == (0, 2)
         # the counts do not depend on Es/N0
-        at_one_point = score_episode(decided, strategy, [1.0], RadioParams())
+        at_one_point = score_episode(decided, [1.0], RadioParams())
         assert pickle.dumps((allocated, outages)) == pickle.dumps(at_one_point[:2])
 
     def test_a_cell_without_strategies_has_no_results(self, monkeypatch):
