@@ -23,9 +23,11 @@ No slot pair depends on an earlier pair's allocation, so an episode is
 one lockstep pass (`run_episode`) over arrays of all its pairs, which
 returns each strategy's allocation.  Each decision (first pair or all,
 predict or persist) runs once: step 1 assigns every pair's relays once
-per topology, the fading gains are drawn by chunks of pairs into one
-reused buffer, and per pair block each topology ranks every band's best
-relay once; steps 2-3 re-rank only the bands whose masks exclude it.
+per topology, the fading gains are drawn by chunks of bands into one
+reused buffer, each band's stream in one call, and per chunk each
+topology ranks the best relay of every pair and band once; steps 2-3
+run over pair blocks of the chunk's bands and re-rank only the bands
+whose masks exclude it.
 `NO_AGGREGATION` releases predict's bands but each user's best, once per
 pass.  Decisions rank on draw-only scores (the hop at Es/N0 = 1, times
 the band's gain), so no Es/N0 point or transmit power can move one.
@@ -67,17 +69,20 @@ from .topology import (
 )
 
 
-# Pair blocks hold at most this many elements of their widest per-pair
-# array: the (pairs, bands, relays) scores that rank each band's best
-# relay, or the (pairs, users or sensing relays, bands) views and masks
-# of steps 2-3.  A default episode runs steps 2-3 as blocks of 65 and 15
-# pairs (16 under noisy sensing); each temporary stays under a megabyte.
+# Blocks hold at most this many elements of their widest array: the
+# (bands, pairs, relays) scores that rank each band's best relay, taken
+# as blocks of a gain chunk's bands, or the (pairs, users or sensing
+# relays, bands) views and masks of steps 2-3, taken as blocks of pairs
+# over a chunk's bands.  A default episode ranks blocks of 20 bands and
+# runs steps 2-3 as blocks of 65 and 15 pairs (16 under noisy sensing);
+# each temporary stays under a megabyte.
 PAIR_BLOCK_ELEMENTS = 2**15
 
-# The fading gains are drawn in chunks of slot pairs whose (pairs, bands,
-# relays) gains hold at most this many elements, 8 MB: a default episode
-# is one chunk, a 1000-band, 100-relay one is drawn ten pairs at a time
-# into one reused buffer, so an episode's gains are never held whole.
+# The fading gains are drawn in chunks of bands whose (bands, pairs,
+# relays) gains hold at most this many elements, 8 MB, or one band where
+# a band holds more: a default episode is one chunk, a 1000-band,
+# 100-relay one is drawn 131 bands at a time into one reused buffer, so
+# an episode's gains are never held whole.
 GAIN_CHUNK_ELEMENTS = 2**20
 
 
@@ -117,9 +122,10 @@ class EpisodePass:
     trace: np.ndarray  # (pairs, 3): actual, default, predicted for one band
 
 
-def _pair_blocks(start: int, stop: int, width: int) -> list[slice]:
-    """Slices of the consecutive slot pairs [start, stop), each with at most
-    PAIR_BLOCK_ELEMENTS elements of `width` per pair (at least one pair)."""
+def _blocks(start: int, stop: int, width: int) -> list[slice]:
+    """Slices of the consecutive indices (slot pairs or bands) [start, stop),
+    each with at most PAIR_BLOCK_ELEMENTS elements of `width` per index (at
+    least one index)."""
     block = max(1, PAIR_BLOCK_ELEMENTS // width)
     return [slice(first, min(first + block, stop)) for first in range(start, stop, block)]
 
@@ -169,30 +175,29 @@ def episode_draws(
 
 
 def gain_chunks(seed: int, episode: int, n_pairs: int, relays: int, bands: int, gain_model: str):
-    """Yield (pairs, gains): an episode's fading draws, one chunk of pairs at a time.
+    """Yield (chunk, gains): an episode's fading draws, one chunk of bands at a time.
 
-    `pairs` slices consecutive slot pairs whose draws hold at most
-    GAIN_CHUNK_ELEMENTS elements (at least one pair), and `gains` is their
-    read-only (pairs, bands, relays) power gains.  Each band has one
-    fading stream, kept across chunks, so the chunks of an episode are
-    one draw of it, and adding a band never perturbs the others' draws.
-    Each chunk overwrites the buffer of the last one; unit gains are one
-    chunk that holds no memory.
+    `chunk` slices consecutive bands whose draws hold at most
+    GAIN_CHUNK_ELEMENTS elements (at least one band), and `gains` is their
+    read-only (bands, pairs, relays) power gains.  Each band has one
+    fading stream, which draws the band's gains of every pair in one call,
+    so adding a band never perturbs the others' draws.  Each chunk
+    overwrites the buffer of the last one; unit gains are one chunk that
+    holds no memory.
     """
     if gain_model != "rayleigh":
-        yield slice(0, n_pairs), np.broadcast_to(1.0, (n_pairs, bands, relays))
+        yield slice(0, bands), np.broadcast_to(1.0, (bands, n_pairs, relays))
         return
-    size = max(1, GAIN_CHUNK_ELEMENTS // (bands * relays))
-    rngs = list(derive_rngs(seed, "gain", episode, count=bands))
-    buffer = np.empty((bands, min(size, n_pairs), relays))
-    for start in range(0, n_pairs, size):
-        n = min(size, n_pairs - start)
-        # band-major, so each band's stream fills its own contiguous block
-        for rng, block in zip(rngs, buffer):
-            rng.standard_exponential(out=block[:n])
-        gains = buffer[:, :n].transpose(1, 0, 2)
+    size = max(1, GAIN_CHUNK_ELEMENTS // (n_pairs * relays))
+    # each band's generator is built when its band is reached and dropped after its draw
+    rngs = derive_rngs(seed, "gain", episode, count=bands)
+    buffer = np.empty((min(size, bands), n_pairs, relays))
+    for start in range(0, bands, size):
+        gains = buffer[: min(size, bands - start)]
+        for block in gains:
+            next(rngs).standard_exponential(out=block)
         gains.flags.writeable = False
-        yield slice(start, start + n), gains
+        yield slice(start, start + len(gains)), gains
 
 
 def sensing_offsets(
@@ -250,7 +255,7 @@ def score_episode(
     capacity = np.empty((len(points), n_pairs, users))
     # several (points, pairs, bands) temporaries are alive at once; counting at
     # least three users keeps a single-user pass's blocks within a multi-user pass's
-    for pairs in _pair_blocks(0, n_pairs, max(len(points), 1) * bands * max(users, 3)):
+    for pairs in _blocks(0, n_pairs, max(len(points), 1) * bands * max(users, 3)):
         band_user, hop_split, beta2, gain = (array[pairs] for array in decided.kept)
         held = band_user >= 0
         delivered = held & ~failed[pairs]
@@ -280,10 +285,11 @@ def run_episode(
     population's draws and views) and whether it predicts (all but
     `NO_PREDICTION`); each runs once, however many strategies share it.
     All share the draws, views and predictions, and those of the whole
-    topology step 1 and the best relays.  Each chunk of gains runs steps 2-3
-    of every decision before the next is drawn.  `NO_AGGREGATION` releases
-    predict's bands but each user's best.  No pass reads Es/N0, transmit
-    power or the SNR gap.  The trajectory is read from slot 0.
+    topology step 1 and the best relays.  Each chunk of bands ranks its best
+    relays and runs steps 2-3 of every decision before the next is drawn.
+    `NO_AGGREGATION` releases predict's bands but each user's best.  No pass
+    reads Es/N0, transmit power or the SNR gap.  The trajectory is read from
+    slot 0.
     """
     users, relays, bands = topology.users, topology.relays, processes.band_count
     n_pairs, seed = config.pairs, config.seed
@@ -324,54 +330,48 @@ def run_episode(
     hop = _hop(alpha, beta * 2.0, params.snr_combining)
     # per topology a decision sees, the whole or its first pair alone: its
     # user count, its relays' owners (narrowest integer type holding -1),
-    # their hops toward them, the relays that rank each band's best, and its
-    # decisions' records, which share its scores
+    # their hops toward them and its decisions' records, which share its scores
     steps = {}
     for single in dict.fromkeys(single for single, _ in records):
         seen, seen_hop = (topology.restrict_to_user(0), hop[..., :1]) if single else (topology, hop)
         owner = assign_relays(seen, seen_hop).astype(np.min_scalar_type(-seen.users))
-        # each relay's hop toward its owner; 0 for an unowned relay
+        # each relay's hop toward its owner; 0 for an unowned relay, so a relay off
+        # the first pair is a band's best only where every score is 0, and then
+        # relay 0 is, as it is among the pair's relays and relay 0 alone
         owned = np.take_along_axis(seen_hop, np.clip(owner, 0, None)[..., None], axis=-1)
-        ranked = slice(None)
-        if single:
-            # a relay off the first pair has hop 0, so it is a band's best only
-            # where every score is 0, and then relay 0 is: rank only the pair's
-            # relays and relay 0
-            ranked = np.flatnonzero(seen.coverage[:, 0] | (np.arange(relays) == 0))
         seeing = [(p, *record) for (s, p), record in records.items() if s == single]
-        steps[single] = (seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0),
-                         ranked, seeing)
-    # freed before the pair blocks' temporaries, which would otherwise grow the heap
+        steps[single] = (seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0), seeing)
+    # freed before the chunks' temporaries, which would otherwise grow the heap
     del hop
     designated = config.designated_band
-    # steps 2-3 blocks are sized by their widest per-pair mask, (users or sensing relays, bands)
     for chunk, gains in gain_chunks(seed, episode, n_pairs, relays, bands, params.gain_model):
-        for pairs in _pair_blocks(chunk.start, chunk.stop, bands * max(users, views[-1].shape[1])):
-            block_gains = gains[pairs.start - chunk.start : pairs.stop - chunk.start]
+        # per topology, the best relay of each (pair, band of the chunk), shared by
+        # predict and persist, ranked on contiguous blocks of the chunk's bands
+        best = {single: np.concatenate([(gains[b] * owned_hop).argmax(-1)
+                                        for b in _blocks(0, len(gains), n_pairs * relays)]).T
+                for single, (_, _, owned_hop, _) in steps.items()}
+        # steps 2-3 blocks are sized by their widest per-pair mask, (users or sensing relays, bands)
+        for pairs in _blocks(0, n_pairs, len(gains) * max(users, views[-1].shape[1])):
+            block_gains = gains[:, pairs].transpose(1, 0, 2)  # (pairs, bands, relays)
             # (pairs, nodes, bands) states at t and t + 1 of each view, predicted
             # or persisted; sources are the first view and relays the last
-            now = [view[pair_slots[pairs]] for view in views]
+            now = [view[pair_slots[pairs], :, chunk] for view in views]
             judged = {}
             for p in kinds:
-                after = [predict_next_states(counts[pairs, None], s) for s in now] if p else now
+                after = ([predict_next_states(counts[pairs, None, chunk], s) for s in now]
+                         if p else now)
                 available = [two_slot_availability(*s) for s in zip(now, after)]
                 judged[p] = available, prediction_bits(after[-1])
-            for single, (seen_users, owner, owned_hop, ranked, seeing) in steps.items():
-                # each band's best relay (shared by predict and persist), on band-major scores
-                best = np.concatenate([
-                    (owned_hop[pairs][b][:, ranked]
-                     * block_gains[b].transpose(1, 0, 2)[..., ranked]).argmax(-1).T
-                    for b in _pair_blocks(0, len(block_gains), bands * relays)])
-                if single:
-                    best = ranked[best]
+            for single, (seen_users, owner, owned_hop, seeing) in steps.items():
+                block_best = best[single][pairs]
                 for predicting, band_relay, kept_gain in seeing:
                     available, bits = judged[predicting]
                     band_user = common_free_spectrum(
                         owner[pairs], seen_users, available[0][:, :seen_users], available[-1],
-                        block_gains, owned_hop[pairs], best,
+                        block_gains, owned_hop[pairs], block_best,
                     )
-                    band_relay[pairs], kept_gain[pairs] = allocate_spectrum(
-                        band_user, owner[pairs], bits, block_gains, owned_hop[pairs], best
+                    band_relay[pairs, chunk], kept_gain[pairs, chunk] = allocate_spectrum(
+                        band_user, owner[pairs], bits, block_gains, owned_hop[pairs], block_best
                     )
     del gains, block_gains  # the last chunk's buffer is spent: free it before the passes
 
@@ -405,7 +405,7 @@ def run_episode(
         band_user, hop_split, beta2, kept_gain = predicted.kept
         held = np.concatenate([reduce_to_best_band(
             band_user[b], _hop(hop_split[b], beta2[b], params.snr_combining) * kept_gain[b], users)
-            for b in _pair_blocks(0, n_pairs, users * bands)])
+            for b in _blocks(0, n_pairs, users * bands)])
         best_only = replace(predicted, kept=(np.where(held, band_user, UNASSIGNED),
                                               hop_split, beta2, kept_gain))
     return tuple(best_only if strategy == Strategy.NO_AGGREGATION else passes[decision[strategy]]

@@ -87,7 +87,7 @@ def spawned_rngs(seed_seq, count):
 
 
 def bandwise_gains(seed, episode, n_pairs, relays, bands):
-    """`simulation.episode_draws`'s Rayleigh gains: each band's stream draws
+    """`simulation.gain_chunks`'s Rayleigh gains: each band's stream draws
     a fresh (pairs, relays) `exponential` array, copied into a
     (pairs, bands, relays) one."""
     gains = np.empty((n_pairs, bands, relays))

@@ -262,7 +262,7 @@ class TestNoAggregationBaseline:
 class TestSingleUserBaseline:
     @pytest.mark.parametrize("err", [0.0, 0.1])
     # the relays whose coverage of the first pair is cleared: the strategy
-    # ranks each band's best relay over that pair's relays and relay 0 alone
+    # ranks each band's best relay over every relay, those off the pair at hop 0
     @pytest.mark.parametrize("off_pair", [[], [0], slice(None)])
     def test_definitional_equivalence(self, err, off_pair, monkeypatch):
         # the strategy equals the generic predict pipeline run directly on
@@ -382,12 +382,14 @@ class TestDeterminismAndPairing:
 
 class TestPairBlocks:
     @pytest.mark.parametrize(
-        "sensing_error_rate, chunk_pairs, step_calls",
-        [(0.0, None, 2), (0.2, None, 4), (0.0, 4, 3), (0.2, 4, 5)],
-        ids=["0.0", "0.2", "0.0-chunks-of-4", "0.2-chunks-of-4"],
+        "sensing_error_rate, chunk_elements, step_calls",
+        [(0.0, None, 2), (0.2, None, 4), (0.0, 5 * 10 * 6, 3), (0.2, 5 * 10 * 6, 5),
+         (0.0, 1, 12), (0.2, 1, 12)],
+        ids=["0.0", "0.2", "0.0-chunks-of-5-bands", "0.2-chunks-of-5-bands",
+             "0.0-one-band-chunks", "0.2-one-band-chunks"],
     )
     def test_step_one_runs_once_per_pass_over_every_pair_block(
-        self, monkeypatch, sensing_error_rate, chunk_pairs, step_calls
+        self, monkeypatch, sensing_error_rate, chunk_elements, step_calls
     ):
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(
@@ -402,15 +404,16 @@ class TestPairBlocks:
                 return _step(*args)
 
             monkeypatch.setattr(simulation, name, counting)
-        # 216 elements: three pairs of (12 bands, 6 relays) scores rank each
+        # 216 elements: three bands of (10 pairs, 6 relays) scores rank each
         # band's best relay; steps 2-3 hold no scores, so their blocks take six
         # pairs of the (3 users, 12 bands) masks under perfect sensing and
         # three of the (6 relays, 12 bands) masks under noisy sensing
         monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 3 * 12 * 6)
-        if chunk_pairs is not None:
-            # gain chunks of 4, 4 and 2 of the 10 pairs cut the step blocks:
-            # 4, 4, 2 under perfect sensing, 3 + 1, 3 + 1, 2 under noisy
-            monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", chunk_pairs * 12 * 6)
+        if chunk_elements is not None:
+            # gain chunks of 5, 5 and 2 of the 12 bands widen the step blocks to
+            # 10 pairs under perfect sensing and 7 + 3, 7 + 3, 10 under noisy; a
+            # budget below one band gives 12 chunks of one band and 10 pairs
+            monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", chunk_elements)
         blocked = _scored(Strategy.PREDICT_AGGREGATE, config, topology, processes, RadioParams())
         assert calls == {
             "assign_relays": 1, "common_free_spectrum": step_calls, "allocate_spectrum": step_calls
@@ -419,16 +422,17 @@ class TestPairBlocks:
 
 
 def drawn_gains(*args):
-    """The whole (pairs, bands, relays) gains of `gain_chunks(*args)`; each
-    chunk must follow the last one and refuse writes."""
+    """The whole (bands, pairs, relays) gains of `gain_chunks(*args)` and
+    the band count of each chunk; each chunk must follow the last one and
+    refuse writes."""
     chunks = []
-    for pairs, gains in gain_chunks(*args):
-        assert pairs.start == sum(len(chunk) for chunk in chunks)
-        assert len(gains) == pairs.stop - pairs.start
+    for bands, gains in gain_chunks(*args):
+        assert bands.start == sum(len(chunk) for chunk in chunks)
+        assert len(gains) == bands.stop - bands.start
         with pytest.raises(ValueError):
             gains[0, 0, 0] = 0.0
         chunks.append(gains.copy())
-    return np.concatenate(chunks)
+    return np.concatenate(chunks), [len(chunk) for chunk in chunks]
 
 
 def count_derived_streams(monkeypatch) -> list[tuple]:
@@ -521,18 +525,75 @@ class TestSharedDraws:
                 drawn[0] = 0.0
             assert drawn.shape == fresh.shape == (6, 6, 3)
             assert drawn.tobytes() == fresh.tobytes()
-        gains = [drawn_gains(13, 1, 6, 6, 12, gain_model) for _ in range(2)]
-        assert gains[0].shape == (6, 12, 6)
+        gains = [drawn_gains(13, 1, 6, 6, 12, gain_model)[0] for _ in range(2)]
+        assert gains[0].shape == (12, 6, 6)
         assert gains[0].tobytes() == gains[1].tobytes()
 
-    @pytest.mark.parametrize("elements", [None, 1, 3 * 12 * 5])
-    def test_chunked_gains_equal_per_band_draws(self, elements, monkeypatch):
-        # one chunk, one pair per chunk (a budget below one pair), and
-        # chunks of 3, 3 and an uneven tail of 1 of the 7 pairs
+    @pytest.mark.parametrize(
+        "elements, chunk_bands",
+        [(None, [12]), (1, [1] * 12), (5 * 7 * 5 - 1, [4, 4, 4]), (5 * 7 * 5, [5, 5, 2])],
+        ids=["one-chunk", "one-band-chunks", "chunks-of-4-bands", "chunks-of-5-bands"],
+    )
+    def test_chunked_gains_equal_per_band_draws(self, elements, chunk_bands, monkeypatch):
+        # one chunk, one band per chunk (a budget below one band), chunks of
+        # 4 (a budget just short of 5 bands), and chunks of 5, 5 and an uneven
+        # tail of 2 of the 12 bands
         if elements is not None:
             monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", elements)
-        gains = drawn_gains(13, 1, 7, 5, 12, "rayleigh")
-        assert gains.tobytes() == bandwise_gains(13, 1, 7, 5, 12).tobytes()
+        gains, bands = drawn_gains(13, 1, 7, 5, 12, "rayleigh")
+        assert bands == chunk_bands
+        assert gains.tobytes() == bandwise_gains(13, 1, 7, 5, 12).transpose(1, 0, 2).tobytes()
+
+    @pytest.mark.parametrize("elements", [None, 1, 5 * 7 * 5])
+    def test_each_gain_stream_is_derived_once_and_draws_once(self, elements, monkeypatch):
+        # per episode each band's stream is derived once, built when its band
+        # is reached, and draws all of its (pairs, relays) gains in one call
+        if elements is not None:
+            monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", elements)
+        streams = count_derived_streams(monkeypatch)
+        events = []
+        family = simulation.derive_rngs
+
+        class Drawing:
+            def __init__(self, rng, tokens):
+                self.rng, self.tokens = rng, tokens
+                events.append(("built", *tokens))
+
+            def standard_exponential(self, **kwargs):
+                events.append(("drew", *self.tokens))
+                return self.rng.standard_exponential(**kwargs)
+
+        def drawing_rngs(seed, *prefix, count):
+            rngs = family(seed, *prefix, count=count)
+            if prefix[0] != "gain":
+                return rngs
+            return (Drawing(rng, (*prefix, i)) for i, rng in enumerate(rngs))
+
+        monkeypatch.setattr(simulation, "derive_rngs", drawing_rngs)
+        scenario = NetworkScenario(users=3, relays=5, bands=12)
+        config = EpisodeConfig(slots=27, episodes=2, n_train=20, seed=13)
+        run_strategies(scenario, config, RadioParams(), list(Strategy), [1.0])
+        gain = [("gain", episode, band) for episode in range(2) for band in range(12)]
+        assert [tokens for tokens in streams if tokens[0] == "gain"] == gain
+        assert events == [(event, *tokens) for tokens in gain for event in ("built", "drew")]
+
+    @pytest.mark.parametrize("elements", [None, 1, 7 * 40 * 50])
+    def test_the_chunk_buffer_holds_the_budget_or_one_band(self, elements, monkeypatch):
+        # (30 bands, 40 pairs, 50 relays) gains are 480 kB, one band 16 kB;
+        # beyond the buffer only the stream derivation's few kB are traced
+        if elements is not None:
+            monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", elements)
+        limit = 8 * max(simulation.GAIN_CHUNK_ELEMENTS, 40 * 50)
+        # the first stream imports numpy.random: derive one before tracing
+        next(gain_chunks(13, 1, 1, 1, 1, "rayleigh"))
+        tracemalloc.start()
+        try:
+            for _, gains in gain_chunks(13, 1, 40, 50, 30, "rayleigh"):
+                assert gains.nbytes <= limit
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < min(limit, 30 * 40 * 50 * 8) + 8 * 1024
 
     def test_noisy_arms_sense_each_node_once_per_episode(self, monkeypatch):
         streams = count_derived_streams(monkeypatch)
@@ -608,34 +669,44 @@ class TestLockstepPass:
         run_strategies(scenario, config, RadioParams(), list(Strategy), [1.0])
         assert calls == {"run_episode": [(6, {})] * 2, "assign_relays": 2 * 2}
 
-    @pytest.mark.parametrize(
-        "params, sensing_error_rate",
-        [
-            (RadioParams(), 0.0),
-            (RadioParams(), 0.2),
-            (RadioParams(snr_combining="min_hop"), 0.0),
-            (RadioParams(gain_model="unit"), 0.2),
-        ],
-        ids=["perfect", "noisy", "min-hop", "unit-gains"],
-    )
+    @pytest.mark.parametrize("snr_combining", ["second_hop", "min_hop"])
+    @pytest.mark.parametrize("gain_model", ["rayleigh", "unit"])
+    @pytest.mark.parametrize("sensing_error_rate", [0.0, 0.2], ids=["perfect", "noisy"])
     def test_chunks_and_blocks_do_not_change_a_cell(
-        self, params, sensing_error_rate, monkeypatch
+        self, sensing_error_rate, gain_model, snr_combining, monkeypatch
     ):
         scenario = NetworkScenario(users=3, relays=6, bands=12)
         config = EpisodeConfig(
             slots=30, episodes=2, n_train=20, seed=31, sensing_error_rate=sensing_error_rate
         )
+        params = RadioParams(gain_model=gain_model, snr_combining=snr_combining)
         cell = (scenario, config, params, list(Strategy), [1.0, 100.0])
         whole = pickle.dumps(run_strategies(*cell))
-        # the 10 pairs of an episode in gain chunks of 3, 3, 3 and 1, each
-        # run as pair blocks of 2 and 1 (the last, 1)
-        monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", 3 * 12 * 6)
-        monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 2 * 12 * 6)
-        assert pickle.dumps(run_strategies(*cell)) == whole
+        drawn, chunked = [], simulation.gain_chunks
+
+        def counting_gain_chunks(*args):
+            for chunk in chunked(*args):
+                drawn.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(simulation, "gain_chunks", counting_gain_chunks)
+        # an episode's 12 bands of (10 pairs, 6 relays) gains: a budget below
+        # one band draws 12 chunks of one band; then chunks of 5, 5 and 2; then
+        # chunks of 3, each ranked as band blocks of 2 and 1 and run as pair
+        # blocks of 8 and 2 under noisy sensing.  Unit gains are one chunk.
+        for chunk_elements, block_elements, chunks in (
+            (1, None, 12), (5 * 10 * 6, None, 3), (3 * 10 * 6, 2 * 12 * 6, 4)
+        ):
+            monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", chunk_elements)
+            if block_elements is not None:
+                monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", block_elements)
+            drawn.clear()
+            assert pickle.dumps(run_strategies(*cell)) == whole
+            assert len(drawn) == config.episodes * (chunks if gain_model == "rayleigh" else 1)
 
     def test_an_episode_never_holds_its_gains_whole(self, monkeypatch):
-        # (40 pairs, 400 bands, 100 relays) float64 gains are 12.8 MB; drawn
-        # four pairs at a time, a cell stays below half of that
+        # (400 bands, 40 pairs, 100 relays) float64 gains are 12.8 MB; drawn
+        # forty bands at a time, a cell stays below half of that
         monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", 4 * 400 * 100)
         scenario = NetworkScenario(users=2, relays=100, bands=400)
         config = EpisodeConfig(slots=60, episodes=1, n_train=20, seed=37)
