@@ -152,8 +152,7 @@ def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
     bands, 3, 3) result holds, per band, the one-step transition counts
     of ``history[k : k + window]``: entry (i, j) counts the adjacent
     pairs (i, j).  Counts come from differences of cumulative pair-code
-    counts, so the cost does not grow with the window length; one window
-    over the whole history is one count of its pair codes.
+    counts, so the cost does not grow with the window length.
     """
     # pair codes 0-8 fit in int8
     history = np.asarray(history, dtype=np.int8)
@@ -161,15 +160,9 @@ def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
     if not 2 <= window <= slots:
         raise EstimationError(f"window must lie in [2, {slots}], got {window}")
     pair_codes = history[:-1] * N_STATES + history[1:]
-    # counts in the narrowest integer type that holds a count of slots - 1
+    # cumulative[s]: per band, counts of the pair codes before slot s, in
+    # the narrowest integer type that holds a count of slots - 1
     dtype = np.min_scalar_type(slots - 1)
-    if window == slots:
-        # each band's codes offset into a band-major run of 9 bins
-        bins = N_STATES * N_STATES
-        codes = pair_codes + np.arange(0, n_bands * bins, bins)
-        counts = np.bincount(codes.ravel(), minlength=n_bands * bins).astype(dtype)
-        return counts.reshape(1, n_bands, N_STATES, N_STATES)
-    # cumulative[s]: per band, counts of the pair codes before slot s
     cumulative = np.zeros((slots, n_bands, N_STATES * N_STATES), dtype=dtype)
     np.cumsum(
         pair_codes[:, :, None] == np.arange(N_STATES * N_STATES),

@@ -17,7 +17,6 @@ from specagg.markov import (
     parse_observations,
     predict_next_states,
     stationary_distribution,
-    window_transition_counts,
     wrap_states,
 )
 
@@ -118,19 +117,6 @@ class TestEstimation:
             expected = np.where(totals > 0, counts / np.maximum(totals, 1.0), 1 / 3)
             np.testing.assert_array_equal(batch[band], expected)
         np.testing.assert_array_equal(batch[0, 1:], np.full((2, 3), 1 / 3))
-
-    @pytest.mark.parametrize("slots, bands", [(2, 1), (7, 3), (256, 4), (300, 5)])
-    def test_one_window_counts_as_the_first_of_a_longer_history(self, slots, bands):
-        # a window over the whole history counts as the first sliding window
-        # over that history and one slot more, in the narrowest count type;
-        # band 0 stays in one state, so one count reaches slots - 1
-        history = np.random.default_rng(slots).integers(0, 3, size=(slots + 1, bands))
-        history[:, 0] = 2
-        counts = window_transition_counts(history[:-1], slots)
-        assert counts.shape == (1, bands, 3, 3)
-        assert counts.dtype == np.min_scalar_type(slots - 1)
-        assert counts[0, 0, 2, 2] == slots - 1
-        np.testing.assert_array_equal(counts[0], window_transition_counts(history, slots)[0])
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_batch_rejects_unknown_state_codes(self, bad):

@@ -693,9 +693,13 @@ class TestLockstepPass:
         # an episode's 12 bands of (10 pairs, 6 relays) gains: a budget below
         # one band draws 12 chunks of one band; then chunks of 5, 5 and 2; then
         # chunks of 3, each ranked as band blocks of 2 and 1 and run as pair
-        # blocks of 8 and 2 under noisy sensing.  Unit gains are one chunk.
+        # blocks of 8 and 2 under noisy sensing (one block under perfect
+        # sensing); then chunks of 3 ranked one band per block and run as pair
+        # blocks of 4, 4 and 2 under perfect sensing (2 under noisy sensing).
+        # Unit gains are one chunk.
         for chunk_elements, block_elements, chunks in (
-            (1, None, 12), (5 * 10 * 6, None, 3), (3 * 10 * 6, 2 * 12 * 6, 4)
+            (1, None, 12), (5 * 10 * 6, None, 3),
+            (3 * 10 * 6, 2 * 12 * 6, 4), (3 * 10 * 6, 4 * 3 * 3, 4),
         ):
             monkeypatch.setattr(simulation, "GAIN_CHUNK_ELEMENTS", chunk_elements)
             if block_elements is not None:
