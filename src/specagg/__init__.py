@@ -17,43 +17,24 @@ from .aggregation import (
     two_slot_availability,
 )
 from .markov import (
-    EstimationError,
-    NonUniqueStationaryError,
     SpectrumState,
     TransitionMatrix,
     estimate_transition_matrix,
-    estimate_transition_matrices,
     parse_observations,
     predict_next_states,
     stationary_distribution,
 )
-from .radio import (
-    GapError,
-    RadioParams,
-    link_throughput,
-    sample_hop_snrs,
-    snr_gap,
-)
+from .radio import RadioParams, link_throughput, sample_hop_snrs, snr_gap
 from .seeds import derive_rng, derive_seed_sequence
 from .simulation import (
-    ConfigError,
     EpisodeConfig,
     NetworkScenario,
     Strategy,
-    build_episode_world,
-    reduce_to_best_band,
     run_episode,
     run_strategies,
     score_episode,
     summarize,
 )
-from .topology import (
-    BandProcessSet,
-    SpectrumProcessConfig,
-    Topology,
-    build_topology,
-    derive_ground_truth_matrix,
-    sense,
-)
+from .topology import BandProcessSet, SpectrumProcessConfig, Topology
 
 __version__ = "0.1.0"

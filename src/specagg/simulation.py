@@ -27,7 +27,8 @@ per topology, the fading gains are drawn by chunks of bands into one
 reused buffer, each band's stream in one call, and per chunk each
 topology ranks the best relay of every pair and band once; steps 2-3
 run over pair blocks of the chunk's bands and re-rank only the bands
-whose masks exclude it.
+whose masks exclude it.  Every node's sensed states are one (slots,
+nodes, bands) array, which each pair block judges once per predictor.
 `NO_AGGREGATION` releases predict's bands but each user's best, once per
 pass.  Decisions rank on draw-only scores (the hop at Es/N0 = 1, times
 the band's gain), so no Es/N0 point or transmit power can move one.
@@ -72,10 +73,11 @@ from .topology import (
 # Blocks hold at most this many elements of their widest array: the
 # (bands, pairs, relays) scores that rank each band's best relay, taken
 # as blocks of a gain chunk's bands, or the (pairs, users or sensing
-# relays, bands) views and masks of steps 2-3, taken as blocks of pairs
-# over a chunk's bands.  A default episode ranks blocks of 20 bands and
-# runs steps 2-3 as blocks of 65 and 15 pairs (16 under noisy sensing);
-# each temporary stays under a megabyte.
+# relays, bands) masks of steps 2-3, taken as blocks of pairs over a
+# chunk's bands (every node's judged states hold both node sets).  A
+# default episode ranks blocks of 20 bands and runs steps 2-3 as blocks
+# of 65 and 15 pairs (16 under noisy sensing); each temporary stays
+# under a megabyte.
 PAIR_BLOCK_ELEMENTS = 2**15
 
 # The fading gains are drawn in chunks of bands whose (bands, pairs,
@@ -202,23 +204,20 @@ def gain_chunks(seed: int, episode: int, n_pairs: int, relays: int, bands: int, 
 
 def sensing_offsets(
     seed: int, episode: int, slots: int, bands: int, users: int, relays: int, err: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int8 (sources, relays): an episode's sensing errors.
+) -> np.ndarray:
+    """Read-only int8 (slots, users + relays, bands): an episode's sensing errors.
 
-    Each is (slots, nodes, bands), one sensing stream per node: 0 where
-    the node senses a band correctly, 1 or 2 where its report is that
-    many states past the truth.  A node's offsets are `sense` of an
-    all-Good (code 0) trajectory, so it senses any truth as
-    ``wrap_states(truth + offsets)``.
+    The users' nodes come first, then the relays', each with its own
+    sensing stream: 0 where the node senses a band correctly, 1 or 2
+    where its report is that many states past the truth.  A node's
+    offsets are `sense` of an all-Good (code 0) trajectory, so it senses
+    any truth as ``wrap_states(truth + offsets)``.
     """
     good = np.zeros((slots, bands), dtype=np.int8)
-    offsets = []
-    for kind, n in (("src", users), ("rel", relays)):
-        rngs = derive_rngs(seed, "sense", episode, kind, count=n)
-        node_offsets = np.stack([sense(good, err, rng) for rng in rngs], axis=1)
-        node_offsets.flags.writeable = False
-        offsets.append(node_offsets)
-    return tuple(offsets)
+    offsets = np.stack([sense(good, err, rng) for kind, n in (("src", users), ("rel", relays))
+                        for rng in derive_rngs(seed, "sense", episode, kind, count=n)], axis=1)
+    offsets.flags.writeable = False
+    return offsets
 
 
 # an Es/N0 point: a linear end-to-end SNR budget, the sweep variable
@@ -284,9 +283,12 @@ def run_episode(
     sees `topology` restricted to it and reads its share of the full
     population's draws and views) and whether it predicts (all but
     `NO_PREDICTION`); each runs once, however many strategies share it.
-    All share the draws, views and predictions, and those of the whole
-    topology step 1 and the best relays.  Each chunk of bands ranks its best
-    relays and runs steps 2-3 of every decision before the next is drawn.
+    All share the draws and every node's sensed states, one (slots, nodes,
+    bands) array: the truth with one node under perfect sensing, else the
+    users' views and then the relays'.  Each pair block judges them once
+    per predictor, and decisions that see the same topology share step 1
+    and the best relays.  Each chunk of bands ranks its best relays and
+    runs steps 2-3 of every decision before the next is drawn.
     `NO_AGGREGATION` releases predict's bands but each user's best.  No pass
     reads Es/N0, transmit power or the SNR gap.  The trajectory is read from
     slot 0.
@@ -304,14 +306,16 @@ def run_episode(
 
     truth = processes.trajectory()[: config.slots]
     err = config.sensing_error_rate
+    # (slots, nodes, bands) sensed states and the nodes that are relays
     if err == 0.0:
-        # perfect sensing: sources and relays share one view, the truth
-        views = [truth[:, None, :]]
+        # perfect sensing: every node shares one view, the truth
+        sensed, relay_nodes = truth[:, None, :], slice(0, None)
     else:
+        # the users' views, then the relays'
         offsets = sensing_offsets(seed, episode, config.slots, bands, users, relays, err)
-        views = [wrap_states(truth[:, None] + node_offsets) for node_offsets in offsets]
+        sensed, relay_nodes = wrap_states(truth[:, None] + offsets), slice(users, None)
     # the predictor trains on the first user's sensed history
-    history = views[0][:, 0]
+    history = sensed[:, 0]
     pair_slots = np.arange(config.n_train - 1, config.slots - 1, dtype=np.int64)
     # per decision (whether it sees the first pair alone, whether it predicts):
     # its kept (pairs, bands) winners and their gains, filled block by block
@@ -319,9 +323,8 @@ def run_episode(
                 for strategy in strategies}
     records = {key: (np.empty((n_pairs, bands), np.min_scalar_type(-relays)),
                      np.empty((n_pairs, bands))) for key in decision.values()}
-    # True where a decision predicts its t + 1 states, False where it persists
-    kinds = dict.fromkeys(predicting for _, predicting in records)
-    if True in kinds:
+    predicts = any(predicting for _, predicting in records)
+    if predicts:
         # window k ends at pair k's first slot
         counts = window_transition_counts(history[:-1], config.n_train)
 
@@ -329,8 +332,8 @@ def run_episode(
     # times band gains): an SNR is a score times tx * Es/N0 / gamma, so both rank alike
     hop = _hop(alpha, beta * 2.0, params.snr_combining)
     # per topology a decision sees, the whole or its first pair alone: its
-    # user count, its relays' owners (narrowest integer type holding -1),
-    # their hops toward them and its decisions' records, which share its scores
+    # user count, its relays' owners (narrowest integer type holding -1) and
+    # their hops toward them, which its decisions share
     steps = {}
     for single in dict.fromkeys(single for single, _ in records):
         seen, seen_hop = (topology.restrict_to_user(0), hop[..., :1]) if single else (topology, hop)
@@ -339,40 +342,40 @@ def run_episode(
         # the first pair is a band's best only where every score is 0, and then
         # relay 0 is, as it is among the pair's relays and relay 0 alone
         owned = np.take_along_axis(seen_hop, np.clip(owner, 0, None)[..., None], axis=-1)
-        seeing = [(p, *record) for (s, p), record in records.items() if s == single]
-        steps[single] = (seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0), seeing)
+        steps[single] = (seen.users, owner, np.where(owner >= 0, owned[..., 0], 0.0))
     # freed before the chunks' temporaries, which would otherwise grow the heap
     del hop
     designated = config.designated_band
+    # steps 2-3 blocks are sized by their widest per-pair mask, (users or sensing relays, bands)
+    widest = max(users, sensed.shape[1] - relay_nodes.start)
     for chunk, gains in gain_chunks(seed, episode, n_pairs, relays, bands, params.gain_model):
         # per topology, the best relay of each (pair, band of the chunk), shared by
         # predict and persist, ranked on contiguous blocks of the chunk's bands
         best = {single: np.concatenate([(gains[b] * owned_hop).argmax(-1)
                                         for b in _blocks(0, len(gains), n_pairs * relays)]).T
-                for single, (_, _, owned_hop, _) in steps.items()}
-        # steps 2-3 blocks are sized by their widest per-pair mask, (users or sensing relays, bands)
-        for pairs in _blocks(0, n_pairs, len(gains) * max(users, views[-1].shape[1])):
+                for single, (_, _, owned_hop) in steps.items()}
+        for pairs in _blocks(0, n_pairs, len(gains) * widest):
             block_gains = gains[:, pairs].transpose(1, 0, 2)  # (pairs, bands, relays)
-            # (pairs, nodes, bands) states at t and t + 1 of each view, predicted
-            # or persisted; sources are the first view and relays the last
-            now = [view[pair_slots[pairs], :, chunk] for view in views]
+            now = sensed[pair_slots[pairs], :, chunk]  # (pairs, nodes, bands) at t
+            # per predictor, judged when a decision first needs it: every node's
+            # availability and the relays' bits, of t + 1 predicted or persisted
             judged = {}
-            for p in kinds:
-                after = ([predict_next_states(counts[pairs, None, chunk], s) for s in now]
-                         if p else now)
-                available = [two_slot_availability(*s) for s in zip(now, after)]
-                judged[p] = available, prediction_bits(after[-1])
-            for single, (seen_users, owner, owned_hop, seeing) in steps.items():
-                block_best = best[single][pairs]
-                for predicting, band_relay, kept_gain in seeing:
-                    available, bits = judged[predicting]
-                    band_user = common_free_spectrum(
-                        owner[pairs], seen_users, available[0][:, :seen_users], available[-1],
-                        block_gains, owned_hop[pairs], block_best,
-                    )
-                    band_relay[pairs, chunk], kept_gain[pairs, chunk] = allocate_spectrum(
-                        band_user, owner[pairs], bits, block_gains, owned_hop[pairs], block_best
-                    )
+            for (single, predicting), (band_relay, kept_gain) in records.items():
+                if predicting not in judged:
+                    after = (predict_next_states(counts[pairs, None, chunk], now)
+                             if predicting else now)
+                    judged[predicting] = (two_slot_availability(now, after),
+                                          prediction_bits(after[:, relay_nodes]))
+                available, bits = judged[predicting]
+                seen_users, owner, owned_hop = steps[single]
+                owner, owned_hop, block_best = owner[pairs], owned_hop[pairs], best[single][pairs]
+                band_user = common_free_spectrum(
+                    owner, seen_users, available[:, :seen_users], available[:, relay_nodes],
+                    block_gains, owned_hop, block_best,
+                )
+                band_relay[pairs, chunk], kept_gain[pairs, chunk] = allocate_spectrum(
+                    band_user, owner, bits, block_gains, owned_hop, block_best
+                )
     del gains, block_gains  # the last chunk's buffer is spent: free it before the passes
 
     pair = np.arange(n_pairs)[:, None]
@@ -381,7 +384,7 @@ def run_episode(
     actual = truth_next[:, designated]
     default = history[pair_slots, designated]
     # the designated band's t + 1 state as the predicting decisions predicted it
-    guessed = predict_next_states(counts[:, designated], default) if True in kinds else default
+    guessed = predict_next_states(counts[:, designated], default) if predicts else default
     passes = {}
     for (single, predicting), (relay, kept_gain) in records.items():
         seen_users, owner, *_ = steps[single]

@@ -296,11 +296,13 @@ class TestSingleUserBaseline:
         assert ranked and set(ranked) == {1}
         topology, processes = build_episode_world(scenario, config, episode=0)
         alpha, beta = episode_draws(config.seed, 0, config.pairs, topology.relays, 4)
-        sources, relays = sensing_offsets(
+        offsets = sensing_offsets(
             config.seed, 0, config.slots, scenario.bands, 4, topology.relays, err
         )
         monkeypatch.setattr(simulation, "episode_draws", lambda *_: (alpha[..., :1], beta[..., :1]))
-        monkeypatch.setattr(simulation, "sensing_offsets", lambda *_: (sources[:, :1], relays))
+        # the first user's node and every relay's node
+        first_pair = np.delete(offsets, [1, 2, 3], axis=1)
+        monkeypatch.setattr(simulation, "sensing_offsets", lambda *_: first_pair)
         (decided,) = run_episode(
             config, topology.restrict_to_user(0), processes, params, 0,
             (Strategy.PREDICT_AGGREGATE,),
@@ -419,6 +421,29 @@ class TestPairBlocks:
             "assign_relays": 1, "common_free_spectrum": step_calls, "allocate_spectrum": step_calls
         }
         assert pickle.dumps(blocked) == pickle.dumps(one_block)
+
+    def test_every_node_is_judged_once_per_pair_block_and_predictor(self, monkeypatch):
+        # noisy sensing gives 3 users' and 6 relays' views: one array of 9 nodes
+        scenario = NetworkScenario(users=3, relays=6, bands=12)
+        config = EpisodeConfig(slots=30, episodes=1, n_train=20, seed=29, sensing_error_rate=0.2)
+        topology, processes = build_episode_world(scenario, config, 0)
+        # the shape of the states each judging call reads, per call
+        calls = {"predict_next_states": [], "two_slot_availability": [], "prediction_bits": []}
+        for name, shapes in calls.items():
+            def recording(*args, _judge=getattr(simulation, name), _shapes=shapes):
+                _shapes.append(np.shape(args[-1]))
+                return _judge(*args)
+
+            monkeypatch.setattr(simulation, name, recording)
+        # blocks of 3, 3, 3 and 1 of the 10 pairs, sized by the (6 relays, 12 bands) masks
+        monkeypatch.setattr(simulation, "PAIR_BLOCK_ELEMENTS", 3 * 12 * 6)
+        run_episode(config, topology, processes, RadioParams(), 0, tuple(Strategy))
+        blocks = [(n, 3 + 6, 12) for n in (3, 3, 3, 1)]
+        # one prediction of every node per block, then one of the designated band
+        assert calls["predict_next_states"] == [*blocks, (config.pairs,)]
+        # four strategies, two predictors: each judged once per block
+        assert calls["two_slot_availability"] == [shape for shape in blocks for _ in range(2)]
+        assert calls["prediction_bits"] == [(n, 6, 12) for n, _, _ in blocks for _ in range(2)]
 
 
 def drawn_gains(*args):
@@ -635,17 +660,17 @@ class TestSharedDraws:
             assert pickle.dumps(metrics) == pickle.dumps(alone)
 
     def test_sensing_offsets_are_read_only_and_hold_no_truth(self):
-        sources, relays = sensing_offsets(19, 1, 26, 11, 3, 6, 0.2)
-        assert sources.shape == (26, 3, 11) and relays.shape == (26, 6, 11)
-        for offsets in (sources, relays):
-            assert offsets.dtype == np.int8 and not offsets.flags.writeable
-            with pytest.raises(ValueError):
-                offsets[0, 0, 0] = 1
-            assert set(np.unique(offsets)) <= {0, 1, 2}
+        # the 3 users' nodes, then the 6 relays'
+        offsets = sensing_offsets(19, 1, 26, 11, 3, 6, 0.2)
+        assert offsets.shape == (26, 3 + 6, 11)
+        assert offsets.dtype == np.int8 and not offsets.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[0, 0, 0] = 1
+        assert set(np.unique(offsets)) <= {0, 1, 2}
         # sensing an all-Good trajectory from a node's stream is its offsets
         good = np.zeros((26, 11), dtype=np.int8)
         first_relay = slotwise_sense(good, 0.2, derive_rng(19, "sense", 1, "rel", 0))
-        np.testing.assert_array_equal(relays[:, 0], first_relay)
+        np.testing.assert_array_equal(offsets[:, 3], first_relay)
 
 
 class TestLockstepPass:

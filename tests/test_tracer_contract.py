@@ -4,13 +4,16 @@
 no longer resolves, when a keyed layer (`build_episode_world`,
 `run_episode`) is never called, or when a call's arguments do not fit
 the tracer's key function; a benchmark run then ends without a numeric
-result.  This runs the unmodified tracer over a tiny `run_single`, a
-tiny p0 `run_sweep` and a tiny es_over_n0 `run_sweep` and checks that every layer resolves, every keyed
-call fits its key, that each world and decision pass runs once, and
-that the decision pass, its allocation steps 1-3, the no-aggregation
-keep, the scoring step and the summary each still run: a layer with no
-calls reports nothing per pair.  It also keys one `run_episode` call on a
-hand-built world, whose process config holds only its chain.
+result.  This runs the unmodified tracer over a tiny `run_single`, the same run
+under noisy sensing (the only path through `topology.sense` and per-node
+prediction), a tiny p0 `run_sweep` and a tiny es_over_n0 `run_sweep`,
+and checks that every layer resolves, every keyed call fits its key,
+that each world and decision pass runs once, and that the decision
+pass, its prediction, its allocation steps 1-3, the no-aggregation
+keep, the scoring step, the summary and, when noisy, the sensing each
+still run: a layer with no calls reports nothing per pair.  It also
+keys one `run_episode` call on a hand-built world, whose process
+config holds only its chain.
 """
 
 import json
@@ -34,17 +37,18 @@ TINY = {"users": "2", "relays": "4", "bands": "8", "slots": "26", "n_train": "20
         "episodes": "1", "es_n0_db_sweep": "0,10,20"}
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "es_over_n0_sweep"])
+@pytest.mark.parametrize("command", ["run", "noisy_run", "sweep", "es_over_n0_sweep"])
 def test_every_layer_resolves_and_each_world_and_pass_runs_once(command, tmp_path):
-    config = cli.parse_config(None, {**TINY, "out": str(tmp_path)})
+    noisy = {"sensing_error_rate": "0.1"} if command == "noisy_run" else {}
+    config = cli.parse_config(None, {**TINY, **noisy, "out": str(tmp_path)})
     tracer = Tracer()
     with tracer:
-        if command == "run":
-            cli.run_single(config)
-        elif command == "sweep":
+        if command == "sweep":
             cli.run_sweep(config, "p0", ["0.3", "0.5"])
-        else:
+        elif command == "es_over_n0_sweep":
             cli.run_sweep(config, "es_over_n0", ["0", "10", "20"])
+        else:
+            cli.run_single(config)
     assert tracer.absent == []
     assert tracer.key_errors == {}
     ratios = tracer.distinct_ratios()
@@ -53,10 +57,11 @@ def test_every_layer_resolves_and_each_world_and_pass_runs_once(command, tmp_pat
         assert ratio == 1.0
     json.dumps(ratios, allow_nan=False)
     stats = layer_stats(**tracer.spans())
+    sensed = ("topology.sense",) if noisy else ()
     for layer in ("simulation.run_episode", "aggregation.assign_relays",
-                  "aggregation.common_free_spectrum", "aggregation.allocate_spectrum",
-                  "simulation.reduce_to_best_band", "aggregation.aggregate_and_score",
-                  "simulation.summarize"):
+                  "markov.predict_next_states", "aggregation.common_free_spectrum",
+                  "aggregation.allocate_spectrum", "simulation.reduce_to_best_band",
+                  "aggregation.aggregate_and_score", "simulation.summarize", *sensed):
         calls, _ = stats[layer]
         assert calls >= 1, layer
 
