@@ -25,7 +25,7 @@ from .markov import (
     stationary_distribution,
 )
 from .radio import RadioParams, link_throughput, sample_hop_snrs, snr_gap
-from .seeds import derive_rng, derive_seed_sequence
+from .seeds import derive_rng
 from .simulation import (
     EpisodeConfig,
     NetworkScenario,

@@ -208,13 +208,12 @@ def sensing_offsets(
     """Read-only int8 (slots, users + relays, bands): an episode's sensing errors.
 
     The users' nodes come first, then the relays', each with its own
-    sensing stream: 0 where the node senses a band correctly, 1 or 2
-    where its report is that many states past the truth.  A node's
-    offsets are `sense` of an all-Good (code 0) trajectory, so it senses
-    any truth as ``wrap_states(truth + offsets)``.
+    sensing stream and its `sense` offsets: 0 where the node senses a
+    band correctly, 1 or 2 where its report is that many states past the
+    truth, so it senses any truth as ``wrap_states(truth + offsets)``.
     """
-    good = np.zeros((slots, bands), dtype=np.int8)
-    offsets = np.stack([sense(good, err, rng) for kind, n in (("src", users), ("rel", relays))
+    offsets = np.stack([sense(rng, err, slots, bands)
+                        for kind, n in (("src", users), ("rel", relays))
                         for rng in derive_rngs(seed, "sense", episode, kind, count=n)], axis=1)
     offsets.flags.writeable = False
     return offsets

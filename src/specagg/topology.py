@@ -4,8 +4,8 @@ The network holds T source-destination pairs and Rr candidate relays.
 Coverage is a Bernoulli incidence relation: each relay is independently
 in range of each pair.  Every spectrum band evolves as an independent
 copy of one three-state Markov chain whose stationary idle mass equals
-the configured idle probability; nodes observe band states through
-(optionally noisy) sensing.
+the configured idle probability.  A node's noisy sensing is drawn as
+offsets past the truth, so it holds no truth itself.
 
 Each band owns its own random substream, so adding a band never perturbs
 another band's trajectory and trajectories replay bit-exactly per seed.
@@ -13,7 +13,6 @@ another band's trajectory and trajectories replay bit-exactly per seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .markov import (
     SpectrumState,
     TransitionMatrix,
     stationary_distribution,
-    wrap_states,
 )
 from .params import EpisodeConfig, NetworkScenario, is_integer, require
 from .seeds import spawn_rngs
@@ -188,22 +186,15 @@ class BandProcessSet:
 
 
 def sense(
-    true_states: np.ndarray,
-    sensing_error_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator, sensing_error_rate: float, slots: int, bands: int
 ) -> np.ndarray:
-    """Observe band states, flipping each to a uniformly random other
-    state with probability `sensing_error_rate`.
+    """One node's int8 (slots, bands) sensing offsets: with probability
+    `sensing_error_rate` a band's report is flipped to a uniformly random
+    other state, 1 or 2 states past the truth, and otherwise it is 0, so
+    the node senses a truth as ``wrap_states(truth + offsets)``.
 
-    `true_states` is one slot's band states, or a (slots, bands) array
-    whose leading axis is time.  Slots are sensed in turn from `rng`,
-    each drawing its flip uniforms and then its offsets, so one call
-    over many slots draws exactly what one call per slot draws.
-
-    The default is perfect sensing (the report equals the truth) and
-    consumes no randomness.
-
-    Noisy sensing reproduces, byte for byte, the stream of drawing
+    Slots are sensed in turn, each drawing its flip uniforms and then its
+    offsets.  The draws reproduce, byte for byte, the stream of drawing
     ``rng.random(bands)`` then ``rng.integers(1, 3, size=bands)`` slot
     after slot, from one ``bit_generator.random_raw`` call decoded with
     array operations.  It relies on three numpy internals:
@@ -216,50 +207,37 @@ def sense(
     * Lemire's bounded draw over a range of 2 never rejects, so the
       offset is ``1 + (half >> 31)``.
 
-    The spare the generator enters with feeds the first offset, and the
-    spare the draws leave is written back to its state.  The decoding is
-    valid for PCG64 only, so any other bit generator is refused before a
-    draw.  `tests/oracles.py` keeps the slot-by-slot calls as
-    `slotwise_sense`, against which the output and the generator state
-    after the call are tested.
+    The spare the draws leave is written back to the generator's state.
+    The decoding is valid for a PCG64 that holds no spare, so any other
+    generator is refused before a draw.  `tests/oracles.py` keeps the
+    slot-by-slot calls as `slotwise_sense`, against which the offsets and
+    the generator state after the call are tested.
     """
     require(EpisodeConfig, "sensing_error_rate", sensing_error_rate)
-    true_states = np.asarray(true_states, dtype=np.int8)
-    if sensing_error_rate == 0.0:
-        return true_states.copy()
-    if rng is None:
-        raise ValueError("an rng is required when sensing_error_rate > 0")
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         raise ValueError(
             f"noisy sensing decodes PCG64 draws, got {type(bitgen).__name__}"
         )
-    slots = true_states if true_states.ndim > 1 else true_states[None]
-    n, bands = slots.size, math.prod(slots.shape[1:])
-    entry = bitgen.state
-    spare = entry["has_uint32"]
-    # the n offsets take the spare half, if any, then halves of fresh
-    # words; slot 2k draws `even` offset words and slot 2k + 1 the other
+    if bitgen.state["has_uint32"]:
+        raise ValueError("noisy sensing needs a generator with no spare 32-bit half")
+    n = slots * bands
+    # slot 2k draws `even` offset words and slot 2k + 1 the other
     # `bands - even`, so a pair of slots spans 3 * bands words: uniforms,
     # offsets, uniforms, offsets (an odd slot count leaves the last pair's
     # second half zero, cut off below)
-    n_words = (n + 1 - spare) // 2
-    even = (bands + 1 - spare) // 2
-    pairs = np.zeros(((len(slots) + 1) // 2, 3 * bands), dtype=np.uint64)
+    n_words, even = (n + 1) // 2, (bands + 1) // 2
+    pairs = np.zeros(((slots + 1) // 2, 3 * bands), dtype=np.uint64)
     pairs.ravel()[: n + n_words] = bitgen.random_raw(n + n_words)
     uniform = np.hstack([pairs[:, :bands], pairs[:, bands + even : 2 * bands + even]])
     # (w >> 11) * 2**-53 < rate, with both sides scaled by 2**53 exactly
     flip = uniform.ravel()[:n] >> 11 < sensing_error_rate * 2.0**53
     words = np.hstack([pairs[:, bands : bands + even], pairs[:, 2 * bands + even :]])
     halves = words.astype("<u8", copy=False).view("<u4").ravel()[: 2 * n_words]
-    if spare:
-        halves = np.concatenate([[entry["uinteger"]], halves])
-    # offset 1 or 2 sends a state to one of the two other states
     offset = (1 + (halves[:n] >> 31)).astype(np.int8)
+    offset *= flip
     state = bitgen.state
-    state["has_uint32"] = spare + 2 * n_words - n
-    if n_words:
-        state["uinteger"] = int(halves[-1])
+    state["has_uint32"] = 2 * n_words - n
+    state["uinteger"] = int(halves[-1])
     bitgen.state = state
-    flip, offset = flip.reshape(slots.shape), offset.reshape(slots.shape)
-    return np.where(flip, wrap_states(slots + offset), slots).reshape(true_states.shape)
+    return offset.reshape(slots, bands)

@@ -1,10 +1,13 @@
 """Every demo script runs to completion and prints its recorded output,
-and the README's library quick start runs as printed."""
+the README's library quick start runs as printed, and the package
+re-exports only names that its users import from it."""
 
+import ast
 import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +64,25 @@ def test_readme_library_quick_start_runs():
         name, outage, throughput = line.split()
         assert name == strategy.value
         assert 0.0 <= float(outage) <= 1.0 and float(throughput) > 0.0
+
+
+def _names_taken_from_the_package(text):
+    """`specagg.<name>`, and the names of `from specagg import ...`, on one
+    line or parenthesised."""
+    names = set(re.findall(r"\bspecagg\.(\w+)", text))
+    for imported in re.findall(r"^\s*from specagg import (\([^)]*\)|.*)$", text, re.M):
+        names.update(re.findall(r"\w+", imported))
+    return names
+
+
+def test_every_reexport_is_taken_from_the_package():
+    # a re-export stays only while a demo, another test, the README or the
+    # benchmark imports it from `specagg` rather than from its module
+    init = ast.parse((ROOT / "src" / "specagg" / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    users = [*DEMOS, *(ROOT / "tests").glob("*.py"), ROOT / "README.md",
+             *(ROOT / "perfbench").rglob("*.py")]
+    taken = set().union(*(_names_taken_from_the_package(path.read_text())
+                          for path in users if path != Path(__file__)))
+    assert sorted(exported - taken) == []

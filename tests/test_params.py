@@ -114,7 +114,7 @@ LOWER_LAYERS = [
     ("SpectrumProcessConfig",
      lambda v: SpectrumProcessConfig(band_count=v, ground_truth_matrix=MATRIX),
      NetworkScenario, "bands"),
-    ("sense", lambda v: sense(np.zeros(3, dtype=np.int8), v, np.random.default_rng(0)),
+    ("sense", lambda v: sense(np.random.default_rng(0), v, 1, 3),
      EpisodeConfig, "sensing_error_rate"),
     ("snr_gap", lambda v: snr_gap(v), RadioParams, "ber"),
     ("snr_gap", lambda v: snr_gap(1e-3, v), RadioParams, "gap_formula"),

@@ -5,7 +5,12 @@ import pytest
 
 from oracles import slotwise_sense
 
-from specagg.markov import SpectrumState, TransitionMatrix, stationary_distribution
+from specagg.markov import (
+    SpectrumState,
+    TransitionMatrix,
+    stationary_distribution,
+    wrap_states,
+)
 from specagg.simulation import EpisodeConfig, NetworkScenario, build_episode_world
 from specagg.topology import (
     BandProcessSet,
@@ -183,50 +188,29 @@ class TestBandProcessSet:
 
 class TestSensing:
     def test_perfect_sensing_is_identity(self):
-        truth = np.array([0, 1, 2, 1, 0], dtype=np.int8)
-        np.testing.assert_array_equal(sense(truth), truth)
+        offsets = sense(np.random.default_rng(0), 0.0, 4, 5)
+        assert offsets.dtype == np.int8 and offsets.shape == (4, 5)
+        assert not offsets.any()
 
     def test_full_error_never_matches(self):
-        truth = np.tile(np.array([0, 1, 2], dtype=np.int8), 50)
-        sensed = sense(truth, 1.0, np.random.default_rng(0))
-        assert not np.any(sensed == truth)
-        assert np.all((sensed >= 0) & (sensed <= 2))
+        offsets = sense(np.random.default_rng(0), 1.0, 1, 150)
+        assert np.all((offsets == 1) | (offsets == 2))
 
     def test_seeded_mismatch_count_frozen(self):
-        truth = np.zeros(100, dtype=np.int8)
-        sensed = sense(truth, 0.1, np.random.default_rng(3))
-        assert int((sensed != truth).sum()) == 8
-
-    def test_requires_rng_when_noisy(self):
-        with pytest.raises(ValueError):
-            sense(np.zeros(3, dtype=np.int8), 0.5)
-
-
-class TestSensingSlotAxis:
-    @pytest.mark.parametrize("bands", [8, 9])
-    @pytest.mark.parametrize("err", [0.1, 1.0])
-    def test_slots_sensed_at_once_equal_one_call_per_slot(self, bands, err):
-        # an odd band count leaves half a 64-bit word of offset draws
-        # over after each slot, which the next slot must pick up
-        truth = np.random.default_rng(5).integers(0, 3, size=(12, bands)).astype(np.int8)
-        at_once = sense(truth, err, np.random.default_rng(17))
-        rng = np.random.default_rng(17)
-        per_slot = np.stack([sense(states, err, rng) for states in truth])
-        assert at_once.dtype == np.int8
-        np.testing.assert_array_equal(at_once, per_slot)
+        assert int((sense(np.random.default_rng(3), 0.1, 1, 100) != 0).sum()) == 8
 
 
 class TestSensingDecoding:
     """`sense` decodes one raw-word draw; the oracle makes the public
-    Generator calls slot by slot.  Both must leave equal states and an
-    equal generator, spare 32-bit half included."""
+    Generator calls slot by slot.  Both must sense any truth alike and
+    leave an equal generator, spare 32-bit half included."""
 
     @staticmethod
     def _assert_same(truth, err, rng, oracle_rng):
-        sensed = sense(truth, err, rng)
+        offsets = sense(rng, err, *truth.shape)
         expected = slotwise_sense(truth, err, oracle_rng)
-        assert sensed.dtype == np.int8 and sensed.shape == truth.shape
-        np.testing.assert_array_equal(sensed, expected)
+        assert offsets.dtype == np.int8 and offsets.shape == truth.shape
+        np.testing.assert_array_equal(wrap_states(truth + offsets), expected)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("bands", [1, 2, 3, 7, 8, 99, 100, 101])
@@ -234,30 +218,24 @@ class TestSensingDecoding:
     def test_matches_slotwise_draws(self, bands, slots):
         truth = np.random.default_rng(bands).integers(0, 3, size=(slots, bands))
         truth = truth.astype(np.int8)
-        for err in (0.1, 0.5, 1.0):
+        for err in (0.0, 0.1, 0.5, 1.0):
             for seed in range(5):
                 rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 self._assert_same(truth, err, rng, oracle_rng)
 
-    @pytest.mark.parametrize("bands", [1, 2, 7, 8])
-    @pytest.mark.parametrize("shape", ["one_slot", "slots"])
-    def test_generator_entering_with_a_spare_half(self, bands, shape):
-        size = (bands,) if shape == "one_slot" else (5, bands)
-        truth = np.random.default_rng(bands).integers(0, 3, size=size).astype(np.int8)
-        rng, oracle_rng = np.random.default_rng(13), np.random.default_rng(13)
-        for generator in (rng, oracle_rng):
-            generator.integers(1, 3, size=1)
-            assert generator.bit_generator.state["has_uint32"] == 1
-        self._assert_same(truth, 0.5, rng, oracle_rng)
-
-    def test_one_dimensional_input(self):
-        truth = np.tile(np.array([0, 1, 2], dtype=np.int8), 11)
-        self._assert_same(truth, 0.5, np.random.default_rng(2), np.random.default_rng(2))
+    def test_a_generator_holding_a_spare_half_is_refused_before_a_draw(self):
+        rng = np.random.default_rng(13)
+        rng.integers(1, 3, size=1)
+        entry = rng.bit_generator.state
+        assert entry["has_uint32"] == 1
+        with pytest.raises(ValueError, match="spare"):
+            sense(rng, 0.5, 5, 7)
+        assert rng.bit_generator.state == entry
 
     def test_other_bit_generators_are_refused_before_a_draw(self):
         rng = np.random.Generator(np.random.Philox(0))
         with pytest.raises(ValueError, match="Philox"):
-            sense(np.zeros((4, 3), dtype=np.int8), 0.5, rng)
+            sense(rng, 0.5, 4, 3)
         assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
 
 
@@ -265,9 +243,11 @@ class TestOccupancyProjection:
     def test_projection_matches_truth_under_perfect_sensing(self):
         tm = derive_ground_truth_matrix(0.4, 0.6, 0.75)
         procs = _process_set(tm, bands=50, seed=23)
+        rng = np.random.default_rng(0)
         for _ in range(10):
             truth = procs.advance()
-            busy = sense(truth) == SpectrumState.BUSY
+            sensed = wrap_states(truth + sense(rng, 0.0, 1, 50)[0])
+            busy = sensed == SpectrumState.BUSY
             np.testing.assert_array_equal(busy, truth == SpectrumState.BUSY)
 
 
