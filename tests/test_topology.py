@@ -200,6 +200,21 @@ class TestSensing:
         assert int((sense(np.random.default_rng(3), 0.1, 1, 100) != 0).sum()) == 8
 
 
+class TestSensingSlotAxis:
+    @pytest.mark.parametrize("bands", [8, 9])
+    @pytest.mark.parametrize("err", [0.1, 1.0])
+    def test_slots_sensed_at_once_equal_calls_that_leave_no_spare(self, bands, err):
+        # an odd band count leaves half a 64-bit word of offset draws over
+        # after each odd slot, which the next slot of the same call picks
+        # up; calls of two slots each then leave no spare between calls
+        step = 1 if bands % 2 == 0 else 2
+        at_once = sense(np.random.default_rng(17), err, 12, bands)
+        rng = np.random.default_rng(17)
+        chunked = np.vstack([sense(rng, err, step, bands) for _ in range(12 // step)])
+        assert at_once.dtype == np.int8
+        np.testing.assert_array_equal(at_once, chunked)
+
+
 class TestSensingDecoding:
     """`sense` decodes one raw-word draw; the oracle makes the public
     Generator calls slot by slot.  Both must sense any truth alike and
@@ -223,14 +238,29 @@ class TestSensingDecoding:
                 rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 self._assert_same(truth, err, rng, oracle_rng)
 
-    def test_a_generator_holding_a_spare_half_is_refused_before_a_draw(self):
+    @pytest.mark.parametrize("bands", [1, 2, 7, 8])
+    @pytest.mark.parametrize("slots", [1, 5])
+    def test_a_generator_holding_a_spare_half_is_refused_before_a_draw(self, bands, slots):
         rng = np.random.default_rng(13)
         rng.integers(1, 3, size=1)
         entry = rng.bit_generator.state
         assert entry["has_uint32"] == 1
         with pytest.raises(ValueError, match="spare"):
-            sense(rng, 0.5, 5, 7)
+            sense(rng, 0.5, slots, bands)
         assert rng.bit_generator.state == entry
+
+    def test_the_spare_a_call_leaves_is_refused_by_the_next_call(self):
+        # 3 x 7 offsets take 21 halves of 11 words: the last high half is
+        # written back as the spare, which the oracle's next draw consumes
+        truth = np.zeros((3, 7), dtype=np.int8)
+        rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+        self._assert_same(truth, 0.5, rng, oracle_rng)
+        left = rng.bit_generator.state
+        assert left["has_uint32"] == 1
+        with pytest.raises(ValueError, match="spare"):
+            sense(rng, 0.5, 3, 7)
+        assert rng.bit_generator.state == left
+        assert rng.integers(1, 3, size=5).tolist() == oracle_rng.integers(1, 3, size=5).tolist()
 
     def test_other_bit_generators_are_refused_before_a_draw(self):
         rng = np.random.Generator(np.random.Philox(0))
