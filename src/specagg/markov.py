@@ -80,16 +80,11 @@ def estimate_transition_matrix(states: np.ndarray) -> TransitionMatrix:
     the matrix row-stochastic without injecting prior structure.
 
     Raises:
-        EstimationError: if the sequence holds fewer than two states
-            (no transition to count).
+        EstimationError: from `estimate_transition_matrices`, if `states`
+            is not one sequence of at least two states (no transition to
+            count).
     """
-    states = np.asarray(states, dtype=np.int64)
-    if states.ndim != 1 or states.size < 2:
-        raise EstimationError(
-            f"need a sequence of at least 2 observed states to estimate "
-            f"transitions, got shape {states.shape}"
-        )
-    return TransitionMatrix(estimate_transition_matrices(states[None])[0])
+    return TransitionMatrix(estimate_transition_matrices(np.asarray(states)[None])[0])
 
 
 def estimate_transition_matrices(windows: np.ndarray) -> np.ndarray:
@@ -101,17 +96,13 @@ def estimate_transition_matrices(windows: np.ndarray) -> np.ndarray:
     """
     windows = np.asarray(windows, dtype=np.int64)
     if windows.ndim != 2 or windows.shape[1] < 2:
-        raise EstimationError("windows must be (bands, length>=2)")
+        raise EstimationError(f"windows must be (bands, length>=2), got shape {windows.shape}")
     if np.any((windows < 0) | (windows >= N_STATES)):
         raise ValueError("state codes must be 0, 1 or 2")
     # the one window of every band, counted as the engine counts its windows
-    counts = window_transition_counts(windows.T, windows.shape[1])[0].astype(np.float64)
+    counts = window_transition_counts(windows.T, windows.shape[1])[0]
     totals = counts.sum(axis=2, keepdims=True)
-    unseen = totals[:, :, 0] == 0
-    totals[totals == 0.0] = 1.0
-    probs = counts / totals
-    probs[unseen] = 1.0 / N_STATES
-    return probs
+    return np.divide(counts, totals, out=np.full(counts.shape, 1.0 / N_STATES), where=totals > 0)
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> np.ndarray:
@@ -151,8 +142,9 @@ def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
     `history` is (slots, bands).  Entry k of the (slots - window + 1,
     bands, 3, 3) result holds, per band, the one-step transition counts
     of ``history[k : k + window]``: entry (i, j) counts the adjacent
-    pairs (i, j).  Counts come from differences of cumulative pair-code
-    counts, so the cost does not grow with the window length.
+    pairs (i, j).  Window 0 is counted pair by pair; each later window
+    adds the pair it gains and takes off the pair it loses, in one running
+    sum, so the cost does not grow with the window length.
     """
     # pair codes 0-8 fit in int8
     history = np.asarray(history, dtype=np.int8)
@@ -160,17 +152,12 @@ def window_transition_counts(history: np.ndarray, window: int) -> np.ndarray:
     if not 2 <= window <= slots:
         raise EstimationError(f"window must lie in [2, {slots}], got {window}")
     pair_codes = history[:-1] * N_STATES + history[1:]
-    # cumulative[s]: per band, counts of the pair codes before slot s, in
-    # the narrowest integer type that holds a count of slots - 1
-    dtype = np.min_scalar_type(slots - 1)
-    cumulative = np.zeros((slots, n_bands, N_STATES * N_STATES), dtype=dtype)
-    np.cumsum(
-        pair_codes[:, :, None] == np.arange(N_STATES * N_STATES),
-        axis=0,
-        dtype=dtype,
-        out=cumulative[1:],
-    )
-    counts = cumulative[window - 1 :] - cumulative[: slots - window + 1]
+    one_hot = (pair_codes[..., None] == np.arange(N_STATES**2, dtype=np.int8)).view(np.int8)
+    # the narrowest signed integer type holding a count of window - 1 (a lost pair is -1)
+    counts = np.empty((slots - window + 1, n_bands, N_STATES**2), np.min_scalar_type(-window))
+    one_hot[: window - 1].sum(axis=0, out=counts[0])
+    np.subtract(one_hot[window - 1 :], one_hot[: slots - window], out=counts[1:])
+    np.cumsum(counts, axis=0, out=counts)
     return counts.reshape(-1, n_bands, N_STATES, N_STATES)
 
 

@@ -322,10 +322,8 @@ def run_episode(
                 for strategy in strategies}
     records = {key: (np.empty((n_pairs, bands), np.min_scalar_type(-relays)),
                      np.empty((n_pairs, bands))) for key in decision.values()}
-    predicts = any(predicting for _, predicting in records)
-    if predicts:
-        # window k ends at pair k's first slot
-        counts = window_transition_counts(history[:-1], config.n_train)
+    # window k ends at pair k's first slot
+    counts = window_transition_counts(history[:-1], config.n_train)
 
     # step 1 for all pairs at once, on draw-only scores (the hop at Es/N0 = 1, then
     # times band gains): an SNR is a score times tx * Es/N0 / gamma, so both rank alike
@@ -383,7 +381,7 @@ def run_episode(
     actual = truth_next[:, designated]
     default = history[pair_slots, designated]
     # the designated band's t + 1 state as the predicting decisions predicted it
-    guessed = predict_next_states(counts[:, designated], default) if predicts else default
+    guessed = predict_next_states(counts[:, designated], default)
     passes = {}
     for (single, predicting), (relay, kept_gain) in records.items():
         seen_users, owner, *_ = steps[single]

@@ -85,6 +85,11 @@ class TestAssignRelays:
         owner = assign_relays(topology, np.array([[3.0, 3.0, 3.0]]))
         assert owner[0] == 0
 
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (3,)])
+    def test_rejects_a_throughput_not_shaped_relays_by_users(self, shape):
+        with pytest.raises(ValueError, match=r"pair_throughput must be \(\.\.\., relays, users\)"):
+            assign_relays(topo([[True, True]]), np.ones(shape))
+
     def test_partition_property(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

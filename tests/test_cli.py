@@ -564,6 +564,57 @@ class TestMainEntry:
         assert done.returncode == 1
         assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
 
+    @staticmethod
+    def one_error_line(argv, capsys, message):
+        """`main(argv)` returns 1 and prints one stderr line, `error: ` and `message`."""
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_a_config_line_without_equals_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("users = 3\n\nrelays 6\n")
+        self.one_error_line(
+            ["run", "--config", str(config), "--out", str(tmp_path / "out")], capsys,
+            f"{config}:3: expected 'key = value', got 'relays 6'",
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_figure8_without_an_episode_0_trace_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "trace.csv").write_text("episode,slot,actual,default,predicted\n1,19,0,0,0\n")
+        self.one_error_line(
+            ["figure", "--id", "8", "--out", str(tmp_path)], capsys,
+            f"missing cell: episode=0 trace in {tmp_path / 'trace.csv'}",
+        )
+
+    def test_figure9_without_no_prediction_rows_is_one_error_line(self, tmp_path, capsys):
+        # slot 20 has no no_prediction row
+        rows = ["slot,strategy,outages,allocated", "19,predict_aggregate,1,4",
+                "19,no_prediction,2,4", "20,predict_aggregate,0,3"]
+        (tmp_path / "metrics.csv").write_text("\n".join(rows))
+        self.one_error_line(
+            ["figure", "--id", "9", "--out", str(tmp_path)], capsys,
+            "missing cell: strategy=no_prediction slot=20 in metrics.csv",
+        )
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([("no_aggregation", "0.3")], "strategy=predict_aggregate in"),
+            ([("predict_aggregate", "0.3"), ("no_aggregation", "0.3"),
+              ("predict_aggregate", "0.5")], "strategy=no_aggregation p0=0.5 es_n0_db=10.0 in"),
+        ],
+    )
+    def test_figure10_without_a_sweep_cell_is_one_error_line(self, cells, message, tmp_path,
+                                                             capsys):
+        sweep = tmp_path / "sweep_p0.csv"
+        rows = [f"{strategy},p0,{value},10.0,0.1,1e6,1e5,2e5" for strategy, value in cells]
+        sweep.write_text("\n".join([",".join(cli.SWEEP_HEADER), *rows]))
+        self.one_error_line(
+            ["figure", "--id", "10", "--out", str(tmp_path)], capsys,
+            f"missing cell: {message} {sweep}",
+        )
+
     def test_figure_flow_through_main(self, tmp_path):
         out = str(tmp_path / "cli_out")
         base = []

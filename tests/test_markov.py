@@ -1,5 +1,7 @@
 """Tests for the three-state Markov machinery."""
 
+import re
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -17,6 +19,7 @@ from specagg.markov import (
     parse_observations,
     predict_next_states,
     stationary_distribution,
+    window_transition_counts,
     wrap_states,
 )
 
@@ -62,10 +65,22 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix(m)
 
+    @pytest.mark.parametrize("probs", [np.eye(2), np.eye(4), np.ones(3), np.eye(3)[None]])
+    def test_rejects_a_matrix_not_3x3(self, probs):
+        with pytest.raises(ValueError, match="must be 3x3"):
+            TransitionMatrix(probs)
+
     def test_immutable(self):
         tm = TransitionMatrix(np.eye(3))
         with pytest.raises(ValueError):
             tm.probs[0, 0] = 0.5
+
+    def test_equality_compares_the_probabilities(self):
+        assert TransitionMatrix(EXAMPLE_MATRIX) == TransitionMatrix(EXAMPLE_MATRIX.tolist())
+        assert TransitionMatrix(EXAMPLE_MATRIX) != TransitionMatrix(np.eye(3))
+        # a non-matrix is never equal
+        assert (TransitionMatrix(np.eye(3)) == "eye") is False
+        assert (TransitionMatrix(np.eye(3)) == 1.0) is False
 
 
 class TestEstimation:
@@ -94,6 +109,16 @@ class TestEstimation:
             estimate_transition_matrix([])
         with pytest.raises(EstimationError):
             estimate_transition_matrix([1])
+
+    @pytest.mark.parametrize("states", [0, [[0, 1, 2]], np.zeros((2, 5))])
+    def test_anything_but_one_sequence_raises(self, states):
+        with pytest.raises(EstimationError, match="got shape"):
+            estimate_transition_matrix(states)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
+    def test_batch_rejects_windows_not_bands_by_length(self, shape):
+        with pytest.raises(EstimationError, match=re.escape(f"got shape {shape}")):
+            estimate_transition_matrices(np.zeros(shape, dtype=np.int64))
 
     def test_batch_estimation_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -132,6 +157,35 @@ class TestEstimation:
         seq = sample_chain(truth, 100_000, rng)
         tm = estimate_transition_matrix(seq)
         assert np.abs(tm.probs - truth).max() < 0.05
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("window", [1, 0, 7])
+    def test_rejects_a_window_outside_the_history(self, window):
+        with pytest.raises(EstimationError, match=rf"window must lie in \[2, 6\], got {window}"):
+            window_transition_counts(np.zeros((6, 2), dtype=np.int8), window)
+
+    @pytest.mark.parametrize("slots", [128, 129])
+    def test_a_full_window_counts_past_the_int8_range(self, slots):
+        # a constant all-Good history counted as one window holds slots - 1
+        # Good->Good pairs; the 128 of 129 slots no longer fit an int8
+        counts = window_transition_counts(np.zeros((slots, 2), dtype=np.int8), slots)
+        expected = np.zeros((1, 2, 3, 3), dtype=np.int64)
+        expected[..., 0, 0] = slots - 1
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_a_long_single_window_holds_no_per_slot_counts(self):
+        # one window needs no count per slot, which would hold 1.8 MB here even
+        # at one byte a count (200,000 slots x 9 pair codes)
+        history = np.random.default_rng(5).integers(0, 3, (200_000, 1)).astype(np.int8)
+        tracemalloc.start()
+        try:
+            counts = window_transition_counts(history, len(history))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        np.testing.assert_array_equal(counts[0, 0], naive_pair_counts(history[:, 0]))
 
 
 class TestStationary:

@@ -76,6 +76,11 @@ class TestLinkThroughput:
     def test_snr_three_at_2mhz(self):
         assert link_throughput(RadioParams(band_width_hz=2e6), 3.0) == 4e6
 
+    @pytest.mark.parametrize("snr", [-1e-300, [0.0, 2.0, -1.0]])
+    def test_rejects_a_negative_snr(self, snr):
+        with pytest.raises(ValueError, match="snr must be >= 0"):
+            link_throughput(RadioParams(), snr)
+
     def test_monotone_in_snr(self):
         params = RadioParams()
         snrs = np.linspace(0, 100, 300)

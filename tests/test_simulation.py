@@ -135,6 +135,14 @@ class TestEpisodeConfig:
                 RadioParams(),
             )
 
+    def test_rejects_band_processes_shorter_than_the_episode(self):
+        # processes of a 23-slot world cannot drive a 24-slot episode
+        config = EpisodeConfig(slots=24, episodes=1, n_train=20)
+        topology, processes = _world(PERIOD_TWO, bands=4, seed=1, slots=23)
+        needs = "band processes cover 23 slots, the episode needs 24"
+        with pytest.raises(ConfigError, match=needs):
+            run_episode(config, topology, processes, RadioParams(), 0, (Strategy.NO_PREDICTION,))
+
 
 class TestStaticGoodSpectrum:
     """A spectrum frozen at Good: no outages, every common band allocated."""
